@@ -82,7 +82,7 @@ func TestAllMethodsRunAndBeatChanceInDomain(t *testing.T) {
 		m := m
 		t.Run(m.Name(), func(t *testing.T) {
 			var clf models.Classifier
-			if m.ModelAgnostic() {
+			if _, agnostic := m.(AgnosticMethod); agnostic {
 				clf = quickClf()
 			}
 			f1 := f1Of(t, m, src, sup, tst, clf)
@@ -132,8 +132,8 @@ func TestMethodNamesAndAgnosticism(t *testing.T) {
 		if got := tt.m.Name(); got != tt.name {
 			t.Errorf("Name = %q; want %q", got, tt.name)
 		}
-		if got := tt.m.ModelAgnostic(); got != tt.agnostic {
-			t.Errorf("%s.ModelAgnostic = %v; want %v", tt.name, got, tt.agnostic)
+		if _, got := tt.m.(AgnosticMethod); got != tt.agnostic {
+			t.Errorf("%s implements AgnosticMethod = %v; want %v", tt.name, got, tt.agnostic)
 		}
 	}
 }

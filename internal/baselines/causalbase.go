@@ -24,16 +24,18 @@ type CMT struct {
 	Seed        int64
 }
 
-var _ Method = CMT{}
+var _ AgnosticMethod = CMT{}
 
 // Name implements Method.
 func (CMT) Name() string { return "CMT" }
 
-// ModelAgnostic implements Method.
-func (CMT) ModelAgnostic() bool { return true }
-
 // Predict implements Method.
 func (m CMT) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+	return PredictAdapted(m, source, support, test, clf)
+}
+
+// Adapt implements AgnosticMethod.
+func (m CMT) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	if err := validateInputs(source, support, test, true); err != nil {
 		return nil, err
 	}
@@ -121,10 +123,7 @@ func (m CMT) Predict(source, support, test *dataset.Dataset, clf models.Classifi
 			trainY = append(trainY, c)
 		}
 	}
-	if err := clf.Fit(trainX, trainY, numClassesOf(source, support, test)); err != nil {
-		return nil, fmt.Errorf("baselines: cmt fit: %w", err)
-	}
-	return models.PredictClasses(clf, testX)
+	return &Adapted{TrainX: trainX, TrainY: trainY, TestX: testX, NumClasses: numClassesOf(source, support, test)}, nil
 }
 
 // ICD adapts the invariant-conditional-distribution method of Magliacane et
@@ -142,16 +141,18 @@ type ICD struct {
 	Seed   int64
 }
 
-var _ Method = ICD{}
+var _ AgnosticMethod = ICD{}
 
 // Name implements Method.
 func (ICD) Name() string { return "ICD" }
 
-// ModelAgnostic implements Method.
-func (ICD) ModelAgnostic() bool { return true }
-
 // Predict implements Method.
 func (m ICD) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+	return PredictAdapted(m, source, support, test, clf)
+}
+
+// Adapt implements AgnosticMethod.
+func (m ICD) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	if err := validateInputs(source, support, test, true); err != nil {
 		return nil, err
 	}
@@ -180,10 +181,10 @@ func (m ICD) Predict(source, support, test *dataset.Dataset, clf models.Classifi
 	}
 	trainX := selectColumns(append(append([][]float64{}, srcX...), supX...), keep)
 	trainY := append(append([]int(nil), source.Y...), support.Y...)
-	if err := clf.Fit(trainX, trainY, numClassesOf(source, support, test)); err != nil {
-		return nil, fmt.Errorf("baselines: icd fit: %w", err)
-	}
-	return models.PredictClasses(clf, selectColumns(testX, keep))
+	return &Adapted{
+		TrainX: trainX, TrainY: trainY, TestX: selectColumns(testX, keep),
+		NumClasses: numClassesOf(source, support, test),
+	}, nil
 }
 
 // findVariant runs the bounded-window conservative search on scaled data.

@@ -20,16 +20,18 @@ type CORAL struct {
 	Seed      int64
 }
 
-var _ Method = CORAL{}
+var _ AgnosticMethod = CORAL{}
 
 // Name implements Method.
 func (CORAL) Name() string { return "CORAL" }
 
-// ModelAgnostic implements Method.
-func (CORAL) ModelAgnostic() bool { return true }
-
 // Predict implements Method.
 func (m CORAL) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+	return PredictAdapted(m, source, support, test, clf)
+}
+
+// Adapt implements AgnosticMethod.
+func (m CORAL) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	if err := validateInputs(source, support, test, true); err != nil {
 		return nil, err
 	}
@@ -76,10 +78,7 @@ func (m CORAL) Predict(source, support, test *dataset.Dataset, clf models.Classi
 	// Train on re-colored source plus the raw support samples.
 	trainX := append(transformed, supX...)
 	trainY := append(append([]int(nil), source.Y...), support.Y...)
-	if err := clf.Fit(trainX, trainY, numClassesOf(source, support, test)); err != nil {
-		return nil, fmt.Errorf("baselines: coral fit: %w", err)
-	}
-	return models.PredictClasses(clf, testX)
+	return &Adapted{TrainX: trainX, TrainY: trainY, TestX: testX, NumClasses: numClassesOf(source, support, test)}, nil
 }
 
 // shrunkCovariance returns (1-λ)·Cov + λ·I.

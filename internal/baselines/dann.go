@@ -42,9 +42,6 @@ func (m *DANN) Name() string {
 	return "DANN"
 }
 
-// ModelAgnostic implements Method.
-func (*DANN) ModelAgnostic() bool { return false }
-
 // Predict implements Method.
 func (m *DANN) Predict(source, support, test *dataset.Dataset, _ models.Classifier) ([]int, error) {
 	if err := validateInputs(source, support, test, true); err != nil {

@@ -54,9 +54,6 @@ func (m *FewShotNet) Name() string {
 	return "ProtoNet"
 }
 
-// ModelAgnostic implements Method.
-func (*FewShotNet) ModelAgnostic() bool { return false }
-
 // Predict implements Method.
 func (m *FewShotNet) Predict(source, support, test *dataset.Dataset, _ models.Classifier) ([]int, error) {
 	if err := validateInputs(source, support, test, true); err != nil {

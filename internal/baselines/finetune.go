@@ -26,10 +26,6 @@ var _ Method = (*FineTune)(nil)
 // Name implements Method.
 func (*FineTune) Name() string { return "Fine-tune" }
 
-// ModelAgnostic implements Method: the paper restricts this baseline to the
-// MLP architecture.
-func (*FineTune) ModelAgnostic() bool { return false }
-
 // Predict implements Method.
 func (m *FineTune) Predict(source, support, test *dataset.Dataset, _ models.Classifier) ([]int, error) {
 	if err := validateInputs(source, support, test, true); err != nil {

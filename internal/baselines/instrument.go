@@ -1,38 +1,18 @@
 package baselines
 
-import (
-	"netdrift/internal/dataset"
-	"netdrift/internal/models"
-	"netdrift/internal/obs"
-)
+import "netdrift/internal/obs"
 
-// instrumented wraps a Method with wall-clock timing. The Method interface
-// folds per-method training and inference into Predict, so the recorded
-// latency is the method's full fit+predict cost on the protocol — the
-// running-time quantity the paper compares in §VI-D.
-type instrumented struct {
-	Method
-	obs *obs.Observer
-}
-
-// Instrument wraps m so every Predict records its latency into the
-// observer's netdrift_method_predict_seconds histogram, labelled by
-// method name, and runs under a span. A nil observer returns m unchanged.
-func Instrument(m Method, o *obs.Observer) Method {
-	if o == nil || m == nil {
-		return m
+// Observe starts timing one unit of a method's work — a Predict, or a whole
+// Table I cell (one Adapt and every classifier fitted on it) — under a
+// "method.predict" span and the netdrift_method_predict_seconds histogram,
+// both labelled with the method name. The returned func ends the unit. A
+// nil observer records nothing.
+func Observe(o *obs.Observer, method string) (end func()) {
+	stop := o.Time(obs.MetricMethodSeconds, "method", method)
+	sp := o.StartSpan("method.predict")
+	sp.SetAttr("method", method)
+	return func() {
+		sp.End()
+		stop()
 	}
-	return &instrumented{Method: m, obs: o}
 }
-
-// Predict implements Method.
-func (im *instrumented) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
-	defer im.obs.Time(obs.MetricMethodSeconds, "method", im.Name())()
-	sp := im.obs.StartSpan("method.predict")
-	sp.SetAttr("method", im.Name())
-	defer sp.End()
-	return im.Method.Predict(source, support, test, clf)
-}
-
-// Unwrap exposes the wrapped method (for type assertions in runners).
-func (im *instrumented) Unwrap() Method { return im.Method }

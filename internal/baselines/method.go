@@ -23,11 +23,48 @@ import (
 type Method interface {
 	// Name identifies the method as it appears in Table I.
 	Name() string
-	// ModelAgnostic reports whether Predict uses the supplied classifier.
-	ModelAgnostic() bool
 	// Predict trains per the method's protocol and labels the test rows.
-	// clf is ignored by model-specific methods and may then be nil.
+	// Only an AgnosticMethod uses clf; model-specific methods train their
+	// own networks, ignore it, and accept nil.
 	Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error)
+}
+
+// AgnosticMethod is a model-agnostic Method whose adaptation does not depend
+// on the classifier. Adapt is a pure data transform of its inputs, and
+// classifiers never mutate the rows they are handed, so one Adapted serves
+// any number of classifiers: Table I adapts once per cell and fits all four
+// classifier columns on the result.
+type AgnosticMethod interface {
+	Method
+	// Adapt runs the method's classifier-independent adaptation.
+	Adapt(source, support, test *dataset.Dataset) (*Adapted, error)
+}
+
+// Adapted is what AgnosticMethod.Adapt hands the classifier: its training
+// rows and labels, the test rows it labels, and the class count it fits.
+type Adapted struct {
+	TrainX     [][]float64
+	TrainY     []int
+	TestX      [][]float64
+	NumClasses int
+}
+
+// Classify fits clf on the adapted training rows and labels the adapted
+// test rows.
+func (a *Adapted) Classify(clf models.Classifier) ([]int, error) {
+	if err := clf.Fit(a.TrainX, a.TrainY, a.NumClasses); err != nil {
+		return nil, fmt.Errorf("baselines: %s fit: %w", clf.Name(), err)
+	}
+	return models.PredictClasses(clf, a.TestX)
+}
+
+// PredictAdapted is Predict for an AgnosticMethod: Adapt, then Classify.
+func PredictAdapted(m AgnosticMethod, source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+	a, err := m.Adapt(source, support, test)
+	if err != nil {
+		return nil, err
+	}
+	return a.Classify(clf)
 }
 
 // ErrInvalidInput is returned for malformed method inputs.
@@ -95,16 +132,18 @@ func numClassesOf(ds ...*dataset.Dataset) int {
 // quantifies raw drift damage.
 type SrcOnly struct{}
 
-var _ Method = SrcOnly{}
+var _ AgnosticMethod = SrcOnly{}
 
 // Name implements Method.
 func (SrcOnly) Name() string { return "SrcOnly" }
 
-// ModelAgnostic implements Method.
-func (SrcOnly) ModelAgnostic() bool { return true }
-
 // Predict implements Method.
-func (SrcOnly) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+func (m SrcOnly) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+	return PredictAdapted(m, source, support, test, clf)
+}
+
+// Adapt implements AgnosticMethod.
+func (SrcOnly) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	if err := validateInputs(source, support, test, false); err != nil {
 		return nil, err
 	}
@@ -112,25 +151,24 @@ func (SrcOnly) Predict(source, support, test *dataset.Dataset, clf models.Classi
 	if err != nil {
 		return nil, err
 	}
-	if err := clf.Fit(scaled[0], source.Y, numClassesOf(source, test)); err != nil {
-		return nil, fmt.Errorf("baselines: srconly fit: %w", err)
-	}
-	return models.PredictClasses(clf, scaled[1])
+	return &Adapted{TrainX: scaled[0], TrainY: source.Y, TestX: scaled[1], NumClasses: numClassesOf(source, test)}, nil
 }
 
 // TarOnly trains the classifier on the few-shot target support only.
 type TarOnly struct{}
 
-var _ Method = TarOnly{}
+var _ AgnosticMethod = TarOnly{}
 
 // Name implements Method.
 func (TarOnly) Name() string { return "TarOnly" }
 
-// ModelAgnostic implements Method.
-func (TarOnly) ModelAgnostic() bool { return true }
-
 // Predict implements Method.
-func (TarOnly) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+func (m TarOnly) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+	return PredictAdapted(m, source, support, test, clf)
+}
+
+// Adapt implements AgnosticMethod.
+func (TarOnly) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	if err := validateInputs(source, support, test, true); err != nil {
 		return nil, err
 	}
@@ -138,10 +176,7 @@ func (TarOnly) Predict(source, support, test *dataset.Dataset, clf models.Classi
 	if err != nil {
 		return nil, err
 	}
-	if err := clf.Fit(scaled[0], support.Y, numClassesOf(source, support, test)); err != nil {
-		return nil, fmt.Errorf("baselines: taronly fit: %w", err)
-	}
-	return models.PredictClasses(clf, scaled[1])
+	return &Adapted{TrainX: scaled[0], TrainY: support.Y, TestX: scaled[1], NumClasses: numClassesOf(source, support, test)}, nil
 }
 
 // SAndT pools source and target support, oversampling the support so the
@@ -154,16 +189,18 @@ type SAndT struct {
 	Seed        int64
 }
 
-var _ Method = SAndT{}
+var _ AgnosticMethod = SAndT{}
 
 // Name implements Method.
 func (SAndT) Name() string { return "S&T" }
 
-// ModelAgnostic implements Method.
-func (SAndT) ModelAgnostic() bool { return true }
-
 // Predict implements Method.
 func (m SAndT) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
+	return PredictAdapted(m, source, support, test, clf)
+}
+
+// Adapt implements AgnosticMethod.
+func (m SAndT) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	if err := validateInputs(source, support, test, true); err != nil {
 		return nil, err
 	}
@@ -187,8 +224,5 @@ func (m SAndT) Predict(source, support, test *dataset.Dataset, clf models.Classi
 	if err != nil {
 		return nil, err
 	}
-	if err := clf.Fit(scaled[0], pooled.Y, numClassesOf(source, support, test)); err != nil {
-		return nil, fmt.Errorf("baselines: s&t fit: %w", err)
-	}
-	return models.PredictClasses(clf, scaled[1])
+	return &Adapted{TrainX: scaled[0], TrainY: pooled.Y, TestX: scaled[1], NumClasses: numClassesOf(source, support, test)}, nil
 }

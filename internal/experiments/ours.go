@@ -16,20 +16,16 @@ import (
 )
 
 // OursMethod adapts the paper's FS / FS+GAN pipeline (core.Adapter) to the
-// baselines.Method interface so it can be evaluated side by side with the
-// compared approaches. The fitted adapter is cached per (source, support)
-// pair so the four classifier columns of Table I share one GAN training.
+// baselines.AgnosticMethod interface so it can be evaluated side by side
+// with the compared approaches. Every Adapt fits a fresh adapter; Table I
+// adapts once per cell, so its four classifier columns share one GAN
+// training.
 type OursMethod struct {
 	Label string
 	Cfg   core.AdapterConfig
-
-	cachedAdapter *core.Adapter
-	cachedTrain   *dataset.Dataset
-	cacheSrc      *dataset.Dataset
-	cacheSup      *dataset.Dataset
 }
 
-var _ baselines.Method = (*OursMethod)(nil)
+var _ baselines.AgnosticMethod = (*OursMethod)(nil)
 
 // NewFS returns the FS-only method ("FS (ours)").
 func NewFS(seed int64) *OursMethod {
@@ -68,49 +64,32 @@ func NewFSRecon(kind core.ReconKind, epochs int, seed int64) *OursMethod {
 // Name implements baselines.Method.
 func (m *OursMethod) Name() string { return m.Label }
 
-// ModelAgnostic implements baselines.Method.
-func (m *OursMethod) ModelAgnostic() bool { return true }
-
-// Predict implements baselines.Method. The downstream classifier is trained
-// exclusively on (scaled) source data; target data only drives the feature
-// separation.
+// Predict implements baselines.Method.
 func (m *OursMethod) Predict(source, support, test *dataset.Dataset, clf models.Classifier) ([]int, error) {
-	ad, train, err := m.adapterFor(source, support)
+	return baselines.PredictAdapted(m, source, support, test, clf)
+}
+
+// Adapt implements baselines.AgnosticMethod. The downstream classifier
+// trains exclusively on (scaled) source data; target data only drives the
+// feature separation and the reconstructor, and the test rows are aligned
+// to the source domain.
+func (m *OursMethod) Adapt(source, support, test *dataset.Dataset) (*baselines.Adapted, error) {
+	ad := core.NewAdapter(m.Cfg)
+	if err := ad.Fit(source, support); err != nil {
+		return nil, fmt.Errorf("experiments: %s adapter fit: %w", m.Label, err)
+	}
+	train, err := ad.TrainingData(source)
 	if err != nil {
 		return nil, err
-	}
-	numClasses := source.NumClasses()
-	if c := test.NumClasses(); c > numClasses {
-		numClasses = c
-	}
-	if err := clf.Fit(train.X, train.Y, numClasses); err != nil {
-		return nil, fmt.Errorf("experiments: %s fit: %w", m.Label, err)
 	}
 	aligned, err := ad.TransformTarget(test.X)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s transform: %w", m.Label, err)
 	}
-	return models.PredictClasses(clf, aligned)
-}
-
-// adapterFor fits (or reuses) the adapter for this source/support pair.
-func (m *OursMethod) adapterFor(source, support *dataset.Dataset) (*core.Adapter, *dataset.Dataset, error) {
-	if m.cachedAdapter != nil && m.cacheSrc == source && m.cacheSup == support {
-		return m.cachedAdapter, m.cachedTrain, nil
-	}
-	ad := core.NewAdapter(m.Cfg)
-	if err := ad.Fit(source, support); err != nil {
-		return nil, nil, fmt.Errorf("experiments: %s adapter fit: %w", m.Label, err)
-	}
-	train, err := ad.TrainingData(source)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.cachedAdapter = ad
-	m.cachedTrain = train
-	m.cacheSrc = source
-	m.cacheSup = support
-	return ad, train, nil
+	return &baselines.Adapted{
+		TrainX: train.X, TrainY: train.Y, TestX: aligned,
+		NumClasses: max(source.NumClasses(), test.NumClasses()),
+	}, nil
 }
 
 // VariantCount runs only the feature-separation stage and reports how many

@@ -1,17 +1,22 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"netdrift/internal/baselines"
 	"netdrift/internal/core"
+	"netdrift/internal/dataset"
 	"netdrift/internal/models"
 )
 
-// TestOursMethodAdapterCache verifies the Table I optimization: the four
-// classifier columns share one fitted adapter (one GAN training) per
-// (source, support) pair.
-func TestOursMethodAdapterCache(t *testing.T) {
+// TestOursMethodAdaptDeterministic checks what lets Table I adapt once per
+// cell and fit all four classifier columns on the result: Adapt is a pure
+// function of its inputs, so a second call returns the same bits, and a
+// different support draw gives a different adaptation.
+func TestOursMethodAdaptDeterministic(t *testing.T) {
 	pair, err := MakePair("5gipc", QuickScale, 61)
 	if err != nil {
 		t.Fatal(err)
@@ -21,29 +26,42 @@ func TestOursMethodAdapterCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewFSGAN(QuickScale.GANEpochs, 63)
-	ad1, train1, err := m.adapterFor(pair.Source, support)
-	if err != nil {
-		t.Fatal(err)
+	adapt := func(support *dataset.Dataset) *baselines.Adapted {
+		a, err := m.Adapt(pair.Source, support, pair.TargetTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
-	ad2, train2, err := m.adapterFor(pair.Source, support)
-	if err != nil {
-		t.Fatal(err)
+	a1, a2 := adapt(support), adapt(support)
+	if !sameBits(a1.TrainX, a2.TrainX) || !sameBits(a1.TestX, a2.TestX) ||
+		!slices.Equal(a1.TrainY, a2.TrainY) || a1.NumClasses != a2.NumClasses {
+		t.Error("two Adapt calls on the same inputs differ")
 	}
-	if ad1 != ad2 || train1 != train2 {
-		t.Error("same (source, support) pair must reuse the cached adapter")
-	}
-	// A different support invalidates the cache.
 	support2, _, err := pair.TargetTrain.FewShot(3, true, rand.New(rand.NewSource(64)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad3, _, err := m.adapterFor(pair.Source, support2)
-	if err != nil {
-		t.Fatal(err)
+	if sameBits(adapt(support2).TestX, a1.TestX) {
+		t.Error("a different support draw must change the aligned test rows")
 	}
-	if ad3 == ad1 {
-		t.Error("different support must refit the adapter")
+}
+
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestOursMethodLabels(t *testing.T) {
@@ -55,9 +73,6 @@ func TestOursMethodLabels(t *testing.T) {
 	}
 	if got := NewFSRecon(core.ReconVAE, 5, 1).Name(); got != "FS+VAE" {
 		t.Errorf("Name = %q", got)
-	}
-	if !NewFS(1).ModelAgnostic() {
-		t.Error("FS must be model-agnostic")
 	}
 }
 

@@ -232,7 +232,9 @@ func RunInDomain(cfg SensitivityConfig) (*InDomainResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := baselines.Instrument(baselines.SrcOnly{}, cfg.Obs).Predict(train, nil, test, clf)
+		end := baselines.Observe(cfg.Obs, baselines.SrcOnly{}.Name())
+		pred, err := baselines.SrcOnly{}.Predict(train, nil, test, clf)
+		end()
 		if err != nil {
 			return nil, err
 		}

@@ -119,8 +119,8 @@ type Table1Result struct {
 	Repeats     int
 }
 
-// methodSpec builds a fresh method instance per repetition (methods carry
-// per-run seeds and caches).
+// methodSpec builds a fresh method instance per cell (methods carry
+// per-cell seeds).
 type methodSpec struct {
 	name     string
 	category string
@@ -250,34 +250,42 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 			om.Cfg.Workers = 1
 			om.Cfg.TrainShards = cfg.TrainShards
 		}
-		m = baselines.Instrument(m, cfg.Obs)
-		out := make(map[string]float64)
-		if m.ModelAgnostic() {
-			for _, kind := range models.AllKinds() {
-				clf, err := models.New(kind, models.Options{
-					Seed:   seed,
-					Epochs: cfg.Scale.ClassifierEpochs,
-					Trees:  cfg.Scale.Trees,
-				})
-				if err != nil {
-					return err
-				}
-				f1, err := scoreMethod(m, pair, c.support, clf)
-				if err != nil {
-					return fmt.Errorf("%s/%s shot=%d: %w", c.spec.name, kind, c.shot, err)
-				}
-				out[kind.String()] = f1
-				progress(notify, "%s %s/%s shot=%d rep=%d F1=%.1f",
-					cfg.Dataset, c.spec.name, kind, c.shot, c.rep, f1)
-			}
-		} else {
-			f1, err := scoreMethod(m, pair, c.support, nil)
+		// The cell is one unit of the method's work: a model-agnostic
+		// method adapts once and every classifier column fits on the
+		// shared result.
+		defer baselines.Observe(cfg.Obs, m.Name())()
+		am, agnostic := m.(baselines.AgnosticMethod)
+		if !agnostic {
+			f1, err := pair.score(m.Predict(pair.Source, c.support, pair.TargetTest, nil))
 			if err != nil {
 				return fmt.Errorf("%s shot=%d: %w", c.spec.name, c.shot, err)
 			}
-			out["*"] = f1
+			scores[ci] = map[string]float64{"*": f1}
 			progress(notify, "%s %s shot=%d rep=%d F1=%.1f",
 				cfg.Dataset, c.spec.name, c.shot, c.rep, f1)
+			return nil
+		}
+		adapted, err := am.Adapt(pair.Source, c.support, pair.TargetTest)
+		if err != nil {
+			return fmt.Errorf("%s shot=%d: %w", c.spec.name, c.shot, err)
+		}
+		out := make(map[string]float64)
+		for _, kind := range models.AllKinds() {
+			clf, err := models.New(kind, models.Options{
+				Seed:   seed,
+				Epochs: cfg.Scale.ClassifierEpochs,
+				Trees:  cfg.Scale.Trees,
+			})
+			if err != nil {
+				return err
+			}
+			f1, err := pair.score(adapted.Classify(clf))
+			if err != nil {
+				return fmt.Errorf("%s/%s shot=%d: %w", c.spec.name, kind, c.shot, err)
+			}
+			out[kind.String()] = f1
+			progress(notify, "%s %s/%s shot=%d rep=%d F1=%.1f",
+				cfg.Dataset, c.spec.name, kind, c.shot, c.rep, f1)
 		}
 		scores[ci] = out
 		return nil
@@ -318,12 +326,13 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	return res, nil
 }
 
-func scoreMethod(m baselines.Method, pair *Pair, support *dataset.Dataset, clf models.Classifier) (float64, error) {
-	pred, err := m.Predict(pair.Source, support, pair.TargetTest, clf)
+// score is the macro-F1 of predictions for the target test rows; it passes
+// a prediction error through.
+func (p *Pair) score(pred []int, err error) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return metrics.MacroF1Score(pair.TargetTest.Y, pred, pair.NumClasses)
+	return metrics.MacroF1Score(p.TargetTest.Y, pred, p.NumClasses)
 }
 
 func filterRoster(roster []methodSpec, names []string) []methodSpec {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"netdrift/internal/nn"
@@ -221,5 +222,42 @@ func TestFeatureGateInputGradient(t *testing.T) {
 func TestNewUnknownKind(t *testing.T) {
 	if _, err := New(Kind(99), Options{}); err == nil {
 		t.Error("expected error for unknown kind")
+	}
+}
+
+// TestClassifiersLeaveInputsUnchanged pins the contract that lets one
+// baselines.Adapted serve every classifier of a Table I cell: Fit and
+// PredictProba never write to the rows or labels they are handed.
+func TestClassifiersLeaveInputsUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	x, y := blobs(90, 6, 3, 2, rng)
+	xTest, _ := blobs(30, 6, 3, 2, rng)
+	bits := func(rows [][]float64) [][]uint64 {
+		out := make([][]uint64, len(rows))
+		for i, row := range rows {
+			for _, v := range row {
+				out[i] = append(out[i], math.Float64bits(v))
+			}
+		}
+		return out
+	}
+	wantX, wantY, wantTest := bits(x), append([]int(nil), y...), bits(xTest)
+	for _, kind := range AllKinds() {
+		c, err := New(kind, Options{Seed: 8, Epochs: 3, Trees: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Fit(x, y, 3); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if !reflect.DeepEqual(bits(x), wantX) || !reflect.DeepEqual(y, wantY) {
+			t.Errorf("%s: Fit changed its training rows or labels", kind)
+		}
+		if _, err := c.PredictProba(xTest); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if !reflect.DeepEqual(bits(xTest), wantTest) {
+			t.Errorf("%s: PredictProba changed its input rows", kind)
+		}
 	}
 }

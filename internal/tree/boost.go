@@ -78,9 +78,9 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 		hess[c] = make([]float64, n)
 	}
 
-	// Presort every feature once; each tree's split search scans these
-	// orders with a node-membership filter instead of re-sorting per node.
-	presorted := presortColumns(x)
+	// Presort every feature once; the trees of every round and class take
+	// their per-node segments from these orders through one builder.
+	b := newRegBuilder(x, presortColumns(x), cfg)
 
 	for round := 0; round < cfg.Rounds; round++ {
 		// Softmax gradients/hessians.
@@ -110,13 +110,7 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 		rows := subsampleRows(n, cfg.Subsample, rng)
 		roundTrees := make([]*regressionTree, numClasses)
 		for c := 0; c < numClasses; c++ {
-			rt := fitRegressionTree(x, presorted, grads[c], hess[c], rows, regTreeConfig{
-				maxDepth:     cfg.MaxDepth,
-				lambda:       cfg.Lambda,
-				colSample:    cfg.ColSample,
-				minChildHess: cfg.MinChildHess,
-				rng:          rand.New(rand.NewSource(rng.Int63())),
-			})
+			rt := b.fit(grads[c], hess[c], rows, rng.Int63())
 			roundTrees[c] = rt
 			for i := 0; i < n; i++ {
 				scores[i][c] += cfg.LearningRate * rt.predict(x[i])
@@ -183,150 +177,239 @@ type regressionTree struct {
 	nodes []node
 }
 
-type regTreeConfig struct {
-	maxDepth     int
-	lambda       float64
-	colSample    float64
-	minChildHess float64
-	rng          *rand.Rand
+// sortedColumns holds every feature's presorted order: feature f's row
+// indices ordered by value at rows[f*n:(f+1)*n], and the values in that
+// order at vals[f*n:(f+1)*n].
+type sortedColumns struct {
+	n    int
+	rows []int32
+	vals []float64
 }
 
-// presortColumns returns, for each feature, the row indices ordered by that
-// feature's value.
-func presortColumns(x [][]float64) [][]int32 {
-	n := len(x)
-	d := len(x[0])
-	out := make([][]int32, d)
+func presortColumns(x [][]float64) sortedColumns {
+	n, d := len(x), len(x[0])
+	s := sortedColumns{n: n, rows: make([]int32, d*n), vals: make([]float64, d*n)}
+	col := make([]float64, n)
 	for f := 0; f < d; f++ {
-		idx := make([]int32, n)
+		idx := s.rows[f*n : (f+1)*n]
 		for i := range idx {
 			idx[i] = int32(i)
-		}
-		col := make([]float64, n)
-		for i := range x {
 			col[i] = x[i][f]
 		}
 		sort.Slice(idx, func(a, b int) bool { return col[idx[a]] < col[idx[b]] })
-		out[f] = idx
+		vals := s.vals[f*n : (f+1)*n]
+		for p, i := range idx {
+			vals[p] = col[i]
+		}
 	}
-	return out
+	return s
 }
 
-func fitRegressionTree(x [][]float64, presorted [][]int32, grad, hess []float64, rows []int, cfg regTreeConfig) *regressionTree {
-	t := &regressionTree{}
-	d := len(x[0])
-	nCols := int(float64(d) * cfg.colSample)
+// regBuilder grows the regression trees of one FitGradientBoosting call.
+// Its scratch is sized once and reused by every tree of every round and
+// class.
+//
+// A tree filters each sampled column's presorted order to the round's
+// subsample, giving one segment of m (row, value) entries per column.
+// Every node owns the same range [lo, hi) of each segment, which holds
+// exactly its rows in presorted order: a split partitions each segment
+// stably, left-goers first. The split scan therefore visits a node's rows
+// in the order a filtered scan of the whole presorted column would,
+// accumulates the same gradient sums, and grows the same tree bit for bit.
+type regBuilder struct {
+	x      [][]float64
+	sorted sortedColumns
+	nCols  int // features sampled per tree
+
+	maxDepth     int
+	lambda       float64
+	minChildHess float64
+
+	// The tree being grown.
+	grad, hess []float64
+	cols       []int // sampled features in draw order; segment j is cols[j]
+	m          int   // rows in the subsample, the length of every segment
+	tree       *regressionTree
+
+	rng      *rand.Rand
+	perm     []int
+	inSample []bool // by row; all false between trees
+	goLeft   []bool // by row; set for a node's rows when it splits
+	// idx holds the subsample in draw order, partitioned per node like the
+	// segments, so the sums over idx[lo:hi] add a node's rows in the same
+	// order as appending its rows to fresh left and right slices would.
+	idx      []int
+	part     []int
+	segRows  []int32   // segment j at [j*m, (j+1)*m)
+	segVals  []float64 // values matching segRows
+	partRows []int32
+	partVals []float64
+}
+
+func newRegBuilder(x [][]float64, sorted sortedColumns, cfg BoostConfig) *regBuilder {
+	n, d := len(x), len(x[0])
+	nCols := int(float64(d) * cfg.ColSample)
 	if nCols < 1 {
 		nCols = 1
 	}
-	cols := cfg.rng.Perm(d)[:nCols]
-	b := &regBuilder{
-		x: x, presorted: presorted, grad: grad, hess: hess,
-		cfg: cfg, cols: cols, tree: t,
-		inNode: make([]bool, len(x)),
+	return &regBuilder{
+		x: x, sorted: sorted, nCols: nCols,
+		maxDepth: cfg.MaxDepth, lambda: cfg.Lambda, minChildHess: cfg.MinChildHess,
+		rng:      rand.New(rand.NewSource(0)),
+		perm:     make([]int, d),
+		inSample: make([]bool, n),
+		goLeft:   make([]bool, n),
+		idx:      make([]int, n),
+		part:     make([]int, 0, n),
+		segRows:  make([]int32, nCols*n),
+		segVals:  make([]float64, nCols*n),
+		partRows: make([]int32, 0, n),
+		partVals: make([]float64, 0, n),
 	}
-	b.build(rows, 0)
-	return t
 }
 
-type regBuilder struct {
-	x          [][]float64
-	presorted  [][]int32
-	grad, hess []float64
-	cfg        regTreeConfig
-	cols       []int
-	tree       *regressionTree
-	inNode     []bool // scratch membership mask, maintained around build calls
+// fit grows one tree on the subsample rows, which it leaves unmodified.
+// The tree's column sample comes from an rng seeded with seed, drawing
+// exactly what rand.New(rand.NewSource(seed)).Perm would.
+func (b *regBuilder) fit(grad, hess []float64, rows []int, seed int64) *regressionTree {
+	b.rng.Seed(seed)
+	b.cols = permInto(b.rng, len(b.x[0]), b.perm)[:b.nCols]
+	b.grad, b.hess = grad, hess
+	b.tree = &regressionTree{}
+	m := len(rows)
+	b.m = m
+	copy(b.idx, rows)
+
+	for _, i := range rows {
+		b.inSample[i] = true
+	}
+	n := b.sorted.n
+	for j, f := range b.cols {
+		vals := b.sorted.vals[f*n : (f+1)*n]
+		segRows := b.segRows[j*m : (j+1)*m]
+		segVals := b.segVals[j*m : (j+1)*m]
+		k := 0
+		for p, i := range b.sorted.rows[f*n : (f+1)*n] {
+			if b.inSample[i] {
+				segRows[k], segVals[k] = i, vals[p]
+				k++
+			}
+		}
+	}
+	for _, i := range rows {
+		b.inSample[i] = false
+	}
+
+	b.build(0, m, 0)
+	return b.tree
 }
 
-func (b *regBuilder) build(idx []int, depth int) int {
+// build grows the subtree over the node range [lo, hi) and returns its
+// node index.
+func (b *regBuilder) build(lo, hi, depth int) int {
+	idx := b.idx[lo:hi]
 	var sumG, sumH float64
 	for _, i := range idx {
 		sumG += b.grad[i]
 		sumH += b.hess[i]
 	}
-	if depth >= b.cfg.maxDepth || len(idx) < 2 {
+	if depth >= b.maxDepth || len(idx) < 2 {
 		return b.leaf(sumG, sumH)
 	}
-	feat, thresh, ok := b.bestSplit(idx, sumG, sumH)
+	feat, thresh, ok := b.bestSplit(lo, hi, sumG, sumH)
 	if !ok {
 		return b.leaf(sumG, sumH)
 	}
-	var left, right []int
+	// Stable in-place partition, as in classBuilder: left-goers compact to
+	// the front of idx in order, right-goers stage through b.part.
+	nl := 0
+	right := b.part[:0]
 	for _, i := range idx {
-		if b.x[i][feat] <= thresh {
-			left = append(left, i)
+		left := b.x[i][feat] <= thresh
+		b.goLeft[i] = left
+		if left {
+			idx[nl] = i
+			nl++
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
+	copy(idx[nl:], right)
+	if nl == 0 || nl == len(idx) {
 		return b.leaf(sumG, sumH)
+	}
+	// Leaf children never scan their segments.
+	if depth+1 < b.maxDepth {
+		b.partitionSegments(lo, hi, nl)
 	}
 	me := len(b.tree.nodes)
 	b.tree.nodes = append(b.tree.nodes, node{feature: feat, thresh: thresh})
-	l := b.build(left, depth+1)
-	r := b.build(right, depth+1)
+	l := b.build(lo, lo+nl, depth+1)
+	r := b.build(lo+nl, hi, depth+1)
 	b.tree.nodes[me].left = l
 	b.tree.nodes[me].right = r
 	return me
 }
 
+// partitionSegments stably splits every segment's node range [lo, hi)
+// into its nl left-goers followed by its right-goers.
+func (b *regBuilder) partitionSegments(lo, hi, nl int) {
+	m := b.m
+	for j := range b.cols {
+		rows := b.segRows[j*m+lo : j*m+hi]
+		vals := b.segVals[j*m+lo : j*m+hi]
+		k := 0
+		partRows, partVals := b.partRows[:0], b.partVals[:0]
+		for p, i := range rows {
+			if b.goLeft[i] {
+				rows[k], vals[k] = i, vals[p]
+				k++
+			} else {
+				partRows = append(partRows, i)
+				partVals = append(partVals, vals[p])
+			}
+		}
+		copy(rows[nl:], partRows)
+		copy(vals[nl:], partVals)
+	}
+}
+
 func (b *regBuilder) leaf(sumG, sumH float64) int {
-	v := -sumG / (sumH + b.cfg.lambda)
+	v := -sumG / (sumH + b.lambda)
 	b.tree.nodes = append(b.tree.nodes, node{feature: -1, value: v})
 	return len(b.tree.nodes) - 1
 }
 
-// bestSplit maximizes the XGBoost structure gain, scanning each feature's
-// globally presorted order filtered to this node's rows.
-func (b *regBuilder) bestSplit(idx []int, sumG, sumH float64) (int, float64, bool) {
-	lambda := b.cfg.lambda
+// bestSplit maximizes the XGBoost structure gain over the node's range of
+// every sampled column's segment, scanned in presorted order.
+func (b *regBuilder) bestSplit(lo, hi int, sumG, sumH float64) (int, float64, bool) {
+	lambda, minHess := b.lambda, b.minChildHess
 	parent := sumG * sumG / (sumH + lambda)
 	bestGain := 1e-9
 	bestFeat, bestThresh := -1, 0.0
-	nNode := len(idx)
-
-	for _, i := range idx {
-		b.inNode[i] = true
-	}
-	defer func() {
-		for _, i := range idx {
-			b.inNode[i] = false
-		}
-	}()
-
-	for _, f := range b.cols {
-		order := b.presorted[f]
+	m := b.m
+	for j, f := range b.cols {
+		rows := b.segRows[j*m+lo : j*m+hi]
+		vals := b.segVals[j*m+lo : j*m+hi]
 		var gl, hl float64
-		seen := 0
-		prev := -1 // previous in-node row in sorted order
-		for _, ri32 := range order {
-			i := int(ri32)
-			if !b.inNode[i] {
-				continue
-			}
-			if prev >= 0 {
-				// Candidate cut between prev and i.
-				v, next := b.x[prev][f], b.x[i][f]
-				if v != next && hl >= b.cfg.minChildHess && sumH-hl >= b.cfg.minChildHess {
-					gr := sumG - gl
-					hr := sumH - hl
-					gain := gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent
-					if gain > bestGain {
-						bestGain = gain
-						bestFeat = f
-						bestThresh = (v + next) / 2
-					}
+		gl += b.grad[rows[0]]
+		hl += b.hess[rows[0]]
+		for p := 1; p < len(rows); p++ {
+			// Candidate cut between positions p-1 and p.
+			v, next := vals[p-1], vals[p]
+			if v != next && hl >= minHess && sumH-hl >= minHess {
+				gr := sumG - gl
+				hr := sumH - hl
+				gain := gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent
+				if gain > bestGain {
+					bestGain = gain
+					bestFeat = f
+					bestThresh = (v + next) / 2
 				}
 			}
+			i := rows[p]
 			gl += b.grad[i]
 			hl += b.hess[i]
-			prev = i
-			seen++
-			if seen == nNode {
-				break
-			}
 		}
 	}
 	return bestFeat, bestThresh, bestFeat >= 0
