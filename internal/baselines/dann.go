@@ -86,98 +86,99 @@ func (m *DANN) Predict(source, support, test *dataset.Dataset, _ models.Classifi
 	params := append(append(feat.Params(), labelHead.Params()...), domainHead.Params()...)
 
 	nSrc := len(srcX)
-	batches := nn.Minibatches(nSrc, 64, rng)
+	// The batch count comes from one extra shuffle; its draws are part of
+	// the rng stream.
+	perm, batches := nn.MinibatchesInto(nSrc, 64, rng, nil, nil)
 	totalSteps := epochs * len(batches)
 	step := 0
+	var scr dannScratch
+	var tIdx []int
 	for epoch := 0; epoch < epochs; epoch++ {
-		for _, idx := range nn.Minibatches(nSrc, 64, rng) {
+		perm, batches = nn.MinibatchesInto(nSrc, 64, rng, perm, batches)
+		for _, idx := range batches {
 			// DANN's schedule: lambda ramps from 0 to lambdaMax.
 			p := float64(step) / float64(totalSteps)
 			grl.Lambda = lambdaMax * (2/(1+math.Exp(-10*p)) - 1)
 			step++
 
 			// Source half: label loss + domain label 0.
-			bx := nn.Gather(srcX, idx)
-			by := nn.GatherLabels(source.Y, idx)
-			if err := m.adversarialStep(feat, labelHead, domainHead, bx, by, 0); err != nil {
+			scr.gather(srcX, source.Y, idx)
+			if err := m.adversarialStep(feat, labelHead, domainHead, &scr, 0); err != nil {
 				return nil, fmt.Errorf("baselines: %s source step: %w", m.Name(), err)
 			}
 			// Target half: resample the tiny support set with replacement.
-			tIdx := make([]int, len(idx))
-			for i := range tIdx {
-				tIdx[i] = rng.Intn(len(supX))
+			tIdx = tIdx[:0]
+			for range idx {
+				tIdx = append(tIdx, rng.Intn(len(supX)))
 			}
-			tx := nn.Gather(supX, tIdx)
-			ty := nn.GatherLabels(support.Y, tIdx)
-			if err := m.adversarialStep(feat, labelHead, domainHead, tx, ty, 1); err != nil {
+			scr.gather(supX, support.Y, tIdx)
+			if err := m.adversarialStep(feat, labelHead, domainHead, &scr, 1); err != nil {
 				return nil, fmt.Errorf("baselines: %s target step: %w", m.Name(), err)
 			}
 			opt.Step(params)
 		}
 	}
+	return argmaxLogits(nn.NewNetwork(feat, labelHead), testX), nil
+}
 
-	z := feat.Forward(testX, false)
-	return argmaxForward2(labelHead, z), nil
+// dannScratch holds one adversarial step's batch and gradient buffers,
+// reused across steps.
+type dannScratch struct {
+	x, gradLogits, gradD, gradZ nn.Tensor
+	y                           []int
+	targets                     []float64
+	zRows                       [][]float64
+}
+
+// gather loads the rows idx of x and their labels as the step's batch.
+func (s *dannScratch) gather(x [][]float64, y, idx []int) {
+	nn.GatherInto(&s.x, x, idx)
+	s.y = nn.GatherLabelsInto(s.y, y, idx)
 }
 
 // adversarialStep accumulates gradients for one domain's batch: label CE
 // (plus optional SupCon) and adversarial domain BCE through the reversal.
-func (m *DANN) adversarialStep(feat, labelHead, domainHead *nn.Network, bx [][]float64, by []int, domain float64) error {
-	z := feat.Forward(bx, true)
+func (m *DANN) adversarialStep(feat, labelHead, domainHead *nn.Network, s *dannScratch, domain float64) error {
+	// z is feat's output scratch: it stays live until feat's next forward,
+	// through both heads and the SupCon term below.
+	z := feat.ForwardT(&s.x, true)
 
-	logits := labelHead.Forward(z, true)
-	_, gradLogits, err := nn.SoftmaxCE(logits, by)
-	if err != nil {
+	logits := labelHead.ForwardT(z, true)
+	if _, err := nn.SoftmaxCET(logits, s.y, &s.gradLogits); err != nil {
 		return err
 	}
-	gradZ := labelHead.Backward(gradLogits)
+	gz := s.gradZ.Reset(z.Rows(), z.Cols())
+	copy(gz.Data(), labelHead.BackwardT(&s.gradLogits).Data())
 
-	dLogit := domainHead.Forward(z, true)
-	_, gradD, err := nn.BCEWithLogits(dLogit, constTargets(len(bx), domain))
-	if err != nil {
+	dLogit := domainHead.ForwardT(z, true)
+	s.targets = s.targets[:0]
+	for i := 0; i < z.Rows(); i++ {
+		s.targets = append(s.targets, domain)
+	}
+	if _, err := nn.BCEWithLogitsT(dLogit, s.targets, &s.gradD); err != nil {
 		return err
 	}
-	gradZD := domainHead.Backward(gradD)
-	for i := range gradZ {
-		for j := range gradZ[i] {
-			gradZ[i][j] += gradZD[i][j]
-		}
+	g := gz.Data()
+	for i, v := range domainHead.BackwardT(&s.gradD).Data() {
+		g[i] += v
 	}
 
 	if m.useSupCon {
-		_, gradSC, err := nn.SupConLoss(z, by, 0.5)
+		s.zRows = s.zRows[:0]
+		for i := 0; i < z.Rows(); i++ {
+			s.zRows = append(s.zRows, z.Row(i))
+		}
+		_, gradSC, err := nn.SupConLoss(s.zRows, s.y, 0.5)
 		if err != nil {
 			return err
 		}
-		for i := range gradZ {
-			for j := range gradZ[i] {
-				gradZ[i][j] += m.scWeight * gradSC[i][j]
+		for i, row := range gradSC {
+			gi := gz.Row(i)
+			for j, v := range row {
+				gi[j] += m.scWeight * v
 			}
 		}
 	}
-	feat.Backward(gradZ)
+	feat.BackwardT(gz)
 	return nil
-}
-
-func constTargets(n int, v float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-func argmaxForward2(head *nn.Network, z [][]float64) []int {
-	logits := head.Forward(z, false)
-	out := make([]int, len(logits))
-	for i, row := range logits {
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[i] = best
-	}
-	return out
 }

@@ -101,28 +101,39 @@ func (m *FewShotNet) Predict(source, support, test *dataset.Dataset, _ models.Cl
 		byClass[y] = append(byClass[y], i)
 	}
 
+	var scr episodeScratch
 	for ep := 0; ep < episodes; ep++ {
-		if err := m.episode(net, opt, params, srcX, byClass, numClasses, shots, queries, rng); err != nil {
+		if err := m.episode(net, opt, params, srcX, byClass, numClasses, shots, queries, rng, &scr); err != nil {
 			return nil, fmt.Errorf("baselines: %s episode %d: %w", m.Name(), ep, err)
 		}
 	}
 
-	supZ := net.Forward(supX, false)
-	testZ := net.Forward(testX, false)
+	var xt nn.Tensor
+	embed := func(x [][]float64) [][]float64 {
+		return net.ForwardT(xt.SetFromRows(x), false).ToRows()
+	}
+	supZ := embed(supX)
+	testZ := embed(testX)
 	switch m.head {
 	case headMatch:
 		return matchInference(testZ, supZ, support.Y, numClasses), nil
 	default:
-		srcZ := net.Forward(srcX, false)
+		srcZ := embed(srcX)
 		return protoInference(testZ, srcZ, source.Y, supZ, support.Y, numClasses, blend), nil
 	}
 }
 
+// episodeScratch holds an episode's batch and gradient tensors, reused
+// across episodes.
+type episodeScratch struct {
+	batch, gradZ nn.Tensor
+}
+
 // episode runs one episodic training step on source data.
 func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Param,
-	srcX [][]float64, byClass map[int][]int, numClasses, shots, queries int, rng *rand.Rand) error {
+	srcX [][]float64, byClass map[int][]int, numClasses, shots, queries int, rng *rand.Rand, scr *episodeScratch) error {
 
-	var batch [][]float64
+	var srcRows []int            // source row of each batch position
 	var supClass, qryClass []int // class of each support/query row
 	var supPos, qryPos []int     // row positions in batch
 	for c := 0; c < numClasses; c++ {
@@ -131,31 +142,24 @@ func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Par
 			continue
 		}
 		perm := rng.Perm(len(idx))
-		take := func(k int) []int {
-			out := make([]int, 0, k)
-			for i := 0; i < k; i++ {
-				out = append(out, idx[perm[i%len(perm)]])
-			}
-			return out
-		}
-		for _, i := range take(shots) {
-			supPos = append(supPos, len(batch))
+		for i := 0; i < shots; i++ {
+			supPos = append(supPos, len(srcRows))
 			supClass = append(supClass, c)
-			batch = append(batch, srcX[i])
+			srcRows = append(srcRows, idx[perm[i%len(perm)]])
 		}
 		perm = rng.Perm(len(idx))
-		for _, i := range take(queries) {
-			qryPos = append(qryPos, len(batch))
+		for i := 0; i < queries; i++ {
+			qryPos = append(qryPos, len(srcRows))
 			qryClass = append(qryClass, c)
-			batch = append(batch, srcX[i])
+			srcRows = append(srcRows, idx[perm[i%len(perm)]])
 		}
 	}
 	if len(supPos) == 0 || len(qryPos) == 0 {
 		return fmt.Errorf("empty episode")
 	}
 
-	z := net.Forward(batch, true)
-	dim := len(z[0])
+	z := net.ForwardT(nn.GatherInto(&scr.batch, srcX, srcRows), true)
+	dim := z.Cols()
 
 	// Per-class support statistics.
 	classRows := make(map[int][]int) // class -> positions in batch
@@ -166,7 +170,7 @@ func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Par
 	for c, rows := range classRows {
 		p := make([]float64, dim)
 		for _, r := range rows {
-			for j, v := range z[r] {
+			for j, v := range z.Row(r) {
 				p[j] += v
 			}
 		}
@@ -183,13 +187,11 @@ func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Par
 	}
 
 	const temp = 8.0
-	gradZ := make([][]float64, len(z))
-	for i := range gradZ {
-		gradZ[i] = make([]float64, dim)
-	}
+	gradZ := scr.gradZ.ZeroReset(z.Rows(), dim)
 	nQ := float64(len(qryPos))
 	for k, qp := range qryPos {
-		zq := z[qp]
+		zq := z.Row(qp)
+		gq := gradZ.Row(qp)
 		scores := make([]float64, len(classes))
 		for ci, c := range classes {
 			switch m.head {
@@ -197,7 +199,7 @@ func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Par
 				rows := classRows[c]
 				var s float64
 				for _, r := range rows {
-					s += dot(zq, z[r])
+					s += dot(zq, z.Row(r))
 				}
 				scores[ci] = s / (temp * float64(len(rows)))
 			default:
@@ -218,9 +220,10 @@ func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Par
 				rows := classRows[c]
 				scale := 1 / (temp * float64(len(rows)))
 				for _, r := range rows {
+					zr, gr := z.Row(r), gradZ.Row(r)
 					for j := 0; j < dim; j++ {
-						gradZ[qp][j] += g * scale * z[r][j]
-						gradZ[r][j] += g * scale * zq[j]
+						gq[j] += g * scale * zr[j]
+						gr[j] += g * scale * zq[j]
 					}
 				}
 			default:
@@ -229,16 +232,16 @@ func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Par
 				inv := 1 / float64(len(rows))
 				for j := 0; j < dim; j++ {
 					diff := zq[j] - proto[j]
-					gradZ[qp][j] += g * (-2) * diff
+					gq[j] += g * (-2) * diff
 					// Support gradient flows through the class mean.
 					for _, r := range rows {
-						gradZ[r][j] += g * 2 * diff * inv
+						gradZ.Row(r)[j] += g * 2 * diff * inv
 					}
 				}
 			}
 		}
 	}
-	net.Backward(gradZ)
+	net.BackwardT(gradZ)
 	opt.Step(params)
 	return nil
 }

@@ -60,36 +60,23 @@ func (m *FineTune) Predict(source, support, test *dataset.Dataset, _ models.Clas
 		Dropout: 0.1,
 		Rng:     rng,
 	})
-	if err := trainNet(net, scaled[0], source.Y, pre, 64, lr, rng); err != nil {
+	if err := models.TrainSoftmaxNet(net, scaled[0], source.Y, pre, 64, lr, rng); err != nil {
 		return nil, fmt.Errorf("baselines: finetune pretrain: %w", err)
 	}
-	if err := trainNet(net, scaled[1], support.Y, tune, 16, tuneLR, rng); err != nil {
+	if err := models.TrainSoftmaxNet(net, scaled[1], support.Y, tune, 16, tuneLR, rng); err != nil {
 		return nil, fmt.Errorf("baselines: finetune tune: %w", err)
 	}
-	return argmaxForward(net, scaled[2]), nil
+	return argmaxLogits(net, scaled[2]), nil
 }
 
-func trainNet(net *nn.Network, x [][]float64, y []int, epochs, batch int, lr float64, rng *rand.Rand) error {
-	opt := nn.NewAdam(lr, 1e-5)
-	params := net.Params()
-	for e := 0; e < epochs; e++ {
-		for _, idx := range nn.Minibatches(len(x), batch, rng) {
-			out := net.Forward(nn.Gather(x, idx), true)
-			_, grad, err := nn.SoftmaxCE(out, nn.GatherLabels(y, idx))
-			if err != nil {
-				return err
-			}
-			net.Backward(grad)
-			opt.Step(params)
-		}
-	}
-	return nil
-}
-
-func argmaxForward(net *nn.Network, x [][]float64) []int {
-	logits := net.Forward(x, false)
-	out := make([]int, len(logits))
-	for i, row := range logits {
+// argmaxLogits runs net's eval forward over x and returns each row's
+// highest-scoring class (the first on ties).
+func argmaxLogits(net nn.TensorLayer, x [][]float64) []int {
+	var in nn.Tensor
+	logits := net.ForwardT(in.SetFromRows(x), false)
+	out := make([]int, logits.Rows())
+	for i := range out {
+		row := logits.Row(i)
 		best := 0
 		for j, v := range row {
 			if v > row[best] {

@@ -44,7 +44,7 @@ func (m *MLPClassifier) Fit(x [][]float64, y []int, numClasses int) error {
 		Dropout: 0.1,
 		Rng:     rng,
 	})
-	return trainSoftmaxNet(m.net, x, y, m.opts.Epochs, 64, 1e-3, rng)
+	return TrainSoftmaxNet(m.net, x, y, m.opts.Epochs, 64, 1e-3, rng)
 }
 
 // PredictProba implements Classifier.
@@ -55,23 +55,52 @@ func (m *MLPClassifier) PredictProba(x [][]float64) ([][]float64, error) {
 	return softmaxForward(m.net, x, m.in)
 }
 
-// trainSoftmaxNet runs standard minibatch training with Adam.
-func trainSoftmaxNet(net *nn.Network, x [][]float64, y []int, epochs, batch int, lr float64, rng *rand.Rand) error {
-	opt := nn.NewAdam(lr, 1e-5)
-	params := net.Params()
+// TrainSoftmaxNet trains net with softmax cross-entropy: epochs of
+// shuffled minibatches (MinibatchesInto draws from rng) and one Adam step
+// per batch at the given learning rate with decay 1e-5. It is the one
+// softmax trainer behind TNet, MLP and the Fine-tune baseline; after the
+// first batch of each shape a step allocates nothing.
+func TrainSoftmaxNet(net *nn.Network, x [][]float64, y []int, epochs, batch int, lr float64, rng *rand.Rand) error {
+	tr := newSoftmaxTrainer(net, x, y, lr)
+	var perm []int
+	var batches [][]int
 	for epoch := 0; epoch < epochs; epoch++ {
-		for _, idx := range nn.Minibatches(len(x), batch, rng) {
-			bx := nn.Gather(x, idx)
-			by := nn.GatherLabels(y, idx)
-			out := net.Forward(bx, true)
-			_, grad, err := nn.SoftmaxCE(out, by)
-			if err != nil {
+		perm, batches = nn.MinibatchesInto(len(x), batch, rng, perm, batches)
+		for _, idx := range batches {
+			if err := tr.step(idx); err != nil {
 				return fmt.Errorf("models: epoch %d: %w", epoch, err)
 			}
-			net.Backward(grad)
-			opt.Step(params)
 		}
 	}
+	return nil
+}
+
+// softmaxTrainer holds one training run's optimizer and batch scratch.
+type softmaxTrainer struct {
+	net    *nn.Network
+	params []*nn.Param
+	opt    *nn.Adam
+	x      [][]float64
+	y      []int
+
+	bx, grad nn.Tensor
+	by       []int
+}
+
+func newSoftmaxTrainer(net *nn.Network, x [][]float64, y []int, lr float64) *softmaxTrainer {
+	return &softmaxTrainer{net: net, params: net.Params(), opt: nn.NewAdam(lr, 1e-5), x: x, y: y}
+}
+
+// step runs forward, loss, backward and one optimizer update on the rows idx.
+func (tr *softmaxTrainer) step(idx []int) error {
+	nn.GatherInto(&tr.bx, tr.x, idx)
+	tr.by = nn.GatherLabelsInto(tr.by, tr.y, idx)
+	out := tr.net.ForwardT(&tr.bx, true)
+	if _, err := nn.SoftmaxCET(out, tr.by, &tr.grad); err != nil {
+		return err
+	}
+	tr.net.BackwardT(&tr.grad)
+	tr.opt.Step(tr.params)
 	return nil
 }
 
@@ -82,10 +111,10 @@ func softmaxForward(net *nn.Network, x [][]float64, wantIn int) ([][]float64, er
 	if len(x[0]) != wantIn {
 		return nil, fmt.Errorf("models: input width %d, trained on %d", len(x[0]), wantIn)
 	}
-	logits := net.Forward(x, false)
-	out := make([][]float64, len(logits))
-	for i, row := range logits {
-		out[i] = nn.Softmax(row)
+	var in nn.Tensor
+	out := net.ForwardT(in.SetFromRows(x), false).ToRows()
+	for _, row := range out {
+		nn.SoftmaxInto(row, row)
 	}
 	return out, nil
 }

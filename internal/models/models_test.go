@@ -158,7 +158,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 
 func TestFeatureGateGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	gate := NewFeatureGate(3, rng)
+	gate := nn.NewFeatureGate(3, rng)
 	head := nn.NewDense(3, 2, rng)
 	net := nn.NewNetwork(gate, nn.NewTanh(), head)
 	x := [][]float64{{0.4, -0.8, 0.3}, {-0.2, 0.9, -0.5}}
@@ -193,7 +193,7 @@ func TestFeatureGateGradientCheck(t *testing.T) {
 
 func TestFeatureGateInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	gate := NewFeatureGate(3, rng)
+	gate := nn.NewFeatureGate(3, rng)
 	x := [][]float64{{0.4, -0.8, 0.3}}
 	target := [][]float64{{0.1, 0.2, -0.3}}
 	lossFn := func() float64 {

@@ -1,157 +1,14 @@
 package models
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 
 	"netdrift/internal/nn"
 )
 
-// FeatureGate is an input-conditioned elementwise gate with a low-rank
-// gating map:
-//
-//	u = W1·x,  z = W2·u + b,  y = x ⊙ σ(z)
-//
-// It lets the network softly select informative telemetry columns per
-// sample — the mechanism that makes TNet a *tabular* architecture rather
-// than a plain MLP (attention-like feature selection, cf. TabNet/TabularNet
-// designs). The rank-R factorization keeps the gate O(d·R) instead of
-// O(d²), which matters on 442-feature telemetry.
-type FeatureGate struct {
-	Dim  int
-	Rank int
-
-	w1, w2, b *nn.Param // w1: Rank×Dim, w2: Dim×Rank
-
-	input [][]float64
-	sig   [][]float64
-	u     [][]float64
-}
-
-var _ nn.Layer = (*FeatureGate)(nil)
-
-// NewFeatureGate creates a gate over dim features with a default rank of
-// min(32, dim).
-func NewFeatureGate(dim int, rng *rand.Rand) *FeatureGate {
-	rank := 32
-	if rank > dim {
-		rank = dim
-	}
-	g := &FeatureGate{
-		Dim:  dim,
-		Rank: rank,
-		w1:   nn.NewParam(fmt.Sprintf("gate%d.w1", dim), rank*dim),
-		w2:   nn.NewParam(fmt.Sprintf("gate%d.w2", dim), dim*rank),
-		b:    nn.NewParam(fmt.Sprintf("gate%d.b", dim), dim),
-	}
-	lim1 := math.Sqrt(6.0 / float64(dim))
-	for i := range g.w1.Data {
-		g.w1.Data[i] = (rng.Float64()*2 - 1) * lim1
-	}
-	lim2 := math.Sqrt(6.0/float64(rank)) * 0.5
-	for i := range g.w2.Data {
-		g.w2.Data[i] = (rng.Float64()*2 - 1) * lim2
-	}
-	// Bias the gates open initially so early training sees all features.
-	for i := range g.b.Data {
-		g.b.Data[i] = 1
-	}
-	return g
-}
-
-// Forward applies the gate to a batch.
-func (g *FeatureGate) Forward(x [][]float64, _ bool) [][]float64 {
-	g.input = x
-	g.sig = make([][]float64, len(x))
-	g.u = make([][]float64, len(x))
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		u := make([]float64, g.Rank)
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
-			for m := 0; m < g.Rank; m++ {
-				u[m] += g.w1.Data[m*g.Dim+j] * v
-			}
-		}
-		z := make([]float64, g.Dim)
-		copy(z, g.b.Data)
-		for k := 0; k < g.Dim; k++ {
-			w2Row := g.w2.Data[k*g.Rank : (k+1)*g.Rank]
-			var s float64
-			for m, um := range u {
-				s += w2Row[m] * um
-			}
-			z[k] += s
-		}
-		s := make([]float64, g.Dim)
-		o := make([]float64, g.Dim)
-		for k := range z {
-			s[k] = 1 / (1 + math.Exp(-z[k]))
-			o[k] = row[k] * s[k]
-		}
-		g.u[i] = u
-		g.sig[i] = s
-		out[i] = o
-	}
-	return out
-}
-
-// Backward propagates through both the multiplicative path and the low-rank
-// gate map.
-func (g *FeatureGate) Backward(gradOut [][]float64) [][]float64 {
-	gradIn := make([][]float64, len(gradOut))
-	for i, gRow := range gradOut {
-		x := g.input[i]
-		s := g.sig[i]
-		u := g.u[i]
-		// dL/dz_k = gRow[k]·x_k·s_k(1-s_k)
-		dz := make([]float64, g.Dim)
-		for k := range dz {
-			dz[k] = gRow[k] * x[k] * s[k] * (1 - s[k])
-			g.b.Grad[k] += dz[k]
-		}
-		// du = W2ᵀ·dz; dW2[k][m] = dz_k·u_m
-		du := make([]float64, g.Rank)
-		for k, dzk := range dz {
-			if dzk == 0 {
-				continue
-			}
-			w2Row := g.w2.Data[k*g.Rank : (k+1)*g.Rank]
-			gw2Row := g.w2.Grad[k*g.Rank : (k+1)*g.Rank]
-			for m := 0; m < g.Rank; m++ {
-				du[m] += dzk * w2Row[m]
-				gw2Row[m] += dzk * u[m]
-			}
-		}
-		// dW1[m][j] = du_m·x_j; dx_j += Σ_m du_m·W1[m][j]
-		gi := make([]float64, g.Dim)
-		for j := range gi {
-			gi[j] = gRow[j] * s[j]
-		}
-		for m, dum := range du {
-			if dum == 0 {
-				continue
-			}
-			w1Row := g.w1.Data[m*g.Dim : (m+1)*g.Dim]
-			gw1Row := g.w1.Grad[m*g.Dim : (m+1)*g.Dim]
-			for j := 0; j < g.Dim; j++ {
-				gi[j] += dum * w1Row[j]
-				gw1Row[j] += dum * x[j]
-			}
-		}
-		gradIn[i] = gi
-	}
-	return gradIn
-}
-
-// Params returns the gate weights.
-func (g *FeatureGate) Params() []*nn.Param { return []*nn.Param{g.w1, g.w2, g.b} }
-
 // TNet is the deep tabular classifier used as the strongest model family in
-// Table I: a feature gate followed by a batch-normalized MLP trunk.
+// Table I: a feature gate (nn.FeatureGate) followed by a batch-normalized
+// MLP trunk.
 type TNet struct {
 	opts Options
 
@@ -182,7 +39,7 @@ func (t *TNet) Fit(x [][]float64, y []int, numClasses int) error {
 	t.in = len(x[0])
 	t.numClasses = numClasses
 	t.net = nn.NewNetwork(
-		NewFeatureGate(t.in, rng),
+		nn.NewFeatureGate(t.in, rng),
 		nn.NewDense(t.in, 128, rng),
 		nn.NewBatchNorm(128),
 		nn.NewReLU(),
@@ -192,7 +49,7 @@ func (t *TNet) Fit(x [][]float64, y []int, numClasses int) error {
 		nn.NewReLU(),
 		nn.NewDense(64, numClasses, rng),
 	)
-	return trainSoftmaxNet(t.net, x, y, t.opts.Epochs, 64, 1e-3, rng)
+	return TrainSoftmaxNet(t.net, x, y, t.opts.Epochs, 64, 1e-3, rng)
 }
 
 // PredictProba implements Classifier.

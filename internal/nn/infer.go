@@ -75,6 +75,7 @@ var (
 	_ Inferencer = (*Dropout)(nil)
 	_ Inferencer = (*GradReverse)(nil)
 	_ Inferencer = (*SkipConcat)(nil)
+	_ Inferencer = (*FeatureGate)(nil)
 )
 
 // InferT implements Inferencer: the stack's layers run in order over the

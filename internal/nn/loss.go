@@ -6,31 +6,43 @@ import (
 )
 
 // SoftmaxCE computes the mean softmax cross-entropy loss of the logits
-// against integer labels, along with the gradient w.r.t. the logits.
+// against integer labels, along with the gradient w.r.t. the logits. It is
+// the slice adapter over SoftmaxCET.
 func SoftmaxCE(logits [][]float64, y []int) (float64, [][]float64, error) {
-	if len(logits) != len(y) {
-		return 0, nil, fmt.Errorf("nn: %d logit rows for %d labels", len(logits), len(y))
+	var in, grad Tensor
+	loss, err := SoftmaxCET(in.SetFromRows(logits), y, &grad)
+	if err != nil {
+		return 0, nil, err
 	}
-	if len(logits) == 0 {
-		return 0, nil, fmt.Errorf("nn: empty batch")
+	return loss, grad.ToRows(), nil
+}
+
+// SoftmaxCET is the softmax cross-entropy on the flat path: the mean loss
+// of the logits against integer labels, with the gradient w.r.t. the
+// logits written into grad (reshaped to match logits).
+func SoftmaxCET(logits *Tensor, y []int, grad *Tensor) (float64, error) {
+	if logits.rows != len(y) {
+		return 0, fmt.Errorf("nn: %d logit rows for %d labels", logits.rows, len(y))
+	}
+	if logits.rows == 0 {
+		return 0, fmt.Errorf("nn: empty batch")
 	}
 	n := float64(len(y))
-	grad := make([][]float64, len(logits))
+	grad.Reset(logits.rows, logits.cols)
 	var loss float64
-	for i, row := range logits {
-		if y[i] < 0 || y[i] >= len(row) {
-			return 0, nil, fmt.Errorf("nn: label %d out of range [0,%d)", y[i], len(row))
+	for i, c := range y {
+		if c < 0 || c >= logits.cols {
+			return 0, fmt.Errorf("nn: label %d out of range [0,%d)", c, logits.cols)
 		}
-		p := Softmax(row)
-		loss += -math.Log(math.Max(p[y[i]], 1e-12))
-		g := make([]float64, len(row))
-		for j := range row {
-			g[j] = p[j] / n
+		g := grad.Row(i)
+		SoftmaxInto(g, logits.Row(i))
+		loss += -math.Log(math.Max(g[c], 1e-12))
+		for j := range g {
+			g[j] /= n
 		}
-		g[y[i]] -= 1 / n
-		grad[i] = g
+		g[c] -= 1 / n
 	}
-	return loss / n, grad, nil
+	return loss / n, nil
 }
 
 // Softmax returns the softmax of one logit row (numerically stabilized).

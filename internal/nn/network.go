@@ -94,52 +94,6 @@ func NewMLP(cfg MLPConfig) *Network {
 	return NewNetwork(layers...)
 }
 
-// Minibatches yields index batches of the given size in shuffled order.
-// The final short batch is included when it has at least two samples
-// (single-sample batches break batch statistics); a final singleton is
-// merged into the previous batch. MinibatchesInto (tensor.go) is the
-// allocation-free variant for training loops.
-func Minibatches(n, batchSize int, rng *rand.Rand) [][]int {
-	if batchSize <= 0 {
-		batchSize = n
-	}
-	perm := rng.Perm(n)
-	var out [][]int
-	for start := 0; start < n; start += batchSize {
-		end := start + batchSize
-		if end > n {
-			end = n
-		}
-		out = append(out, perm[start:end])
-	}
-	if len(out) > 1 && len(out[len(out)-1]) == 1 {
-		last := out[len(out)-1]
-		out[len(out)-2] = append(out[len(out)-2], last...)
-		out = out[:len(out)-1]
-	}
-	return out
-}
-
-// Gather selects the given rows of x into a new batch (rows are shared, not
-// copied — layers do not mutate their inputs). GatherInto (tensor.go) is
-// the allocation-free tensor variant.
-func Gather(x [][]float64, idx []int) [][]float64 {
-	out := make([][]float64, len(idx))
-	for i, j := range idx {
-		out[i] = x[j]
-	}
-	return out
-}
-
-// GatherLabels selects the given label rows.
-func GatherLabels(y []int, idx []int) []int {
-	out := make([]int, len(idx))
-	for i, j := range idx {
-		out[i] = y[j]
-	}
-	return out
-}
-
 // ConcatRows horizontally concatenates the rows of the given batches
 // (all must have the same number of rows).
 func ConcatRows(batches ...[][]float64) [][]float64 {

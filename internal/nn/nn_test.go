@@ -417,7 +417,7 @@ func TestSGDMomentumReducesLoss(t *testing.T) {
 
 func TestMinibatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	batches := Minibatches(10, 4, rng)
+	_, batches := MinibatchesInto(10, 4, rng, nil, nil)
 	var total int
 	seen := map[int]bool{}
 	for _, b := range batches {
@@ -433,14 +433,14 @@ func TestMinibatches(t *testing.T) {
 		t.Errorf("total indices = %d; want 10", total)
 	}
 	// 9 samples with batch 4 would leave a singleton: must be merged.
-	batches = Minibatches(9, 4, rng)
+	_, batches = MinibatchesInto(9, 4, rng, nil, nil)
 	for _, b := range batches {
 		if len(b) == 1 {
 			t.Error("singleton batch not merged")
 		}
 	}
 	// batchSize <= 0 yields one full batch.
-	batches = Minibatches(5, 0, rng)
+	_, batches = MinibatchesInto(5, 0, rng, nil, nil)
 	if len(batches) != 1 || len(batches[0]) != 5 {
 		t.Errorf("full batch fallback wrong: %v", batches)
 	}
@@ -465,10 +465,17 @@ func TestConcatAndSplitCols(t *testing.T) {
 func TestGatherHelpers(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}}
 	y := []int{10, 20, 30}
-	gx := Gather(x, []int{2, 0})
-	gy := GatherLabels(y, []int{2, 0})
-	if gx[0][0] != 3 || gx[1][0] != 1 || gy[0] != 30 || gy[1] != 10 {
+	var gx Tensor
+	GatherInto(&gx, x, []int{2, 0})
+	gy := GatherLabelsInto(nil, y, []int{2, 0})
+	if gx.Rows() != 2 || gx.At(0, 0) != 3 || gx.At(1, 0) != 1 || gy[0] != 30 || gy[1] != 10 {
 		t.Error("gather wrong")
+	}
+	// Reuse shrinks in place and leaves the source rows untouched.
+	GatherInto(&gx, x, []int{1})
+	gy = GatherLabelsInto(gy, y, []int{1})
+	if gx.Rows() != 1 || gx.At(0, 0) != 2 || len(gy) != 1 || gy[0] != 20 || x[1][0] != 2 {
+		t.Error("gather reuse wrong")
 	}
 }
 

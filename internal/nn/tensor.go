@@ -143,8 +143,8 @@ func ConcatInto(dst *Tensor, parts ...*Tensor) *Tensor {
 }
 
 // GatherInto copies the given rows of x into dst (dst is reshaped to
-// len(idx)×len(x[0])) and returns dst. Unlike Gather the rows are copied,
-// not shared, so dst is a self-contained batch.
+// len(idx)×len(x[0])) and returns dst. The rows are copied, not shared, so
+// dst is a self-contained batch.
 func GatherInto(dst *Tensor, x [][]float64, idx []int) *Tensor {
 	if len(idx) == 0 || len(x) == 0 {
 		return dst.Reset(0, 0)
@@ -152,6 +152,16 @@ func GatherInto(dst *Tensor, x [][]float64, idx []int) *Tensor {
 	dst.Reset(len(idx), len(x[0]))
 	for i, j := range idx {
 		copy(dst.Row(i), x[j])
+	}
+	return dst
+}
+
+// GatherLabelsInto writes the labels of the given rows into dst, grown
+// only when needed, and returns it.
+func GatherLabelsInto(dst, y, idx []int) []int {
+	dst = dst[:0]
+	for _, j := range idx {
+		dst = append(dst, y[j])
 	}
 	return dst
 }
@@ -175,11 +185,14 @@ func permInto(rng *rand.Rand, n int, buf []int) []int {
 	return buf
 }
 
-// MinibatchesInto is Minibatches with caller-owned storage: the permutation
-// is written into perm and the batch index slices (views into perm) into
-// batches, both grown only when needed. It consumes the same rng draws and
-// yields the same batches as Minibatches. Returns the (possibly regrown)
-// perm and batches for the caller to retain.
+// MinibatchesInto yields index batches of the given size in shuffled order
+// (one rng.Perm-equivalent shuffle per call). The final short batch is
+// included when it has at least two samples (single-sample batches break
+// batch statistics); a final singleton is merged into the previous batch.
+// Storage is caller-owned: the permutation is written into perm and the
+// batch index slices (views into perm) into batches, both grown only when
+// needed. Returns the (possibly regrown) perm and batches for the caller to
+// retain; the batches are valid until the next call with the same perm.
 func MinibatchesInto(n, batchSize int, rng *rand.Rand, perm []int, batches [][]int) ([]int, [][]int) {
 	if batchSize <= 0 {
 		batchSize = n

@@ -237,9 +237,33 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 	}
 }
 
-// TestMinibatchesIntoMatchesMinibatches checks the allocation-free variant
-// produces identical batches (including the final-singleton merge) and
-// consumes identical rng draws.
+// refMinibatches is the allocating batcher MinibatchesInto replaced, kept
+// as its reference: one rng.Perm, batches sliced from it, and a final
+// singleton appended to the previous batch.
+func refMinibatches(n, batchSize int, rng *rand.Rand) [][]int {
+	if batchSize <= 0 {
+		batchSize = n
+	}
+	perm := rng.Perm(n)
+	var out [][]int
+	for start := 0; start < n; start += batchSize {
+		end := start + batchSize
+		if end > n {
+			end = n
+		}
+		out = append(out, perm[start:end])
+	}
+	if len(out) > 1 && len(out[len(out)-1]) == 1 {
+		last := out[len(out)-1]
+		out[len(out)-2] = append(out[len(out)-2], last...)
+		out = out[:len(out)-1]
+	}
+	return out
+}
+
+// TestMinibatchesIntoMatchesMinibatches checks the allocation-free batcher
+// produces the reference's batches (including the final-singleton merge)
+// and consumes identical rng draws.
 func TestMinibatchesIntoMatchesMinibatches(t *testing.T) {
 	var perm []int
 	var batches [][]int
@@ -249,7 +273,7 @@ func TestMinibatchesIntoMatchesMinibatches(t *testing.T) {
 	for _, tc := range cases {
 		a := rand.New(rand.NewSource(42))
 		b := rand.New(rand.NewSource(42))
-		want := Minibatches(tc.n, tc.batch, a)
+		want := refMinibatches(tc.n, tc.batch, a)
 		perm, batches = MinibatchesInto(tc.n, tc.batch, b, perm, batches)
 		if len(batches) != len(want) {
 			t.Fatalf("n=%d batch=%d: %d batches, want %d", tc.n, tc.batch, len(batches), len(want))

@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // ErrNotTrained is returned when predicting with an unfitted model.
@@ -68,7 +68,7 @@ func FitClassificationTree(x [][]float64, y []int, numClasses int, cfg ClassTree
 		x: x, y: y, k: numClasses, cfg: cfg, tree: t,
 		counts:     make([]float64, numClasses),
 		leftCounts: make([]float64, numClasses),
-		sorted:     make([]int, len(x)),
+		pairs:      make([]keyedLabel, len(x)),
 		part:       make([]int, 0, len(x)),
 		perm:       make([]int, d),
 	}
@@ -88,9 +88,27 @@ type classBuilder struct {
 	// the children, so one instance of each suffices for the entire tree.
 	counts     []float64
 	leftCounts []float64
-	sorted     []int
+	pairs      []keyedLabel
 	part       []int
 	perm       []int
+}
+
+// keyedLabel is one row's value of the feature under scan, with its label.
+type keyedLabel struct {
+	v float64
+	y int
+}
+
+// byValue orders pairs by value with the semantics of <: pairs whose
+// values are not ordered by < (equal values, ±0) compare as ties.
+func byValue(a, b keyedLabel) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case b.v < a.v:
+		return 1
+	}
+	return 0
 }
 
 // build grows the subtree for idx and returns its node index. It may
@@ -164,24 +182,29 @@ func (b *classBuilder) bestSplit(idx []int, counts []float64) (int, float64, boo
 
 	d := len(b.x[0])
 	feats := permInto(b.cfg.Rng, d, b.perm)[:b.cfg.MaxFeatures]
-	sorted := b.sorted[:len(idx)]
+	pairs := b.pairs[:len(idx)]
 	leftCounts := b.leftCounts
 	for _, f := range feats {
-		copy(sorted, idx)
-		sort.Slice(sorted, func(a, c int) bool { return b.x[sorted[a]][f] < b.x[sorted[c]][f] })
+		for k, i := range idx {
+			pairs[k] = keyedLabel{b.x[i][f], b.y[i]}
+		}
+		// The order of tied values is unspecified, and need not be fixed:
+		// thresholds are only evaluated where the value changes, and the
+		// rows left of such a point are exactly those with a smaller
+		// value, whatever their order among themselves.
+		slices.SortFunc(pairs, byValue)
 		for c := range leftCounts {
 			leftCounts[c] = 0
 		}
 		var nl float64
-		for pos := 0; pos < len(sorted)-1; pos++ {
-			i := sorted[pos]
-			leftCounts[b.y[i]]++
+		for pos := 0; pos < len(pairs)-1; pos++ {
+			leftCounts[pairs[pos].y]++
 			nl++
-			v, next := b.x[i][f], b.x[sorted[pos+1]][f]
+			v, next := pairs[pos].v, pairs[pos+1].v
 			if v == next {
 				continue
 			}
-			if int(nl) < b.cfg.MinLeaf || len(sorted)-int(nl) < b.cfg.MinLeaf {
+			if int(nl) < b.cfg.MinLeaf || len(pairs)-int(nl) < b.cfg.MinLeaf {
 				continue
 			}
 			nr := n - nl
