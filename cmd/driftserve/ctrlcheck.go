@@ -115,9 +115,9 @@ func runCtrlCheck(out io.Writer, cfg config) error {
 		Detector: det, Registry: reg, Refit: refit,
 		Probe: probe, NumClasses: pair.NumClasses,
 		WindowSize: 32, CheckEvery: 16, DriftUp: 2,
-		Cooldown: 150 * time.Millisecond,
+		Cooldown:      150 * time.Millisecond,
 		ShotsPerClass: cfg.Shots, MinShotsPerClass: 2,
-		Retry: ctrl.RetryConfig{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 40 * time.Millisecond},
+		Retry:     ctrl.RetryConfig{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 40 * time.Millisecond},
 		BundleDir: work, BundleFormat: serve.FormatBinary,
 		InitialBundlePath: incPath,
 		SLO:               srv.SLOSet(),

@@ -71,7 +71,7 @@ func (m *FineTune) Predict(source, support, test *dataset.Dataset, _ models.Clas
 
 // argmaxLogits runs net's eval forward over x and returns each row's
 // highest-scoring class (the first on ties).
-func argmaxLogits(net nn.TensorLayer, x [][]float64) []int {
+func argmaxLogits(net nn.Layer, x [][]float64) []int {
 	var in nn.Tensor
 	logits := net.ForwardT(in.SetFromRows(x), false)
 	out := make([]int, logits.Rows())

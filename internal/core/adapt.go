@@ -38,9 +38,10 @@ func SampleSeed(requestSeed int64, i int) int64 {
 	return int64(z)
 }
 
-// AdaptScratch holds the per-worker buffers behind Adapt/AdaptBatch. One
-// scratch serves one call at a time; serving workers own one each. The
-// zero value is ready to use and grows to steady state on first call.
+// AdaptScratch holds the per-worker buffers behind Adapt/AdaptBatch and
+// Reconstructor.ReconstructT. One scratch serves one call at a time;
+// serving workers own one each. The zero value is ready to use and grows
+// to steady state on first call.
 type AdaptScratch struct {
 	scaled nn.Tensor // full-width scaled input rows
 	inv    nn.Tensor // invariant column gather
@@ -65,49 +66,6 @@ func (s *AdaptScratch) seeded(seed int64) *rand.Rand {
 	return s.rng
 }
 
-// BatchReconstructor is implemented by reconstructors that support the
-// serving hot path: one inference-only generator forward per micro-batch
-// over [X_inv | Z] stitched in a flat tensor, with per-row noise drawn
-// from the given seeds. The returned tensor is scratch-owned and valid
-// until the scratch's next use.
-type BatchReconstructor interface {
-	Reconstructor
-	ReconstructT(inv *nn.Tensor, seeds []int64, scr *AdaptScratch) (*nn.Tensor, error)
-}
-
-var _ BatchReconstructor = (*CGAN)(nil)
-
-// ReconstructT implements BatchReconstructor: the whole batch runs
-// through one generator inference pass. Rows with seed 0 use the pinned
-// prior-mode noise (fixedZ), matching Reconstruct bit for bit; other
-// seeds draw a reproducible standard-normal noise row.
-func (g *CGAN) ReconstructT(inv *nn.Tensor, seeds []int64, scr *AdaptScratch) (*nn.Tensor, error) {
-	if !g.trained {
-		return nil, ErrNotFitted
-	}
-	n := inv.Rows()
-	if n != len(seeds) {
-		return nil, fmt.Errorf("core: %d invariant rows for %d seeds", n, len(seeds))
-	}
-	if inv.Cols() != g.invDim {
-		return nil, fmt.Errorf("core: reconstruct width %d, trained on %d", inv.Cols(), g.invDim)
-	}
-	noise := scr.noise.Reset(n, g.cfg.NoiseDim)
-	for i, seed := range seeds {
-		row := noise.Row(i)
-		if seed == 0 {
-			copy(row, g.fixedZ)
-			continue
-		}
-		rng := scr.seeded(seed)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-	}
-	nn.ConcatInto(&scr.genIn, inv, noise)
-	return nn.Infer(g.gen, &scr.genIn, &scr.infer), nil
-}
-
 // Adapt aligns one raw target row to the source domain: the batch-size-1
 // case of AdaptBatch, and the sequential baseline of the serving
 // benchmark. The returned slice is scratch-owned and valid until the
@@ -129,8 +87,7 @@ func (a *Adapter) Adapt(row []float64, seed int64, scr *AdaptScratch) ([]float64
 // (derive them with SampleSeed). The output is bit-identical to calling
 // Adapt row by row with the same seeds, and — with all-zero seeds — to
 // TransformTarget. The returned tensor is scratch-owned and valid until
-// the scratch's next use; a steady-state call allocates nothing when the
-// reconstructor implements BatchReconstructor.
+// the scratch's next use; a steady-state call allocates nothing.
 //
 // AdaptBatch never mutates the Adapter, so any number of goroutines may
 // serve from one fitted Adapter concurrently, each with its own scratch.
@@ -175,7 +132,7 @@ func (a *Adapter) AdaptBatch(rows [][]float64, seeds []int64, scr *AdaptScratch)
 			dst[k] = src[c]
 		}
 	}
-	vrHat, err := a.reconstructForServe(inv, seeds, scr)
+	vrHat, err := a.recon.ReconstructT(inv, seeds, scr)
 	if err != nil {
 		return nil, err
 	}
@@ -196,19 +153,4 @@ func (a *Adapter) AdaptBatch(rows [][]float64, seeds []int64, scr *AdaptScratch)
 		}
 	}
 	return out, nil
-}
-
-// reconstructForServe routes through the flat batch path when the
-// reconstructor supports it and falls back to the allocating Reconstruct
-// (which ignores seeds — the VAE/AE ablations are deterministic) so every
-// persisted bundle stays servable.
-func (a *Adapter) reconstructForServe(inv *nn.Tensor, seeds []int64, scr *AdaptScratch) (*nn.Tensor, error) {
-	if br, ok := a.recon.(BatchReconstructor); ok {
-		return br.ReconstructT(inv, seeds, scr)
-	}
-	rows, err := a.recon.Reconstruct(inv.ToRows())
-	if err != nil {
-		return nil, err
-	}
-	return scr.noise.SetFromRows(rows), nil
 }

@@ -198,7 +198,7 @@ func (a *Adapter) observeReconstruction(inv, vr [][]float64) {
 	if o == nil || o.Registry == nil || len(inv) == 0 {
 		return
 	}
-	vrHat, err := a.recon.Reconstruct(inv)
+	vrHat, err := reconstructRows(a.recon, inv)
 	if err != nil || len(vrHat) != len(vr) {
 		return
 	}
@@ -293,7 +293,7 @@ func (a *Adapter) TransformTarget(x [][]float64) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	vrHat, err := a.recon.Reconstruct(inv)
+	vrHat, err := reconstructRows(a.recon, inv)
 	if err != nil {
 		return nil, err
 	}

@@ -127,7 +127,7 @@ func reconstructionError(t *testing.T, r Reconstructor, sep *FeatureSeparator, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Reconstruct(inv)
+	got, err := reconstructRows(r, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestReconstructorNotFitted(t *testing.T) {
 	for _, r := range []Reconstructor{
 		NewCGAN(GANConfig{}), NewVAE(VAEConfig{}), NewVanillaAE(VAEConfig{}),
 	} {
-		if _, err := r.Reconstruct([][]float64{{1}}); !errors.Is(err, ErrNotFitted) {
+		if _, err := reconstructRows(r, [][]float64{{1}}); !errors.Is(err, ErrNotFitted) {
 			t.Errorf("%s: err = %v; want ErrNotFitted", r.Name(), err)
 		}
 	}
@@ -340,11 +340,11 @@ func TestM1InferenceIsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := r.Reconstruct(inv)
+	a, err := reconstructRows(r, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Reconstruct(inv)
+	b, err := reconstructRows(r, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestMonteCarloM1MatchesM16(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := r.Reconstruct(inv)
+	m1, err := reconstructRows(r, inv)
 	if err != nil {
 		t.Fatal(err)
 	}

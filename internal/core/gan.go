@@ -246,16 +246,9 @@ func (g *CGAN) Fit(inv, vr [][]float64, y []int, numClasses int) error {
 	return nil
 }
 
-// generate runs the generator on a batch of invariant rows (allocating
-// inference path; training uses generateT).
-func (g *CGAN) generate(bInv [][]float64, train bool) [][]float64 {
-	z := gaussianNoise(len(bInv), g.cfg.NoiseDim, g.rng)
-	return g.gen.Forward(nn.ConcatRows(bInv, z), train)
-}
-
-// generateT runs the generator on the gathered invariant batch through the
-// flat path, consuming the same noise draws as generate. The result is the
-// generator's output scratch, valid until the next generator pass.
+// generateT runs the generator on an invariant batch through the flat
+// path, drawing its noise rows from g.rng in row-major order. The result is
+// the generator's output scratch, valid until the next generator pass.
 func (g *CGAN) generateT(bInv *nn.Tensor, train bool) *nn.Tensor {
 	scr := &g.scr
 	gaussianNoiseInto(&scr.noise, bInv.Rows(), g.cfg.NoiseDim, g.rng)
@@ -348,32 +341,38 @@ func (g *CGAN) Snapshots() []*nn.Snapshot {
 	return []*nn.Snapshot{nn.TakeSnapshot(g.gen), nn.TakeSnapshot(g.disc)}
 }
 
-// Reconstruct maps invariant rows to source-like variant features using a
-// single Monte-Carlo noise draw (M=1; see §V-C2 — with a small noise
-// dimension the prediction is effectively deterministic).
-func (g *CGAN) Reconstruct(inv [][]float64) ([][]float64, error) {
+// ReconstructT implements Reconstructor: the whole batch runs through one
+// generator inference pass. Rows with seed 0 use the pinned prior-mode
+// noise (fixedZ, the paper's M=1 draw of §V-C2); other seeds draw a
+// reproducible standard-normal noise row.
+func (g *CGAN) ReconstructT(inv *nn.Tensor, seeds []int64, scr *AdaptScratch) (*nn.Tensor, error) {
 	if !g.trained {
 		return nil, ErrNotFitted
 	}
-	if len(inv) == 0 {
-		return nil, nil
+	if err := checkReconInput(inv, seeds, g.invDim); err != nil {
+		return nil, err
 	}
-	if len(inv[0]) != g.invDim {
-		return nil, fmt.Errorf("core: reconstruct width %d, trained on %d", len(inv[0]), g.invDim)
+	noise := scr.noise.Reset(inv.Rows(), g.cfg.NoiseDim)
+	for i, seed := range seeds {
+		row := noise.Row(i)
+		if seed == 0 {
+			copy(row, g.fixedZ)
+			continue
+		}
+		rng := scr.seeded(seed)
+		for j := range row {
+			row[j] = rng.NormFloat64()
+		}
 	}
-	z := make([][]float64, len(inv))
-	for i := range z {
-		z[i] = g.fixedZ
-	}
-	return g.gen.Forward(nn.ConcatRows(inv, z), false), nil
+	return nn.Infer(g.gen, nn.ConcatInto(&scr.genIn, inv, noise), &scr.infer), nil
 }
 
 // ReconstructMC is the general M-sample Monte-Carlo estimator of §V-C2:
 // it averages m independent noise draws per row. The paper (and this
-// implementation's default, Reconstruct) uses M = 1 because with a small
-// noise dimension the draws barely move downstream predictions; this
-// method exists to verify that claim and for callers who want the
-// conditional-mean estimate explicitly.
+// implementation's default, ReconstructT with seed 0) uses M = 1 because
+// with a small noise dimension the draws barely move downstream
+// predictions; this method exists to verify that claim and for callers who
+// want the conditional-mean estimate explicitly.
 func (g *CGAN) ReconstructMC(inv [][]float64, m int) ([][]float64, error) {
 	if !g.trained {
 		return nil, ErrNotFitted
@@ -384,17 +383,18 @@ func (g *CGAN) ReconstructMC(inv [][]float64, m int) ([][]float64, error) {
 	if len(inv) == 0 {
 		return nil, nil
 	}
-	if len(inv[0]) != g.invDim {
-		return nil, fmt.Errorf("core: reconstruct width %d, trained on %d", len(inv[0]), g.invDim)
+	var in nn.Tensor
+	if err := rowsInto(&in, inv, g.invDim); err != nil {
+		return nil, err
 	}
 	acc := make([][]float64, len(inv))
 	for i := range acc {
 		acc[i] = make([]float64, g.varDim)
 	}
 	for draw := 0; draw < m; draw++ {
-		out := g.generate(inv, false)
-		for i := range out {
-			for j, v := range out[i] {
+		out := g.generateT(&in, false)
+		for i := range acc {
+			for j, v := range out.Row(i) {
 				acc[i][j] += v
 			}
 		}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 
 	"netdrift/internal/nn"
 )
@@ -15,9 +17,15 @@ type Reconstructor interface {
 	// column groups, y the integer labels (used only by label-conditioned
 	// discriminators), numClasses the label arity.
 	Fit(inv, vr [][]float64, y []int, numClasses int) error
-	// Reconstruct produces source-like variant features for each invariant
-	// row.
-	Reconstruct(inv [][]float64) ([][]float64, error)
+	// ReconstructT produces source-like variant features for each
+	// invariant row in one inference-only pass over scr, with one noise
+	// seed per row: seed 0 selects the pinned prior-mode draw (the paper's
+	// M=1 inference), other seeds a reproducible Gaussian draw.
+	// Reconstructors without a noise input ignore the seeds. It never
+	// mutates the reconstructor, so concurrent calls are safe with one
+	// scratch each. The returned tensor is scratch-owned and valid until
+	// the scratch's next use.
+	ReconstructT(inv *nn.Tensor, seeds []int64, scr *AdaptScratch) (*nn.Tensor, error)
 	// Name identifies the reconstruction strategy for reports.
 	Name() string
 }
@@ -73,21 +81,8 @@ func hiddenDim(numFeatures int) int {
 	return 128
 }
 
-func gaussianNoise(n, dim int, rng *rand.Rand) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		row := make([]float64, dim)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		out[i] = row
-	}
-	return out
-}
-
 // gaussianNoiseInto fills dst (reshaped to n×dim) with standard-normal
-// draws in row-major order — the same draw order as gaussianNoise, so the
-// two are interchangeable without perturbing the RNG stream.
+// draws in row-major order.
 func gaussianNoiseInto(dst *nn.Tensor, n, dim int, rng *rand.Rand) *nn.Tensor {
 	dst.Reset(n, dim)
 	data := dst.Data()
@@ -95,4 +90,53 @@ func gaussianNoiseInto(dst *nn.Tensor, n, dim int, rng *rand.Rand) *nn.Tensor {
 		data[i] = rng.NormFloat64()
 	}
 	return dst
+}
+
+// checkReconInput validates a ReconstructT batch: one seed per row and the
+// trained invariant width.
+func checkReconInput(inv *nn.Tensor, seeds []int64, invDim int) error {
+	if inv.Rows() != len(seeds) {
+		return fmt.Errorf("core: %d invariant rows for %d seeds", inv.Rows(), len(seeds))
+	}
+	if inv.Cols() != invDim {
+		return fmt.Errorf("core: reconstruct width %d, trained on %d", inv.Cols(), invDim)
+	}
+	return nil
+}
+
+// rowsInto copies inv into dst after checking that every row has the
+// given width (Tensor.SetFromRows would silently truncate or zero-pad a
+// ragged row).
+func rowsInto(dst *nn.Tensor, inv [][]float64, width int) error {
+	for i, row := range inv {
+		if len(row) != width {
+			return fmt.Errorf("core: reconstruct row %d has width %d, want %d", i, len(row), width)
+		}
+	}
+	dst.SetFromRows(inv)
+	return nil
+}
+
+// rowsScratch recycles reconstructRows' inference arenas, so a stream of
+// small TransformTarget calls (one row each, say) does not regrow a fresh
+// arena per call.
+var rowsScratch = sync.Pool{New: func() any { return new(AdaptScratch) }}
+
+// reconstructRows is the offline M=1 path behind TransformTarget: r's
+// ReconstructT over raw invariant rows with the pinned seed 0 for every
+// row, copied out of the scratch.
+func reconstructRows(r Reconstructor, inv [][]float64) ([][]float64, error) {
+	if len(inv) == 0 {
+		return nil, nil
+	}
+	scr := rowsScratch.Get().(*AdaptScratch)
+	defer rowsScratch.Put(scr)
+	if err := rowsInto(&scr.inv, inv, len(inv[0])); err != nil {
+		return nil, err
+	}
+	out, err := r.ReconstructT(&scr.inv, make([]int64, len(inv)), scr)
+	if err != nil {
+		return nil, err
+	}
+	return out.ToRows(), nil
 }

@@ -141,26 +141,26 @@ func (g *CGAN) discShardBody(s int) {
 	shr.disc.SeedDropouts(s, shardSeed(g.cfg.Seed, shr.step, phaseDiscDropout, s))
 	sh.terms = constTargetsInto(sh.terms, rows, 0)
 	// Real pass.
-	realOut := nn.LayerForwardT(dn, g.discShardInput(sh, &sh.bVar), true)
+	realOut := dn.ForwardT(g.discShardInput(sh, &sh.bVar), true)
 	sh.targets = constTargetsInto(sh.targets, rows, 0.9)
 	lossReal, err := nn.BCEWithLogitsTN(realOut, sh.targets, &sh.grad, sh.terms, total)
 	if err != nil {
 		shr.errs[s] = err
 		return
 	}
-	nn.LayerBackwardT(dn, &sh.grad)
+	dn.BackwardT(&sh.grad)
 	// Fake pass (generator output detached, as in the sequential path).
 	sh.rng.Seed(shardSeed(g.cfg.Seed, shr.step, phaseDiscNoise, s))
 	gaussianNoiseInto(&sh.noise, rows, g.cfg.NoiseDim, sh.rng)
-	fake := nn.LayerForwardT(gn, nn.ConcatInto(&sh.genIn, &sh.bInv, &sh.noise), true)
-	fakeOut := nn.LayerForwardT(dn, g.discShardInput(sh, fake), true)
+	fake := gn.ForwardT(nn.ConcatInto(&sh.genIn, &sh.bInv, &sh.noise), true)
+	fakeOut := dn.ForwardT(g.discShardInput(sh, fake), true)
 	sh.targets = constTargetsInto(sh.targets, rows, 0)
 	lossFake, err := nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, sh.terms, total)
 	if err != nil {
 		shr.errs[s] = err
 		return
 	}
-	nn.LayerBackwardT(dn, &sh.grad)
+	dn.BackwardT(&sh.grad)
 	shr.dReal[s], shr.dFake[s] = lossReal, lossFake
 	g.cfg.Obs.OnTrainShard(g.Name(), time.Since(t0).Seconds())
 }
@@ -180,15 +180,15 @@ func (g *CGAN) genShardBody(s int) {
 	shr.disc.SeedDropouts(s, shardSeed(g.cfg.Seed, shr.step, phaseGenDropout, s))
 	sh.rng.Seed(shardSeed(g.cfg.Seed, shr.step, phaseGenNoise, s))
 	gaussianNoiseInto(&sh.noise, rows, g.cfg.NoiseDim, sh.rng)
-	fake := nn.LayerForwardT(gn, nn.ConcatInto(&sh.genIn, &sh.bInv, &sh.noise), true)
-	fakeOut := nn.LayerForwardT(dn, g.discShardInput(sh, fake), true)
+	fake := gn.ForwardT(nn.ConcatInto(&sh.genIn, &sh.bInv, &sh.noise), true)
+	fakeOut := dn.ForwardT(g.discShardInput(sh, fake), true)
 	sh.targets = constTargetsInto(sh.targets, rows, 1)
 	lossBCE, err := nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, sh.terms, total)
 	if err != nil {
 		shr.errs[s] = err
 		return
 	}
-	gradDIn := nn.LayerBackwardT(dn, &sh.grad)
+	gradDIn := dn.BackwardT(&sh.grad)
 	gradFake := sh.gradFake.Reset(rows, g.varDim)
 	for i := 0; i < rows; i++ {
 		copy(gradFake.Row(i), gradDIn.Row(i)[g.invDim:g.invDim+g.varDim])
@@ -206,7 +206,7 @@ func (g *CGAN) genShardBody(s int) {
 		}
 		shr.gMSE[s] = lossMSE
 	}
-	nn.LayerBackwardT(gn, gradFake)
+	gn.BackwardT(gradFake)
 	shr.gBCE[s] = lossBCE
 	g.cfg.Obs.OnTrainShard(g.Name(), time.Since(t0).Seconds())
 }
@@ -320,7 +320,7 @@ func (v *VAE) shardBody(s int) {
 	v.scr.bInv.ViewRows(lo, hi, &sh.bInv)
 	v.scr.bVar.ViewRows(lo, hi, &sh.bVar)
 
-	encOut := nn.LayerForwardT(shr.enc.Net(s), nn.ConcatInto(&sh.encIn, &sh.bInv, &sh.bVar), true)
+	encOut := shr.enc.Net(s).ForwardT(nn.ConcatInto(&sh.encIn, &sh.bInv, &sh.bVar), true)
 	sh.rng.Seed(shardSeed(v.cfg.Seed, shr.step, phaseVAENoise, s))
 	gaussianNoiseInto(&sh.eps, rows, ld, sh.rng)
 	z := sh.z.Reset(rows, ld)
@@ -335,13 +335,13 @@ func (v *VAE) shardBody(s int) {
 		}
 	}
 
-	recon := nn.LayerForwardT(shr.dec.Net(s), nn.ConcatInto(&sh.decIn, &sh.bInv, z), true)
+	recon := shr.dec.Net(s).ForwardT(nn.ConcatInto(&sh.decIn, &sh.bInv, z), true)
 	lossRecon, err := nn.MSETN(recon, &sh.bVar, &sh.gradRecon, float64(shr.n*v.varDim))
 	if err != nil {
 		shr.errs[s] = err
 		return
 	}
-	gradDecIn := nn.LayerBackwardT(shr.dec.Net(s), &sh.gradRecon)
+	gradDecIn := shr.dec.Net(s).BackwardT(&sh.gradRecon)
 
 	// KL term normalized by the FULL batch, like the sequential path.
 	klNorm := v.cfg.KLWeight / float64(shr.n*ld)
@@ -360,7 +360,7 @@ func (v *VAE) shardBody(s int) {
 				klNorm*0.5*(math.Exp(lv)-1)
 		}
 	}
-	nn.LayerBackwardT(shr.enc.Net(s), gradEnc)
+	shr.enc.Net(s).BackwardT(gradEnc)
 	shr.recon[s] = lossRecon
 	v.cfg.Obs.OnTrainShard(v.Name(), time.Since(t0).Seconds())
 }
@@ -429,13 +429,13 @@ func (a *VanillaAE) shardBody(s int) {
 	lo, hi := shr.bounds[s], shr.bounds[s+1]
 	a.bInv.ViewRows(lo, hi, &sh.bInv)
 	a.bVar.ViewRows(lo, hi, &sh.bVar)
-	out := nn.LayerForwardT(shr.net.Net(s), &sh.bInv, true)
+	out := shr.net.Net(s).ForwardT(&sh.bInv, true)
 	loss, err := nn.MSETN(out, &sh.bVar, &sh.grad, float64(shr.n*a.varDim))
 	if err != nil {
 		shr.errs[s] = err
 		return
 	}
-	nn.LayerBackwardT(shr.net.Net(s), &sh.grad)
+	shr.net.Net(s).BackwardT(&sh.grad)
 	shr.loss[s] = loss
 	a.cfg.Obs.OnTrainShard(a.Name(), time.Since(t0).Seconds())
 }

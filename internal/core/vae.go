@@ -220,22 +220,21 @@ func (v *VAE) step(opt nn.Optimizer, params []*nn.Param) (float64, error) {
 	return lossRecon, nil
 }
 
-// Reconstruct decodes variant features with prior-sampled latents.
-func (v *VAE) Reconstruct(inv [][]float64) ([][]float64, error) {
+// ReconstructT implements Reconstructor: the decoder runs on
+// [inv | fixedZ] for every row in one inference pass. The latent is pinned
+// at the prior mean (the GAN's M=1 counterpart), so seeds are ignored.
+func (v *VAE) ReconstructT(inv *nn.Tensor, seeds []int64, scr *AdaptScratch) (*nn.Tensor, error) {
 	if !v.trained {
 		return nil, ErrNotFitted
 	}
-	if len(inv) == 0 {
-		return nil, nil
+	if err := checkReconInput(inv, seeds, v.invDim); err != nil {
+		return nil, err
 	}
-	if len(inv[0]) != v.invDim {
-		return nil, fmt.Errorf("core: reconstruct width %d, trained on %d", len(inv[0]), v.invDim)
+	z := scr.noise.Reset(inv.Rows(), len(v.fixedZ))
+	for i := 0; i < z.Rows(); i++ {
+		copy(z.Row(i), v.fixedZ)
 	}
-	z := make([][]float64, len(inv))
-	for i := range z {
-		z[i] = v.fixedZ
-	}
-	return v.decoder.Forward(nn.ConcatRows(inv, z), false), nil
+	return nn.Infer(v.decoder, nn.ConcatInto(&scr.genIn, inv, z), &scr.infer), nil
 }
 
 // VanillaAE is the deterministic autoencoder ablation: a direct regression
@@ -334,18 +333,17 @@ func (a *VanillaAE) Fit(inv, vr [][]float64, _ []int, _ int) error {
 	return nil
 }
 
-// Reconstruct regresses variant features deterministically.
-func (a *VanillaAE) Reconstruct(inv [][]float64) ([][]float64, error) {
+// ReconstructT implements Reconstructor: one inference pass of the
+// regression network. The ablation has no noise input, so seeds are
+// ignored.
+func (a *VanillaAE) ReconstructT(inv *nn.Tensor, seeds []int64, scr *AdaptScratch) (*nn.Tensor, error) {
 	if !a.trained {
 		return nil, ErrNotFitted
 	}
-	if len(inv) == 0 {
-		return nil, nil
+	if err := checkReconInput(inv, seeds, a.invDim); err != nil {
+		return nil, err
 	}
-	if len(inv[0]) != a.invDim {
-		return nil, fmt.Errorf("core: reconstruct width %d, trained on %d", len(inv[0]), a.invDim)
-	}
-	return a.net.Forward(inv, false), nil
+	return nn.Infer(a.net, inv, &scr.infer), nil
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -108,8 +108,10 @@ func softmaxForward(net *nn.Network, x [][]float64, wantIn int) ([][]float64, er
 	if len(x) == 0 {
 		return nil, nil
 	}
-	if len(x[0]) != wantIn {
-		return nil, fmt.Errorf("models: input width %d, trained on %d", len(x[0]), wantIn)
+	for i, row := range x {
+		if len(row) != wantIn {
+			return nil, fmt.Errorf("models: row %d has width %d, trained on %d", i, len(row), wantIn)
+		}
 	}
 	var in nn.Tensor
 	out := net.ForwardT(in.SetFromRows(x), false).ToRows()

@@ -164,15 +164,17 @@ func TestFeatureGateGradientCheck(t *testing.T) {
 	x := [][]float64{{0.4, -0.8, 0.3}, {-0.2, 0.9, -0.5}}
 	y := []int{0, 1}
 
+	var in, g nn.Tensor
 	lossFn := func() float64 {
-		out := net.Forward(x, true)
-		l, _, _ := nn.SoftmaxCE(out, y)
+		l, err := nn.SoftmaxCET(net.ForwardT(in.SetFromRows(x), true), y, &g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return l
 	}
 	nn.ZeroGrads(net.Params())
-	out := net.Forward(x, true)
-	_, g, _ := nn.SoftmaxCE(out, y)
-	net.Backward(g)
+	lossFn()
+	net.BackwardT(&g)
 
 	const h = 1e-5
 	for _, p := range gate.Params() {
@@ -196,14 +198,13 @@ func TestFeatureGateInputGradient(t *testing.T) {
 	gate := nn.NewFeatureGate(3, rng)
 	x := [][]float64{{0.4, -0.8, 0.3}}
 	target := [][]float64{{0.1, 0.2, -0.3}}
+	var in, g nn.Tensor
 	lossFn := func() float64 {
-		out := gate.Forward(x, true)
-		l, _, _ := nn.MSE(out, target)
+		l, _, _ := nn.MSE(gate.ForwardT(in.SetFromRows(x), true).ToRows(), target)
 		return l
 	}
-	out := gate.Forward(x, true)
-	_, g, _ := nn.MSE(out, target)
-	gin := gate.Backward(g)
+	_, grad, _ := nn.MSE(gate.ForwardT(in.SetFromRows(x), true).ToRows(), target)
+	gin := gate.BackwardT(g.SetFromRows(grad)).ToRows()
 	const h = 1e-5
 	for j := range x[0] {
 		orig := x[0][j]
@@ -258,6 +259,29 @@ func TestClassifiersLeaveInputsUnchanged(t *testing.T) {
 		}
 		if !reflect.DeepEqual(bits(xTest), wantTest) {
 			t.Errorf("%s: PredictProba changed its input rows", kind)
+		}
+	}
+}
+
+// TestSoftmaxPredictRejectsRaggedRows checks that the neural classifiers
+// validate every row's width: a long row used to be truncated and a short
+// one zero-padded, both predicted without an error.
+func TestSoftmaxPredictRejectsRaggedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	x, y := blobs(60, 4, 2, 3, rng)
+	for _, kind := range []Kind{KindTNet, KindMLP} {
+		c, err := New(kind, Options{Seed: 9, Epochs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Fit(x, y, 2); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		for _, bad := range [][]float64{{1, 2, 3, 4, 5}, {1, 2, 3}} {
+			rows := [][]float64{x[0], bad, x[1]}
+			if _, err := PredictClasses(c, rows); err == nil {
+				t.Errorf("%s: row of width %d predicted without an error", kind, len(bad))
+			}
 		}
 	}
 }

@@ -37,10 +37,7 @@ type BatchNorm struct {
 	sumG       []float64
 	sumGX      []float64
 	coef       []float64
-	legacy     legacyIO
 }
-
-var _ TensorLayer = (*BatchNorm)(nil)
 
 // NewBatchNorm creates a batch-normalization layer over dim features.
 func NewBatchNorm(dim int) *BatchNorm {
@@ -67,12 +64,6 @@ func NewBatchNorm(dim int) *BatchNorm {
 		bn.runningVar[i] = 1
 	}
 	return bn
-}
-
-// Forward normalizes the batch (training) or applies running stats
-// (inference).
-func (bn *BatchNorm) Forward(x [][]float64, train bool) [][]float64 {
-	return legacyForward(bn, &bn.legacy, x, train)
 }
 
 // ForwardT normalizes the batch in place.
@@ -149,11 +140,6 @@ func (bn *BatchNorm) FoldStatsInto(dst *BatchNorm) {
 	}
 	bn.statsPending = false
 	dst.applyStats(bn.mean, bn.vari)
-}
-
-// Backward implements the standard batch-norm gradient.
-func (bn *BatchNorm) Backward(gradOut [][]float64) [][]float64 {
-	return legacyBackward(bn, &bn.legacy, gradOut)
 }
 
 // BackwardT implements the standard batch-norm gradient in place.

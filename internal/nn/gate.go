@@ -42,10 +42,7 @@ type FeatureGate struct {
 	out    Tensor
 	gradIn Tensor
 	dz, du []float64
-	legacy legacyIO
 }
-
-var _ TensorLayer = (*FeatureGate)(nil)
 
 // NewFeatureGate creates a gate over dim features with a default rank of
 // min(32, dim).
@@ -123,11 +120,6 @@ func (g *FeatureGate) forwardRow(row, u, sig, out, w1T, w2T []float64) {
 	}
 }
 
-// Forward applies the gate to a batch.
-func (g *FeatureGate) Forward(x [][]float64, train bool) [][]float64 {
-	return legacyForward(g, &g.legacy, x, train)
-}
-
 // ForwardT applies the gate to a batch in place.
 func (g *FeatureGate) ForwardT(x *Tensor, _ bool) *Tensor {
 	g.input = x
@@ -140,12 +132,6 @@ func (g *FeatureGate) ForwardT(x *Tensor, _ bool) *Tensor {
 		g.forwardRow(x.Row(i), u.Row(i), sig.Row(i), out.Row(i), g.w1T, g.w2T)
 	}
 	return out
-}
-
-// Backward propagates through both the multiplicative path and the low-rank
-// gate map.
-func (g *FeatureGate) Backward(gradOut [][]float64) [][]float64 {
-	return legacyBackward(g, &g.legacy, gradOut)
 }
 
 // BackwardT accumulates the gate's parameter gradients and returns dL/dx in
@@ -190,7 +176,7 @@ func (g *FeatureGate) BackwardT(gradOut *Tensor) *Tensor {
 	return gradIn
 }
 
-// InferT implements Inferencer: ForwardT's arithmetic with the transposed
+// InferT implements Layer: ForwardT's arithmetic with the transposed
 // weights and per-row scratch taken from the arena, so nothing on the layer
 // is written.
 func (g *FeatureGate) InferT(x *Tensor, s *InferScratch) *Tensor {

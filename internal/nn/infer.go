@@ -39,55 +39,25 @@ func (s *InferScratch) grab() *Tensor {
 	return t
 }
 
-// Inferencer is the inference-only counterpart of TensorLayer: InferT runs
-// the layer's eval-mode forward arithmetic writing into arena buffers,
-// without touching any layer-owned scratch or caches. Every built-in
-// layer implements it.
-type Inferencer interface {
-	InferT(x *Tensor, s *InferScratch) *Tensor
-}
-
 // Infer runs root's eval-mode forward pass over the arena and returns the
 // arena-owned output tensor. It is bit-identical to root.ForwardT(x,
 // false) but mutates nothing except the arena, making it safe to call
 // concurrently on a shared network (one arena per goroutine).
 func Infer(root Layer, x *Tensor, s *InferScratch) *Tensor {
 	s.next = 0
-	return layerInferT(root, x, s)
+	return root.InferT(x, s)
 }
 
-// layerInferT dispatches one layer's inference pass, adapting through the
-// slice API for custom layers that do not implement Inferencer (the
-// compat path allocates and is not goroutine-safe; every layer in this
-// package takes the arena path).
-func layerInferT(l Layer, x *Tensor, s *InferScratch) *Tensor {
-	if il, ok := l.(Inferencer); ok {
-		return il.InferT(x, s)
-	}
-	return s.grab().SetFromRows(l.Forward(x.ToRows(), false))
-}
-
-var (
-	_ Inferencer = (*Network)(nil)
-	_ Inferencer = (*Dense)(nil)
-	_ Inferencer = (*activation)(nil)
-	_ Inferencer = (*BatchNorm)(nil)
-	_ Inferencer = (*Dropout)(nil)
-	_ Inferencer = (*GradReverse)(nil)
-	_ Inferencer = (*SkipConcat)(nil)
-	_ Inferencer = (*FeatureGate)(nil)
-)
-
-// InferT implements Inferencer: the stack's layers run in order over the
+// InferT implements Layer: the stack's layers run in order over the
 // shared arena.
 func (n *Network) InferT(x *Tensor, s *InferScratch) *Tensor {
 	for _, l := range n.Layers {
-		x = layerInferT(l, x, s)
+		x = l.InferT(x, s)
 	}
 	return x
 }
 
-// InferT implements Inferencer: the affine map of ForwardT without the
+// InferT implements Layer: the affine map of ForwardT without the
 // input cache (nothing on the layer is written).
 //
 // Rows run through a 4-way row-blocked kernel: each weight row is loaded
@@ -158,7 +128,7 @@ func (d *Dense) InferT(x *Tensor, s *InferScratch) *Tensor {
 	return out
 }
 
-// InferT implements Inferencer for elementwise activations.
+// InferT implements Layer for elementwise activations.
 func (a *activation) InferT(x *Tensor, s *InferScratch) *Tensor {
 	out := s.grab().Reset(x.rows, x.cols)
 	switch a.kind {
@@ -174,7 +144,7 @@ func (a *activation) InferT(x *Tensor, s *InferScratch) *Tensor {
 	return out
 }
 
-// InferT implements Inferencer: the running-statistics normalization of
+// InferT implements Layer: the running-statistics normalization of
 // ForwardT's eval branch. The running stats are read, never updated.
 func (bn *BatchNorm) InferT(x *Tensor, s *InferScratch) *Tensor {
 	n := x.rows
@@ -197,16 +167,16 @@ func (bn *BatchNorm) InferT(x *Tensor, s *InferScratch) *Tensor {
 	return out
 }
 
-// InferT implements Inferencer: dropout is the identity at inference.
+// InferT implements Layer: dropout is the identity at inference.
 func (d *Dropout) InferT(x *Tensor, _ *InferScratch) *Tensor { return x }
 
-// InferT implements Inferencer: gradient reversal is the identity forward.
+// InferT implements Layer: gradient reversal is the identity forward.
 func (g *GradReverse) InferT(x *Tensor, _ *InferScratch) *Tensor { return x }
 
-// InferT implements Inferencer: [inner(x), x] with the inner stack run
+// InferT implements Layer: [inner(x), x] with the inner stack run
 // over the same arena.
 func (sc *SkipConcat) InferT(x *Tensor, s *InferScratch) *Tensor {
-	h := layerInferT(sc.Inner, x, s)
+	h := sc.Inner.InferT(x, s)
 	out := s.grab().Reset(x.rows, h.cols+x.cols)
 	for i := 0; i < x.rows; i++ {
 		row := out.Row(i)

@@ -93,39 +93,6 @@ func TestInferDropoutGradReverseIdentity(t *testing.T) {
 	}
 }
 
-// sliceOnlyLayer exercises the compat path: a custom layer without
-// InferT support.
-type sliceOnlyLayer struct{}
-
-func (sliceOnlyLayer) Forward(x [][]float64, _ bool) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		o := make([]float64, len(row))
-		for j, v := range row {
-			o[j] = 2 * v
-		}
-		out[i] = o
-	}
-	return out
-}
-func (sliceOnlyLayer) Backward(g [][]float64) [][]float64 { return g }
-func (sliceOnlyLayer) Params() []*Param                   { return nil }
-
-func TestInferCompatPath(t *testing.T) {
-	net := NewNetwork(sliceOnlyLayer{})
-	x := NewTensor(2, 3)
-	for i := range x.Data() {
-		x.Data()[i] = float64(i)
-	}
-	var s InferScratch
-	got := Infer(net, x, &s)
-	for i := range x.Data() {
-		if got.Data()[i] != 2*float64(i) {
-			t.Fatalf("compat infer[%d] = %v, want %v", i, got.Data()[i], 2*float64(i))
-		}
-	}
-}
-
 // TestInferConcurrent runs many goroutines through one shared network,
 // each with its own arena, and checks every result equals the sequential
 // reference. Under -race this also proves Infer never writes the network.

@@ -6,71 +6,23 @@ import (
 	"math/rand"
 )
 
-// Layer is a differentiable network stage. Forward caches whatever Backward
-// needs; Backward consumes the gradient w.r.t. the layer output,
-// accumulates parameter gradients, and returns the gradient w.r.t. the
-// layer input. A layer instance processes one batch at a time (the usual
+// Layer is a differentiable network stage over row-major Tensor batches.
+// ForwardT caches whatever BackwardT needs; BackwardT consumes the gradient
+// w.r.t. the layer output, accumulates parameter gradients, and returns the
+// gradient w.r.t. the layer input. Both write into per-layer scratch that
+// is reused across calls: the returned tensor is the layer's scratch (or,
+// for identity layers, the input itself) and is valid until the layer's
+// next call. A layer instance processes one batch at a time (the usual
 // sequential-training contract).
+//
+// InferT is the inference-only forward: the eval-mode arithmetic of
+// ForwardT(x, false), bit for bit, writing into arena buffers without
+// touching any layer-owned scratch or caches (see Infer).
 type Layer interface {
-	Forward(x [][]float64, train bool) [][]float64
-	Backward(gradOut [][]float64) [][]float64
-	Params() []*Param
-}
-
-// TensorLayer is the flat hot path implemented by every built-in layer:
-// ForwardT/BackwardT run the same arithmetic as Forward/Backward (bit for
-// bit — pinned by the golden tests in tensor_test.go) over row-major Tensor
-// batches, writing into per-layer scratch buffers that are reused across
-// calls. The returned tensor is the layer's scratch (or, for identity
-// layers, the input itself) and is valid until the layer's next call.
-type TensorLayer interface {
-	Layer
 	ForwardT(x *Tensor, train bool) *Tensor
 	BackwardT(gradOut *Tensor) *Tensor
-}
-
-// legacyIO is the conversion scratch behind the slice-of-slices adapter:
-// the old Forward/Backward API is a thin wrapper that copies into a reusable
-// input tensor, runs the flat kernel, and copies the result out fresh
-// (callers own and may retain the returned rows, as before).
-type legacyIO struct {
-	in, grad Tensor
-}
-
-func legacyForward(l TensorLayer, io *legacyIO, x [][]float64, train bool) [][]float64 {
-	if len(x) == 0 {
-		return x
-	}
-	io.in.SetFromRows(x)
-	return l.ForwardT(&io.in, train).ToRows()
-}
-
-func legacyBackward(l TensorLayer, io *legacyIO, gradOut [][]float64) [][]float64 {
-	if len(gradOut) == 0 {
-		return gradOut
-	}
-	io.grad.SetFromRows(gradOut)
-	return l.BackwardT(&io.grad).ToRows()
-}
-
-// LayerForwardT runs l's flat path, adapting through the slice API for
-// custom layers that do not implement TensorLayer (the compat path
-// allocates; every layer in this package takes the flat path).
-func LayerForwardT(l Layer, x *Tensor, train bool) *Tensor {
-	if tl, ok := l.(TensorLayer); ok {
-		return tl.ForwardT(x, train)
-	}
-	out := &Tensor{}
-	return out.SetFromRows(l.Forward(x.ToRows(), train))
-}
-
-// LayerBackwardT is the backward counterpart of LayerForwardT.
-func LayerBackwardT(l Layer, gradOut *Tensor) *Tensor {
-	if tl, ok := l.(TensorLayer); ok {
-		return tl.BackwardT(gradOut)
-	}
-	out := &Tensor{}
-	return out.SetFromRows(l.Backward(gradOut.ToRows()))
+	InferT(x *Tensor, s *InferScratch) *Tensor
+	Params() []*Param
 }
 
 // Dense is a fully-connected layer: y = x·Wᵀ + b.
@@ -81,10 +33,7 @@ type Dense struct {
 	input  *Tensor // caller-owned; stable between ForwardT and BackwardT
 	out    Tensor
 	gradIn Tensor
-	legacy legacyIO
 }
-
-var _ TensorLayer = (*Dense)(nil)
 
 // NewDense creates a dense layer with He-uniform initialization.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
@@ -102,11 +51,6 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 		d.w.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
 	return d
-}
-
-// Forward computes the affine map for a batch.
-func (d *Dense) Forward(x [][]float64, train bool) [][]float64 {
-	return legacyForward(d, &d.legacy, x, train)
 }
 
 // ForwardT computes the affine map in place.
@@ -135,11 +79,6 @@ func (d *Dense) ForwardT(x *Tensor, _ bool) *Tensor {
 		}
 	}
 	return out
-}
-
-// Backward accumulates dL/dW, dL/db and returns dL/dx.
-func (d *Dense) Backward(gradOut [][]float64) [][]float64 {
-	return legacyBackward(d, &d.legacy, gradOut)
 }
 
 // BackwardT accumulates dL/dW, dL/db and returns dL/dx in place.
@@ -212,20 +151,13 @@ type activation struct {
 	input  *Tensor
 	out    Tensor
 	gradIn Tensor
-	legacy legacyIO
 }
-
-var _ TensorLayer = (*activation)(nil)
 
 // clone returns a fresh activation of the same kind with empty scratch,
 // sharing nothing with the receiver (activations are stateless between
 // batches apart from their caches).
 func (a *activation) clone() *activation {
 	return &activation{kind: a.kind, alpha: a.alpha, fn: a.fn, deriv: a.deriv}
-}
-
-func (a *activation) Forward(x [][]float64, train bool) [][]float64 {
-	return legacyForward(a, &a.legacy, x, train)
 }
 
 func (a *activation) ForwardT(x *Tensor, _ bool) *Tensor {
@@ -244,10 +176,6 @@ func (a *activation) ForwardT(x *Tensor, _ bool) *Tensor {
 		}
 	}
 	return out
-}
-
-func (a *activation) Backward(gradOut [][]float64) [][]float64 {
-	return legacyBackward(a, &a.legacy, gradOut)
 }
 
 func (a *activation) BackwardT(gradOut *Tensor) *Tensor {
@@ -307,10 +235,7 @@ type Dropout struct {
 	hasMask bool
 	out     Tensor
 	gradIn  Tensor
-	legacy  legacyIO
 }
-
-var _ TensorLayer = (*Dropout)(nil)
 
 // NewDropout creates a dropout layer with drop probability p.
 func NewDropout(p float64, rng *rand.Rand) *Dropout {
@@ -318,15 +243,6 @@ func NewDropout(p float64, rng *rand.Rand) *Dropout {
 		panic(fmt.Sprintf("nn: dropout probability %v out of [0,1)", p))
 	}
 	return &Dropout{P: p, rng: rng}
-}
-
-// Forward applies the dropout mask in training mode.
-func (d *Dropout) Forward(x [][]float64, train bool) [][]float64 {
-	if !train || d.P == 0 {
-		d.hasMask = false
-		return x
-	}
-	return legacyForward(d, &d.legacy, x, train)
 }
 
 // ForwardT applies the dropout mask in training mode; at inference it
@@ -352,14 +268,6 @@ func (d *Dropout) ForwardT(x *Tensor, train bool) *Tensor {
 	return out
 }
 
-// Backward routes gradients through the surviving units.
-func (d *Dropout) Backward(gradOut [][]float64) [][]float64 {
-	if !d.hasMask {
-		return gradOut
-	}
-	return legacyBackward(d, &d.legacy, gradOut)
-}
-
 // BackwardT routes gradients through the surviving units.
 func (d *Dropout) BackwardT(gradOut *Tensor) *Tensor {
 	if !d.hasMask {
@@ -382,21 +290,10 @@ type GradReverse struct {
 	Lambda float64
 
 	gradIn Tensor
-	legacy legacyIO
 }
-
-var _ TensorLayer = (*GradReverse)(nil)
-
-// Forward is the identity.
-func (g *GradReverse) Forward(x [][]float64, _ bool) [][]float64 { return x }
 
 // ForwardT is the identity.
 func (g *GradReverse) ForwardT(x *Tensor, _ bool) *Tensor { return x }
-
-// Backward negates and scales the gradient.
-func (g *GradReverse) Backward(gradOut [][]float64) [][]float64 {
-	return legacyBackward(g, &g.legacy, gradOut)
-}
 
 // BackwardT negates and scales the gradient.
 func (g *GradReverse) BackwardT(gradOut *Tensor) *Tensor {

@@ -5,18 +5,6 @@ import (
 	"math"
 )
 
-// SoftmaxCE computes the mean softmax cross-entropy loss of the logits
-// against integer labels, along with the gradient w.r.t. the logits. It is
-// the slice adapter over SoftmaxCET.
-func SoftmaxCE(logits [][]float64, y []int) (float64, [][]float64, error) {
-	var in, grad Tensor
-	loss, err := SoftmaxCET(in.SetFromRows(logits), y, &grad)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, grad.ToRows(), nil
-}
-
 // SoftmaxCET is the softmax cross-entropy on the flat path: the mean loss
 // of the logits against integer labels, with the gradient w.r.t. the
 // logits written into grad (reshaped to match logits).

@@ -41,28 +41,36 @@ func checkParamGrads(t *testing.T, params []*Param, lossFn func() float64, analy
 	}
 }
 
+// rowsT copies rows into a fresh Tensor: the bridge from the tests'
+// [][]float64 fixtures to the flat layer API (Tensor.ToRows is the way
+// back). Each call reads x anew, so finite-difference perturbations show.
+func rowsT(x [][]float64) *Tensor { return new(Tensor).SetFromRows(x) }
+
+// softmaxGradFns returns checkParamGrads' loss and analytic closures for l
+// trained with softmax cross-entropy on (x, y).
+func softmaxGradFns(t *testing.T, l Layer, x [][]float64, y []int) (lossFn func() float64, analytic func()) {
+	t.Helper()
+	var grad Tensor
+	lossFn = func() float64 {
+		loss, err := SoftmaxCET(l.ForwardT(rowsT(x), true), y, &grad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loss
+	}
+	analytic = func() {
+		lossFn()
+		l.BackwardT(&grad)
+	}
+	return lossFn, analytic
+}
+
 func TestDenseGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense(3, 2, rng)
 	x := [][]float64{{0.5, -1.2, 0.3}, {1.1, 0.2, -0.7}}
 	y := []int{0, 1}
-
-	lossFn := func() float64 {
-		out := d.Forward(x, true)
-		l, _, err := SoftmaxCE(out, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	analytic := func() {
-		out := d.Forward(x, true)
-		_, g, err := SoftmaxCE(out, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Backward(g)
-	}
+	lossFn, analytic := softmaxGradFns(t, d, x, y)
 	checkParamGrads(t, d.Params(), lossFn, analytic, 1e-6)
 }
 
@@ -71,19 +79,17 @@ func TestDenseInputGradientCheck(t *testing.T) {
 	d := NewDense(3, 2, rng)
 	x := [][]float64{{0.5, -1.2, 0.3}}
 	y := []int{1}
-	lossAt := func(xi [][]float64) float64 {
-		out := d.Forward(xi, true)
-		l, _, _ := SoftmaxCE(out, y)
-		return l
+	lossFn, _ := softmaxGradFns(t, d, x, y)
+	var g Tensor
+	if _, err := SoftmaxCET(d.ForwardT(rowsT(x), true), y, &g); err != nil {
+		t.Fatal(err)
 	}
-	out := d.Forward(x, true)
-	_, g, _ := SoftmaxCE(out, y)
-	gin := d.Backward(g)
+	gin := d.BackwardT(&g).ToRows()
 	for j := range x[0] {
 		want := numericalGrad(
 			func() float64 { return x[0][j] },
 			func(v float64) { x[0][j] = v },
-			func() float64 { return lossAt(x) },
+			lossFn,
 		)
 		if math.Abs(gin[0][j]-want) > 1e-6*(1+math.Abs(want)) {
 			t.Errorf("input grad[%d] = %v; numerical %v", j, gin[0][j], want)
@@ -99,16 +105,7 @@ func TestMLPGradientCheck(t *testing.T) {
 	net := NewMLP(MLPConfig{In: 4, Hidden: []int{5, 3}, Out: 2, Activation: NewTanh, Rng: rng})
 	x := randBatch(rng, 3, 4)
 	y := []int{0, 1, 0}
-	lossFn := func() float64 {
-		out := net.Forward(x, true)
-		l, _, _ := SoftmaxCE(out, y)
-		return l
-	}
-	analytic := func() {
-		out := net.Forward(x, true)
-		_, g, _ := SoftmaxCE(out, y)
-		net.Backward(g)
-	}
+	lossFn, analytic := softmaxGradFns(t, net, x, y)
 	checkParamGrads(t, net.Params(), lossFn, analytic, 1e-5)
 }
 
@@ -119,7 +116,7 @@ func TestReLUGradientCheck(t *testing.T) {
 	y := []int{1, 0}
 	// Verify no pre-activation sits near the ReLU kink for this seed, so
 	// the numerical reference below is trustworthy.
-	pre := net.Layers[0].Forward(x, true)
+	pre := net.Layers[0].ForwardT(rowsT(x), true).ToRows()
 	for _, row := range pre {
 		for _, v := range row {
 			if math.Abs(v) < 1e-3 {
@@ -127,16 +124,7 @@ func TestReLUGradientCheck(t *testing.T) {
 			}
 		}
 	}
-	lossFn := func() float64 {
-		out := net.Forward(x, true)
-		l, _, _ := SoftmaxCE(out, y)
-		return l
-	}
-	analytic := func() {
-		out := net.Forward(x, true)
-		_, g, _ := SoftmaxCE(out, y)
-		net.Backward(g)
-	}
+	lossFn, analytic := softmaxGradFns(t, net, x, y)
 	checkParamGrads(t, net.Params(), lossFn, analytic, 1e-5)
 }
 
@@ -154,16 +142,7 @@ func TestTanhSigmoidLeakyGradients(t *testing.T) {
 			net := NewNetwork(NewDense(3, 4, rng), tc.act(), NewDense(4, 2, rng))
 			x := randBatch(rng, 2, 3)
 			y := []int{1, 0}
-			lossFn := func() float64 {
-				out := net.Forward(x, true)
-				l, _, _ := SoftmaxCE(out, y)
-				return l
-			}
-			analytic := func() {
-				out := net.Forward(x, true)
-				_, g, _ := SoftmaxCE(out, y)
-				net.Backward(g)
-			}
+			lossFn, analytic := softmaxGradFns(t, net, x, y)
 			checkParamGrads(t, net.Params(), lossFn, analytic, 1e-5)
 		})
 	}
@@ -174,16 +153,7 @@ func TestBatchNormGradientCheck(t *testing.T) {
 	net := NewNetwork(NewDense(3, 4, rng), NewBatchNorm(4), NewReLU(), NewDense(4, 2, rng))
 	x := randBatch(rng, 5, 3)
 	y := []int{0, 1, 1, 0, 1}
-	lossFn := func() float64 {
-		out := net.Forward(x, true)
-		l, _, _ := SoftmaxCE(out, y)
-		return l
-	}
-	analytic := func() {
-		out := net.Forward(x, true)
-		_, g, _ := SoftmaxCE(out, y)
-		net.Backward(g)
-	}
+	lossFn, analytic := softmaxGradFns(t, net, x, y)
 	// Note: batch-norm running stats update every forward call, but the
 	// loss in train mode only depends on batch stats, so numerical
 	// differentiation stays valid.
@@ -196,10 +166,10 @@ func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 	// Train on a shifted batch a few times.
 	batch := [][]float64{{10, -4}, {12, -6}, {8, -2}}
 	for i := 0; i < 50; i++ {
-		bn.Forward(batch, true)
+		bn.ForwardT(rowsT(batch), true)
 	}
 	// A single inference sample equal to the running mean maps near beta=0.
-	out := bn.Forward([][]float64{{10, -4}}, false)
+	out := bn.ForwardT(rowsT([][]float64{{10, -4}}), false).ToRows()
 	if math.Abs(out[0][0]) > 0.2 || math.Abs(out[0][1]) > 0.2 {
 		t.Errorf("inference at running mean = %v; want ~[0 0]", out[0])
 	}
@@ -209,9 +179,8 @@ func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 func TestDropoutTrainVsEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := NewDropout(0.5, rng)
-	x := [][]float64{{1, 1, 1, 1, 1, 1, 1, 1}}
-	evalOut := d.Forward(x, false)
-	for j, v := range evalOut[0] {
+	x := rowsT([][]float64{{1, 1, 1, 1, 1, 1, 1, 1}})
+	for j, v := range d.ForwardT(x, false).Row(0) {
 		if v != 1 {
 			t.Errorf("eval output[%d] = %v; want 1", j, v)
 		}
@@ -219,8 +188,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	// In train mode roughly half are dropped and survivors scaled by 2.
 	var zeros, twos int
 	for i := 0; i < 200; i++ {
-		out := d.Forward(x, true)
-		for _, v := range out[0] {
+		for _, v := range d.ForwardT(x, true).Row(0) {
 			switch v {
 			case 0:
 				zeros++
@@ -239,21 +207,21 @@ func TestDropoutTrainVsEval(t *testing.T) {
 
 func TestGradReverse(t *testing.T) {
 	g := &GradReverse{Lambda: 2}
-	x := [][]float64{{1, 2}}
-	out := g.Forward(x, true)
-	if out[0][0] != 1 || out[0][1] != 2 {
+	out := g.ForwardT(rowsT([][]float64{{1, 2}}), true).Row(0)
+	if out[0] != 1 || out[1] != 2 {
 		t.Error("forward must be identity")
 	}
-	gin := g.Backward([][]float64{{3, -1}})
-	if gin[0][0] != -6 || gin[0][1] != 2 {
-		t.Errorf("backward = %v; want [-6 2]", gin[0])
+	gin := g.BackwardT(rowsT([][]float64{{3, -1}})).Row(0)
+	if gin[0] != -6 || gin[1] != 2 {
+		t.Errorf("backward = %v; want [-6 2]", gin)
 	}
 }
 
 func TestSoftmaxCEKnownValue(t *testing.T) {
 	// Uniform logits over 4 classes: loss = log(4).
-	logits := [][]float64{{0, 0, 0, 0}}
-	l, g, err := SoftmaxCE(logits, []int{2})
+	logits := rowsT([][]float64{{0, 0, 0, 0}})
+	var g Tensor
+	l, err := SoftmaxCET(logits, []int{2}, &g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,14 +231,14 @@ func TestSoftmaxCEKnownValue(t *testing.T) {
 	// Gradient: p - onehot = [.25 .25 -.75 .25].
 	want := []float64{0.25, 0.25, -0.75, 0.25}
 	for j := range want {
-		if math.Abs(g[0][j]-want[j]) > 1e-12 {
-			t.Errorf("grad[%d] = %v; want %v", j, g[0][j], want[j])
+		if math.Abs(g.At(0, j)-want[j]) > 1e-12 {
+			t.Errorf("grad[%d] = %v; want %v", j, g.At(0, j), want[j])
 		}
 	}
-	if _, _, err := SoftmaxCE(logits, []int{7}); err == nil {
+	if _, err := SoftmaxCET(logits, []int{7}, &g); err == nil {
 		t.Error("expected error for out-of-range label")
 	}
-	if _, _, err := SoftmaxCE(nil, nil); err == nil {
+	if _, err := SoftmaxCET(rowsT(nil), nil, &g); err == nil {
 		t.Error("expected error for empty batch")
 	}
 }
@@ -281,14 +249,12 @@ func TestBCEWithLogitsGradientCheck(t *testing.T) {
 	x := randBatch(rng, 4, 3)
 	targets := []float64{1, 0, 1, 0}
 	lossFn := func() float64 {
-		out := net.Forward(x, true)
-		l, _, _ := BCEWithLogits(out, targets)
+		l, _, _ := BCEWithLogits(net.ForwardT(rowsT(x), true).ToRows(), targets)
 		return l
 	}
 	analytic := func() {
-		out := net.Forward(x, true)
-		_, g, _ := BCEWithLogits(out, targets)
-		net.Backward(g)
+		_, g, _ := BCEWithLogits(net.ForwardT(rowsT(x), true).ToRows(), targets)
+		net.BackwardT(rowsT(g))
 	}
 	checkParamGrads(t, net.Params(), lossFn, analytic, 1e-6)
 }
@@ -299,14 +265,12 @@ func TestMSEGradientCheck(t *testing.T) {
 	x := randBatch(rng, 3, 2)
 	target := randBatch(rng, 3, 3)
 	lossFn := func() float64 {
-		out := net.Forward(x, true)
-		l, _, _ := MSE(out, target)
+		l, _, _ := MSE(net.ForwardT(rowsT(x), true).ToRows(), target)
 		return l
 	}
 	analytic := func() {
-		out := net.Forward(x, true)
-		_, g, _ := MSE(out, target)
-		net.Backward(g)
+		_, g, _ := MSE(net.ForwardT(rowsT(x), true).ToRows(), target)
+		net.BackwardT(rowsT(g))
 	}
 	checkParamGrads(t, net.Params(), lossFn, analytic, 1e-6)
 }
@@ -363,9 +327,9 @@ func TestAdamReducesLoss(t *testing.T) {
 	net := NewMLP(MLPConfig{In: 2, Hidden: []int{16}, Out: 2, Rng: rng})
 	opt := NewAdam(0.01, 0)
 	var first, last float64
+	var g Tensor
 	for epoch := 0; epoch < 500; epoch++ {
-		out := net.Forward(x, true)
-		l, g, err := SoftmaxCE(out, y)
+		l, err := SoftmaxCET(net.ForwardT(rowsT(x), true), y, &g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,16 +337,16 @@ func TestAdamReducesLoss(t *testing.T) {
 			first = l
 		}
 		last = l
-		net.Backward(g)
+		net.BackwardT(&g)
 		opt.Step(net.Params())
 	}
 	if last > first/10 {
 		t.Errorf("Adam failed to learn XOR: first=%v last=%v", first, last)
 	}
 	// Predictions must be correct.
-	out := net.Forward(x, false)
+	out := net.ForwardT(rowsT(x), false)
 	for i := range x {
-		if argmax(out[i]) != y[i] {
+		if argmax(out.Row(i)) != y[i] {
 			t.Errorf("sample %d misclassified", i)
 		}
 	}
@@ -400,14 +364,14 @@ func TestSGDMomentumReducesLoss(t *testing.T) {
 	net := NewMLP(MLPConfig{In: 4, Hidden: []int{8}, Out: 2, Rng: rng})
 	opt := NewSGD(0.1, 0.9)
 	var first, last float64
+	var g Tensor
 	for epoch := 0; epoch < 200; epoch++ {
-		out := net.Forward(x, true)
-		l, g, _ := SoftmaxCE(out, y)
+		l, _ := SoftmaxCET(net.ForwardT(rowsT(x), true), y, &g)
 		if epoch == 0 {
 			first = l
 		}
 		last = l
-		net.Backward(g)
+		net.BackwardT(&g)
 		opt.Step(net.Params())
 	}
 	if last >= first/2 {
@@ -443,22 +407,6 @@ func TestMinibatches(t *testing.T) {
 	_, batches = MinibatchesInto(5, 0, rng, nil, nil)
 	if len(batches) != 1 || len(batches[0]) != 5 {
 		t.Errorf("full batch fallback wrong: %v", batches)
-	}
-}
-
-func TestConcatAndSplitCols(t *testing.T) {
-	a := [][]float64{{1, 2}, {5, 6}}
-	b := [][]float64{{3}, {7}}
-	c := ConcatRows(a, b)
-	if len(c) != 2 || len(c[0]) != 3 || c[1][2] != 7 {
-		t.Fatalf("ConcatRows = %v", c)
-	}
-	parts := SplitCols(c, 2, 1)
-	if parts[0][0][1] != 2 || parts[1][1][0] != 7 {
-		t.Errorf("SplitCols = %v", parts)
-	}
-	if got := ConcatRows(); got != nil {
-		t.Error("empty ConcatRows should be nil")
 	}
 }
 

@@ -12,25 +12,17 @@ type SkipConcat struct {
 	out     Tensor
 	gradH   Tensor
 	gradIn  Tensor
-	legacy  legacyIO
 }
-
-var _ TensorLayer = (*SkipConcat)(nil)
 
 // NewSkipConcat wraps the inner layer (often a *Network).
 func NewSkipConcat(inner Layer) *SkipConcat {
 	return &SkipConcat{Inner: inner}
 }
 
-// Forward computes [inner(x), x] row-wise.
-func (s *SkipConcat) Forward(x [][]float64, train bool) [][]float64 {
-	return legacyForward(s, &s.legacy, x, train)
-}
-
 // ForwardT computes [inner(x), x] in place.
 func (s *SkipConcat) ForwardT(x *Tensor, train bool) *Tensor {
 	s.inWidth = x.cols
-	h := LayerForwardT(s.Inner, x, train)
+	h := s.Inner.ForwardT(x, train)
 	out := s.out.Reset(x.rows, h.cols+x.cols)
 	for i := 0; i < x.rows; i++ {
 		row := out.Row(i)
@@ -40,15 +32,6 @@ func (s *SkipConcat) ForwardT(x *Tensor, train bool) *Tensor {
 	return out
 }
 
-// Backward splits the incoming gradient into the inner-path part and the
-// skip part, and sums the two input gradients.
-func (s *SkipConcat) Backward(gradOut [][]float64) [][]float64 {
-	if len(gradOut) == 0 {
-		return gradOut
-	}
-	return legacyBackward(s, &s.legacy, gradOut)
-}
-
 // BackwardT splits the incoming gradient and sums the two input gradients.
 func (s *SkipConcat) BackwardT(gradOut *Tensor) *Tensor {
 	hWidth := gradOut.cols - s.inWidth
@@ -56,7 +39,7 @@ func (s *SkipConcat) BackwardT(gradOut *Tensor) *Tensor {
 	for i := 0; i < gradOut.rows; i++ {
 		copy(gradH.Row(i), gradOut.Row(i)[:hWidth])
 	}
-	inner := LayerBackwardT(s.Inner, gradH)
+	inner := s.Inner.BackwardT(gradH)
 	gradIn := s.gradIn.Reset(gradOut.rows, s.inWidth)
 	for i := 0; i < gradOut.rows; i++ {
 		skip := gradOut.Row(i)[hWidth:]

@@ -11,7 +11,7 @@ func TestSkipConcatForwardShape(t *testing.T) {
 	inner := NewNetwork(NewDense(3, 5, rng), NewTanh())
 	skip := NewSkipConcat(inner)
 	x := randBatch(rng, 4, 3)
-	out := skip.Forward(x, true)
+	out := skip.ForwardT(rowsT(x), true).ToRows()
 	if len(out) != 4 || len(out[0]) != 8 {
 		t.Fatalf("output shape = %dx%d; want 4x8", len(out), len(out[0]))
 	}
@@ -34,16 +34,7 @@ func TestSkipConcatGradientCheck(t *testing.T) {
 	)
 	x := randBatch(rng, 3, 3)
 	y := []int{0, 1, 0}
-	lossFn := func() float64 {
-		out := net.Forward(x, true)
-		l, _, _ := SoftmaxCE(out, y)
-		return l
-	}
-	analytic := func() {
-		out := net.Forward(x, true)
-		_, g, _ := SoftmaxCE(out, y)
-		net.Backward(g)
-	}
+	lossFn, analytic := softmaxGradFns(t, net, x, y)
 	checkParamGrads(t, net.Params(), lossFn, analytic, 1e-6)
 }
 
@@ -53,17 +44,16 @@ func TestSkipConcatInputGradient(t *testing.T) {
 	net := NewNetwork(NewSkipConcat(inner), NewDense(5, 1, rng))
 	x := randBatch(rng, 2, 2)
 	targets := []float64{1, 0}
-	out := net.Forward(x, true)
-	_, g, _ := BCEWithLogits(out, targets)
-	gin := net.Backward(g)
+	_, g, _ := BCEWithLogits(net.ForwardT(rowsT(x), true).ToRows(), targets)
+	gin := net.BackwardT(rowsT(g)).ToRows()
 	const h = 1e-5
 	for i := range x {
 		for j := range x[i] {
 			orig := x[i][j]
 			x[i][j] = orig + h
-			lp, _, _ := BCEWithLogits(net.Forward(x, true), targets)
+			lp, _, _ := BCEWithLogits(net.ForwardT(rowsT(x), true).ToRows(), targets)
 			x[i][j] = orig - h
-			lm, _, _ := BCEWithLogits(net.Forward(x, true), targets)
+			lm, _, _ := BCEWithLogits(net.ForwardT(rowsT(x), true).ToRows(), targets)
 			x[i][j] = orig
 			want := (lp - lm) / (2 * h)
 			if math.Abs(gin[i][j]-want) > 1e-6*(1+math.Abs(want)) {

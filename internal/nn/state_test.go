@@ -31,20 +31,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	opt := NewAdam(1e-2, 0)
+	var g Tensor
 	for e := 0; e < 10; e++ {
-		out := net.Forward(x, true)
-		_, g, _ := SoftmaxCE(out, y)
-		net.Backward(g)
+		if _, err := SoftmaxCET(net.ForwardT(rowsT(x), true), y, &g); err != nil {
+			t.Fatal(err)
+		}
+		net.BackwardT(&g)
 		opt.Step(net.Params())
 	}
-	want := net.Forward(x, false)
+	want := net.ForwardT(rowsT(x), false).ToRows()
 
 	snap := TakeSnapshot(net)
 	fresh := buildStatefulNet(99) // different init, same architecture
 	if err := RestoreSnapshot(fresh, snap); err != nil {
 		t.Fatal(err)
 	}
-	got := fresh.Forward(x, false)
+	got := fresh.ForwardT(rowsT(x), false).ToRows()
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
@@ -84,7 +86,7 @@ func TestRestoreSnapshotMismatch(t *testing.T) {
 
 func TestBatchNormExtraState(t *testing.T) {
 	bn := NewBatchNorm(2)
-	bn.Forward([][]float64{{4, -2}, {6, -4}, {5, -3}}, true)
+	bn.ForwardT(rowsT([][]float64{{4, -2}, {6, -4}, {5, -3}}), true)
 	state := bn.ExtraState()
 	if len(state) != 2 || len(state[0]) != 2 {
 		t.Fatalf("state shape wrong: %v", state)
@@ -93,8 +95,9 @@ func TestBatchNormExtraState(t *testing.T) {
 	if err := fresh.SetExtraState(state); err != nil {
 		t.Fatal(err)
 	}
-	out1 := bn.Forward([][]float64{{5, -3}}, false)
-	out2 := fresh.Forward([][]float64{{5, -3}}, false)
+	x := rowsT([][]float64{{5, -3}})
+	out1 := bn.ForwardT(x, false).ToRows()
+	out2 := fresh.ForwardT(x, false).ToRows()
 	// Gamma/beta are parameters (identical defaults), running stats now
 	// match, so inference outputs must agree.
 	if out1[0][0] != out2[0][0] || out1[0][1] != out2[0][1] {

@@ -98,8 +98,7 @@ func (t *Tensor) SetFromRows(x [][]float64) *Tensor {
 }
 
 // ToRows copies the tensor into a fresh [][]float64 whose rows share one
-// newly allocated backing array — the slice-of-slices adapter's output
-// format. The result does not alias the tensor.
+// newly allocated backing array. The result does not alias the tensor.
 func (t *Tensor) ToRows() [][]float64 {
 	out := make([][]float64, t.rows)
 	if t.rows == 0 {

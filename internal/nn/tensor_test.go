@@ -82,14 +82,14 @@ func TestDenseKernelGolden(t *testing.T) {
 		x := randRows(rng, n, 5)
 		gradOut := randRows(rng, n, 3)
 
-		got := d.Forward(x, true)
+		got := d.ForwardT(rowsT(x), true).ToRows()
 		want := refDenseForward(w.Data, b.Data, 3, x)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: forward mismatch", trial)
 		}
 
 		ZeroGrads(d.Params())
-		gotGI := d.Backward(gradOut)
+		gotGI := d.BackwardT(rowsT(gradOut)).ToRows()
 		wantGI, wantGW, wantGB := refDenseBackward(w.Data, 5, 3, x, gradOut)
 		if !reflect.DeepEqual(gotGI, wantGI) {
 			t.Fatalf("trial %d: input gradient mismatch", trial)
@@ -194,7 +194,7 @@ func TestBatchNormKernelGolden(t *testing.T) {
 		x := randRows(rng, 6, 4)
 		gradOut := randRows(rng, 6, 4)
 
-		got := bn.Forward(x, true)
+		got := bn.ForwardT(rowsT(x), true).ToRows()
 		want, xHat, std := refBatchNormForward(gamma.Data, beta.Data, refRunMean, refRunVar, bn.Momentum, bn.Eps, x)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: forward mismatch", trial)
@@ -204,7 +204,7 @@ func TestBatchNormKernelGolden(t *testing.T) {
 		}
 
 		ZeroGrads(bn.Params())
-		gotGI := bn.Backward(gradOut)
+		gotGI := bn.BackwardT(rowsT(gradOut)).ToRows()
 		wantGI, wantGGamma, wantGBeta := refBatchNormBackward(gamma.Data, xHat, std, gradOut)
 		if !reflect.DeepEqual(gotGI, wantGI) {
 			t.Fatalf("trial %d: input gradient mismatch", trial)
@@ -357,24 +357,5 @@ func BenchmarkTrainingStep(b *testing.B) {
 		}
 		net.BackwardT(&grad)
 		opt.Step(params)
-	}
-}
-
-// TestLegacyAdapterReturnsFreshRows guards the adapter contract callers
-// rely on: Forward's result must stay valid after later Forward calls on
-// the same network (baselines retain embeddings across passes).
-func TestLegacyAdapterReturnsFreshRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	net := NewMLP(MLPConfig{In: 3, Hidden: []int{4}, Out: 2, Rng: rng})
-	x1 := randRows(rng, 3, 3)
-	x2 := randRows(rng, 3, 3)
-	out1 := net.Forward(x1, false)
-	snapshot := make([][]float64, len(out1))
-	for i, row := range out1 {
-		snapshot[i] = append([]float64(nil), row...)
-	}
-	_ = net.Forward(x2, false)
-	if !reflect.DeepEqual(out1, snapshot) {
-		t.Fatal("first Forward result was clobbered by the second call")
 	}
 }

@@ -49,14 +49,14 @@ const (
 	MetricServeRequestBytes  = "netdrift_serve_request_bytes"        // fixed histogram{codec=...}: /v1/adapt request body sizes
 	MetricServeResponseBytes = "netdrift_serve_response_bytes"       // fixed histogram{codec=...}: /v1/adapt response body sizes
 	// internal/ctrl drift-response controller
-	MetricCtrlTransitions     = "netdrift_ctrl_transitions_total"       // counter{event="drift-detected"|"refit-start"|...}
-	MetricCtrlIngestRows      = "netdrift_ctrl_ingest_rows_total"       // counter: target rows accepted into the controller
-	MetricCtrlReservoirRows   = "netdrift_ctrl_reservoir_rows"          // gauge: labelled shots currently retained
-	MetricCtrlEpoch           = "netdrift_ctrl_epoch"                   // gauge: promotions survived by the controller
-	MetricCtrlRefitSeconds    = "netdrift_ctrl_refit_seconds"           // histogram: wall time of successful refits
-	MetricCtrlGateScore       = "netdrift_ctrl_gate_score"              // gauge{role="candidate"|"incumbent"}: last shadow-gate macro-F1
+	MetricCtrlTransitions     = "netdrift_ctrl_transitions_total"         // counter{event="drift-detected"|"refit-start"|...}
+	MetricCtrlIngestRows      = "netdrift_ctrl_ingest_rows_total"         // counter: target rows accepted into the controller
+	MetricCtrlReservoirRows   = "netdrift_ctrl_reservoir_rows"            // gauge: labelled shots currently retained
+	MetricCtrlEpoch           = "netdrift_ctrl_epoch"                     // gauge: promotions survived by the controller
+	MetricCtrlRefitSeconds    = "netdrift_ctrl_refit_seconds"             // histogram: wall time of successful refits
+	MetricCtrlGateScore       = "netdrift_ctrl_gate_score"                // gauge{role="candidate"|"incumbent"}: last shadow-gate macro-F1
 	MetricCtrlDriftToRecovery = "netdrift_ctrl_drift_to_recovery_seconds" // gauge: drift-detected -> promote wall time, last campaign
-	MetricCtrlCheckpoints     = "netdrift_ctrl_checkpoints_total"       // counter: atomic checkpoint files written
+	MetricCtrlCheckpoints     = "netdrift_ctrl_checkpoints_total"         // counter: atomic checkpoint files written
 	// internal/obs tracing + flight recorder + SLO layer
 	MetricSpanDrops       = "obs_span_drops_total"               // counter: spans lost to sink marshal/write failures
 	MetricFlightEvents    = "netdrift_flightrec_events_total"    // counter: events recorded into the flight ring
