@@ -80,7 +80,7 @@ func run(args []string, out io.Writer) error {
 		seed     = fs.Int64("seed", 1, "base RNG seed")
 		methods  = fs.String("methods", "", "comma-separated Table I method filter (empty = all)")
 		workers  = fs.Int("workers", 0, "parallel workers for experiment cells and kernels (0 = all cores, 1 = sequential; results are bit-identical either way)")
-		shards   = fs.Int("train-shards", 0, "gradient shards per training minibatch for the \"ours\" reconstructors (0/1 = sequential trainer; the shard count is part of the reproducibility key — it changes results; -workers never does)")
+		shards   = fs.Int("train-shards", 0, "gradient shards per training minibatch for the \"ours\" reconstructors (0/1 = one shard drawing from the model's own seeded streams; the shard count is part of the reproducibility key — it changes results; -workers never does)")
 		bench    = fs.Bool("bench", false, "measure sequential vs parallel stage wall time and write a speedup report instead of running an experiment")
 		benchOut = fs.String("bench-out", "BENCH_parallel.json", "output path for the -bench report")
 		verbose  = fs.Bool("v", false, "print per-cell progress")

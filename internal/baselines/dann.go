@@ -155,7 +155,9 @@ func (m *DANN) adversarialStep(feat, labelHead, domainHead *nn.Network, s *dannS
 	for i := 0; i < z.Rows(); i++ {
 		s.targets = append(s.targets, domain)
 	}
-	if _, err := nn.BCEWithLogitsT(dLogit, s.targets, &s.gradD); err != nil {
+	// Full-batch form: the gradient is normalized by the batch's rows (the
+	// returned sum, unused here, over rows would be the mean loss).
+	if _, err := nn.BCEWithLogitsTN(dLogit, s.targets, &s.gradD, float64(z.Rows())); err != nil {
 		return err
 	}
 	g := gz.Data()

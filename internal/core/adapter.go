@@ -52,12 +52,13 @@ type AdapterConfig struct {
 	// runtime.GOMAXPROCS(0); 1 forces the exact sequential path. Results are
 	// bit-identical for every value.
 	Workers int
-	// TrainShards, when > 1, trains the reconstructor with that many
-	// deterministic gradient shards per minibatch (data-parallel across
-	// Workers goroutines). Propagated to the GAN/VAE sub-configs unless they
-	// set their own. Unlike Workers, the shard count is part of the
-	// reproducibility key, like the seed: changing it changes the trained
-	// bits (changing Workers never does). 0/1 keeps the sequential trainer.
+	// TrainShards is the number of deterministic gradient shards per
+	// reconstructor minibatch (data-parallel across Workers goroutines).
+	// Propagated to the GAN/VAE sub-configs unless they set their own.
+	// Unlike Workers, the shard count is part of the reproducibility key,
+	// like the seed: changing it changes the trained bits (changing Workers
+	// never does). 0 or 1 trains as one shard, the networks themselves
+	// drawing from the model's own seeded streams.
 	TrainShards int
 	// Obs, when non-nil, instruments the whole pipeline: Fit/TransformTarget
 	// latencies and spans, CI-test counters from the FS search, per-epoch

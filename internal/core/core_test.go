@@ -179,13 +179,50 @@ func TestReconstructorNotFitted(t *testing.T) {
 	}
 }
 
+// TestReconstructorFitErrors runs every reconstructor kind over training
+// data it cannot fit: each case must return an ErrFitInput error, never
+// panic or train on it.
 func TestReconstructorFitErrors(t *testing.T) {
-	g := NewCGAN(GANConfig{Epochs: 1})
-	if err := g.Fit(nil, nil, nil, 2); err == nil {
-		t.Error("expected error for empty fit")
+	inv, vr, y := shardTrainData(8, 3, 2, 1)
+	// resized copies rows with row i (of the copy) widened by delta.
+	resized := func(rows [][]float64, i, delta int) [][]float64 {
+		out := make([][]float64, len(rows))
+		copy(out, rows)
+		out[i] = make([]float64, len(rows[i])+delta)
+		return out
 	}
-	if err := g.Fit([][]float64{{1}}, [][]float64{{}}, []int{0}, 2); err == nil {
-		t.Error("expected error for zero variant features")
+	zeroWidth := make([][]float64, len(vr))
+	for i := range zeroWidth {
+		zeroWidth[i] = []float64{}
+	}
+	cases := []struct {
+		name    string
+		inv, vr [][]float64
+		y       []int
+	}{
+		{"empty", nil, nil, nil},
+		{"zero-width variant", inv, zeroWidth, y},
+		{"ragged inv", resized(inv, 5, -1), vr, y},
+		{"ragged var", inv, resized(vr, 3, 1), y},
+		{"label count", inv, vr, y[:len(y)-1]},
+	}
+	for _, model := range []string{"GAN", "NoCond", "VAE", "VanillaAE"} {
+		for _, c := range cases {
+			t.Run(model+"/"+c.name, func(t *testing.T) {
+				var err error
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("Fit panicked: %v", r)
+						}
+					}()
+					err = testRecon(model, 1, 0, 1, nil).Fit(c.inv, c.vr, c.y, 2)
+				}()
+				if !errors.Is(err, ErrFitInput) {
+					t.Fatalf("Fit error %v, want ErrFitInput", err)
+				}
+			})
+		}
 	}
 }
 

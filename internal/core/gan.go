@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"netdrift/internal/dataset"
@@ -31,12 +30,13 @@ type GANConfig struct {
 	// conditional distribution. Set to 0 for the pure objective.
 	AnchorWeight float64 // default 0.25
 	Seed         int64
-	// Shards fixes the gradient-shard count for deterministic data-parallel
-	// training; 0 or 1 selects the single-shard sequential path. The shard
-	// count — never the worker count — defines the batch math (per-shard
-	// ghost batch norm, per-shard noise/dropout streams), so it is part of
-	// the reproducibility key like Seed. Never serialized: persisted
-	// adapters are inference-only and re-Fit rebuilds the nets anyway.
+	// Shards fixes the gradient-shard count of the training harness; 0 or 1
+	// trains as one shard, the network itself drawing from the model's own
+	// seeded streams. The shard count — never the worker count — defines
+	// the batch math (per-shard ghost batch norm, per-shard noise/dropout
+	// streams), so it is part of the reproducibility key like Seed. Never
+	// serialized: persisted adapters are inference-only and re-Fit rebuilds
+	// the nets anyway.
 	Shards int `json:"-"`
 	// Workers bounds the goroutines running the shards; <= 0 uses all CPUs.
 	// Trained weights are bit-identical for every value. Never serialized.
@@ -85,25 +85,22 @@ type CGAN struct {
 	rng     *rand.Rand
 	fixedZ  []float64 // pinned inference noise draw (M=1, §V-C2)
 	trained bool
-	scr     ganScratch
-	shr     *ganShards // sharded-training state; nil on the sequential path
+
+	// Training state: the shard replicas (the networks themselves at one
+	// shard) and each shard's reused buffers (steady-state epochs allocate
+	// nothing; see DESIGN.md §5c).
+	sgen, sdisc *nn.ShardedNet
+	sh          []ganShard
 }
 
-// ganScratch holds the per-batch buffers reused across the whole training
-// run (steady-state epochs allocate nothing; see DESIGN.md §5c).
-type ganScratch struct {
-	perm     []int
-	batches  [][]int
-	bInv     nn.Tensor
-	bVar     nn.Tensor
-	bLab     nn.Tensor
-	noise    nn.Tensor
-	genIn    nn.Tensor // [bInv | noise]; held by the generator between passes
-	discIn   nn.Tensor // [bInv | var (| label)]
-	targets  []float64
-	grad     nn.Tensor // BCE gradient w.r.t. discriminator logits
-	gradFake nn.Tensor // gradient w.r.t. the generated variant block
-	gradMSE  nn.Tensor
+// ganShard is one shard's private training buffers, reused across the run.
+type ganShard struct {
+	noise, genIn nn.Tensor // generator input [inv | noise]
+	discIn       nn.Tensor // [inv | var (| label)]
+	targets      []float64
+	grad         nn.Tensor // BCE gradient w.r.t. discriminator logits
+	gradFake     nn.Tensor // gradient w.r.t. the generated variant block
+	gradMSE      nn.Tensor
 }
 
 var _ Reconstructor = (*CGAN)(nil)
@@ -123,17 +120,15 @@ func (g *CGAN) Name() string {
 
 // Fit trains generator and discriminator adversarially on source data only.
 func (g *CGAN) Fit(inv, vr [][]float64, y []int, numClasses int) error {
-	if len(inv) == 0 || len(inv) != len(vr) {
-		return fmt.Errorf("core: gan fit needs matching inv/var rows (%d, %d)", len(inv), len(vr))
-	}
-	if len(vr[0]) == 0 {
-		return fmt.Errorf("core: gan fit with no variant features")
+	tr, err := newTrainer(g.Name(), trainOpts{g.cfg.Seed, g.cfg.Shards, g.cfg.Workers, g.cfg.Obs}, inv, vr, y, g.cfg.Conditional)
+	if err != nil {
+		return err
 	}
 	g.invDim = len(inv[0])
 	g.varDim = len(vr[0])
 	total := g.invDim + g.varDim
 	g.cfg.applyDefaults(total)
-	g.rng = rand.New(rand.NewSource(g.cfg.Seed))
+	g.rng = tr.rng
 
 	// Generator: [X_inv, Z] -> X_var, two hidden layers with batch norm and
 	// ReLU, tanh output (features are scaled to [-1, 1]). CTGAN-style
@@ -162,7 +157,6 @@ func (g *CGAN) Fit(inv, vr [][]float64, y []int, numClasses int) error {
 	var oneHot [][]float64
 	if g.cfg.Conditional {
 		dIn += numClasses
-		var err error
 		oneHot, err = dataset.OneHot(y, numClasses)
 		if err != nil {
 			return fmt.Errorf("core: gan labels: %w", err)
@@ -178,66 +172,20 @@ func (g *CGAN) Fit(inv, vr [][]float64, y []int, numClasses int) error {
 		nn.NewDense(h, 1, g.rng),
 	)
 
-	optG := nn.NewAdam(g.cfg.LR, g.cfg.Decay)
-	optD := nn.NewAdam(g.cfg.LR, g.cfg.Decay)
-	genParams := g.gen.Params()
-	discParams := g.disc.Params()
-	if g.cfg.Shards > 1 {
-		g.shr = newGANShards(g)
+	g.sgen, g.sdisc = tr.net(g.gen), tr.net(g.disc)
+	g.sh = make([]ganShard, tr.shards)
+	// The discriminator loss is the real plus the fake BCE, each a per-row
+	// mean. The generator objective is the adversarial BCE plus the
+	// weighted anchor: the squared error normalizes by rows×columns while
+	// the BCE normalizes by rows only, so the anchor weight is scaled by
+	// the variant dimension to express a per-row balance.
+	disc := tr.phase(g.discShard, nn.NewAdam(g.cfg.LR, g.cfg.Decay), g.disc.Params(),
+		[]*nn.ShardedNet{g.sdisc}, lossTerm{1, 1}, lossTerm{1, 1})
+	gen := tr.phase(g.genShard, nn.NewAdam(g.cfg.LR, g.cfg.Decay), g.gen.Params(),
+		[]*nn.ShardedNet{g.sgen}, lossTerm{1, 1}, lossTerm{g.varDim, g.cfg.AnchorWeight * float64(g.varDim)})
+	if err := tr.fit(g.cfg.Epochs, g.cfg.BatchSize, oneHot, disc, gen); err != nil {
+		return err
 	}
-
-	n := len(inv)
-	bestLoss := math.Inf(1)
-	convergedEpoch := 0
-	scr := &g.scr
-	for epoch := 0; epoch < g.cfg.Epochs; epoch++ {
-		var genSum, discSum float64
-		var batches int
-		scr.perm, scr.batches = nn.MinibatchesInto(n, g.cfg.BatchSize, g.rng, scr.perm, scr.batches)
-		for _, idx := range scr.batches {
-			nn.GatherInto(&scr.bInv, inv, idx)
-			nn.GatherInto(&scr.bVar, vr, idx)
-			if g.cfg.Conditional {
-				nn.GatherInto(&scr.bLab, oneHot, idx)
-			}
-			var dLoss, gLoss float64
-			var err error
-			if g.shr != nil {
-				dLoss, err = g.discStepSharded(optD, discParams)
-			} else {
-				dLoss, err = g.discStep(optD, discParams, genParams)
-			}
-			if err != nil {
-				return fmt.Errorf("core: gan epoch %d: %w", epoch, err)
-			}
-			if g.shr != nil {
-				gLoss, err = g.genStepSharded(optG, genParams)
-			} else {
-				gLoss, err = g.genStep(optG, genParams, discParams)
-			}
-			if err != nil {
-				return fmt.Errorf("core: gan epoch %d: %w", epoch, err)
-			}
-			genSum += gLoss
-			discSum += dLoss
-			batches++
-		}
-		if batches > 0 {
-			genMean := genSum / float64(batches)
-			if genMean < bestLoss {
-				bestLoss = genMean
-				convergedEpoch = epoch + 1
-			}
-			g.cfg.Obs.OnTrainEpoch(obs.TrainEpoch{
-				Model: g.Name(), Epoch: epoch,
-				GenLoss: genMean, DiscLoss: discSum / float64(batches),
-				Adversarial: true,
-			})
-		}
-	}
-	g.cfg.Obs.OnTrainDone(obs.TrainDone{
-		Model: g.Name(), Epochs: g.cfg.Epochs, ConvergedEpoch: convergedEpoch,
-	})
 	// Pin the inference noise at the prior mode: the paper's M=1
 	// Monte-Carlo estimate with a small noise vector, made reproducible so
 	// repeated transformations of the same sample agree exactly.
@@ -246,92 +194,85 @@ func (g *CGAN) Fit(inv, vr [][]float64, y []int, numClasses int) error {
 	return nil
 }
 
-// generateT runs the generator on an invariant batch through the flat
-// path, drawing its noise rows from g.rng in row-major order. The result is
-// the generator's output scratch, valid until the next generator pass.
-func (g *CGAN) generateT(bInv *nn.Tensor, train bool) *nn.Tensor {
-	scr := &g.scr
-	gaussianNoiseInto(&scr.noise, bInv.Rows(), g.cfg.NoiseDim, g.rng)
-	return g.gen.ForwardT(nn.ConcatInto(&scr.genIn, bInv, &scr.noise), train)
-}
-
-// discInputT assembles the discriminator input in scratch.
-func (g *CGAN) discInputT(bVar *nn.Tensor) *nn.Tensor {
-	scr := &g.scr
+// discInput assembles shard-local discriminator input [inv | vr (| label)].
+func (g *CGAN) discInput(sh *ganShard, b *shardBatch, vr *nn.Tensor) *nn.Tensor {
 	if g.cfg.Conditional {
-		return nn.ConcatInto(&scr.discIn, &scr.bInv, bVar, &scr.bLab)
+		return nn.ConcatInto(&sh.discIn, &b.inv, vr, &b.lab)
 	}
-	return nn.ConcatInto(&scr.discIn, &scr.bInv, bVar)
+	return nn.ConcatInto(&sh.discIn, &b.inv, vr)
 }
 
-// discStep trains D to separate real from generated variant features. It
-// returns the summed real+fake BCE loss of the step. The batch lives in
-// g.scr (bInv/bVar/bLab), gathered by Fit.
-func (g *CGAN) discStep(opt nn.Optimizer, discParams, genParams []*nn.Param) (float64, error) {
-	scr := &g.scr
-	n := scr.bInv.Rows()
-	// Real pass.
-	realOut := g.disc.ForwardT(g.discInputT(&scr.bVar), true)
-	scr.targets = constTargetsInto(scr.targets, n, 0.9) // mild label smoothing for stability
-	lossReal, err := nn.BCEWithLogitsT(realOut, scr.targets, &scr.grad)
-	if err != nil {
-		return 0, err
+// generate runs generator replica s on the shard's invariant rows with a
+// fresh noise draw from rng. The result is the replica's output scratch,
+// valid until its next pass.
+func (g *CGAN) generate(sh *ganShard, s int, inv *nn.Tensor, rng *rand.Rand) *nn.Tensor {
+	gaussianNoiseInto(&sh.noise, inv.Rows(), g.cfg.NoiseDim, rng)
+	return g.sgen.Net(s).ForwardT(nn.ConcatInto(&sh.genIn, inv, &sh.noise), true)
+}
+
+// discShard is shard s of the discriminator update: a real and a fake pass
+// accumulate into replica s's gradient arena. Loss terms: the real and the
+// fake BCE sums.
+func (g *CGAN) discShard(tr *trainer, s int, b *shardBatch, loss []float64) error {
+	sh := &g.sh[s]
+	rows := b.inv.Rows()
+	dn := g.sdisc.Net(s)
+	g.sdisc.SeedDropouts(s, tr.shardSeed(phaseDiscDropout, s))
+	realOut := dn.ForwardT(g.discInput(sh, b, &b.vr), true)
+	sh.targets = constTargetsInto(sh.targets, rows, 0.9) // mild label smoothing for stability
+	var err error
+	if loss[0], err = nn.BCEWithLogitsTN(realOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
+		return err
 	}
-	g.disc.BackwardT(&scr.grad)
+	dn.BackwardT(&sh.grad)
 	// Fake pass (generator output detached: we never backward into G here;
 	// the concat into discIn copies it out of the generator's scratch).
-	fake := g.generateT(&scr.bInv, true)
-	fakeOut := g.disc.ForwardT(g.discInputT(fake), true)
-	scr.targets = constTargetsInto(scr.targets, n, 0)
-	lossFake, err := nn.BCEWithLogitsT(fakeOut, scr.targets, &scr.grad)
-	if err != nil {
-		return 0, err
+	fake := g.generate(sh, s, &b.inv, tr.rand(s, phaseDiscNoise))
+	fakeOut := dn.ForwardT(g.discInput(sh, b, fake), true)
+	sh.targets = constTargetsInto(sh.targets, rows, 0)
+	if loss[1], err = nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
+		return err
 	}
-	g.disc.BackwardT(&scr.grad)
-	opt.Step(discParams)
-	nn.ZeroGrads(genParams) // drop any gradient that leaked into G caches
-	return lossReal + lossFake, nil
+	dn.BackwardT(&sh.grad)
+	return nil
 }
 
-// genStep trains G to fool D (plus the optional reconstruction anchor). It
-// returns the generator objective: adversarial BCE plus the weighted anchor.
-func (g *CGAN) genStep(opt nn.Optimizer, genParams, discParams []*nn.Param) (float64, error) {
-	scr := &g.scr
-	n := scr.bInv.Rows()
-	fake := g.generateT(&scr.bInv, true)
-	fakeOut := g.disc.ForwardT(g.discInputT(fake), true)
-	scr.targets = constTargetsInto(scr.targets, n, 1)
-	loss, err := nn.BCEWithLogitsT(fakeOut, scr.targets, &scr.grad)
-	if err != nil {
-		return 0, err
+// genShard is shard s of the generator update: G is trained to fool D,
+// plus the optional reconstruction anchor. Loss terms: the adversarial BCE
+// and the anchor's squared-error sums.
+func (g *CGAN) genShard(tr *trainer, s int, b *shardBatch, loss []float64) error {
+	sh := &g.sh[s]
+	rows := b.inv.Rows()
+	dn := g.sdisc.Net(s)
+	g.sdisc.SeedDropouts(s, tr.shardSeed(phaseGenDropout, s))
+	fake := g.generate(sh, s, &b.inv, tr.rand(s, phaseGenNoise))
+	fakeOut := dn.ForwardT(g.discInput(sh, b, fake), true)
+	sh.targets = constTargetsInto(sh.targets, rows, 1)
+	var err error
+	if loss[0], err = nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
+		return err
 	}
-	gradDIn := g.disc.BackwardT(&scr.grad)
+	gradDIn := dn.BackwardT(&sh.grad)
 	// Slice out the gradient w.r.t. the generated variant block.
-	gradFake := scr.gradFake.Reset(n, g.varDim)
-	for i := 0; i < n; i++ {
+	gradFake := sh.gradFake.Reset(rows, g.varDim)
+	for i := 0; i < rows; i++ {
 		copy(gradFake.Row(i), gradDIn.Row(i)[g.invDim:g.invDim+g.varDim])
 	}
 	if g.cfg.AnchorWeight > 0 {
-		// fake is still the generator's live output scratch: no generator
-		// pass has run since generateT, so the anchor reads it directly.
-		lossMSE, err := nn.MSET(fake, &scr.bVar, &scr.gradMSE)
-		if err != nil {
-			return 0, err
+		// fake is still the generator replica's live output: no generator
+		// pass has run since generate.
+		if loss[1], err = nn.MSETN(fake, &b.vr, &sh.gradMSE, float64(tr.n*g.varDim)); err != nil {
+			return err
 		}
-		// nn.MSE normalizes by rows×columns while the adversarial BCE
-		// normalizes by rows only; rescale by the variant dimension so the
-		// anchor weight expresses a per-row balance.
 		w := g.cfg.AnchorWeight * float64(g.varDim)
-		loss += w * lossMSE
-		gf, gm := gradFake.Data(), scr.gradMSE.Data()
+		gf, gm := gradFake.Data(), sh.gradMSE.Data()
 		for i := range gf {
 			gf[i] += w * gm[i]
 		}
 	}
-	g.gen.BackwardT(gradFake)
-	opt.Step(genParams)
-	nn.ZeroGrads(discParams) // D gradients from this pass are discarded
-	return loss, nil
+	g.sgen.Net(s).BackwardT(gradFake)
+	nn.ZeroGrads(g.sdisc.Params(s)) // D gradients from this pass are discarded
+	return nil
 }
 
 // Snapshots returns deep copies of the trained networks' parameters and
@@ -383,7 +324,7 @@ func (g *CGAN) ReconstructMC(inv [][]float64, m int) ([][]float64, error) {
 	if len(inv) == 0 {
 		return nil, nil
 	}
-	var in nn.Tensor
+	var in, noise, genIn nn.Tensor
 	if err := rowsInto(&in, inv, g.invDim); err != nil {
 		return nil, err
 	}
@@ -392,7 +333,8 @@ func (g *CGAN) ReconstructMC(inv [][]float64, m int) ([][]float64, error) {
 		acc[i] = make([]float64, g.varDim)
 	}
 	for draw := 0; draw < m; draw++ {
-		out := g.generateT(&in, false)
+		gaussianNoiseInto(&noise, in.Rows(), g.cfg.NoiseDim, g.rng)
+		out := g.gen.ForwardT(nn.ConcatInto(&genIn, &in, &noise), false)
 		for i := range acc {
 			for j, v := range out.Row(i) {
 				acc[i][j] += v

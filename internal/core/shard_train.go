@@ -1,34 +1,68 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
 
 	"netdrift/internal/nn"
+	"netdrift/internal/obs"
 	"netdrift/internal/par"
 )
 
-// Deterministic data-parallel training (DESIGN.md §5d).
+// One trainer for every reconstructor (DESIGN.md §5f).
 //
-// Every reconstructor trainer here shards each minibatch into a FIXED number
-// of row ranges (cfg.Shards, via par.ShardBounds — a pure function of the
-// batch size and the config, never of worker availability), runs
-// forward/backward per shard on replica networks (nn.ShardedNet), and merges
-// the per-shard gradient arenas with the fixed-shape tree reduction. All
-// randomness inside a shard (generator noise, VAE eps, dropout masks) is
-// reseeded per (cfg.Seed, step, phase, shard), so a shard's work is a pure
-// function of its index. Consequences:
+// Every Fit runs the same epoch loop (trainer.fit) and every optimizer
+// update the same shard harness (trainer.run). Each minibatch is split into
+// a FIXED number of row ranges (Shards, via par.ShardBounds — a pure
+// function of the batch size and the config, never of worker availability);
+// a phase runs its per-shard body over each range on replica networks
+// (nn.ShardedNet), merges the shard gradients with the fixed-shape tree
+// reduction, steps the optimizer, and folds the deferred batch-norm
+// statistics and each loss term's shard partials in shard-index order.
+// Consequences:
 //
 //   - at a fixed shard count, trained weights, per-epoch losses, and obs
 //     hook event streams are bit-identical for EVERY worker count;
 //   - the shard count itself is part of the reproducibility key, like the
 //     seed: Shards=4 and Shards=8 are different (equally valid) trainings.
 //
-// Per-shard losses are computed with the *TN loss variants (gradients
-// normalized by the full-batch total, raw partial sums returned) and the
-// partials are folded in shard-index order, so epoch losses do not depend on
-// execution order either.
+// Shards ≤ 1 is the harness's one-shard case, not a second trainer: the
+// replica is the network itself, and every draw comes from the model's own
+// seeded stream in the order the step body makes it. With more shards every
+// draw site reseeds a private stream per (Seed, step, phase, shard), so a
+// shard's work is a pure function of its index (trainer.rand).
+
+// ErrFitInput is wrapped by every error a reconstructor's Fit returns for
+// training data it cannot train on.
+var ErrFitInput = errors.New("core: invalid fit input")
+
+// checkFitInput validates a Fit call's training data: at least one row,
+// one variant row per invariant row, at least one variant column, every
+// row of a group as wide as its first, and one label per row when labels
+// are needed or given.
+func checkFitInput(inv, vr [][]float64, y []int, needLabels bool) error {
+	if len(inv) == 0 || len(inv) != len(vr) {
+		return fmt.Errorf("%w: %d invariant rows for %d variant rows", ErrFitInput, len(inv), len(vr))
+	}
+	if len(vr[0]) == 0 {
+		return fmt.Errorf("%w: no variant features", ErrFitInput)
+	}
+	for i := range inv {
+		if len(inv[i]) != len(inv[0]) {
+			return fmt.Errorf("%w: invariant row %d has width %d, want %d", ErrFitInput, i, len(inv[i]), len(inv[0]))
+		}
+		if len(vr[i]) != len(vr[0]) {
+			return fmt.Errorf("%w: variant row %d has width %d, want %d", ErrFitInput, i, len(vr[i]), len(vr[0]))
+		}
+	}
+	if (needLabels || y != nil) && len(y) != len(inv) {
+		return fmt.Errorf("%w: %d labels for %d rows", ErrFitInput, len(y), len(inv))
+	}
+	return nil
+}
 
 // Shard-seed phase tags. Each (step, phase, shard) triple must be unique
 // per random stream consumer.
@@ -40,11 +74,81 @@ const (
 	phaseVAENoise
 )
 
-// shardSeed derives the seed for one (step, phase, shard) stream with a
-// chained splitmix64 finalizer (same construction as SampleSeed).
-func shardSeed(base int64, step, phase, shard int) int64 {
-	z := uint64(base)
-	for _, k := range [3]uint64{uint64(step + 1), uint64(phase + 1), uint64(shard + 1)} {
+// shardMinRows is the minimum rows per shard: batch-norm training statistics
+// need at least two samples.
+const shardMinRows = 2
+
+// trainOpts are the harness settings every reconstructor config carries.
+type trainOpts struct {
+	seed            int64
+	shards, workers int
+	obs             *obs.Observer
+}
+
+// trainer is the harness state of one Fit.
+type trainer struct {
+	name    string
+	seed    int64
+	shards  int // configured shard count, ≥ 1
+	workers int
+	obs     *obs.Observer
+	rng     *rand.Rand // the model's own stream: batch order, and every draw of a one-shard run
+
+	inv, vr, lab [][]float64
+	nets         []*nn.ShardedNet // every replicated network, folded after each phase
+	rngs         []*rand.Rand     // per-shard reseedable streams (shards > 1)
+	views        []shardBatch
+
+	// The current minibatch.
+	perm             []int
+	batches          [][]int
+	bInv, bVar, bLab nn.Tensor
+	n                int   // rows
+	bounds           []int // shard row ranges
+	step             int   // 1-based minibatch count, the shard-seed step
+}
+
+// shardBatch is one shard's row views into the current minibatch.
+type shardBatch struct {
+	inv, vr, lab nn.Tensor
+}
+
+// newTrainer checks a Fit call's training data (checkFitInput) and returns
+// the harness that trains on it, seeded from o.seed.
+func newTrainer(name string, o trainOpts, inv, vr [][]float64, y []int, needLabels bool) (*trainer, error) {
+	if err := checkFitInput(inv, vr, y, needLabels); err != nil {
+		return nil, err
+	}
+	k := max(o.shards, 1)
+	tr := &trainer{
+		name: name, seed: o.seed, shards: k, workers: o.workers, obs: o.obs,
+		rng: rand.New(rand.NewSource(o.seed)),
+		inv: inv, vr: vr,
+		views: make([]shardBatch, k),
+	}
+	if k > 1 {
+		tr.rngs = make([]*rand.Rand, k)
+		for s := range tr.rngs {
+			tr.rngs[s] = nn.NewShardRand(0) // reseeded per (step, phase, shard)
+		}
+	}
+	return tr, nil
+}
+
+// net replicates root across the trainer's shards and registers it for the
+// batch-statistics fold. With one shard the replica is root itself.
+func (tr *trainer) net(root nn.Layer) *nn.ShardedNet {
+	sn := nn.NewSharded(root, tr.shards)
+	tr.nets = append(tr.nets, sn)
+	return sn
+}
+
+// shardSeed derives the seed for shard s's stream at the draw site tagged
+// tag (a phase tag) in the current step with a chained splitmix64
+// finalizer (same construction as SampleSeed).
+func (tr *trainer) shardSeed(tag, s int) int64 {
+	z := uint64(tr.seed)
+	for _, k := range [3]uint64{uint64(tr.step + 1), uint64(tag + 1), uint64(s + 1)} {
 		z += k * 0x9e3779b97f4a7c15
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -53,411 +157,142 @@ func shardSeed(base int64, step, phase, shard int) int64 {
 	return int64(z)
 }
 
-// shardMinRows is the minimum rows per shard: batch-norm training statistics
-// need at least two samples.
-const shardMinRows = 2
-
-// ganShardScratch is one shard's private buffers, reused across the run.
-type ganShardScratch struct {
-	bInv, bVar, bLab nn.Tensor // views into the gathered batch
-	noise, genIn     nn.Tensor
-	discIn           nn.Tensor
-	targets, terms   []float64
-	grad             nn.Tensor
-	gradFake         nn.Tensor
-	gradMSE          nn.Tensor
-	rng              *rand.Rand
+// rand returns shard s's stream for the draw site tagged tag. A one-shard
+// run draws from the model's own stream, never reseeded; with more shards
+// every call reseeds shard s's private stream from shardSeed. This is the
+// only place a one-shard run differs from a k-shard run (its dropouts keep
+// their own rng because nn.NewSharded(root, 1) is root itself).
+func (tr *trainer) rand(s, tag int) *rand.Rand {
+	if tr.shards == 1 {
+		return tr.rng
+	}
+	r := tr.rngs[s]
+	r.Seed(tr.shardSeed(tag, s))
+	return r
 }
 
-// ganShards is the CGAN's sharded-training state.
-type ganShards struct {
-	gen, disc *nn.ShardedNet
-	bounds    []int
-	step      int
-	n         int // current batch rows
-	sh        []ganShardScratch
-	dReal     []float64
-	dFake     []float64
-	gBCE      []float64
-	gMSE      []float64
-	errs      []error
-	// Stable shard bodies, created once so the sequential ForEach fast path
-	// stays allocation free.
-	discBody func(int)
-	genBody  func(int)
-	zeroDisc func(int)
+// shardBody is one shard's share of a phase: forward and backward over the
+// shard's rows b on replica s, with gradients normalized by the FULL
+// batch's totals (tr.n rows), writing each loss term's raw sum into loss.
+type shardBody func(tr *trainer, s int, b *shardBatch, loss []float64) error
+
+// lossTerm is one term of a phase's loss: its shard partials fold in shard
+// order, are divided by rows×per, and enter the phase loss times weight.
+type lossTerm struct {
+	per    int // normalizer per row: 1 for per-row terms, the width for per-element terms
+	weight float64
 }
 
-func newGANShards(g *CGAN) *ganShards {
-	k := g.cfg.Shards
-	shr := &ganShards{
-		gen:   nn.NewSharded(g.gen, k),
-		disc:  nn.NewSharded(g.disc, k),
-		sh:    make([]ganShardScratch, k),
-		dReal: make([]float64, k),
-		dFake: make([]float64, k),
-		gBCE:  make([]float64, k),
-		gMSE:  make([]float64, k),
-		errs:  make([]error, k),
-	}
-	for i := range shr.sh {
-		shr.sh[i].rng = nn.NewShardRand(0) // reseeded per (step, phase, shard)
-	}
-	shr.discBody = g.discShardBody
-	shr.genBody = g.genShardBody
-	shr.zeroDisc = func(s int) { nn.ZeroGrads(shr.disc.Params(s)) }
-	return shr
+// phase is one optimizer update of a training step.
+type phase struct {
+	body   shardBody
+	opt    nn.Optimizer
+	params []*nn.Param
+	grads  []*nn.ShardedNet // nets whose shard gradients merge before the step
+	terms  []lossTerm
+
+	parts [][]float64 // parts[s]: shard s's raw loss sums, one per term
+	errs  []error
+	run   func(s int) // stable closure: the sequential par.ForEach stays allocation free
 }
 
-// shardViews points shard s's batch views at its row range.
-func (g *CGAN) shardViews(sh *ganShardScratch, lo, hi int) {
-	g.scr.bInv.ViewRows(lo, hi, &sh.bInv)
-	g.scr.bVar.ViewRows(lo, hi, &sh.bVar)
-	if g.cfg.Conditional {
-		g.scr.bLab.ViewRows(lo, hi, &sh.bLab)
+// phase builds an optimizer update: body runs on every shard, the shard
+// gradients of grads merge, and opt steps params.
+func (tr *trainer) phase(body shardBody, opt nn.Optimizer, params []*nn.Param, grads []*nn.ShardedNet, terms ...lossTerm) *phase {
+	p := &phase{
+		body: body, opt: opt, params: params, grads: grads, terms: terms,
+		parts: make([][]float64, tr.shards),
+		errs:  make([]error, tr.shards),
 	}
+	for s := range p.parts {
+		p.parts[s] = make([]float64, len(terms))
+	}
+	p.run = func(s int) {
+		t0 := time.Now()
+		lo, hi := tr.bounds[s], tr.bounds[s+1]
+		b := &tr.views[s]
+		tr.bInv.ViewRows(lo, hi, &b.inv)
+		tr.bVar.ViewRows(lo, hi, &b.vr)
+		if tr.lab != nil {
+			tr.bLab.ViewRows(lo, hi, &b.lab)
+		}
+		loss := p.parts[s]
+		clear(loss)
+		p.errs[s] = p.body(tr, s, b, loss)
+		tr.obs.OnTrainShard(tr.name, time.Since(t0).Seconds())
+	}
+	return p
 }
 
-// discShardInput assembles shard-local discriminator input.
-func (g *CGAN) discShardInput(sh *ganShardScratch, bVar *nn.Tensor) *nn.Tensor {
-	if g.cfg.Conditional {
-		return nn.ConcatInto(&sh.discIn, &sh.bInv, bVar, &sh.bLab)
-	}
-	return nn.ConcatInto(&sh.discIn, &sh.bInv, bVar)
-}
-
-// discShardBody is shard s of the discriminator step: real and fake passes
-// accumulate into replica s's gradient arena.
-func (g *CGAN) discShardBody(s int) {
-	t0 := time.Now()
-	shr := g.shr
-	sh := &shr.sh[s]
-	shr.errs[s] = nil
-	lo, hi := shr.bounds[s], shr.bounds[s+1]
-	rows := hi - lo
-	total := float64(shr.n)
-	g.shardViews(sh, lo, hi)
-	dn, gn := shr.disc.Net(s), shr.gen.Net(s)
-	shr.disc.SeedDropouts(s, shardSeed(g.cfg.Seed, shr.step, phaseDiscDropout, s))
-	sh.terms = constTargetsInto(sh.terms, rows, 0)
-	// Real pass.
-	realOut := dn.ForwardT(g.discShardInput(sh, &sh.bVar), true)
-	sh.targets = constTargetsInto(sh.targets, rows, 0.9)
-	lossReal, err := nn.BCEWithLogitsTN(realOut, sh.targets, &sh.grad, sh.terms, total)
-	if err != nil {
-		shr.errs[s] = err
-		return
-	}
-	dn.BackwardT(&sh.grad)
-	// Fake pass (generator output detached, as in the sequential path).
-	sh.rng.Seed(shardSeed(g.cfg.Seed, shr.step, phaseDiscNoise, s))
-	gaussianNoiseInto(&sh.noise, rows, g.cfg.NoiseDim, sh.rng)
-	fake := gn.ForwardT(nn.ConcatInto(&sh.genIn, &sh.bInv, &sh.noise), true)
-	fakeOut := dn.ForwardT(g.discShardInput(sh, fake), true)
-	sh.targets = constTargetsInto(sh.targets, rows, 0)
-	lossFake, err := nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, sh.terms, total)
-	if err != nil {
-		shr.errs[s] = err
-		return
-	}
-	dn.BackwardT(&sh.grad)
-	shr.dReal[s], shr.dFake[s] = lossReal, lossFake
-	g.cfg.Obs.OnTrainShard(g.Name(), time.Since(t0).Seconds())
-}
-
-// genShardBody is shard s of the generator step.
-func (g *CGAN) genShardBody(s int) {
-	t0 := time.Now()
-	shr := g.shr
-	sh := &shr.sh[s]
-	shr.errs[s] = nil
-	shr.gMSE[s] = 0
-	lo, hi := shr.bounds[s], shr.bounds[s+1]
-	rows := hi - lo
-	total := float64(shr.n)
-	g.shardViews(sh, lo, hi)
-	dn, gn := shr.disc.Net(s), shr.gen.Net(s)
-	shr.disc.SeedDropouts(s, shardSeed(g.cfg.Seed, shr.step, phaseGenDropout, s))
-	sh.rng.Seed(shardSeed(g.cfg.Seed, shr.step, phaseGenNoise, s))
-	gaussianNoiseInto(&sh.noise, rows, g.cfg.NoiseDim, sh.rng)
-	fake := gn.ForwardT(nn.ConcatInto(&sh.genIn, &sh.bInv, &sh.noise), true)
-	fakeOut := dn.ForwardT(g.discShardInput(sh, fake), true)
-	sh.targets = constTargetsInto(sh.targets, rows, 1)
-	lossBCE, err := nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, sh.terms, total)
-	if err != nil {
-		shr.errs[s] = err
-		return
-	}
-	gradDIn := dn.BackwardT(&sh.grad)
-	gradFake := sh.gradFake.Reset(rows, g.varDim)
-	for i := 0; i < rows; i++ {
-		copy(gradFake.Row(i), gradDIn.Row(i)[g.invDim:g.invDim+g.varDim])
-	}
-	if g.cfg.AnchorWeight > 0 {
-		lossMSE, err := nn.MSETN(fake, &sh.bVar, &sh.gradMSE, float64(shr.n*g.varDim))
+// run executes p over the current minibatch and returns its loss.
+func (tr *trainer) run(p *phase) (float64, error) {
+	eff := len(tr.bounds) - 1
+	par.ForEach(tr.workers, eff, p.run)
+	for _, err := range p.errs[:eff] {
 		if err != nil {
-			shr.errs[s] = err
-			return
-		}
-		w := g.cfg.AnchorWeight * float64(g.varDim)
-		gf, gm := gradFake.Data(), sh.gradMSE.Data()
-		for i := range gf {
-			gf[i] += w * gm[i]
-		}
-		shr.gMSE[s] = lossMSE
-	}
-	gn.BackwardT(gradFake)
-	shr.gBCE[s] = lossBCE
-	g.cfg.Obs.OnTrainShard(g.Name(), time.Since(t0).Seconds())
-}
-
-// discStepSharded is the data-parallel discriminator step. It advances the
-// step counter (one increment per batch; the generator step that follows
-// shares it, distinguished by phase tags).
-func (g *CGAN) discStepSharded(opt nn.Optimizer, discParams []*nn.Param) (float64, error) {
-	shr := g.shr
-	shr.step++
-	shr.n = g.scr.bInv.Rows()
-	shr.bounds = par.ShardBounds(shr.bounds, shr.n, g.cfg.Shards, shardMinRows)
-	eff := len(shr.bounds) - 1
-	par.ForEach(g.cfg.Workers, eff, shr.discBody)
-	for s := 0; s < eff; s++ {
-		if shr.errs[s] != nil {
-			return 0, shr.errs[s]
+			return 0, err
 		}
 	}
-	shr.disc.ReduceGrads(g.cfg.Workers)
-	opt.Step(discParams) // zeroes the canonical grads it consumed
-	// The fake pass ran the generator replicas' batch norms with deferred
-	// statistics: fold them into the canonical generator, in shard order.
-	shr.gen.FoldBatchStats()
+	for _, sn := range p.grads {
+		sn.ReduceGrads(tr.workers)
+	}
+	p.opt.Step(p.params) // zeroes the canonical grads it consumed
+	for _, sn := range tr.nets {
+		sn.FoldBatchStats()
+	}
 	var loss float64
-	for s := 0; s < eff; s++ {
-		loss += shr.dReal[s] + shr.dFake[s]
-	}
-	return loss / float64(shr.n), nil
-}
-
-// genStepSharded is the data-parallel generator step for the batch the
-// preceding discStepSharded processed.
-func (g *CGAN) genStepSharded(opt nn.Optimizer, genParams []*nn.Param) (float64, error) {
-	shr := g.shr
-	eff := len(shr.bounds) - 1
-	par.ForEach(g.cfg.Workers, eff, shr.genBody)
-	for s := 0; s < eff; s++ {
-		if shr.errs[s] != nil {
-			return 0, shr.errs[s]
+	for t, term := range p.terms {
+		var sum float64
+		for s := 0; s < eff; s++ {
+			sum += p.parts[s][t]
 		}
-	}
-	shr.gen.ReduceGrads(g.cfg.Workers)
-	opt.Step(genParams)
-	shr.gen.FoldBatchStats()
-	// Backing the adversarial gradient through D leaked gradients into the
-	// disc arenas of every shard that ran; drop them (the sequential path's
-	// ZeroGrads(discParams), per arena).
-	par.ForEach(g.cfg.Workers, eff, shr.zeroDisc)
-	var bce, mse float64
-	for s := 0; s < eff; s++ {
-		bce += shr.gBCE[s]
-		mse += shr.gMSE[s]
-	}
-	loss := bce / float64(shr.n)
-	if g.cfg.AnchorWeight > 0 {
-		w := g.cfg.AnchorWeight * float64(g.varDim)
-		loss += w * (mse / float64(shr.n*g.varDim))
+		loss += term.weight * (sum / float64(tr.n*term.per))
 	}
 	return loss, nil
 }
 
-// vaeShardScratch is one VAE shard's private buffers.
-type vaeShardScratch struct {
-	bInv, bVar nn.Tensor // views
-	encIn      nn.Tensor
-	eps, z     nn.Tensor
-	decIn      nn.Tensor
-	gradRecon  nn.Tensor
-	gradEnc    nn.Tensor
-	rng        *rand.Rand
-}
-
-// vaeShards is the VAE's sharded-training state.
-type vaeShards struct {
-	enc, dec *nn.ShardedNet
-	bounds   []int
-	step     int
-	n        int
-	sh       []vaeShardScratch
-	recon    []float64
-	errs     []error
-	body     func(int)
-}
-
-func newVAEShards(v *VAE) *vaeShards {
-	k := v.cfg.Shards
-	shr := &vaeShards{
-		enc:   nn.NewSharded(v.encoder, k),
-		dec:   nn.NewSharded(v.decoder, k),
-		sh:    make([]vaeShardScratch, k),
-		recon: make([]float64, k),
-		errs:  make([]error, k),
-	}
-	for i := range shr.sh {
-		shr.sh[i].rng = nn.NewShardRand(0)
-	}
-	shr.body = v.shardBody
-	return shr
-}
-
-// shardBody is shard s of one VAE minibatch update.
-func (v *VAE) shardBody(s int) {
-	t0 := time.Now()
-	shr := v.shr
-	sh := &shr.sh[s]
-	shr.errs[s] = nil
-	lo, hi := shr.bounds[s], shr.bounds[s+1]
-	rows := hi - lo
-	ld := v.cfg.LatentDim
-	v.scr.bInv.ViewRows(lo, hi, &sh.bInv)
-	v.scr.bVar.ViewRows(lo, hi, &sh.bVar)
-
-	encOut := shr.enc.Net(s).ForwardT(nn.ConcatInto(&sh.encIn, &sh.bInv, &sh.bVar), true)
-	sh.rng.Seed(shardSeed(v.cfg.Seed, shr.step, phaseVAENoise, s))
-	gaussianNoiseInto(&sh.eps, rows, ld, sh.rng)
-	z := sh.z.Reset(rows, ld)
-	for i := 0; i < rows; i++ {
-		enc := encOut.Row(i)
-		mu, logvar := enc[:ld], enc[ld:]
-		epsRow := sh.eps.Row(i)
-		zi := z.Row(i)
-		for k := 0; k < ld; k++ {
-			lv := clamp(logvar[k], -8, 8)
-			zi[k] = mu[k] + math.Exp(0.5*lv)*epsRow[k]
+// fit is the epoch loop every reconstructor shares. Each epoch shuffles the
+// rows into minibatches with the model's rng, gathers each batch (with its
+// lab rows when lab is non-nil), splits it into shards, and runs the phases
+// in order. The last phase's per-epoch mean loss is reported as the
+// generator loss; two phases make an adversarial step whose first phase is
+// the discriminator's.
+func (tr *trainer) fit(epochs, batchSize int, lab [][]float64, phases ...*phase) error {
+	tr.lab = lab
+	sums := make([]float64, len(phases))
+	bestLoss := math.Inf(1)
+	convergedEpoch := 0
+	for epoch := 0; epoch < epochs; epoch++ {
+		clear(sums)
+		tr.perm, tr.batches = nn.MinibatchesInto(len(tr.inv), batchSize, tr.rng, tr.perm, tr.batches)
+		for _, idx := range tr.batches {
+			nn.GatherInto(&tr.bInv, tr.inv, idx)
+			nn.GatherInto(&tr.bVar, tr.vr, idx)
+			if lab != nil {
+				nn.GatherInto(&tr.bLab, lab, idx)
+			}
+			tr.n = len(idx)
+			tr.bounds = par.ShardBounds(tr.bounds, tr.n, tr.shards, shardMinRows)
+			tr.step++
+			for i, p := range phases {
+				loss, err := tr.run(p)
+				if err != nil {
+					return fmt.Errorf("core: %s epoch %d: %w", tr.name, epoch, err)
+				}
+				sums[i] += loss
+			}
 		}
-	}
-
-	recon := shr.dec.Net(s).ForwardT(nn.ConcatInto(&sh.decIn, &sh.bInv, z), true)
-	lossRecon, err := nn.MSETN(recon, &sh.bVar, &sh.gradRecon, float64(shr.n*v.varDim))
-	if err != nil {
-		shr.errs[s] = err
-		return
-	}
-	gradDecIn := shr.dec.Net(s).BackwardT(&sh.gradRecon)
-
-	// KL term normalized by the FULL batch, like the sequential path.
-	klNorm := v.cfg.KLWeight / float64(shr.n*ld)
-	gradEnc := sh.gradEnc.Reset(rows, 2*ld)
-	for i := 0; i < rows; i++ {
-		enc := encOut.Row(i)
-		mu, logvar := enc[:ld], enc[ld:]
-		epsRow := sh.eps.Row(i)
-		dec := gradDecIn.Row(i)
-		ge := gradEnc.Row(i)
-		for k := 0; k < ld; k++ {
-			lv := clamp(logvar[k], -8, 8)
-			dz := dec[v.invDim+k]
-			ge[k] = dz + klNorm*mu[k]
-			ge[ld+k] = dz*0.5*math.Exp(0.5*lv)*epsRow[k] +
-				klNorm*0.5*(math.Exp(lv)-1)
+		batches := float64(len(tr.batches))
+		e := obs.TrainEpoch{Model: tr.name, Epoch: epoch, GenLoss: sums[len(sums)-1] / batches}
+		if len(phases) == 2 {
+			e.DiscLoss, e.Adversarial = sums[0]/batches, true
 		}
-	}
-	shr.enc.Net(s).BackwardT(gradEnc)
-	shr.recon[s] = lossRecon
-	v.cfg.Obs.OnTrainShard(v.Name(), time.Since(t0).Seconds())
-}
-
-// stepSharded is the data-parallel VAE minibatch update.
-func (v *VAE) stepSharded(opt nn.Optimizer, params []*nn.Param) (float64, error) {
-	shr := v.shr
-	shr.step++
-	shr.n = v.scr.bInv.Rows()
-	shr.bounds = par.ShardBounds(shr.bounds, shr.n, v.cfg.Shards, shardMinRows)
-	eff := len(shr.bounds) - 1
-	par.ForEach(v.cfg.Workers, eff, shr.body)
-	for s := 0; s < eff; s++ {
-		if shr.errs[s] != nil {
-			return 0, shr.errs[s]
+		if e.GenLoss < bestLoss {
+			bestLoss = e.GenLoss
+			convergedEpoch = epoch + 1
 		}
+		tr.obs.OnTrainEpoch(e)
 	}
-	shr.enc.ReduceGrads(v.cfg.Workers)
-	shr.dec.ReduceGrads(v.cfg.Workers)
-	opt.Step(params)
-	shr.dec.FoldBatchStats() // encoder has no batch norms
-	var loss float64
-	for s := 0; s < eff; s++ {
-		loss += shr.recon[s]
-	}
-	return loss / float64(shr.n*v.varDim), nil
-}
-
-// aeShardScratch is one VanillaAE shard's private buffers.
-type aeShardScratch struct {
-	bInv, bVar nn.Tensor // views
-	grad       nn.Tensor
-}
-
-// aeShards is the VanillaAE's sharded-training state.
-type aeShards struct {
-	net    *nn.ShardedNet
-	bounds []int
-	n      int
-	sh     []aeShardScratch
-	loss   []float64
-	errs   []error
-	body   func(int)
-}
-
-func newAEShards(a *VanillaAE) *aeShards {
-	k := a.cfg.Shards
-	shr := &aeShards{
-		net:  nn.NewSharded(a.net, k),
-		sh:   make([]aeShardScratch, k),
-		loss: make([]float64, k),
-		errs: make([]error, k),
-	}
-	shr.body = a.shardBody
-	return shr
-}
-
-// shardBody is shard s of one VanillaAE minibatch update. The network is
-// deterministic given its input (no noise, no dropout), so no reseeding is
-// needed; batch-norm statistics still defer and fold in shard order.
-func (a *VanillaAE) shardBody(s int) {
-	t0 := time.Now()
-	shr := a.shr
-	sh := &shr.sh[s]
-	shr.errs[s] = nil
-	lo, hi := shr.bounds[s], shr.bounds[s+1]
-	a.bInv.ViewRows(lo, hi, &sh.bInv)
-	a.bVar.ViewRows(lo, hi, &sh.bVar)
-	out := shr.net.Net(s).ForwardT(&sh.bInv, true)
-	loss, err := nn.MSETN(out, &sh.bVar, &sh.grad, float64(shr.n*a.varDim))
-	if err != nil {
-		shr.errs[s] = err
-		return
-	}
-	shr.net.Net(s).BackwardT(&sh.grad)
-	shr.loss[s] = loss
-	a.cfg.Obs.OnTrainShard(a.Name(), time.Since(t0).Seconds())
-}
-
-// stepSharded is the data-parallel VanillaAE minibatch update.
-func (a *VanillaAE) stepSharded(opt nn.Optimizer, params []*nn.Param) (float64, error) {
-	shr := a.shr
-	shr.n = a.bInv.Rows()
-	shr.bounds = par.ShardBounds(shr.bounds, shr.n, a.cfg.Shards, shardMinRows)
-	eff := len(shr.bounds) - 1
-	par.ForEach(a.cfg.Workers, eff, shr.body)
-	for s := 0; s < eff; s++ {
-		if shr.errs[s] != nil {
-			return 0, shr.errs[s]
-		}
-	}
-	shr.net.ReduceGrads(a.cfg.Workers)
-	opt.Step(params)
-	shr.net.FoldBatchStats()
-	var loss float64
-	for s := 0; s < eff; s++ {
-		loss += shr.loss[s]
-	}
-	return loss / float64(shr.n*a.varDim), nil
+	tr.obs.OnTrainDone(obs.TrainDone{Model: tr.name, Epochs: epochs, ConvergedEpoch: convergedEpoch})
+	return nil
 }

@@ -1,15 +1,26 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"netdrift/internal/nn"
 	"netdrift/internal/obs"
+	"netdrift/internal/par"
 )
+
+// epochAllocBudget bounds the heap objects one steady-state training epoch
+// may allocate: slack for runtime noise only, below the fixture's three
+// minibatches per epoch, so a single per-batch allocation anywhere in the
+// shard bodies, the fold or the optimizer fails the gate.
+const epochAllocBudget = 2
 
 // mallocsDuring counts heap allocations performed by f.
 func mallocsDuring(f func()) uint64 {
@@ -69,46 +80,57 @@ func (r *epochRecorder) Done(d obs.TrainDone) {
 	r.events = append(r.events, fmt.Sprintf("done %s %d %d", d.Model, d.Epochs, d.ConvergedEpoch))
 }
 
-// fitModel trains one reconstructor at the given worker count and returns
-// the snapshots of its trained networks plus the hook event stream.
+// testRecon builds the fixture's reconstructor of the given kind: a small
+// network trained for epochs epochs at the given shard and worker counts.
+func testRecon(model string, epochs, shards, workers int, o *obs.Observer) Reconstructor {
+	switch model {
+	case "GAN", "NoCond":
+		return NewCGAN(GANConfig{
+			Epochs: epochs, BatchSize: 32, Seed: 7, Hidden: 16, NoiseDim: 4,
+			Conditional: model == "GAN",
+			Shards:      shards, Workers: workers, Obs: o,
+		})
+	case "VAE":
+		return NewVAE(VAEConfig{
+			Epochs: epochs, BatchSize: 32, Seed: 7, Hidden: 16, LatentDim: 4,
+			Shards: shards, Workers: workers, Obs: o,
+		})
+	case "VanillaAE":
+		return NewVanillaAE(VAEConfig{
+			Epochs: epochs, BatchSize: 32, Seed: 7, Hidden: 16,
+			Shards: shards, Workers: workers, Obs: o,
+		})
+	}
+	panic(fmt.Sprintf("unknown model %q", model))
+}
+
+// reconSnapshots returns the snapshots of r's trained networks.
+func reconSnapshots(r Reconstructor) []*nn.Snapshot {
+	switch r := r.(type) {
+	case *CGAN:
+		return r.Snapshots()
+	case *VAE:
+		return []*nn.Snapshot{nn.TakeSnapshot(r.encoder), nn.TakeSnapshot(r.decoder)}
+	case *VanillaAE:
+		return []*nn.Snapshot{nn.TakeSnapshot(r.net)}
+	}
+	panic(fmt.Sprintf("unknown reconstructor %T", r))
+}
+
+// fitModel trains one reconstructor at the given shard and worker counts
+// and returns the snapshots of its trained networks plus the hook event
+// stream.
 func fitModel(t *testing.T, model string, shards, workers int) ([]*nn.Snapshot, []string) {
 	t.Helper()
 	inv, vr, y := shardTrainData(96, 4, 3, 11)
 	rec := &epochRecorder{}
 	o := obs.New()
 	o.Train = rec
-	switch model {
-	case "GAN", "NoCond":
-		g := NewCGAN(GANConfig{
-			Epochs: 3, BatchSize: 32, Seed: 7, Hidden: 16, NoiseDim: 4,
-			Conditional: model == "GAN",
-			Shards:      shards, Workers: workers, Obs: o,
-		})
-		if err := g.Fit(inv, vr, y, 2); err != nil {
-			t.Fatalf("%s fit: %v", model, err)
-		}
-		return []*nn.Snapshot{nn.TakeSnapshot(g.gen), nn.TakeSnapshot(g.disc)}, rec.events
-	case "VAE":
-		v := NewVAE(VAEConfig{
-			Epochs: 3, BatchSize: 32, Seed: 7, Hidden: 16, LatentDim: 4,
-			Shards: shards, Workers: workers, Obs: o,
-		})
-		if err := v.Fit(inv, vr, nil, 0); err != nil {
-			t.Fatalf("vae fit: %v", err)
-		}
-		return []*nn.Snapshot{nn.TakeSnapshot(v.encoder), nn.TakeSnapshot(v.decoder)}, rec.events
-	case "VanillaAE":
-		a := NewVanillaAE(VAEConfig{
-			Epochs: 3, BatchSize: 32, Seed: 7, Hidden: 16,
-			Shards: shards, Workers: workers, Obs: o,
-		})
-		if err := a.Fit(inv, vr, nil, 0); err != nil {
-			t.Fatalf("ae fit: %v", err)
-		}
-		return []*nn.Snapshot{nn.TakeSnapshot(a.net)}, rec.events
+	r := testRecon(model, 3, shards, workers, o)
+	if err := r.Fit(inv, vr, y, 2); err != nil {
+		t.Fatalf("%s fit: %v", model, err)
 	}
-	t.Fatalf("unknown model %q", model)
-	return nil, nil
+	return reconSnapshots(r), rec.events
 }
 
 func snapshotsEqual(t *testing.T, model string, workers int, want, got []*nn.Snapshot) {
@@ -147,26 +169,29 @@ func snapshotsEqual(t *testing.T, model string, workers int, want, got []*nn.Sna
 }
 
 // TestShardedTrainingWorkerInvariance is the cross-worker determinism
-// matrix (DESIGN.md §5d): at a fixed shard count, the trained weights,
+// matrix (DESIGN.md §5f): at a fixed shard count, the trained weights,
 // batch-norm running statistics, and the obs hook event stream must be
-// byte-identical for every worker count.
+// byte-identical for every worker count. One shard runs through the same
+// harness as four.
 func TestShardedTrainingWorkerInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains 4 models x 4 worker counts")
+		t.Skip("trains 4 models x 2 shard counts x 4 worker counts")
 	}
 	for _, model := range []string{"GAN", "NoCond", "VAE", "VanillaAE"} {
 		model := model
 		t.Run(model, func(t *testing.T) {
-			refSnaps, refEvents := fitModel(t, model, 4, 1)
-			for _, workers := range []int{2, 3, 7} {
-				snaps, events := fitModel(t, model, 4, workers)
-				snapshotsEqual(t, model, workers, refSnaps, snaps)
-				if len(events) != len(refEvents) {
-					t.Fatalf("workers=%d: %d hook events, want %d", workers, len(events), len(refEvents))
-				}
-				for i := range refEvents {
-					if events[i] != refEvents[i] {
-						t.Fatalf("workers=%d hook event %d:\n got %s\nwant %s", workers, i, events[i], refEvents[i])
+			for _, shards := range []int{1, 4} {
+				refSnaps, refEvents := fitModel(t, model, shards, 1)
+				for _, workers := range []int{2, 3, 7} {
+					snaps, events := fitModel(t, model, shards, workers)
+					snapshotsEqual(t, fmt.Sprintf("%s shards=%d", model, shards), workers, refSnaps, snaps)
+					if len(events) != len(refEvents) {
+						t.Fatalf("shards=%d workers=%d: %d hook events, want %d", shards, workers, len(events), len(refEvents))
+					}
+					for i := range refEvents {
+						if events[i] != refEvents[i] {
+							t.Fatalf("shards=%d workers=%d hook event %d:\n got %s\nwant %s", shards, workers, i, events[i], refEvents[i])
+						}
 					}
 				}
 			}
@@ -218,32 +243,127 @@ func TestShardedTrainingRace(t *testing.T) {
 }
 
 // TestShardedEpochAllocs pins the per-epoch steady-state allocation budget of
-// the sharded trainers: after the first Fit warms every arena, additional
-// epochs must not allocate per batch (DESIGN.md §5c extends to §5d). Measured
-// at Workers=1 — goroutine startup allocates by design on parallel runs.
+// the training harness for every reconstructor kind, at one shard (the
+// default every unsharded Fit runs) and at four: after the first epoch warms
+// every arena, additional epochs must not allocate per batch (DESIGN.md
+// §5c). Measured at Workers=1 — goroutine startup allocates by design on
+// parallel runs.
 func TestShardedEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
 	inv, vr, y := shardTrainData(96, 4, 3, 11)
-
-	fit := func(epochs int) uint64 {
-		g := NewCGAN(GANConfig{
-			Epochs: epochs, BatchSize: 32, Seed: 7, Hidden: 16, NoiseDim: 4,
-			Conditional: true, Shards: 4, Workers: 1,
-		})
-		if err := g.Fit(inv, vr, y, 2); err != nil {
-			t.Fatalf("gan fit: %v", err)
+	for _, model := range []string{"GAN", "NoCond", "VAE", "VanillaAE"} {
+		for _, shards := range []int{1, 4} {
+			fit := func(epochs int) {
+				if err := testRecon(model, epochs, shards, 1, nil).Fit(inv, vr, y, 2); err != nil {
+					t.Fatalf("%s fit: %v", model, err)
+				}
+			}
+			fit(1) // warm any lazy runtime state
+			base := mallocsDuring(func() { fit(2) })
+			more := mallocsDuring(func() { fit(10) })
+			perEpoch := float64(int64(more)-int64(base)) / 8
+			if perEpoch > epochAllocBudget {
+				t.Errorf("%s shards=%d: epoch allocates %.1f objects in steady state, budget %d",
+					model, shards, perEpoch, epochAllocBudget)
+			}
 		}
-		return 0
 	}
-	fit(1) // warm any lazy runtime state
-	base := mallocsDuring(func() { fit(2) })
-	more := mallocsDuring(func() { fit(6) })
-	perEpoch := float64(int64(more)-int64(base)) / 4
-	// The fixed budget covers MinibatchesInto's permutation reslice and the
-	// obs epoch records; shard bodies themselves must be allocation free.
-	if perEpoch > 64 {
-		t.Fatalf("sharded gan epoch allocates %.1f objects/epoch in steady state, budget 64", perEpoch)
+}
+
+const trainFingerprintPath = "testdata/train_fingerprint.golden"
+
+// snapshotsHash hashes the bits of every parameter and running statistic.
+func snapshotsHash(snaps []*nn.Snapshot) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for _, s := range snaps {
+		for _, p := range s.Params {
+			for _, v := range p {
+				put(v)
+			}
+		}
+		for _, e := range s.Extra {
+			for _, st := range e {
+				for _, v := range st {
+					put(v)
+				}
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// trainFingerprint trains every reconstructor kind on the fitModel fixture
+// and renders one line per (kind, shard count): the weights and running
+// statistics hash, plus the hook event stream hash at Shards 0.
+func trainFingerprint(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	for _, model := range []string{"GAN", "NoCond", "VAE", "VanillaAE"} {
+		snaps, events := fitModel(t, model, 0, 1)
+		ev := sha256.Sum256([]byte(strings.Join(events, "\n")))
+		lines = append(lines, fmt.Sprintf("%s shards=0 state=%s events=%x", model, snapshotsHash(snaps), ev))
+		snaps, _ = fitModel(t, model, 4, 1)
+		lines = append(lines, fmt.Sprintf("%s shards=4 state=%s", model, snapshotsHash(snaps)))
+	}
+	return lines
+}
+
+// TestTrainingFingerprintGolden pins the trained weights, batch-norm running
+// statistics and (at Shards 0) the obs hook event stream of all four
+// reconstructor kinds to hashes recorded in testdata. A refactor of the
+// trainers must not move a single bit.
+func TestTrainingFingerprintGolden(t *testing.T) {
+	blob, err := os.ReadFile(trainFingerprintPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(blob)), "\n")
+	got := trainFingerprint(t)
+	if len(got) != len(want) {
+		t.Fatalf("%d fingerprint lines, golden has %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestPhaseLossFold pins the harness's per-term loss fold: each term's
+// shard partials are summed over every shard that ran, divided by the
+// full batch's rows × the term's per-row normalizer, and weighted into the
+// phase loss; a shard's error stops the phase before the optimizer steps.
+func TestPhaseLossFold(t *testing.T) {
+	tr := &trainer{name: "fold", shards: 4, workers: 1, views: make([]shardBatch, 4), n: 10}
+	tr.bInv.Reset(tr.n, 1)
+	tr.bVar.Reset(tr.n, 1)
+	tr.bounds = par.ShardBounds(nil, tr.n, tr.shards, shardMinRows)
+	failAt := -1
+	body := func(_ *trainer, s int, b *shardBatch, loss []float64) error {
+		if s == failAt {
+			return fmt.Errorf("shard %d failed", s)
+		}
+		loss[0] = float64(b.inv.Rows())  // sums to the batch's 10 rows
+		loss[1] = float64(100 * (s + 1)) // 100+200+300+400
+		return nil
+	}
+	p := tr.phase(body, nn.NewAdam(1e-3, 0), nil, nil, lossTerm{1, 1}, lossTerm{5, 0.5})
+	got, err := tr.run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 10.0/10 + 0.5*(1000.0/50); got != want {
+		t.Fatalf("folded loss %v, want %v", got, want)
+	}
+	failAt = 2
+	if _, err := tr.run(p); err == nil {
+		t.Fatal("a failing shard did not fail the phase")
 	}
 }

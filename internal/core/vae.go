@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -19,9 +18,10 @@ type VAEConfig struct {
 	KLWeight  float64 // default 0.05
 	Seed      int64
 	// Shards and Workers mirror GANConfig: Shards fixes the deterministic
-	// gradient-shard count (0/1 = sequential path) and is part of the
-	// reproducibility key; Workers only bounds the goroutines and never
-	// changes the trained bits. Never serialized.
+	// gradient-shard count (0 or 1 = one shard, drawing from the model's
+	// own seeded streams) and is part of the reproducibility key; Workers
+	// only bounds the goroutines and never changes the trained bits. Never
+	// serialized.
 	Shards  int `json:"-"`
 	Workers int `json:"-"`
 	// Obs, when non-nil, receives per-epoch training losses. It never
@@ -63,21 +63,17 @@ type VAE struct {
 	rng            *rand.Rand
 	fixedZ         []float64 // pinned inference latent (mirrors the GAN's M=1)
 	trained        bool
-	scr            vaeScratch
-	shr            *vaeShards // sharded-training state; nil on the sequential path
+
+	// Training state: the shard replicas and each shard's reused buffers.
+	senc, sdec *nn.ShardedNet
+	sh         []vaeShard
 }
 
-// vaeScratch holds the per-batch buffers reused across the whole training
-// run (steady-state epochs allocate nothing; see DESIGN.md §5c).
-type vaeScratch struct {
-	perm      []int
-	batches   [][]int
-	bInv      nn.Tensor
-	bVar      nn.Tensor
-	encIn     nn.Tensor // [bInv | bVar]
-	eps       nn.Tensor
-	z         nn.Tensor
-	decIn     nn.Tensor // [bInv | z]
+// vaeShard is one VAE shard's private training buffers.
+type vaeShard struct {
+	encIn     nn.Tensor // [inv | var]
+	eps, z    nn.Tensor
+	decIn     nn.Tensor // [inv | z]
 	gradRecon nn.Tensor
 	gradEnc   nn.Tensor
 }
@@ -93,14 +89,15 @@ func NewVAE(cfg VAEConfig) *VAE {
 func (v *VAE) Name() string { return "VAE" }
 
 // Fit trains encoder and decoder with the reparameterization trick.
-func (v *VAE) Fit(inv, vr [][]float64, _ []int, _ int) error {
-	if len(inv) == 0 || len(inv) != len(vr) {
-		return fmt.Errorf("core: vae fit needs matching inv/var rows (%d, %d)", len(inv), len(vr))
+func (v *VAE) Fit(inv, vr [][]float64, y []int, _ int) error {
+	tr, err := newTrainer(v.Name(), trainOpts{v.cfg.Seed, v.cfg.Shards, v.cfg.Workers, v.cfg.Obs}, inv, vr, y, false)
+	if err != nil {
+		return err
 	}
 	v.invDim = len(inv[0])
 	v.varDim = len(vr[0])
 	v.cfg.applyDefaults(v.invDim + v.varDim)
-	v.rng = rand.New(rand.NewSource(v.cfg.Seed))
+	v.rng = tr.rng
 
 	h := v.cfg.Hidden
 	ld := v.cfg.LatentDim
@@ -121,66 +118,34 @@ func (v *VAE) Fit(inv, vr [][]float64, _ []int, _ int) error {
 		nn.NewDense(h+v.invDim+ld, v.varDim, v.rng),
 		nn.NewTanh(),
 	)
-	opt := nn.NewAdam(v.cfg.LR, 1e-6)
-	params := append(v.encoder.Params(), v.decoder.Params()...)
-	if v.cfg.Shards > 1 {
-		v.shr = newVAEShards(v)
+	v.senc, v.sdec = tr.net(v.encoder), tr.net(v.decoder)
+	v.sh = make([]vaeShard, tr.shards)
+	// The monitored loss is the reconstruction MSE; the KL term is folded
+	// into the gradients only.
+	step := tr.phase(v.shard, nn.NewAdam(v.cfg.LR, 1e-6), append(v.encoder.Params(), v.decoder.Params()...),
+		[]*nn.ShardedNet{v.senc, v.sdec}, lossTerm{v.varDim, 1})
+	if err := tr.fit(v.cfg.Epochs, v.cfg.BatchSize, nil, step); err != nil {
+		return err
 	}
-
-	n := len(inv)
-	bestLoss := math.Inf(1)
-	convergedEpoch := 0
-	scr := &v.scr
-	for epoch := 0; epoch < v.cfg.Epochs; epoch++ {
-		var lossSum float64
-		var batches int
-		scr.perm, scr.batches = nn.MinibatchesInto(n, v.cfg.BatchSize, v.rng, scr.perm, scr.batches)
-		for _, idx := range scr.batches {
-			nn.GatherInto(&scr.bInv, inv, idx)
-			nn.GatherInto(&scr.bVar, vr, idx)
-			var loss float64
-			var err error
-			if v.shr != nil {
-				loss, err = v.stepSharded(opt, params)
-			} else {
-				loss, err = v.step(opt, params)
-			}
-			if err != nil {
-				return fmt.Errorf("core: vae epoch %d: %w", epoch, err)
-			}
-			lossSum += loss
-			batches++
-		}
-		if batches > 0 {
-			mean := lossSum / float64(batches)
-			if mean < bestLoss {
-				bestLoss = mean
-				convergedEpoch = epoch + 1
-			}
-			v.cfg.Obs.OnTrainEpoch(obs.TrainEpoch{Model: v.Name(), Epoch: epoch, GenLoss: mean})
-		}
-	}
-	v.cfg.Obs.OnTrainDone(obs.TrainDone{Model: v.Name(), Epochs: v.cfg.Epochs, ConvergedEpoch: convergedEpoch})
 	v.fixedZ = make([]float64, v.cfg.LatentDim) // prior mean
 	v.trained = true
 	return nil
 }
 
-// step runs one minibatch update and returns the reconstruction MSE (the
-// monitored loss; the KL term is folded into the gradients only). The batch
-// lives in v.scr (bInv/bVar), gathered by Fit.
-func (v *VAE) step(opt nn.Optimizer, params []*nn.Param) (float64, error) {
-	scr := &v.scr
-	n := scr.bInv.Rows()
+// shard is shard s of one VAE minibatch update. Loss term: the
+// reconstruction squared-error sum.
+func (v *VAE) shard(tr *trainer, s int, b *shardBatch, loss []float64) error {
+	sh := &v.sh[s]
+	rows := b.inv.Rows()
 	ld := v.cfg.LatentDim
 
-	encOut := v.encoder.ForwardT(nn.ConcatInto(&scr.encIn, &scr.bInv, &scr.bVar), true)
-	gaussianNoiseInto(&scr.eps, n, ld, v.rng)
-	z := scr.z.Reset(n, ld)
-	for i := 0; i < n; i++ {
+	encOut := v.senc.Net(s).ForwardT(nn.ConcatInto(&sh.encIn, &b.inv, &b.vr), true)
+	gaussianNoiseInto(&sh.eps, rows, ld, tr.rand(s, phaseVAENoise))
+	z := sh.z.Reset(rows, ld)
+	for i := 0; i < rows; i++ {
 		enc := encOut.Row(i)
 		mu, logvar := enc[:ld], enc[ld:]
-		epsRow := scr.eps.Row(i)
+		epsRow := sh.eps.Row(i)
 		zi := z.Row(i)
 		for k := 0; k < ld; k++ {
 			lv := clamp(logvar[k], -8, 8)
@@ -188,36 +153,36 @@ func (v *VAE) step(opt nn.Optimizer, params []*nn.Param) (float64, error) {
 		}
 	}
 
-	recon := v.decoder.ForwardT(nn.ConcatInto(&scr.decIn, &scr.bInv, z), true)
-	lossRecon, err := nn.MSET(recon, &scr.bVar, &scr.gradRecon)
-	if err != nil {
-		return 0, err
+	dec := v.sdec.Net(s)
+	recon := dec.ForwardT(nn.ConcatInto(&sh.decIn, &b.inv, z), true)
+	var err error
+	if loss[0], err = nn.MSETN(recon, &b.vr, &sh.gradRecon, float64(tr.n*v.varDim)); err != nil {
+		return err
 	}
-	gradDecIn := v.decoder.BackwardT(&scr.gradRecon)
+	gradDecIn := dec.BackwardT(&sh.gradRecon)
 
 	// Assemble encoder-output gradient: reconstruction path through z plus
-	// the KL term, normalized per latent unit like the MSE. encOut is still
-	// the encoder's live output scratch — no encoder pass has run since.
-	klNorm := v.cfg.KLWeight / float64(n*ld)
-	gradEnc := scr.gradEnc.Reset(n, 2*ld)
-	for i := 0; i < n; i++ {
+	// the KL term, normalized per latent unit of the FULL batch like the
+	// MSE. encOut is still the encoder's live output scratch — no encoder
+	// pass has run since.
+	klNorm := v.cfg.KLWeight / float64(tr.n*ld)
+	gradEnc := sh.gradEnc.Reset(rows, 2*ld)
+	for i := 0; i < rows; i++ {
 		enc := encOut.Row(i)
 		mu, logvar := enc[:ld], enc[ld:]
-		epsRow := scr.eps.Row(i)
-		dec := gradDecIn.Row(i)
+		epsRow := sh.eps.Row(i)
+		dz := gradDecIn.Row(i)[v.invDim:]
 		ge := gradEnc.Row(i)
 		for k := 0; k < ld; k++ {
 			lv := clamp(logvar[k], -8, 8)
-			dz := dec[v.invDim+k]
 			// dz/dmu = 1; dz/dlogvar = 0.5·exp(0.5·lv)·eps.
-			ge[k] = dz + klNorm*mu[k]                      // dKL/dmu = mu
-			ge[ld+k] = dz*0.5*math.Exp(0.5*lv)*epsRow[k] + //
+			ge[k] = dz[k] + klNorm*mu[k]                      // dKL/dmu = mu
+			ge[ld+k] = dz[k]*0.5*math.Exp(0.5*lv)*epsRow[k] + //
 				klNorm*0.5*(math.Exp(lv)-1) // dKL/dlogvar = (exp(lv)-1)/2
 		}
 	}
-	v.encoder.BackwardT(gradEnc)
-	opt.Step(params)
-	return lossRecon, nil
+	v.senc.Net(s).BackwardT(gradEnc)
+	return nil
 }
 
 // ReconstructT implements Reconstructor: the decoder runs on
@@ -247,12 +212,9 @@ type VanillaAE struct {
 	invDim, varDim int
 	trained        bool
 
-	// training scratch, reused across batches
-	perm       []int
-	batches    [][]int
-	bInv, bVar nn.Tensor
-	grad       nn.Tensor
-	shr        *aeShards // sharded-training state; nil on the sequential path
+	// Training state: the shard replicas and each shard's gradient buffer.
+	snet  *nn.ShardedNet
+	grads []nn.Tensor
 }
 
 var _ Reconstructor = (*VanillaAE)(nil)
@@ -266,70 +228,49 @@ func NewVanillaAE(cfg VAEConfig) *VanillaAE {
 func (a *VanillaAE) Name() string { return "VanillaAE" }
 
 // Fit trains the regression network with MSE.
-func (a *VanillaAE) Fit(inv, vr [][]float64, _ []int, _ int) error {
-	if len(inv) == 0 || len(inv) != len(vr) {
-		return fmt.Errorf("core: ae fit needs matching inv/var rows (%d, %d)", len(inv), len(vr))
+func (a *VanillaAE) Fit(inv, vr [][]float64, y []int, _ int) error {
+	tr, err := newTrainer(a.Name(), trainOpts{a.cfg.Seed, a.cfg.Shards, a.cfg.Workers, a.cfg.Obs}, inv, vr, y, false)
+	if err != nil {
+		return err
 	}
 	a.invDim = len(inv[0])
 	a.varDim = len(vr[0])
 	a.cfg.applyDefaults(a.invDim + a.varDim)
-	rng := rand.New(rand.NewSource(a.cfg.Seed))
 	h := a.cfg.Hidden
 	a.net = nn.NewNetwork(
 		nn.NewSkipConcat(nn.NewNetwork(
-			nn.NewDense(a.invDim, h, rng),
+			nn.NewDense(a.invDim, h, tr.rng),
 			nn.NewBatchNorm(h),
 			nn.NewReLU(),
-			nn.NewDense(h, h, rng),
+			nn.NewDense(h, h, tr.rng),
 			nn.NewBatchNorm(h),
 			nn.NewReLU(),
 		)),
-		nn.NewDense(h+a.invDim, a.varDim, rng),
+		nn.NewDense(h+a.invDim, a.varDim, tr.rng),
 		nn.NewTanh(),
 	)
-	opt := nn.NewAdam(a.cfg.LR, 1e-6)
-	params := a.net.Params()
-	if a.cfg.Shards > 1 {
-		a.shr = newAEShards(a)
+	a.snet = tr.net(a.net)
+	a.grads = make([]nn.Tensor, tr.shards)
+	step := tr.phase(a.shard, nn.NewAdam(a.cfg.LR, 1e-6), a.net.Params(),
+		[]*nn.ShardedNet{a.snet}, lossTerm{a.varDim, 1})
+	if err := tr.fit(a.cfg.Epochs, a.cfg.BatchSize, nil, step); err != nil {
+		return err
 	}
-	bestLoss := math.Inf(1)
-	convergedEpoch := 0
-	for epoch := 0; epoch < a.cfg.Epochs; epoch++ {
-		var lossSum float64
-		var batches int
-		a.perm, a.batches = nn.MinibatchesInto(len(inv), a.cfg.BatchSize, rng, a.perm, a.batches)
-		for _, idx := range a.batches {
-			nn.GatherInto(&a.bInv, inv, idx)
-			nn.GatherInto(&a.bVar, vr, idx)
-			var loss float64
-			var err error
-			if a.shr != nil {
-				loss, err = a.stepSharded(opt, params)
-			} else {
-				out := a.net.ForwardT(&a.bInv, true)
-				loss, err = nn.MSET(out, &a.bVar, &a.grad)
-				if err == nil {
-					a.net.BackwardT(&a.grad)
-					opt.Step(params)
-				}
-			}
-			if err != nil {
-				return fmt.Errorf("core: ae epoch %d: %w", epoch, err)
-			}
-			lossSum += loss
-			batches++
-		}
-		if batches > 0 {
-			mean := lossSum / float64(batches)
-			if mean < bestLoss {
-				bestLoss = mean
-				convergedEpoch = epoch + 1
-			}
-			a.cfg.Obs.OnTrainEpoch(obs.TrainEpoch{Model: a.Name(), Epoch: epoch, GenLoss: mean})
-		}
-	}
-	a.cfg.Obs.OnTrainDone(obs.TrainDone{Model: a.Name(), Epochs: a.cfg.Epochs, ConvergedEpoch: convergedEpoch})
 	a.trained = true
+	return nil
+}
+
+// shard is shard s of one VanillaAE minibatch update. The network is
+// deterministic given its input (no noise, no dropout). Loss term: the
+// squared-error sum.
+func (a *VanillaAE) shard(tr *trainer, s int, b *shardBatch, loss []float64) error {
+	net, grad := a.snet.Net(s), &a.grads[s]
+	out := net.ForwardT(&b.inv, true)
+	var err error
+	if loss[0], err = nn.MSETN(out, &b.vr, grad, float64(tr.n*a.varDim)); err != nil {
+		return err
+	}
+	net.BackwardT(grad)
 	return nil
 }
 

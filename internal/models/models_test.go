@@ -198,13 +198,16 @@ func TestFeatureGateInputGradient(t *testing.T) {
 	gate := nn.NewFeatureGate(3, rng)
 	x := [][]float64{{0.4, -0.8, 0.3}}
 	target := [][]float64{{0.1, 0.2, -0.3}}
-	var in, g nn.Tensor
+	var in, tgt, g nn.Tensor
+	tgt.SetFromRows(target)
+	// The batch-mean squared error: MSETN's sum over rows×cols.
+	count := float64(len(target) * len(target[0]))
 	lossFn := func() float64 {
-		l, _, _ := nn.MSE(gate.ForwardT(in.SetFromRows(x), true).ToRows(), target)
-		return l
+		l, _ := nn.MSETN(gate.ForwardT(in.SetFromRows(x), true), &tgt, &g, count)
+		return l / count
 	}
-	_, grad, _ := nn.MSE(gate.ForwardT(in.SetFromRows(x), true).ToRows(), target)
-	gin := gate.BackwardT(g.SetFromRows(grad)).ToRows()
+	lossFn()
+	gin := gate.BackwardT(&g).ToRows()
 	const h = 1e-5
 	for j := range x[0] {
 		orig := x[0][j]

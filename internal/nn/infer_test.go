@@ -38,9 +38,7 @@ func ganLikeNet(t *testing.T, in, hidden, out int) *Network {
 			target.Data()[i] = rng.NormFloat64()
 		}
 		o := net.ForwardT(x, true)
-		if _, err := MSET(o, target, &grad); err != nil {
-			t.Fatal(err)
-		}
+		mseMean(o, target, &grad)
 		net.BackwardT(&grad)
 		opt.Step(params)
 	}

@@ -61,122 +61,42 @@ func SoftmaxInto(dst, row []float64) {
 	}
 }
 
-// BCEWithLogits computes the mean binary cross-entropy between single-logit
-// rows and targets in {0,1} (or soft targets in [0,1]), with the gradient
-// w.r.t. the logits. Each logits row must have exactly one element.
-func BCEWithLogits(logits [][]float64, targets []float64) (float64, [][]float64, error) {
-	if len(logits) != len(targets) {
-		return 0, nil, fmt.Errorf("nn: %d logit rows for %d targets", len(logits), len(targets))
+// BCEWithLogitsTN is the binary cross-entropy between single-logit rows
+// and targets in {0,1} (or soft targets in [0,1]). The gradient w.r.t. the
+// logits is written into grad (reshaped to match logits) and normalized by
+// the caller's total; the returned loss is the plain sequential sum of the
+// per-row terms, unnormalized. A full-batch caller passes total = rows and
+// divides the sum by rows; a gradient shard passes the FULL batch's row
+// count and leaves the division to the shard fold (DESIGN.md §5f).
+func BCEWithLogitsTN(logits *Tensor, targets []float64, grad *Tensor, total float64) (float64, error) {
+	if logits.rows != len(targets) {
+		return 0, fmt.Errorf("nn: %d logit rows for %d targets", logits.rows, len(targets))
 	}
-	if len(logits) == 0 {
-		return 0, nil, fmt.Errorf("nn: empty batch")
+	if logits.rows == 0 {
+		return 0, fmt.Errorf("nn: empty batch")
 	}
-	n := float64(len(logits))
-	grad := make([][]float64, len(logits))
+	if logits.cols != 1 {
+		return 0, fmt.Errorf("nn: BCE logit rows have %d values, want 1", logits.cols)
+	}
+	grad.Reset(logits.rows, 1)
 	var loss float64
-	for i, row := range logits {
-		if len(row) != 1 {
-			return 0, nil, fmt.Errorf("nn: BCE logit row %d has %d values, want 1", i, len(row))
-		}
-		z := row[0]
+	for i := 0; i < logits.rows; i++ {
+		z := logits.data[i]
 		t := targets[i]
 		// Stable: log(1+exp(-|z|)) + max(z,0) - z·t
 		loss += math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z)))
 		sig := 1 / (1 + math.Exp(-z))
-		grad[i] = []float64{(sig - t) / n}
-	}
-	return loss / n, grad, nil
-}
-
-// BCEWithLogitsT is BCEWithLogits on the flat path: the gradient is written
-// into grad (reshaped to match logits) instead of freshly allocated. The
-// arithmetic — including the per-row accumulation order — matches
-// BCEWithLogits exactly.
-func BCEWithLogitsT(logits *Tensor, targets []float64, grad *Tensor) (float64, error) {
-	if logits.rows != len(targets) {
-		return 0, fmt.Errorf("nn: %d logit rows for %d targets", logits.rows, len(targets))
-	}
-	if logits.rows == 0 {
-		return 0, fmt.Errorf("nn: empty batch")
-	}
-	if logits.cols != 1 {
-		return 0, fmt.Errorf("nn: BCE logit rows have %d values, want 1", logits.cols)
-	}
-	n := float64(logits.rows)
-	grad.Reset(logits.rows, 1)
-	var loss float64
-	for i := 0; i < logits.rows; i++ {
-		z := logits.data[i]
-		t := targets[i]
-		loss += math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z)))
-		sig := 1 / (1 + math.Exp(-z))
-		grad.data[i] = (sig - t) / n
-	}
-	return loss / n, nil
-}
-
-// MSET is MSE on the flat path: the gradient is written into grad (reshaped
-// to match pred) instead of freshly allocated. Same two-pass arithmetic as
-// MSE, bit for bit.
-func MSET(pred, target *Tensor, grad *Tensor) (float64, error) {
-	if pred.rows != target.rows {
-		return 0, fmt.Errorf("nn: %d predictions for %d targets", pred.rows, target.rows)
-	}
-	if pred.rows == 0 {
-		return 0, fmt.Errorf("nn: empty batch")
-	}
-	if pred.cols != target.cols {
-		return 0, fmt.Errorf("nn: width mismatch %d vs %d", pred.cols, target.cols)
-	}
-	var loss float64
-	var count float64
-	grad.Reset(pred.rows, pred.cols)
-	for i, v := range pred.data {
-		d := v - target.data[i]
-		loss += d * d
-		grad.data[i] = 2 * d
-		count++
-	}
-	for i := range grad.data {
-		grad.data[i] /= count
-	}
-	return loss / count, nil
-}
-
-// BCEWithLogitsTN is the sharded-trainer form of BCEWithLogitsT: the
-// gradient is normalized by the caller's total (the FULL-batch row count,
-// not this shard's), and the returned loss is the raw, unnormalized sum of
-// the per-row loss terms, reduced with the fixed 4-lane vsum scheme.
-// Callers accumulate shard partials in shard-index order and divide by the
-// total once, which keeps the epoch loss independent of the worker count.
-// terms is caller scratch with len ≥ logits rows (per-row loss terms land
-// there before reduction so the function stays allocation free).
-func BCEWithLogitsTN(logits *Tensor, targets []float64, grad *Tensor, terms []float64, total float64) (float64, error) {
-	if logits.rows != len(targets) {
-		return 0, fmt.Errorf("nn: %d logit rows for %d targets", logits.rows, len(targets))
-	}
-	if logits.rows == 0 {
-		return 0, fmt.Errorf("nn: empty batch")
-	}
-	if logits.cols != 1 {
-		return 0, fmt.Errorf("nn: BCE logit rows have %d values, want 1", logits.cols)
-	}
-	grad.Reset(logits.rows, 1)
-	terms = terms[:logits.rows]
-	for i := 0; i < logits.rows; i++ {
-		z := logits.data[i]
-		t := targets[i]
-		terms[i] = math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z)))
-		sig := 1 / (1 + math.Exp(-z))
 		grad.data[i] = (sig - t) / total
 	}
-	return vsum(terms), nil
+	return loss, nil
 }
 
-// MSETN is the sharded-trainer form of MSET: the gradient is normalized by
-// the caller's total (the FULL-batch element count), and the returned loss
-// is the raw 4-lane sum of squared differences. See BCEWithLogitsTN for the
-// accumulation contract.
+// MSETN is the squared error between prediction and target batches: the
+// gradient 2(pred-target) is written into grad (reshaped to match pred)
+// and divided by the caller's total, and the returned loss is the plain
+// sequential sum of squared differences, unnormalized. See BCEWithLogitsTN
+// for the normalization contract; the mean squared error over a whole
+// batch is the sum divided by rows×columns.
 func MSETN(pred, target, grad *Tensor, total float64) (float64, error) {
 	if pred.rows != target.rows {
 		return 0, fmt.Errorf("nn: %d predictions for %d targets", pred.rows, target.rows)
@@ -188,42 +108,14 @@ func MSETN(pred, target, grad *Tensor, total float64) (float64, error) {
 		return 0, fmt.Errorf("nn: width mismatch %d vs %d", pred.cols, target.cols)
 	}
 	grad.Reset(pred.rows, pred.cols)
-	loss := vmse(grad.data, pred.data, target.data)
+	var loss float64
+	for i, v := range pred.data {
+		d := v - target.data[i]
+		loss += d * d
+		grad.data[i] = 2 * d
+	}
 	vdivs(grad.data, total)
 	return loss, nil
-}
-
-// MSE computes the mean squared error between prediction and target
-// batches, with gradient w.r.t. the predictions.
-func MSE(pred, target [][]float64) (float64, [][]float64, error) {
-	if len(pred) != len(target) {
-		return 0, nil, fmt.Errorf("nn: %d predictions for %d targets", len(pred), len(target))
-	}
-	if len(pred) == 0 {
-		return 0, nil, fmt.Errorf("nn: empty batch")
-	}
-	var loss float64
-	var count float64
-	grad := make([][]float64, len(pred))
-	for i := range pred {
-		if len(pred[i]) != len(target[i]) {
-			return 0, nil, fmt.Errorf("nn: row %d width mismatch %d vs %d", i, len(pred[i]), len(target[i]))
-		}
-		g := make([]float64, len(pred[i]))
-		for j := range pred[i] {
-			d := pred[i][j] - target[i][j]
-			loss += d * d
-			g[j] = 2 * d
-			count++
-		}
-		grad[i] = g
-	}
-	for i := range grad {
-		for j := range grad[i] {
-			grad[i][j] /= count
-		}
-	}
-	return loss / count, grad, nil
 }
 
 // SupConLoss is the supervised contrastive loss of Khosla et al., used by

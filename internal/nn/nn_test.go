@@ -243,18 +243,40 @@ func TestSoftmaxCEKnownValue(t *testing.T) {
 	}
 }
 
+// bceMean is the batch-mean BCE: BCEWithLogitsTN with total = rows, its
+// sum divided by rows. The gradient lands in grad.
+func bceMean(logits *Tensor, targets []float64, grad *Tensor) float64 {
+	n := float64(logits.Rows())
+	sum, err := BCEWithLogitsTN(logits, targets, grad, n)
+	if err != nil {
+		panic(err)
+	}
+	return sum / n
+}
+
+// mseMean is the batch-mean squared error: MSETN with total = rows×cols,
+// its sum divided by the same count. The gradient lands in grad.
+func mseMean(pred, target, grad *Tensor) float64 {
+	n := float64(pred.Rows() * pred.Cols())
+	sum, err := MSETN(pred, target, grad, n)
+	if err != nil {
+		panic(err)
+	}
+	return sum / n
+}
+
 func TestBCEWithLogitsGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	net := NewNetwork(NewDense(3, 4, rng), NewLeakyReLU(0.2), NewDense(4, 1, rng))
 	x := randBatch(rng, 4, 3)
 	targets := []float64{1, 0, 1, 0}
+	var g Tensor
 	lossFn := func() float64 {
-		l, _, _ := BCEWithLogits(net.ForwardT(rowsT(x), true).ToRows(), targets)
-		return l
+		return bceMean(net.ForwardT(rowsT(x), true), targets, &g)
 	}
 	analytic := func() {
-		_, g, _ := BCEWithLogits(net.ForwardT(rowsT(x), true).ToRows(), targets)
-		net.BackwardT(rowsT(g))
+		bceMean(net.ForwardT(rowsT(x), true), targets, &g)
+		net.BackwardT(&g)
 	}
 	checkParamGrads(t, net.Params(), lossFn, analytic, 1e-6)
 }
@@ -263,14 +285,14 @@ func TestMSEGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := NewNetwork(NewDense(2, 5, rng), NewTanh(), NewDense(5, 3, rng))
 	x := randBatch(rng, 3, 2)
-	target := randBatch(rng, 3, 3)
+	target := rowsT(randBatch(rng, 3, 3))
+	var g Tensor
 	lossFn := func() float64 {
-		l, _, _ := MSE(net.ForwardT(rowsT(x), true).ToRows(), target)
-		return l
+		return mseMean(net.ForwardT(rowsT(x), true), target, &g)
 	}
 	analytic := func() {
-		_, g, _ := MSE(net.ForwardT(rowsT(x), true).ToRows(), target)
-		net.BackwardT(rowsT(g))
+		mseMean(net.ForwardT(rowsT(x), true), target, &g)
+		net.BackwardT(&g)
 	}
 	checkParamGrads(t, net.Params(), lossFn, analytic, 1e-6)
 }

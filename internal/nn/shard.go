@@ -26,30 +26,40 @@ import (
 // parameters, and the running statistics are therefore bit-identical at
 // every worker count.
 //
-// The canonical network must never run a training forward while sharded
-// training is active (its scratch is unused; inference between epochs is
-// fine). BatchNorm replicas run with deferred statistics (ghost batch
-// norm) and need at least two rows per shard — use par.ShardBounds with
-// minRows 2.
+// With two or more shards the canonical network must never run a training
+// forward while sharded training is active (its scratch is unused;
+// inference between epochs is fine). BatchNorm replicas run with deferred
+// statistics (ghost batch norm) and need at least two rows per shard — use
+// par.ShardBounds with minRows 2, which never splits a batch below that.
 type ShardedNet struct {
-	canonical Layer
-	replicas  []Layer
-	params    [][]*Param     // per replica, traversal order
-	bns       [][]*BatchNorm // per replica, traversal order
-	canonBNs  []*BatchNorm
-	drops     [][]*Dropout // per replica, traversal order
+	replicas []Layer
+	params   [][]*Param     // per replica, traversal order
+	bns      [][]*BatchNorm // per replica, traversal order
+	canonBNs []*BatchNorm
+	drops    [][]*Dropout // per replica, traversal order
 
 	combineFn func(dst, src int) // stable closure: ReduceGrads stays alloc-free
 }
 
-// NewSharded builds shards replicas of root. Panics when shards < 1 or when
-// the network contains a layer type it cannot replicate (custom layers
-// outside this package).
+// NewSharded builds shards replicas of root. One shard is root itself: no
+// clone, no deferred statistics (its batch norms update their running
+// statistics in the forward, as an unsharded network does), and its
+// dropouts keep their own rng — SeedDropouts and FoldBatchStats are no-ops
+// on it — so a one-shard run trains exactly as root alone would. Panics
+// when shards < 1 or when the network contains a layer type it cannot
+// replicate (custom layers outside this package).
 func NewSharded(root Layer, shards int) *ShardedNet {
 	if shards < 1 {
 		panic(fmt.Sprintf("nn: NewSharded with %d shards", shards))
 	}
-	sn := &ShardedNet{canonical: root}
+	if shards == 1 {
+		return &ShardedNet{
+			replicas: []Layer{root},
+			params:   [][]*Param{root.Params()},
+			drops:    [][]*Dropout{nil},
+		}
+	}
+	sn := &ShardedNet{}
 	walkLayers(root, func(l Layer) {
 		if bn, ok := l.(*BatchNorm); ok {
 			sn.canonBNs = append(sn.canonBNs, bn)

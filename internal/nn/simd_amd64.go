@@ -48,12 +48,6 @@ func vdotavx(a, b *float64, n int) float64
 //go:noescape
 func vscaleavx(dst, x *float64, s float64, n int)
 
-//go:noescape
-func vsumavx(x *float64, n int) float64
-
-//go:noescape
-func vmseavx(grad, pred, target *float64, n int) float64
-
 // Slice wrappers. All kernels take equal-length slices (the length of the
 // first operand is the element count, as in the Go twins).
 
@@ -141,20 +135,6 @@ func vscaleAVX(dst, x []float64, s float64) {
 	vscaleavx(&dst[0], &x[0], s, len(dst))
 }
 
-func vsumAVX(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return vsumavx(&x[0], len(x))
-}
-
-func vmseAVX(grad, pred, target []float64) float64 {
-	if len(grad) == 0 {
-		return 0
-	}
-	return vmseavx(&grad[0], &pred[0], &target[0], len(grad))
-}
-
 func bindGoKernels() {
 	vadd = vaddGo
 	vmulAdd = vmulAddGo
@@ -168,8 +148,6 @@ func bindGoKernels() {
 	vlreluBwd = vlreluBwdGo
 	vdot = vdotGo
 	vscale = vscaleGo
-	vsum = vsumGo
-	vmse = vmseGo
 }
 
 func bindAVXKernels() {
@@ -185,8 +163,6 @@ func bindAVXKernels() {
 	vlreluBwd = vlreluBwdAVX
 	vdot = vdotAVX
 	vscale = vscaleAVX
-	vsum = vsumAVX
-	vmse = vmseAVX
 }
 
 // SetVectorKernels binds the AVX kernel set (on=true, when the hardware

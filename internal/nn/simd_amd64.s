@@ -3,20 +3,17 @@
 #include "textflag.h"
 
 // AVX kernels for the training hot loops: Dense backward, BatchNorm
-// forward/backward, the ReLU family, and the loss reductions. Same
+// forward/backward and the ReLU family. Same
 // bit-identity contract as dense_kernel_amd64.s: only VMULPD/VADDPD/
 // VSUBPD/VDIVPD (and their scalar VEX forms for length tails) — one IEEE
 // rounding per lane per operation, exactly what the Go twins in
-// simd_kernel.go compute. VFMADD* must never appear here. The reductions
-// (vdot/vsum/vmse) fold their four lanes as (acc0+acc2)+(acc1+acc3) via
-// VEXTRACTF128/VADDPD/VUNPCKHPD/VADDSD, which is the DEFINITION the Go
-// twins implement — golden tests in simd_test.go pin every routine.
+// simd_kernel.go compute. VFMADD* must never appear here. The one
+// reduction, vdot, folds its lanes as vdotGo defines (ending in
+// VEXTRACTF128/VADDPD/VUNPCKHPD/VADDSD) — golden tests in simd_test.go
+// pin every routine.
 
 DATA simdone<>+0(SB)/8, $0x3ff0000000000000 // 1.0
 GLOBL simdone<>(SB), RODATA, $8
-
-DATA simdtwo<>+0(SB)/8, $0x4000000000000000 // 2.0
-GLOBL simdtwo<>(SB), RODATA, $8
 
 // func vaddavx(dst, x *float64, n int)
 // dst[i] += x[i]
@@ -502,8 +499,8 @@ lbdone:
 	RET
 
 // func vdotavx(a, b *float64, n int) float64
-// 4-lane dot: lane k sums elements i = k (mod 4); fold (l0+l2)+(l1+l3);
-// sequential scalar tail.
+// 16-lane dot: lane k sums elements i = k (mod 16); the fold and the
+// sequential scalar tail follow vdotGo.
 TEXT ·vdotavx(SB), NOSPLIT, $0-32
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), BX
@@ -564,99 +561,5 @@ dottailloop:
 
 dotdone:
 	VMOVSD X0, ret+24(FP)
-	VZEROUPPER
-	RET
-
-// func vsumavx(x *float64, n int) float64
-// 4-lane sum with the same fold and tail order as vdotavx.
-TEXT ·vsumavx(SB), NOSPLIT, $0-24
-	MOVQ x+0(FP), SI
-	MOVQ n+8(FP), CX
-
-	VXORPD Y0, Y0, Y0
-
-	MOVQ CX, DX
-	SHRQ $2, DX
-	JZ   sumfold
-
-sumloop:
-	VADDPD (SI), Y0, Y0
-	ADDQ   $32, SI
-	DECQ   DX
-	JNZ    sumloop
-
-sumfold:
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X0
-	VUNPCKHPD    X0, X0, X2
-	VADDSD       X2, X0, X0
-
-	ANDQ $3, CX
-	JZ   sumdone
-
-sumtailloop:
-	VADDSD (SI), X0, X0
-	ADDQ   $8, SI
-	DECQ   CX
-	JNZ    sumtailloop
-
-sumdone:
-	VMOVSD X0, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func vmseavx(grad, pred, target *float64, n int) float64
-// grad[i] = 2*(pred[i]-target[i]); returns the 4-lane sum of squared
-// differences (unnormalized).
-TEXT ·vmseavx(SB), NOSPLIT, $0-40
-	MOVQ grad+0(FP), DI
-	MOVQ pred+8(FP), SI
-	MOVQ target+16(FP), BX
-	MOVQ n+24(FP), CX
-
-	VXORPD       Y0, Y0, Y0
-	VBROADCASTSD simdtwo<>(SB), Y1
-
-	MOVQ CX, DX
-	SHRQ $2, DX
-	JZ   msefold
-
-mseloop:
-	VMOVUPD (SI), Y2
-	VSUBPD  (BX), Y2, Y2
-	VMULPD  Y1, Y2, Y3
-	VMOVUPD Y3, (DI)
-	VMULPD  Y2, Y2, Y4
-	VADDPD  Y4, Y0, Y0
-	ADDQ    $32, SI
-	ADDQ    $32, BX
-	ADDQ    $32, DI
-	DECQ    DX
-	JNZ     mseloop
-
-msefold:
-	VEXTRACTF128 $1, Y0, X5
-	VADDPD       X5, X0, X0
-	VUNPCKHPD    X0, X0, X6
-	VADDSD       X6, X0, X0
-
-	ANDQ $3, CX
-	JZ   msedone
-
-msetailloop:
-	VMOVSD (SI), X2
-	VSUBSD (BX), X2, X2
-	VMULSD X1, X2, X3
-	VMOVSD X3, (DI)
-	VMULSD X2, X2, X4
-	VADDSD X4, X0, X0
-	ADDQ   $8, SI
-	ADDQ   $8, BX
-	ADDQ   $8, DI
-	DECQ   CX
-	JNZ    msetailloop
-
-msedone:
-	VMOVSD X0, ret+32(FP)
 	VZEROUPPER
 	RET

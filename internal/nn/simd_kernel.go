@@ -1,7 +1,7 @@
 package nn
 
 // Portable scalar kernels for the training hot loops (Dense backward,
-// BatchNorm forward/backward, the ReLU family, and the loss reductions),
+// BatchNorm forward/backward and the ReLU family),
 // plus the dispatch table that swaps in their AVX twins on capable amd64
 // hardware. The same no-FMA contract as the dense axpy kernels applies:
 // the vector code uses only per-lane IEEE multiply/add/subtract/divide
@@ -9,17 +9,12 @@ package nn
 // VFMADD* — so every kernel is bit-identical to its scalar twin here,
 // pinned by the golden tests in simd_test.go.
 //
-// The reductions (vdot, vsum, and vmse's loss sum) cannot match a plain
-// sequential accumulation under lane-parallel SIMD, so each one's
-// DEFINITION is a fixed lane scheme both twins implement. vsum and vmse
-// use the 4-lane scheme: lane k accumulates elements i ≡ k (mod 4), lanes
-// combine as (acc0+acc2)+(acc1+acc3) — exactly the
-// VEXTRACTF128/VADDPD/VUNPCKHPD/VADDSD horizontal fold — and the remaining
-// tail elements are added sequentially. vdot, hot enough that a single
-// vector accumulator's addition-latency chain dominates, uses a 16-lane
-// scheme instead (see its comment). Every scheme is fixed by the kernel,
-// not by the hardware, so results are identical on every platform and at
-// every worker count.
+// The one reduction, vdot, cannot match a plain sequential accumulation
+// under lane-parallel SIMD, so its DEFINITION is a fixed 16-lane scheme
+// both twins implement (see its comment). The scheme is fixed by the
+// kernel, not by the hardware, so results are identical on every platform
+// and at every worker count. The losses sum their terms sequentially in Go
+// (loss.go), so no loss reduction needs a lane scheme.
 
 // The dispatch table: amd64 binds the AVX implementations at init when the
 // CPU supports them (see simd_amd64.go); everywhere else the Go twins stay
@@ -37,8 +32,6 @@ var (
 	vlreluBwd  func(gi, g, x []float64, alpha float64)                  = vlreluBwdGo
 	vdot       func(a, b []float64) float64                             = vdotGo
 	vscale     func(dst, x []float64, s float64)                        = vscaleGo
-	vsum       func(x []float64) float64                                = vsumGo
-	vmse       func(grad, pred, target []float64) float64               = vmseGo
 )
 
 // vaddGo accumulates dst[i] += x[i] — BatchNorm column sums, bias
@@ -157,10 +150,9 @@ func vlreluBwdGo(gi, g, x []float64, alpha float64) {
 }
 
 // vdotGo is the fixed 16-lane dot product — the Dense backward
-// input-gradient kernel, the hottest reduction in training. Unlike the
-// 4-lane scheme of vsum/vmse, it keeps 16 independent accumulators (four
-// vector registers in the AVX twin) so neither implementation serializes on
-// a single addition dependency chain. The scheme is fixed by this contract,
+// input-gradient kernel, the hottest reduction in training. It keeps 16
+// independent accumulators (four vector registers in the AVX twin) so
+// neither implementation serializes on a single addition dependency chain. The scheme is fixed by this contract,
 // not by hardware: lane k accumulates elements i ≡ k (mod 16) in index
 // order; lanes fold as f[k] = (l[k]+l[k+8]) + (l[k+4]+l[k+12]) for
 // k < 4, then (f0+f2) + (f1+f3); the < 16 remainder is added sequentially
@@ -206,52 +198,4 @@ func vscaleGo(dst, x []float64, s float64) {
 	for i, v := range x {
 		dst[i] = s * v
 	}
-}
-
-// vsumGo is the fixed 4-lane sum — the BCE loss-term reduction.
-func vsumGo(x []float64) float64 {
-	var a0, a1, a2, a3 float64
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		a0 += x[i]
-		a1 += x[i+1]
-		a2 += x[i+2]
-		a3 += x[i+3]
-	}
-	s := (a0 + a2) + (a1 + a3)
-	for ; i < len(x); i++ {
-		s += x[i]
-	}
-	return s
-}
-
-// vmseGo fuses the MSE gradient and loss passes: grad[i] = 2*(pred[i] -
-// target[i]) and the returned loss is the 4-lane sum of the squared
-// differences (unnormalized; MSETN divides by the caller's total).
-func vmseGo(grad, pred, target []float64) float64 {
-	pred = pred[:len(grad)]
-	target = target[:len(grad)]
-	var a0, a1, a2, a3 float64
-	i := 0
-	for ; i+4 <= len(grad); i += 4 {
-		d0 := pred[i] - target[i]
-		d1 := pred[i+1] - target[i+1]
-		d2 := pred[i+2] - target[i+2]
-		d3 := pred[i+3] - target[i+3]
-		grad[i] = 2 * d0
-		grad[i+1] = 2 * d1
-		grad[i+2] = 2 * d2
-		grad[i+3] = 2 * d3
-		a0 += d0 * d0
-		a1 += d1 * d1
-		a2 += d2 * d2
-		a3 += d3 * d3
-	}
-	s := (a0 + a2) + (a1 + a3)
-	for ; i < len(grad); i++ {
-		d := pred[i] - target[i]
-		grad[i] = 2 * d
-		s += d * d
-	}
-	return s
 }

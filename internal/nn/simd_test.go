@@ -146,8 +146,8 @@ func TestVectorKernelsGolden(t *testing.T) {
 			bitsEqual(t, "vlreluBwd", a, b)
 		}
 
-		// Reductions: NaN-free inputs so a single bit pattern is well-defined,
-		// but keep -0.0 and zeros in play.
+		// The vdot reduction: NaN-free inputs so a single bit pattern is
+		// well-defined, but keep -0.0 and zeros in play.
 		xr := make([]float64, n)
 		yr := make([]float64, n)
 		for i := range xr {
@@ -158,13 +158,6 @@ func TestVectorKernelsGolden(t *testing.T) {
 			}
 		}
 		bitEqualScalar(t, "vdot", n, vdot(xr, yr), vdotGo(xr, yr))
-		bitEqualScalar(t, "vsum", n, vsum(xr), vsumGo(xr))
-
-		ga, gb := make([]float64, n), make([]float64, n)
-		la := vmse(ga, xr, yr)
-		lb := vmseGo(gb, xr, yr)
-		bitsEqual(t, "vmse grad", ga, gb)
-		bitEqualScalar(t, "vmse loss", n, la, lb)
 	}
 }
 

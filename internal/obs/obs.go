@@ -256,11 +256,12 @@ func (o *Observer) OnTrainDone(d TrainDone) {
 	}
 }
 
-// OnTrainShard records one gradient-shard execution of a data-parallel
-// training step: its wall time and a shard counter. Metrics only — it is
-// deliberately NOT forwarded to the TrainHook, so hook event streams stay
-// bit-identical across worker counts (shard timings are timing-dependent;
-// hook streams are part of the determinism contract).
+// OnTrainShard records one gradient-shard execution of a training step
+// (a one-shard run records one per optimizer update): its wall time and a
+// shard counter. Metrics only — it is deliberately NOT forwarded to the
+// TrainHook, so hook event streams stay bit-identical across worker counts
+// (shard timings are timing-dependent; hook streams are part of the
+// determinism contract).
 func (o *Observer) OnTrainShard(model string, seconds float64) {
 	if o == nil {
 		return
