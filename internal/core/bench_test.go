@@ -43,6 +43,26 @@ func BenchmarkGANEpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkGANEpoch5GC times one conditional-GAN epoch at the fit-5gc
+// quick geometry: 320 source rows, 390 invariant and 52 variant features,
+// 16 classes, so the generator is 419→256→256→52 and the discriminator
+// 458→256→256→1 (hidden 256, 29 noise dimensions):
+//
+//	go test -run '^$' -bench GANEpoch5GC -benchtime 10x ./internal/core
+func BenchmarkGANEpoch5GC(b *testing.B) {
+	inv, vr, y := benchBlocks(320, 390, 52, 1)
+	for i := range y {
+		y[i] = i % 16
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := NewCGAN(GANConfig{Epochs: 1, Conditional: true, Seed: int64(i) + 1})
+		if err := g.Fit(inv, vr, y, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchServeAdapter fits a full-width FS+GAN adapter on synthetic data
 // shaped like the 5GC dataset (hundreds of mostly-invariant features) so
 // the serving benchmarks below exercise the real generator geometry.

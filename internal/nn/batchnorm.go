@@ -78,7 +78,7 @@ func (bn *BatchNorm) ForwardT(x *Tensor, train bool) *Tensor {
 			o := out.Row(i)
 			for j, v := range row {
 				xh := (v - bn.runningMean[j]) / math.Sqrt(bn.runningVar[j]+bn.Eps)
-				o[j] = bn.gamma.Data[j]*xh + bn.beta.Data[j]
+				o[j] = float64(bn.gamma.Data[j]*xh) + bn.beta.Data[j]
 			}
 		}
 		return out
@@ -124,8 +124,8 @@ func (bn *BatchNorm) ForwardT(x *Tensor, train bool) *Tensor {
 // mean/variance.
 func (bn *BatchNorm) applyStats(mean, variance []float64) {
 	for j := range mean {
-		bn.runningMean[j] = (1-bn.Momentum)*bn.runningMean[j] + bn.Momentum*mean[j]
-		bn.runningVar[j] = (1-bn.Momentum)*bn.runningVar[j] + bn.Momentum*variance[j]
+		bn.runningMean[j] = float64((1-bn.Momentum)*bn.runningMean[j]) + float64(bn.Momentum*mean[j])
+		bn.runningVar[j] = float64((1-bn.Momentum)*bn.runningVar[j]) + float64(bn.Momentum*variance[j])
 	}
 }
 

@@ -67,11 +67,11 @@ func NewFeatureGate(dim int, rng *rand.Rand) *FeatureGate {
 	}
 	lim1 := math.Sqrt(6.0 / float64(dim))
 	for i := range g.w1.Data {
-		g.w1.Data[i] = (rng.Float64()*2 - 1) * lim1
+		g.w1.Data[i] = (float64(rng.Float64())*2 - 1) * lim1
 	}
 	lim2 := math.Sqrt(6.0/float64(rank)) * 0.5
 	for i := range g.w2.Data {
-		g.w2.Data[i] = (rng.Float64()*2 - 1) * lim2
+		g.w2.Data[i] = (float64(rng.Float64())*2 - 1) * lim2
 	}
 	// Bias the gates open initially so early training sees all features.
 	for i := range g.b.Data {

@@ -12,8 +12,9 @@ import "math"
 // own InferScratch — and none runs ForwardT/BackwardT concurrently.
 //
 // The arithmetic is bit-identical to ForwardT in eval mode (train=false):
-// each InferT below mirrors its layer's ForwardT eval branch loop for
-// loop, pinned by the golden tests in infer_test.go.
+// each InferT below runs its layer's forward kernel or mirrors its
+// ForwardT eval branch loop for loop, pinned by the golden tests in
+// infer_test.go.
 
 // InferScratch is a caller-owned arena of reusable output tensors for the
 // inference-only forward path. Each Infer call resets the arena and hands
@@ -57,75 +58,10 @@ func (n *Network) InferT(x *Tensor, s *InferScratch) *Tensor {
 	return x
 }
 
-// InferT implements Layer: the affine map of ForwardT without the
-// input cache (nothing on the layer is written).
-//
-// Rows run through a 4-way row-blocked kernel: each weight row is loaded
-// once and feeds four output rows (a quarter of the weight memory traffic
-// of four single-row passes), and the per-input rank-1 update runs through
-// the axpy kernels — AVX on capable amd64 hardware, portable Go elsewhere.
-// This is where the micro-batching throughput win comes from on
-// compute-bound generators. Each output element still accumulates its
-// terms in ascending input order with ForwardT's per-row zero skip, one
-// IEEE-rounded multiply and add per input (the vector kernels never fuse
-// them), so the result is bit-identical to the row-at-a-time eval forward.
+// InferT implements Layer: ForwardT's forward kernel without the input
+// cache (nothing on the layer is written).
 func (d *Dense) InferT(x *Tensor, s *InferScratch) *Tensor {
-	out := s.grab().Reset(x.rows, d.Out)
-	if d.Out == 1 {
-		// Single-output layers follow ForwardT's Out==1 definition — one
-		// wide dot per row, no zero skip — so the bit-identity contract
-		// with the eval forward holds.
-		for i := 0; i < x.rows; i++ {
-			out.data[i] = d.b.Data[0] + vdot(x.Row(i), d.w.Data)
-		}
-		return out
-	}
-	i := 0
-	for ; i+4 <= x.rows; i += 4 {
-		x0, x1, x2, x3 := x.Row(i), x.Row(i+1), x.Row(i+2), x.Row(i+3)
-		o0 := out.Row(i)[:d.Out]
-		o1 := out.Row(i + 1)[:d.Out]
-		o2 := out.Row(i + 2)[:d.Out]
-		o3 := out.Row(i + 3)[:d.Out]
-		copy(o0, d.b.Data)
-		copy(o1, d.b.Data)
-		copy(o2, d.b.Data)
-		copy(o3, d.b.Data)
-		for j := 0; j < d.In; j++ {
-			wRow := d.w.Data[j*d.Out : (j+1)*d.Out]
-			v := [4]float64{x0[j], x1[j], x2[j], x3[j]}
-			if v[0] != 0 && v[1] != 0 && v[2] != 0 && v[3] != 0 {
-				axpy4(&v, wRow, o0, o1, o2, o3)
-				continue
-			}
-			// A zero input contributes no term in ForwardT (zero skip);
-			// handle mixed blocks row by row to keep that exact.
-			if v[0] != 0 {
-				axpy1(v[0], wRow, o0)
-			}
-			if v[1] != 0 {
-				axpy1(v[1], wRow, o1)
-			}
-			if v[2] != 0 {
-				axpy1(v[2], wRow, o2)
-			}
-			if v[3] != 0 {
-				axpy1(v[3], wRow, o3)
-			}
-		}
-	}
-	for ; i < x.rows; i++ {
-		row := x.Row(i)
-		o := out.Row(i)[:d.Out]
-		copy(o, d.b.Data)
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
-			axpy1(v, d.w.Data[j*d.Out:(j+1)*d.Out], o)
-		}
-	}
-	return out
+	return d.forward(x, s.grab().Reset(x.rows, d.Out))
 }
 
 // InferT implements Layer for elementwise activations.
@@ -161,7 +97,7 @@ func (bn *BatchNorm) InferT(x *Tensor, s *InferScratch) *Tensor {
 		o := out.Row(i)
 		for j, v := range row {
 			xh := (v - bn.runningMean[j]) / std[j]
-			o[j] = bn.gamma.Data[j]*xh + bn.beta.Data[j]
+			o[j] = float64(bn.gamma.Data[j]*xh) + bn.beta.Data[j]
 		}
 	}
 	return out

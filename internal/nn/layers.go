@@ -48,7 +48,7 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	}
 	limit := math.Sqrt(6.0 / float64(in))
 	for i := range d.w.Data {
-		d.w.Data[i] = (rng.Float64()*2 - 1) * limit
+		d.w.Data[i] = (float64(rng.Float64())*2 - 1) * limit
 	}
 	return d
 }
@@ -56,11 +56,18 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 // ForwardT computes the affine map in place.
 func (d *Dense) ForwardT(x *Tensor, _ bool) *Tensor {
 	d.input = x
-	out := d.out.Reset(x.rows, d.Out)
+	return d.forward(x, d.out.Reset(x.rows, d.Out))
+}
+
+// forward writes x·Wᵀ + b into out — the one forward of the layer, shared
+// by ForwardT and InferT. Each output element starts at its bias and adds
+// x[j]·W[j][k] for the nonzero inputs in ascending j (skipGemm's
+// definition: the zero skip is part of it), one rounded multiply and one
+// rounded add per term.
+func (d *Dense) forward(x, out *Tensor) *Tensor {
 	if d.Out == 1 {
-		// Single-output layers (the discriminator head): the per-input axpy
-		// degenerates to length-1 calls, so the row product is DEFINED as
-		// one wide dot over the contiguous weight column instead —
+		// Single-output layers (the discriminator head): the row product is
+		// DEFINED as one wide dot over the contiguous weight column —
 		// b + vdot(row, w), no zero-skip.
 		for i := 0; i < x.rows; i++ {
 			out.data[i] = d.b.Data[0] + vdot(x.Row(i), d.w.Data)
@@ -68,59 +75,45 @@ func (d *Dense) ForwardT(x *Tensor, _ bool) *Tensor {
 		return out
 	}
 	for i := 0; i < x.rows; i++ {
-		row := x.Row(i)
-		o := out.Row(i)
-		copy(o, d.b.Data)
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
-			axpy1(v, d.w.Data[j*d.Out:(j+1)*d.Out], o)
-		}
+		copy(out.Row(i), d.b.Data)
 	}
+	skipGemm(out.data, d.Out, x.data, x.cols, 1, d.w.Data, d.Out, x.rows, d.Out, x.cols)
 	return out
 }
 
 // BackwardT accumulates dL/dW, dL/db and returns dL/dx in place.
 func (d *Dense) BackwardT(gradOut *Tensor) *Tensor {
 	gradIn := d.gradIn.Reset(gradOut.rows, d.In)
-	if d.input.cols != d.In {
+	in := d.input
+	if in.cols != d.In {
 		// Degenerate narrow input: the uncovered tail of each gradient row
 		// must read as zero, as the allocating implementation guaranteed.
 		gradIn.ZeroReset(gradOut.rows, d.In)
 	}
 	if d.Out == 1 {
-		// Single-output layers: per-input vdot/axpy calls degenerate to
-		// length-1 overhead, so the row gradients are DEFINED as wide
+		// Single-output layers: the row gradients are DEFINED as wide
 		// kernels over the contiguous weight column — gi = g0·w (vscale),
 		// gw += g0·in (axpy1, no zero-skip).
 		for i := 0; i < gradOut.rows; i++ {
 			g0 := gradOut.data[i]
-			in := d.input.Row(i)
+			row := in.Row(i)
 			// Slice to the live input width so the degenerate narrow-input
 			// case keeps its zero tail, like the generic path.
-			vscale(gradIn.Row(i)[:len(in)], d.w.Data[:len(in)], g0)
-			axpy1(g0, in, d.w.Grad[:len(in)])
+			vscale(gradIn.Row(i)[:len(row)], d.w.Data[:len(row)], g0)
+			axpy1(g0, row, d.w.Grad[:len(row)])
 			d.b.Grad[0] += g0
 		}
 		return gradIn
 	}
+	// Weight gradient: gw[j][k] += x[i][j]·g[i][k] over the batch rows i in
+	// ascending order, skipping x[i][j] == 0 — skipGemm over the transposed
+	// input. The skip is part of the definition (0·NaN and 0·Inf are NaN).
+	skipGemm(d.w.Grad, d.Out, in.data, 1, in.cols, gradOut.data, d.Out, in.cols, d.Out, gradOut.rows)
+	// Input gradient: gi[i][j] = vdot(g[i], W[j]), the fixed 16-lane dot —
+	// the bit-level reference for this layer (see refDenseBackward).
+	vdotRows(gradIn.data, d.In, gradOut.data, d.w.Data, gradOut.rows, in.cols, d.Out)
 	for i := 0; i < gradOut.rows; i++ {
-		gRow := gradOut.Row(i)
-		in := d.input.Row(i)
-		gi := gradIn.Row(i)
-		for j, v := range in {
-			// Input gradient: the fixed-lane dot defined by vdot — the
-			// bit-level reference for this layer (see refDenseBackward).
-			gi[j] = vdot(gRow, d.w.Data[j*d.Out:(j+1)*d.Out])
-			// Weight gradient: gw[k] += v*g[k]. Skipping v == 0 is
-			// bit-neutral — the accumulator starts at +0 and +0 + (±0) = +0,
-			// so it can never be -0 and adding a zero term never changes it.
-			if v != 0 {
-				axpy1(v, gRow, d.w.Grad[j*d.Out:(j+1)*d.Out])
-			}
-		}
-		vadd(d.b.Grad, gRow)
+		vadd(d.b.Grad, gradOut.Row(i))
 	}
 	return gradIn
 }
@@ -212,7 +205,7 @@ func NewTanh() Layer {
 	return &activation{
 		kind:  actTanh,
 		fn:    math.Tanh,
-		deriv: func(_, y float64) float64 { return 1 - y*y },
+		deriv: func(_, y float64) float64 { return 1 - float64(y*y) },
 	}
 }
 

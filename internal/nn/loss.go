@@ -84,7 +84,7 @@ func BCEWithLogitsTN(logits *Tensor, targets []float64, grad *Tensor, total floa
 		z := logits.data[i]
 		t := targets[i]
 		// Stable: log(1+exp(-|z|)) + max(z,0) - z·t
-		loss += math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z)))
+		loss += math.Max(z, 0) - float64(z*t) + math.Log1p(math.Exp(-math.Abs(z)))
 		sig := 1 / (1 + math.Exp(-z))
 		grad.data[i] = (sig - t) / total
 	}
@@ -111,7 +111,7 @@ func MSETN(pred, target, grad *Tensor, total float64) (float64, error) {
 	var loss float64
 	for i, v := range pred.data {
 		d := v - target.data[i]
-		loss += d * d
+		loss += float64(d * d)
 		grad.data[i] = 2 * d
 	}
 	vdivs(grad.data, total)
@@ -141,7 +141,7 @@ func SupConLoss(emb [][]float64, y []int, temp float64) (float64, [][]float64, e
 	for i, row := range emb {
 		var s float64
 		for _, v := range row {
-			s += v * v
+			s += float64(v * v)
 		}
 		norms[i] = math.Sqrt(s) + 1e-12
 		zr := make([]float64, d)
@@ -161,7 +161,7 @@ func SupConLoss(emb [][]float64, y []int, temp float64) (float64, [][]float64, e
 			}
 			var s float64
 			for k := 0; k < d; k++ {
-				s += z[i][k] * z[j][k]
+				s += float64(z[i][k] * z[j][k])
 			}
 			sim[i][j] = s / temp
 		}
@@ -200,7 +200,7 @@ func SupConLoss(emb [][]float64, y []int, temp float64) (float64, [][]float64, e
 		logDenom := maxSim + math.Log(denom)
 		pInv := 1 / float64(len(positives))
 		for _, p := range positives {
-			loss += -(sim[i][p] - logDenom) * pInv
+			loss += float64(-(sim[i][p] - logDenom) * pInv)
 		}
 		// Gradient w.r.t. sim[i][a]: softmax weights minus positive mass.
 		for a := 0; a < n; a++ {
@@ -213,8 +213,8 @@ func SupConLoss(emb [][]float64, y []int, temp float64) (float64, [][]float64, e
 			if y[a] == y[i] {
 				isPos = 1.0
 			}
-			gSim := coeff - isPos*pInv // summed over positives: |P|·pInv·soft - [a∈P]·pInv
-			gSim *= 1                  // loss is summed over positives with weight pInv; handled above
+			gSim := coeff - float64(isPos*pInv) // summed over positives: |P|·pInv·soft - [a∈P]·pInv
+			gSim *= 1                           // loss is summed over positives with weight pInv; handled above
 			// Chain into z_i and z_a through sim = z_i·z_a/temp.
 			for k := 0; k < d; k++ {
 				gradZ[i][k] += gSim * z[a][k] / temp
@@ -236,11 +236,11 @@ func SupConLoss(emb [][]float64, y []int, temp float64) (float64, [][]float64, e
 	for i := 0; i < n; i++ {
 		var dot float64
 		for k := 0; k < d; k++ {
-			dot += gradZ[i][k] * z[i][k]
+			dot += float64(gradZ[i][k] * z[i][k])
 		}
 		ge := make([]float64, d)
 		for k := 0; k < d; k++ {
-			ge[k] = (gradZ[i][k] - dot*z[i][k]) / norms[i] / anchors
+			ge[k] = (gradZ[i][k] - float64(dot*z[i][k])) / norms[i] / anchors
 		}
 		gradE[i] = ge
 	}

@@ -28,7 +28,7 @@ func (o *SGD) Step(params []*Param) {
 	for _, p := range params {
 		if o.Momentum == 0 {
 			for i := range p.Data {
-				p.Data[i] -= o.LR * p.Grad[i]
+				p.Data[i] -= float64(o.LR * p.Grad[i])
 			}
 		} else {
 			v, ok := o.velocity[p]
@@ -37,7 +37,7 @@ func (o *SGD) Step(params []*Param) {
 				o.velocity[p] = v
 			}
 			for i := range p.Data {
-				v[i] = o.Momentum*v[i] - o.LR*p.Grad[i]
+				v[i] = float64(o.Momentum*v[i]) - float64(o.LR*p.Grad[i])
 				p.Data[i] += v[i]
 			}
 		}
@@ -56,6 +56,7 @@ type Adam struct {
 
 	t    int
 	m, v map[*Param][]float64
+	k    adamCoef // the current step's constants, kept here so passing them allocates nothing
 }
 
 var _ Optimizer = (*Adam)(nil)
@@ -76,8 +77,14 @@ func NewAdam(lr, weightDecay float64) *Adam {
 // Step applies one Adam update and zeroes gradients.
 func (o *Adam) Step(params []*Param) {
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	o.k = adamCoef{
+		b1: o.Beta1, c1: 1 - o.Beta1,
+		b2: o.Beta2, c2: 1 - o.Beta2,
+		bc1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		bc2: 1 - math.Pow(o.Beta2, float64(o.t)),
+		lr:  o.LR, eps: o.Eps,
+		wd: o.WeightDecay, decay: o.WeightDecay != 0,
+	}
 	for _, p := range params {
 		m, ok := o.m[p]
 		if !ok {
@@ -89,17 +96,7 @@ func (o *Adam) Step(params []*Param) {
 			v = make([]float64, len(p.Data))
 			o.v[p] = v
 		}
-		for i := range p.Data {
-			g := p.Grad[i]
-			if o.WeightDecay != 0 {
-				g += o.WeightDecay * p.Data[i]
-			}
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mHat := m[i] / bc1
-			vHat := v[i] / bc2
-			p.Data[i] -= o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
-		}
+		adamUpdate(p.Data, p.Grad, m, v, &o.k)
 		p.ZeroGrad()
 	}
 }

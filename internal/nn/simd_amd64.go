@@ -2,15 +2,22 @@
 
 package nn
 
-// simdActive reports whether the AVX kernel set is currently bound.
-// Initialized from the CPUID probe; SetVectorKernels flips it together
-// with the dispatch table so the axpy fast paths stay consistent with
-// the rest of the kernels.
+// hasAVX is the one CPUID gate: AVX requires both the CPU feature flag and
+// OS support for saving YMM state (OSXSAVE + XGETBV).
+var hasAVX = cpuHasAVX()
+
+// simdActive reports whether the AVX kernel set is currently bound; it is
+// what SetVectorKernels reports back.
 var simdActive = hasAVX
 
-// The AVX routines live in simd_amd64.s. Same no-FMA contract as the
-// dense axpy kernels: per-lane VMULPD/VADDPD/VSUBPD/VDIVPD plus scalar
-// VEX tails, bit-identical to the Go twins in simd_kernel.go.
+// The AVX routines live in simd_amd64.s. No-FMA contract: per-lane
+// VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD plus scalar VEX tails, bit-identical
+// to the Go twins in simd_kernel.go.
+
+func cpuHasAVX() bool
+
+//go:noescape
+func axpy1avx(v float64, w, o *float64, n int)
 
 //go:noescape
 func vaddavx(dst, x *float64, n int)
@@ -48,8 +55,37 @@ func vdotavx(a, b *float64, n int) float64
 //go:noescape
 func vscaleavx(dst, x *float64, s float64, n int)
 
+//go:noescape
+func skiprow32avx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+
+//go:noescape
+func skiprow16avx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+
+//go:noescape
+func skiprow8avx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+
+//go:noescape
+func skiprow4avx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+
+//go:noescape
+func skiprowmaskavx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int, mask *int64)
+
+//go:noescape
+func vdot3avx(gi *float64, ldi int, grad, w *float64, in, n int)
+
+//go:noescape
+func adamavx(p, grad, m, v *float64, k *adamCoef, n int)
+
 // Slice wrappers. All kernels take equal-length slices (the length of the
 // first operand is the element count, as in the Go twins).
+
+func axpy1AVX(v float64, w, o []float64) {
+	if len(o) == 0 {
+		return
+	}
+	w = w[:len(o)]
+	axpy1avx(v, &w[0], &o[0], len(o))
+}
 
 func vaddAVX(dst, x []float64) {
 	if len(dst) == 0 {
@@ -135,7 +171,127 @@ func vscaleAVX(dst, x []float64, s float64) {
 	vscaleavx(&dst[0], &x[0], s, len(dst))
 }
 
+// skipGemmAVX runs skipGemm's definition through the skiprow kernels, one
+// acc row at a time. For each run of up to skipSteps reduction steps it
+// first lists the steps whose x is nonzero (branch-free), so the zero skip
+// costs no arithmetic; each column stripe (32, 16, 8 or 4 wide, then a
+// masked stripe for the last 1-3 columns) then runs the list through one
+// kernel with the stripe of acc held in registers. Runs go in ascending t
+// and the accumulators round-trip exactly through acc between them, so
+// every element adds its terms in t order whichever run and stripe cover
+// it.
+//
+// The kernels read v in place. Packing each stripe's v columns into a
+// contiguous panel first (Goto and van de Geijn) gained at most 8% at 64
+// rows and was about 2x slower at 4 rows, where copying v costs as much as
+// the arithmetic it feeds.
+func skipGemmAVX(acc []float64, lda int, x []float64, rx, sx int, v []float64, sv, rows, cols, n int) {
+	if rows == 0 || cols == 0 || n == 0 {
+		return
+	}
+	// One bounds check up front for everything the kernels touch.
+	_ = acc[(rows-1)*lda+cols-1]
+	_ = x[(rows-1)*rx+(n-1)*sx]
+	_ = v[(n-1)*sv+cols-1]
+	var lst [skipSteps]int32
+	for r := 0; r < rows; r++ {
+		for t0 := 0; t0 < n; t0 += skipSteps {
+			nt := min(skipSteps, n-t0)
+			xr := x[r*rx+t0*sx:]
+			cnt := skipList(lst[:nt], xr, sx)
+			if cnt == 0 {
+				continue
+			}
+			for c := 0; c < cols; {
+				w := 32
+				for w > cols-c && w > 4 {
+					w /= 2
+				}
+				w = min(w, cols-c)
+				skipRow(w, &acc[r*lda+c], &xr[0], sx, &lst[0], cnt, &v[t0*sv+c], sv)
+				c += w
+			}
+		}
+	}
+}
+
+// skipSteps bounds one run's term list (1 KB on the stack).
+const skipSteps = 256
+
+// skipList writes the steps t < len(lst) whose x[t*sx] is nonzero to the
+// front of lst in ascending order and returns their count. The store is
+// unconditional and only the count depends on x, so the loop compiles
+// without a data-dependent branch.
+func skipList(lst []int32, x []float64, sx int) int {
+	c := 0
+	for t := range lst {
+		lst[c] = int32(t)
+		if x[t*sx] != 0 {
+			c++
+		}
+	}
+	return c
+}
+
+// skipRow runs the skiprow kernel for a w-column stripe, w one of 32, 16,
+// 8 and 4, or 1-3 for the masked tail.
+func skipRow(w int, acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int) {
+	switch w {
+	case 32:
+		skiprow32avx(acc, x, sx, lst, cnt, v, sv)
+	case 16:
+		skiprow16avx(acc, x, sx, lst, cnt, v, sv)
+	case 8:
+		skiprow8avx(acc, x, sx, lst, cnt, v, sv)
+	case 4:
+		skiprow4avx(acc, x, sx, lst, cnt, v, sv)
+	default:
+		skiprowmaskavx(acc, x, sx, lst, cnt, v, sv, &skipTailMask[4-w])
+	}
+}
+
+// skipTailMask[4-w:8-w] enables the first w lanes of a masked stripe.
+var skipTailMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
+
+// vdotRowsAVX runs three gradient rows at a time through vdot3avx and the
+// last one or two row by row through vdotavx.
+func vdotRowsAVX(gi []float64, ldi int, g, w []float64, rows, in, n int) {
+	if rows == 0 || in == 0 || n == 0 {
+		vdotRowsGo(gi, ldi, g, w, rows, in, n) // empty dots are +0
+		return
+	}
+	_ = gi[(rows-1)*ldi+in-1]
+	_ = g[rows*n-1]
+	_ = w[in*n-1]
+	i := 0
+	for ; i+3 <= rows; i += 3 {
+		vdot3avx(&gi[i*ldi], ldi, &g[i*n], &w[0], in, n)
+	}
+	for ; i < rows; i++ {
+		gr := &g[i*n]
+		o := gi[i*ldi : i*ldi+in]
+		for j := range o {
+			o[j] = vdotavx(gr, &w[j*n], n)
+		}
+	}
+}
+
+// adamAVX runs whole 4-lane groups through adamavx and the last 0-3
+// elements through the Go twin.
+func adamAVX(p, g, m, v []float64, k *adamCoef) {
+	n := len(p) &^ 3
+	if n > 0 {
+		g, m, v := g[:len(p)], m[:len(p)], v[:len(p)]
+		adamavx(&p[0], &g[0], &m[0], &v[0], k, n)
+	}
+	adamGo(p[n:], g[n:], m[n:], v[n:], k)
+}
+
 func bindGoKernels() {
+	axpy1 = axpy1Go
+	skipGemm = skipGemmGo
+	vdotRows = vdotRowsGo
+	adamUpdate = adamGo
 	vadd = vaddGo
 	vmulAdd = vmulAddGo
 	vsqDiffAdd = vsqDiffAddGo
@@ -151,6 +307,10 @@ func bindGoKernels() {
 }
 
 func bindAVXKernels() {
+	axpy1 = axpy1AVX
+	skipGemm = skipGemmAVX
+	vdotRows = vdotRowsAVX
+	adamUpdate = adamAVX
 	vadd = vaddAVX
 	vmulAdd = vmulAddAVX
 	vsqDiffAdd = vsqDiffAddAVX
@@ -168,9 +328,10 @@ func bindAVXKernels() {
 // SetVectorKernels binds the AVX kernel set (on=true, when the hardware
 // supports it) or the portable Go twins (on=false), and returns whether
 // the AVX set was bound BEFORE the call. Because both sets are bit-identical
-// the toggle never changes results — it exists so benchmarks and the
-// driftbench gan_epoch stage can measure scalar-vs-vector honestly. Not
-// safe to call concurrently with running training; flip it between runs.
+// the toggle never changes results — it exists so tests can pin both sets
+// and benchmarks and the driftbench gan_epoch stage can measure
+// scalar-vs-vector honestly. Not safe to call concurrently with running
+// training; flip it between runs.
 func SetVectorKernels(on bool) bool {
 	prev := simdActive
 	simdActive = on && hasAVX

@@ -2,18 +2,85 @@
 
 #include "textflag.h"
 
-// AVX kernels for the training hot loops: Dense backward, BatchNorm
-// forward/backward and the ReLU family. Same
-// bit-identity contract as dense_kernel_amd64.s: only VMULPD/VADDPD/
-// VSUBPD/VDIVPD (and their scalar VEX forms for length tails) — one IEEE
-// rounding per lane per operation, exactly what the Go twins in
-// simd_kernel.go compute. VFMADD* must never appear here. The one
-// reduction, vdot, folds its lanes as vdotGo defines (ending in
-// VEXTRACTF128/VADDPD/VUNPCKHPD/VADDSD) — golden tests in simd_test.go
-// pin every routine.
+// Every AVX kernel of the package: the Dense tile kernels, the element-wise
+// training kernels, the 16-lane vdot and the Adam update. Bit-identity
+// contract: only VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD (and their scalar VEX
+// forms for length tails), compares, blends and moves — one IEEE rounding
+// per lane per operation, exactly what the Go twins in simd_kernel.go
+// compute. VFMADD* must never appear here: fusing a multiply-add skips the
+// intermediate rounding. The reductions (vdot and its row-blocked form
+// vdot3) fold their lanes as vdotGo defines (ending in VEXTRACTF128/VADDPD/
+// VUNPCKHPD/VADDSD) — golden tests in simd_test.go pin every routine.
 
 DATA simdone<>+0(SB)/8, $0x3ff0000000000000 // 1.0
 GLOBL simdone<>(SB), RODATA, $8
+
+// func cpuHasAVX() bool
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	CPUID
+	// AVX needs the CPU flags (ECX bit 28) and OSXSAVE (ECX bit 27).
+	MOVL CX, BX
+	ANDL $(1<<27 | 1<<28), BX
+	CMPL BX, $(1<<27 | 1<<28)
+	JNE  noavx
+	// XGETBV: the OS must save both XMM (bit 1) and YMM (bit 2) state.
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func axpy1avx(v float64, w, o *float64, n int)
+// o[k] += v * w[k]
+TEXT ·axpy1avx(SB), NOSPLIT, $0-32
+	MOVQ w+8(FP), SI
+	MOVQ o+16(FP), R8
+	MOVQ n+24(FP), CX
+
+	VBROADCASTSD v+0(FP), Y0
+
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   tail1
+
+loop1:
+	VMOVUPD (SI), Y4
+	VMULPD  Y4, Y0, Y5
+	VADDPD  (R8), Y5, Y5
+	VMOVUPD Y5, (R8)
+	VMOVUPD 32(SI), Y6
+	VMULPD  Y6, Y0, Y7
+	VADDPD  32(R8), Y7, Y7
+	VMOVUPD Y7, 32(R8)
+	ADDQ    $64, SI
+	ADDQ    $64, R8
+	DECQ    DX
+	JNZ     loop1
+
+tail1:
+	ANDQ $7, CX
+	JZ   done1
+
+tailloop1:
+	VMOVSD (SI), X4
+	VMULSD X4, X0, X5
+	VADDSD (R8), X5, X5
+	VMOVSD X5, (R8)
+	ADDQ   $8, SI
+	ADDQ   $8, R8
+	DECQ   CX
+	JNZ    tailloop1
+
+done1:
+	VZEROUPPER
+	RET
 
 // func vaddavx(dst, x *float64, n int)
 // dst[i] += x[i]
@@ -561,5 +628,387 @@ dottailloop:
 
 dotdone:
 	VMOVSD X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// The Dense tile kernels. skiprowWavx accumulates, for a W-column stripe
+// of one acc row held in registers across the whole reduction,
+//
+//	acc[k] += x[t*sx] * v[t*sv + k]   for each t of lst, in list order,
+//
+// where lst holds the ascending steps t whose x[t*sx] is nonzero: the
+// Dense zero skip is done by the caller building the list, so the kernel
+// adds exactly the terms of the scalar loop, in its order, and spends no
+// work on the skipped ones. One kernel serves the forward (acc = an output
+// row, x = an input row, v = the weight rows) and the weight gradient
+// (acc = a weight-gradient row, x = an input column, v = the output-
+// gradient rows). Each product is added as prod + acc, axpy1avx's
+// operand order. Registers: DI = acc, SI = x, R8 = sx bytes, R9 = lst,
+// CX = count, BX = v, R10 = sv bytes.
+
+// SKIPNEXT takes the next listed step t: Y8 = x[t*sx] broadcast, DX =
+// &v[t*sv].
+#define SKIPNEXT \
+	MOVLQSX      (R9), AX; \
+	MOVQ         AX, DX; \
+	IMULQ        R8, AX; \
+	IMULQ        R10, DX; \
+	VBROADCASTSD (SI)(AX*1), Y8; \
+	ADDQ         BX, DX; \
+	ADDQ         $4, R9
+
+// SKIPTERM adds one 4-wide slice of the term to accumulator a.
+#define SKIPTERM(off, a, tmp) \
+	VMULPD off(DX), Y8, tmp; \
+	VADDPD a, tmp, a
+
+// func skiprow32avx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+TEXT ·skiprow32avx(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ sx+16(FP), R8
+	SHLQ $3, R8
+	MOVQ lst+24(FP), R9
+	MOVQ cnt+32(FP), CX
+	MOVQ v+40(FP), BX
+	MOVQ sv+48(FP), R10
+	SHLQ $3, R10
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	TESTQ   CX, CX
+	JZ      sr32store
+
+sr32loop:
+	SKIPNEXT
+	SKIPTERM(0, Y0, Y9)
+	SKIPTERM(32, Y1, Y10)
+	SKIPTERM(64, Y2, Y11)
+	SKIPTERM(96, Y3, Y12)
+	SKIPTERM(128, Y4, Y13)
+	SKIPTERM(160, Y5, Y14)
+	SKIPTERM(192, Y6, Y15)
+	SKIPTERM(224, Y7, Y9)
+	DECQ CX
+	JNZ  sr32loop
+
+sr32store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// func skiprow16avx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+TEXT ·skiprow16avx(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ sx+16(FP), R8
+	SHLQ $3, R8
+	MOVQ lst+24(FP), R9
+	MOVQ cnt+32(FP), CX
+	MOVQ v+40(FP), BX
+	MOVQ sv+48(FP), R10
+	SHLQ $3, R10
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	TESTQ   CX, CX
+	JZ      sr16store
+
+sr16loop:
+	SKIPNEXT
+	SKIPTERM(0, Y0, Y9)
+	SKIPTERM(32, Y1, Y10)
+	SKIPTERM(64, Y2, Y11)
+	SKIPTERM(96, Y3, Y12)
+	DECQ CX
+	JNZ  sr16loop
+
+sr16store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func skiprow8avx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+TEXT ·skiprow8avx(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ sx+16(FP), R8
+	SHLQ $3, R8
+	MOVQ lst+24(FP), R9
+	MOVQ cnt+32(FP), CX
+	MOVQ v+40(FP), BX
+	MOVQ sv+48(FP), R10
+	SHLQ $3, R10
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	TESTQ   CX, CX
+	JZ      sr8store
+
+sr8loop:
+	SKIPNEXT
+	SKIPTERM(0, Y0, Y9)
+	SKIPTERM(32, Y1, Y10)
+	DECQ CX
+	JNZ  sr8loop
+
+sr8store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// func skiprow4avx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+TEXT ·skiprow4avx(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ sx+16(FP), R8
+	SHLQ $3, R8
+	MOVQ lst+24(FP), R9
+	MOVQ cnt+32(FP), CX
+	MOVQ v+40(FP), BX
+	MOVQ sv+48(FP), R10
+	SHLQ $3, R10
+	VMOVUPD (DI), Y0
+	TESTQ   CX, CX
+	JZ      sr4store
+
+sr4loop:
+	SKIPNEXT
+	SKIPTERM(0, Y0, Y9)
+	DECQ CX
+	JNZ  sr4loop
+
+sr4store:
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func skiprowmaskavx(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int, mask *int64)
+//
+// The 1-3 column tail: skiprow4avx with every acc and v access masked to
+// the lanes whose mask word has its sign bit set (VMASKMOVPD never touches
+// the others, so it reads and writes nothing past the row).
+TEXT ·skiprowmaskavx(SB), NOSPLIT, $0-64
+	MOVQ acc+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ sx+16(FP), R8
+	SHLQ $3, R8
+	MOVQ lst+24(FP), R9
+	MOVQ cnt+32(FP), CX
+	MOVQ v+40(FP), BX
+	MOVQ sv+48(FP), R10
+	SHLQ $3, R10
+	MOVQ mask+56(FP), AX
+	VMOVUPD    (AX), Y15
+	VMASKMOVPD (DI), Y15, Y0
+	TESTQ      CX, CX
+	JZ         srmstore
+
+srmloop:
+	SKIPNEXT
+	VMASKMOVPD (DX), Y15, Y9
+	VMULPD     Y9, Y8, Y9
+	VADDPD     Y0, Y9, Y0
+	DECQ       CX
+	JNZ        srmloop
+
+srmstore:
+	VMASKMOVPD Y0, Y15, (DI)
+	VZEROUPPER
+	RET
+
+// VDOT3STEP multiplies one 4-lane slice of the shared weight row (held in
+// Y12) into the matching accumulator of each of three gradient rows.
+#define VDOT3STEP(off, a0, a1, a2) \
+	VMOVUPD off(BX), Y12; \
+	VMULPD  off(SI), Y12, Y13; \
+	VADDPD  Y13, a0, a0; \
+	VMULPD  off(SI)(R12*1), Y12, Y14; \
+	VADDPD  Y14, a1, a1; \
+	VMULPD  off(SI)(R12*2), Y12, Y15; \
+	VADDPD  Y15, a2, a2
+
+// VDOTFOLD folds one row's four accumulators (lanes 0-3, 4-7, 8-11, 12-15)
+// into the low lane of l0 exactly as vdotGo and vdotavx do:
+// ((l0+l2) + (l1+l3)), then (f0+f2) + (f1+f3).
+#define VDOTFOLD(l0, l1, l2, l3, x0, x1, x2) \
+	VADDPD       l2, l0, l0; \
+	VADDPD       l3, l1, l1; \
+	VADDPD       l1, l0, l0; \
+	VEXTRACTF128 $1, l0, x1; \
+	VADDPD       x1, x0, x0; \
+	VUNPCKHPD    x0, x0, x2; \
+	VADDSD       x2, x0, x0
+
+// func vdot3avx(gi *float64, ldi int, grad, w *float64, in, n int)
+//
+// For j = 0..in-1 and r = 0..2: gi[r*ldi + j] = vdot(g[r*n:(r+1)*n],
+// w[j*n:(j+1)*n]) — three Dense input-gradient rows at once, each weight
+// row loaded once for all three. Every dot keeps vdot's 16-lane scheme:
+// the same products land in the same lanes, fold in the same order, and
+// the < 16 remainder is added sequentially after the fold.
+TEXT ·vdot3avx(SB), NOSPLIT, $0-48
+	MOVQ gi+0(FP), DI
+	MOVQ ldi+8(FP), R8
+	SHLQ $3, R8
+	MOVQ grad+16(FP), R9
+	MOVQ w+24(FP), BX
+	MOVQ in+32(FP), R10
+	MOVQ n+40(FP), R11
+	MOVQ R11, R12
+	SHLQ $3, R12 // gradient row stride in bytes
+	MOVQ R11, R13
+	SHRQ $4, R13 // 16-element chunks
+	ANDQ $15, R11 // sequential remainder
+
+	TESTQ R10, R10
+	JZ    d3done
+
+d3row:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	MOVQ   R9, SI
+	MOVQ   R13, CX
+	TESTQ  CX, CX
+	JZ     d3fold
+
+d3chunk:
+	VDOT3STEP(0, Y0, Y4, Y8)
+	VDOT3STEP(32, Y1, Y5, Y9)
+	VDOT3STEP(64, Y2, Y6, Y10)
+	VDOT3STEP(96, Y3, Y7, Y11)
+	ADDQ $128, SI
+	ADDQ $128, BX
+	DECQ CX
+	JNZ  d3chunk
+
+d3fold:
+	VDOTFOLD(Y0, Y1, Y2, Y3, X0, X1, X2)
+	VDOTFOLD(Y4, Y5, Y6, Y7, X4, X5, X6)
+	VDOTFOLD(Y8, Y9, Y10, Y11, X8, X9, X10)
+
+	MOVQ  R11, CX
+	TESTQ CX, CX
+	JZ    d3store
+
+d3tail:
+	VMOVSD (BX), X12
+	VMULSD (SI), X12, X13
+	VADDSD X13, X0, X0
+	VMULSD (SI)(R12*1), X12, X14
+	VADDSD X14, X4, X4
+	VMULSD (SI)(R12*2), X12, X15
+	VADDSD X15, X8, X8
+	ADDQ   $8, SI
+	ADDQ   $8, BX
+	DECQ   CX
+	JNZ    d3tail
+
+d3store:
+	VMOVSD X0, (DI)
+	VMOVSD X4, (DI)(R8*1)
+	VMOVSD X8, (DI)(R8*2)
+	ADDQ   $8, DI
+	DECQ   R10
+	JNZ    d3row
+
+d3done:
+	VZEROUPPER
+	RET
+
+// func adamavx(p, grad, m, v *float64, k *adamCoef, n int)
+//
+// The Adam element update of adamGo, four lanes at a time over n&^3
+// elements (adamAVX leaves the 0-3 element tail to adamGo):
+//
+//	g' = g + wd*p           (only when k.decay)
+//	m  = b1*m + c1*g'
+//	v  = b2*v + (c2*g')*g'
+//	p  = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+//
+// VSQRTPD and VDIVPD round exactly like math.Sqrt and /.
+TEXT ·adamavx(SB), NOSPLIT, $0-48
+	MOVQ p+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ k+32(FP), AX
+	MOVQ n+40(FP), CX
+
+	VBROADCASTSD 0(AX), Y7   // b1
+	VBROADCASTSD 8(AX), Y8   // c1
+	VBROADCASTSD 16(AX), Y9  // b2
+	VBROADCASTSD 24(AX), Y10 // c2
+	VBROADCASTSD 32(AX), Y11 // bc1
+	VBROADCASTSD 40(AX), Y12 // bc2
+	VBROADCASTSD 48(AX), Y13 // lr
+	VBROADCASTSD 56(AX), Y14 // eps
+	VBROADCASTSD 64(AX), Y15 // wd
+	MOVBLZX      72(AX), R10 // decay
+
+	MOVQ CX, DX
+	SHRQ $2, DX
+	JZ   adamdone
+
+adamloop:
+	VMOVUPD (SI), Y0
+	TESTQ   R10, R10
+	JZ      adamnodecay
+	VMULPD  (DI), Y15, Y1
+	VADDPD  Y1, Y0, Y0
+
+adamnodecay:
+	VMULPD  (R8), Y7, Y2
+	VMULPD  Y0, Y8, Y3
+	VADDPD  Y3, Y2, Y2
+	VMOVUPD Y2, (R8)
+	VMULPD  (R9), Y9, Y4
+	VMULPD  Y0, Y10, Y5
+	VMULPD  Y0, Y5, Y5
+	VADDPD  Y5, Y4, Y4
+	VMOVUPD Y4, (R9)
+	VDIVPD  Y11, Y2, Y2
+	VDIVPD  Y12, Y4, Y4
+	VSQRTPD Y4, Y4
+	VADDPD  Y14, Y4, Y4
+	VMULPD  Y2, Y13, Y2
+	VDIVPD  Y4, Y2, Y2
+	VMOVUPD (DI), Y6
+	VSUBPD  Y2, Y6, Y6
+	VMOVUPD Y6, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	DECQ    DX
+	JNZ     adamloop
+
+adamdone:
 	VZEROUPPER
 	RET

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,13 +159,126 @@ func TestVectorKernelsGolden(t *testing.T) {
 			}
 		}
 		bitEqualScalar(t, "vdot", n, vdot(xr, yr), vdotGo(xr, yr))
+
+		// adamUpdate, with and without weight decay, on finite state (the
+		// optimizer's domain) that includes zero gradients and parameters.
+		for _, wd := range []float64{0, 1e-6} {
+			k := adamCoef{b1: 0.9, c1: 1 - 0.9, b2: 0.999, c2: 1 - 0.999,
+				bc1: 1 - math.Pow(0.9, 3), bc2: 1 - math.Pow(0.999, 3),
+				lr: 1e-3, eps: 1e-8, wd: wd, decay: wd != 0}
+			pa, pb := append([]float64(nil), xr...), append([]float64(nil), xr...)
+			ma, mb := append([]float64(nil), yr...), append([]float64(nil), yr...)
+			// Zero second moments, as at the first step, leave each new
+			// v the bare ((1-β2)·g)·g, so its rounding shows.
+			va, vb := make([]float64, n), make([]float64, n)
+			for i := 1; i < n; i += 2 {
+				va[i] = pos[i]
+				vb[i] = pos[i]
+			}
+			adamUpdate(pa, yr, ma, va, &k)
+			adamGo(pb, yr, mb, vb, &k)
+			bitsEqual(t, "adam p", pa, pb)
+			bitsEqual(t, "adam m", ma, mb)
+			bitsEqual(t, "adam v", va, vb)
+		}
 	}
 }
 
-// TestSetVectorKernelsToggle checks the toggle round-trips and that the axpy
-// fast path follows it: with kernels off, axpy1 must match axpy1Go exactly
-// (trivially true — it IS axpy1Go then) and flipping back on must restore
-// the prior state's report.
+// TestAxpyKernelsMatchPortable pins the dispatched axpy1 (AVX when the
+// host supports it) against the portable Go twin bit for bit, across
+// vector-width tails and negative/zero/subnormal-ish values.
+func TestAxpyKernelsMatchPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fill := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			switch rng.Intn(8) {
+			case 0:
+				s[i] = 0
+			case 1:
+				s[i] = 1e-300 * rng.NormFloat64()
+			default:
+				s[i] = rng.NormFloat64()
+			}
+		}
+		return s
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 50, 256, 678} {
+		w := fill(n)
+		got, want := fill(n), make([]float64, n)
+		copy(want, got)
+		v := rng.NormFloat64()
+		axpy1(v, w, got)
+		axpy1Go(v, w, want)
+		bitsEqual(t, fmt.Sprintf("axpy1 n=%d", n), got, want)
+	}
+}
+
+// TestDenseTileKernelsGolden pins the Dense tile kernels — skipGemm in
+// both of its orientations and the row-blocked vdotRows — against their
+// Go twins over shapes that hit every stripe width and column tail, the
+// 3-row blocks of vdotRows and the 256-step runs of skipGemm, with ±0,
+// NaN and ±Inf in every operand. Results must match bit for bit except
+// for NaN payloads (see sameFloats).
+func TestDenseTileKernelsGolden(t *testing.T) {
+	defer SetVectorKernels(SetVectorKernels(true))
+	rng := rand.New(rand.NewSource(5))
+	flat := func(n, d int) []float64 {
+		var out []float64
+		for _, r := range specialRows(rng, n, d) {
+			out = append(out, r...)
+		}
+		return out
+	}
+	for _, rows := range []int{1, 3, 4, 5, 64, 65} {
+		for _, cols := range []int{1, 2, 3, 4, 6, 7, 8, 9, 12, 16, 19, 32, 52, 63, 256} {
+			for _, n := range []int{1, 2, 9, 255, 256, 257, 600} {
+				if rows*cols*n > 1<<21 {
+					continue
+				}
+				name := fmt.Sprintf("rows=%d cols=%d n=%d", rows, cols, n)
+				acc := flat(rows, cols)
+				v := flat(n, cols)
+
+				// Forward orientation: x rows of n steps.
+				x := flat(rows, n)
+				got := append([]float64(nil), acc...)
+				want := append([]float64(nil), acc...)
+				skipGemm(got, cols, x, n, 1, v, cols, rows, cols, n)
+				skipGemmGo(want, cols, x, n, 1, v, cols, rows, cols, n)
+				if !sameFloats(got, want) {
+					t.Fatalf("skipGemm forward %s: differs from its Go twin", name)
+				}
+
+				// Weight-gradient orientation: x is n×rows, read by column.
+				xt := flat(n, rows)
+				got = append(got[:0], acc...)
+				want = append(want[:0], acc...)
+				skipGemm(got, cols, xt, 1, rows, v, cols, rows, cols, n)
+				skipGemmGo(want, cols, xt, 1, rows, v, cols, rows, cols, n)
+				if !sameFloats(got, want) {
+					t.Fatalf("skipGemm weight gradient %s: differs from its Go twin", name)
+				}
+
+				// vdotRows: rows gradient rows of width cols against n
+				// weight rows, into a gi with a wider row stride.
+				g := flat(rows, cols)
+				w := flat(n, cols)
+				gi, giGo := make([]float64, rows*(n+2)), make([]float64, rows*(n+2))
+				vdotRows(gi, n+2, g, w, rows, n, cols)
+				vdotRowsGo(giGo, n+2, g, w, rows, n, cols)
+				if !sameFloats(gi, giGo) {
+					t.Fatalf("vdotRows %s: differs from its Go twin", name)
+				}
+			}
+		}
+	}
+}
+
+// TestSetVectorKernelsToggle checks the toggle round-trips and that the
+// dispatch table follows it: with kernels off, axpy1 must match axpy1Go
+// exactly (trivially true — it IS axpy1Go then) and flipping back on must
+// restore the prior state's report.
 func TestSetVectorKernelsToggle(t *testing.T) {
 	initial := SetVectorKernels(true) // capture whether AVX binds at all
 	defer SetVectorKernels(initial)

@@ -1,18 +1,26 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// refDenseForward is the pre-tensor allocating Dense forward, kept verbatim
-// as the golden reference for the in-place kernel.
+// refDenseForward is the pre-tensor allocating Dense forward, kept as the
+// golden reference for the in-place kernels: each output starts at its
+// bias and adds v·w for the nonzero inputs in ascending order; a
+// single-output layer is b + vdot(row, w) with no zero skip.
 func refDenseForward(w, b []float64, out int, x [][]float64) [][]float64 {
 	y := make([][]float64, len(x))
 	for i, row := range x {
 		o := make([]float64, out)
+		if out == 1 {
+			o[0] = b[0] + vdotGo(row, w)
+			y[i] = o
+			continue
+		}
 		copy(o, b)
 		for j, v := range row {
 			if v == 0 {
@@ -20,7 +28,7 @@ func refDenseForward(w, b []float64, out int, x [][]float64) [][]float64 {
 			}
 			wRow := w[j*out : (j+1)*out]
 			for k, wv := range wRow {
-				o[k] += v * wv
+				o[k] += float64(v * wv)
 			}
 		}
 		y[i] = o
@@ -29,9 +37,12 @@ func refDenseForward(w, b []float64, out int, x [][]float64) [][]float64 {
 }
 
 // refDenseBackward is the allocating reference for the Dense backward. The
-// input gradient uses the fixed 4-lane dot scheme (vdotGo) that defines the
-// layer's bit-level contract; weight/bias accumulations are the plain
-// sequential sums (bit-identical to the axpy/vadd kernels).
+// input gradient is the fixed 16-lane dot (vdotGo) that defines the layer's
+// bit-level contract. The weight gradient sums x·g over the batch rows in
+// order and skips x == 0 exactly like the layer: the skip is part of the
+// definition, since 0·NaN and 0·Inf are NaN, not zero. A single-output
+// layer is defined without the skip: gi = g0·w and gw += g0·x. The bias
+// gradient is the plain sequential sum.
 func refDenseBackward(w []float64, in, out int, x, gradOut [][]float64) (gi [][]float64, gw, gb []float64) {
 	gw = make([]float64, in*out)
 	gb = make([]float64, out)
@@ -41,9 +52,17 @@ func refDenseBackward(w []float64, in, out int, x, gradOut [][]float64) (gi [][]
 		g := make([]float64, in)
 		for j, v := range row {
 			gwRow := gw[j*out : (j+1)*out]
+			if out == 1 {
+				g[j] = gRow[0] * w[j]
+				gwRow[0] += float64(gRow[0] * v)
+				continue
+			}
 			g[j] = vdotGo(gRow, w[j*out:(j+1)*out])
+			if v == 0 {
+				continue
+			}
 			for k, gv := range gRow {
-				gwRow[k] += gv * v
+				gwRow[k] += float64(v * gv)
 			}
 		}
 		for k, gv := range gRow {
@@ -70,35 +89,119 @@ func randRows(rng *rand.Rand, n, d int) [][]float64 {
 	return x
 }
 
-// TestDenseKernelGolden pins the in-place Dense kernels bit-for-bit against
-// the pre-tensor reference implementation, across repeated calls on the
-// same layer (scratch reuse must not leak state between batches).
+// specialRows is randRows with the values the kernels must carry exactly:
+// about a third of the entries ±0 (so 4-row blocks mix zero and nonzero
+// inputs), and a few NaN and ±Inf.
+func specialRows(rng *rand.Rand, n, d int) [][]float64 {
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = make([]float64, d)
+		for j := range x[i] {
+			switch r := rng.Intn(100); {
+			case r < 17:
+				x[i][j] = 0
+			case r < 34:
+				x[i][j] = math.Copysign(0, -1)
+			case r < 35:
+				x[i][j] = math.NaN()
+			case r < 36:
+				x[i][j] = math.Inf(1)
+			case r < 37:
+				x[i][j] = math.Inf(-1)
+			default:
+				x[i][j] = rng.NormFloat64()
+			}
+		}
+	}
+	return x
+}
+
+// sameFloats reports whether got and want hold the same float64s bit for
+// bit, except that any NaN matches any NaN: IEEE leaves the payload of a
+// NaN result to the implementation (x86 returns an operand's, chosen by
+// operand order), so no kernel pins it. Signed zeros and infinities must
+// match exactly.
+func sameFloats(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameRows(got, want [][]float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if !sameFloats(got[i], want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDenseKernelGolden pins the Dense kernels bit for bit against the
+// pre-tensor reference over the tile geometry: output widths covering the
+// single-output definition and every column stripe and tail (1, 3, 7, 8,
+// 9, 256), input widths and batch sizes across the 3-row blocks of the
+// input gradient and the 256-step runs of skipGemm, inputs and gradients
+// with ±0,
+// NaN and ±Inf, a -0 bias and an infinite weight (which the zero skip must
+// keep out of the sums). ForwardT, InferT and the reference must agree on
+// the forward; BackwardT and the reference on the input, weight and bias
+// gradients; each layer runs two batches so scratch reuse cannot leak
+// state. Both kernel sets run: the AVX set where the host has it, and the
+// Go twins.
 func TestDenseKernelGolden(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	d := NewDense(5, 3, rng)
-	w, b := d.Params()[0], d.Params()[1]
-	for trial := 0; trial < 4; trial++ {
-		n := 2 + trial*3
-		x := randRows(rng, n, 5)
-		gradOut := randRows(rng, n, 3)
+	defer SetVectorKernels(SetVectorKernels(true))
+	for _, vec := range []bool{true, false} {
+		SetVectorKernels(vec)
+		rng := rand.New(rand.NewSource(11))
+		for _, out := range []int{1, 3, 7, 8, 9, 256} {
+			for _, in := range []int{1, 5, 64, 65, 257} {
+				for _, rows := range []int{1, 2, 3, 4, 5, 64, 65, 257} {
+					if in*rows*out > 1<<22 {
+						continue // the long runs are covered at narrower shapes
+					}
+					d := NewDense(in, out, rng)
+					w, b := d.Params()[0], d.Params()[1]
+					b.Data[0] = math.Copysign(0, -1)
+					w.Data[len(w.Data)/2] = math.Inf(1)
+					var scratch InferScratch
+					for trial := 0; trial < 2; trial++ {
+						name := fmt.Sprintf("vec=%v out=%d in=%d rows=%d trial=%d", vec, out, in, rows, trial)
+						x := specialRows(rng, rows, in)
+						gradOut := specialRows(rng, rows, out)
 
-		got := d.ForwardT(rowsT(x), true).ToRows()
-		want := refDenseForward(w.Data, b.Data, 3, x)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: forward mismatch", trial)
-		}
+						got := d.ForwardT(rowsT(x), true).ToRows()
+						want := refDenseForward(w.Data, b.Data, out, x)
+						if !sameRows(got, want) {
+							t.Fatalf("%s: forward mismatch", name)
+						}
+						if inf := Infer(d, rowsT(x), &scratch).ToRows(); !sameRows(inf, want) {
+							t.Fatalf("%s: InferT differs from ForwardT", name)
+						}
 
-		ZeroGrads(d.Params())
-		gotGI := d.BackwardT(rowsT(gradOut)).ToRows()
-		wantGI, wantGW, wantGB := refDenseBackward(w.Data, 5, 3, x, gradOut)
-		if !reflect.DeepEqual(gotGI, wantGI) {
-			t.Fatalf("trial %d: input gradient mismatch", trial)
-		}
-		if !reflect.DeepEqual(w.Grad, wantGW) {
-			t.Fatalf("trial %d: weight gradient mismatch", trial)
-		}
-		if !reflect.DeepEqual(b.Grad, wantGB) {
-			t.Fatalf("trial %d: bias gradient mismatch", trial)
+						ZeroGrads(d.Params())
+						gotGI := d.BackwardT(rowsT(gradOut)).ToRows()
+						wantGI, wantGW, wantGB := refDenseBackward(w.Data, in, out, x, gradOut)
+						if !sameRows(gotGI, wantGI) {
+							t.Fatalf("%s: input gradient mismatch", name)
+						}
+						if !sameFloats(w.Grad, wantGW) {
+							t.Fatalf("%s: weight gradient mismatch", name)
+						}
+						if !sameFloats(b.Grad, wantGB) {
+							t.Fatalf("%s: bias gradient mismatch", name)
+						}
+					}
+				}
+			}
 		}
 	}
 }
