@@ -181,6 +181,6 @@ func (m *DANN) adversarialStep(feat, labelHead, domainHead *nn.Network, s *dannS
 			}
 		}
 	}
-	feat.BackwardT(gz)
+	nn.BackwardWindow(feat, gz, 0, 0)
 	return nil
 }

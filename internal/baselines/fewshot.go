@@ -241,7 +241,7 @@ func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Par
 			}
 		}
 	}
-	net.BackwardT(gradZ)
+	nn.BackwardWindow(net, gradZ, 0, 0)
 	opt.Step(params)
 	return nil
 }

@@ -224,7 +224,9 @@ func (g *CGAN) discShard(tr *trainer, s int, b *shardBatch, loss []float64) erro
 	if loss[0], err = nn.BCEWithLogitsTN(realOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
 		return err
 	}
-	dn.BackwardT(&sh.grad)
+	// Nothing reads the discriminator's input gradient here: an empty
+	// window skips it.
+	nn.BackwardWindow(dn, &sh.grad, 0, 0)
 	// Fake pass (generator output detached: we never backward into G here;
 	// the concat into discIn copies it out of the generator's scratch).
 	fake := g.generate(sh, s, &b.inv, tr.rand(s, phaseDiscNoise))
@@ -233,7 +235,7 @@ func (g *CGAN) discShard(tr *trainer, s int, b *shardBatch, loss []float64) erro
 	if loss[1], err = nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
 		return err
 	}
-	dn.BackwardT(&sh.grad)
+	nn.BackwardWindow(dn, &sh.grad, 0, 0)
 	return nil
 }
 
@@ -252,8 +254,9 @@ func (g *CGAN) genShard(tr *trainer, s int, b *shardBatch, loss []float64) error
 	if loss[0], err = nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
 		return err
 	}
-	gradDIn := dn.BackwardT(&sh.grad)
-	// Slice out the gradient w.r.t. the generated variant block.
+	// Only the gradient w.r.t. the generated variant block is read, so the
+	// backward computes just that window of the input gradient.
+	gradDIn := nn.BackwardWindow(dn, &sh.grad, g.invDim, g.invDim+g.varDim)
 	gradFake := sh.gradFake.Reset(rows, g.varDim)
 	for i := 0; i < rows; i++ {
 		copy(gradFake.Row(i), gradDIn.Row(i)[g.invDim:g.invDim+g.varDim])
@@ -270,7 +273,7 @@ func (g *CGAN) genShard(tr *trainer, s int, b *shardBatch, loss []float64) error
 			gf[i] += w * gm[i]
 		}
 	}
-	g.sgen.Net(s).BackwardT(gradFake)
+	nn.BackwardWindow(g.sgen.Net(s), gradFake, 0, 0)
 	nn.ZeroGrads(g.sdisc.Params(s)) // D gradients from this pass are discarded
 	return nil
 }

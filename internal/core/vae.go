@@ -159,7 +159,8 @@ func (v *VAE) shard(tr *trainer, s int, b *shardBatch, loss []float64) error {
 	if loss[0], err = nn.MSETN(recon, &b.vr, &sh.gradRecon, float64(tr.n*v.varDim)); err != nil {
 		return err
 	}
-	gradDecIn := dec.BackwardT(&sh.gradRecon)
+	// Only the latent block of the decoder's input gradient is read.
+	gradDecIn := nn.BackwardWindow(dec, &sh.gradRecon, v.invDim, v.invDim+ld)
 
 	// Assemble encoder-output gradient: reconstruction path through z plus
 	// the KL term, normalized per latent unit of the FULL batch like the
@@ -181,7 +182,7 @@ func (v *VAE) shard(tr *trainer, s int, b *shardBatch, loss []float64) error {
 				klNorm*0.5*(math.Exp(lv)-1) // dKL/dlogvar = (exp(lv)-1)/2
 		}
 	}
-	v.senc.Net(s).BackwardT(gradEnc)
+	nn.BackwardWindow(v.senc.Net(s), gradEnc, 0, 0)
 	return nil
 }
 
@@ -270,7 +271,7 @@ func (a *VanillaAE) shard(tr *trainer, s int, b *shardBatch, loss []float64) err
 	if loss[0], err = nn.MSETN(out, &b.vr, grad, float64(tr.n*a.varDim)); err != nil {
 		return err
 	}
-	net.BackwardT(grad)
+	nn.BackwardWindow(net, grad, 0, 0)
 	return nil
 }
 

@@ -99,7 +99,7 @@ func (tr *softmaxTrainer) step(idx []int) error {
 	if _, err := nn.SoftmaxCET(out, tr.by, &tr.grad); err != nil {
 		return err
 	}
-	tr.net.BackwardT(&tr.grad)
+	nn.BackwardWindow(tr.net, &tr.grad, 0, 0)
 	tr.opt.Step(tr.params)
 	return nil
 }

@@ -35,38 +35,55 @@ func denseBenchInput(rng *rand.Rand, rows, cols int, zeros float64) *Tensor {
 	return x
 }
 
+// benchWidths runs f as one sub-benchmark per kernel width the host can
+// bind (go, avx, avx512), restoring the binding it found.
+func benchWidths(b *testing.B, f func(b *testing.B)) {
+	defer setKernelWidth(setKernelWidth(hostWidth))
+	for w := widthGo; w <= hostWidth; w++ {
+		b.Run(widthNames[w], func(b *testing.B) {
+			setKernelWidth(w)
+			f(b)
+		})
+	}
+}
+
 // BenchmarkDenseForwardT times one training-mode Dense forward over a
-// 64-row batch at each 5GC GAN layer shape:
+// 64-row batch at each 5GC GAN layer shape and each kernel width:
 //
 //	go test -run '^$' -bench DenseForwardT ./internal/nn
 func BenchmarkDenseForwardT(b *testing.B) {
 	for _, s := range denseBenchShapes {
 		b.Run(s.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			d := NewDense(s.in, s.out, rng)
-			x := denseBenchInput(rng, denseBenchRows, s.in, s.zeros)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.ForwardT(x, true)
-			}
+			benchWidths(b, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				d := NewDense(s.in, s.out, rng)
+				x := denseBenchInput(rng, denseBenchRows, s.in, s.zeros)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d.ForwardT(x, true)
+				}
+			})
 		})
 	}
 }
 
 // BenchmarkDenseBackwardT times one Dense backward (input, weight and bias
-// gradients) over a 64-row batch at each 5GC GAN layer shape.
+// gradients) over a 64-row batch at each 5GC GAN layer shape and each
+// kernel width.
 func BenchmarkDenseBackwardT(b *testing.B) {
 	for _, s := range denseBenchShapes {
 		b.Run(s.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			d := NewDense(s.in, s.out, rng)
-			x := denseBenchInput(rng, denseBenchRows, s.in, s.zeros)
-			g := denseBenchInput(rng, denseBenchRows, s.out, 0)
-			d.ForwardT(x, true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.BackwardT(g)
-			}
+			benchWidths(b, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				d := NewDense(s.in, s.out, rng)
+				x := denseBenchInput(rng, denseBenchRows, s.in, s.zeros)
+				g := denseBenchInput(rng, denseBenchRows, s.out, 0)
+				d.ForwardT(x, true)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d.BackwardT(g)
+				}
+			})
 		})
 	}
 }

@@ -83,6 +83,13 @@ func (d *Dense) forward(x, out *Tensor) *Tensor {
 
 // BackwardT accumulates dL/dW, dL/db and returns dL/dx in place.
 func (d *Dense) BackwardT(gradOut *Tensor) *Tensor {
+	return d.backwardWindow(gradOut, 0, fullWindow)
+}
+
+// backwardWindow is BackwardT computing the input gradient only over the
+// columns [lo, hi) (see BackwardWindow); the weight and bias gradients are
+// always whole.
+func (d *Dense) backwardWindow(gradOut *Tensor, lo, hi int) *Tensor {
 	gradIn := d.gradIn.Reset(gradOut.rows, d.In)
 	in := d.input
 	if in.cols != d.In {
@@ -90,6 +97,8 @@ func (d *Dense) BackwardT(gradOut *Tensor) *Tensor {
 		// must read as zero, as the allocating implementation guaranteed.
 		gradIn.ZeroReset(gradOut.rows, d.In)
 	}
+	hi = min(hi, in.cols)
+	lo = min(lo, hi)
 	if d.Out == 1 {
 		// Single-output layers: the row gradients are DEFINED as wide
 		// kernels over the contiguous weight column — gi = g0·w (vscale),
@@ -99,7 +108,7 @@ func (d *Dense) BackwardT(gradOut *Tensor) *Tensor {
 			row := in.Row(i)
 			// Slice to the live input width so the degenerate narrow-input
 			// case keeps its zero tail, like the generic path.
-			vscale(gradIn.Row(i)[:len(row)], d.w.Data[:len(row)], g0)
+			vscale(gradIn.Row(i)[lo:hi], d.w.Data[lo:hi], g0)
 			axpy1(g0, row, d.w.Grad[:len(row)])
 			d.b.Grad[0] += g0
 		}
@@ -110,13 +119,20 @@ func (d *Dense) BackwardT(gradOut *Tensor) *Tensor {
 	// input. The skip is part of the definition (0·NaN and 0·Inf are NaN).
 	skipGemm(d.w.Grad, d.Out, in.data, 1, in.cols, gradOut.data, d.Out, in.cols, d.Out, gradOut.rows)
 	// Input gradient: gi[i][j] = vdot(g[i], W[j]), the fixed 16-lane dot —
-	// the bit-level reference for this layer (see refDenseBackward).
-	vdotRows(gradIn.data, d.In, gradOut.data, d.w.Data, gradOut.rows, in.cols, d.Out)
+	// the bit-level reference for this layer (see refDenseBackward) — for
+	// the window's columns j only.
+	if lo < hi {
+		vdotRows(gradIn.data[lo:], d.In, gradOut.data, d.w.Data[lo*d.Out:], gradOut.rows, hi-lo, d.Out)
+	}
 	for i := 0; i < gradOut.rows; i++ {
 		vadd(d.b.Grad, gradOut.Row(i))
 	}
 	return gradIn
 }
+
+// gradOutWindow implements windowed: the input gradient of every column
+// reads every output-gradient column.
+func (d *Dense) gradOutWindow(int, int) (int, int) { return 0, fullWindow }
 
 // Params returns the layer's weight and bias.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }

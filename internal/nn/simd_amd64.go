@@ -2,19 +2,28 @@
 
 package nn
 
-// hasAVX is the one CPUID gate: AVX requires both the CPU feature flag and
-// OS support for saving YMM state (OSXSAVE + XGETBV).
-var hasAVX = cpuHasAVX()
+// hostWidth is the widest kernel set the hardware supports, from the one
+// CPUID gate: AVX needs the CPU feature flag and OS support for saving YMM
+// state (OSXSAVE + XGETBV); AVX-512F also needs the OS to save the opmask
+// and full ZMM state.
+var hostWidth = func() int {
+	switch avx, avx512 := cpuFeatures(); {
+	case avx512:
+		return width512
+	case avx:
+		return width256
+	}
+	return widthGo
+}()
 
-// simdActive reports whether the AVX kernel set is currently bound; it is
-// what SetVectorKernels reports back.
-var simdActive = hasAVX
+// boundWidth is the kernel set the dispatch table currently holds.
+var boundWidth = widthGo
 
-// The AVX routines live in simd_amd64.s. No-FMA contract: per-lane
+// The vector routines live in simd_amd64.s. No-FMA contract: per-lane
 // VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD plus scalar VEX tails, bit-identical
-// to the Go twins in simd_kernel.go.
+// to the Go twins in simd_kernel.go at both vector widths.
 
-func cpuHasAVX() bool
+func cpuFeatures() (avx, avx512 bool)
 
 //go:noescape
 func axpy1avx(v float64, w, o *float64, n int)
@@ -75,6 +84,15 @@ func vdot3avx(gi *float64, ldi int, grad, w *float64, in, n int)
 
 //go:noescape
 func adamavx(p, grad, m, v *float64, k *adamCoef, n int)
+
+//go:noescape
+func skiprow64avx512(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+
+//go:noescape
+func vdot6avx512(gi *float64, ldi int, grad, w *float64, in, n int)
+
+//go:noescape
+func adamavx512(p, grad, m, v *float64, k *adamCoef, n int)
 
 // Slice wrappers. All kernels take equal-length slices (the length of the
 // first operand is the element count, as in the Go twins).
@@ -172,20 +190,32 @@ func vscaleAVX(dst, x []float64, s float64) {
 }
 
 // skipGemmAVX runs skipGemm's definition through the skiprow kernels, one
-// acc row at a time. For each run of up to skipSteps reduction steps it
+// acc row at a time, in stripes of at most 32 columns (see skipGemmStripes).
+func skipGemmAVX(acc []float64, lda int, x []float64, rx, sx int, v []float64, sv, rows, cols, n int) {
+	skipGemmStripes(32, acc, lda, x, rx, sx, v, sv, rows, cols, n)
+}
+
+// skipGemmAVX512 is skipGemmAVX with 64-column ZMM stripes; the 1-63
+// columns left over run through the AVX stripes.
+func skipGemmAVX512(acc []float64, lda int, x []float64, rx, sx int, v []float64, sv, rows, cols, n int) {
+	skipGemmStripes(64, acc, lda, x, rx, sx, v, sv, rows, cols, n)
+}
+
+// skipGemmStripes runs skipGemm's definition through the skiprow kernels,
+// one acc row at a time. For each run of up to skipSteps reduction steps it
 // first lists the steps whose x is nonzero (branch-free), so the zero skip
-// costs no arithmetic; each column stripe (32, 16, 8 or 4 wide, then a
-// masked stripe for the last 1-3 columns) then runs the list through one
-// kernel with the stripe of acc held in registers. Runs go in ascending t
-// and the accumulators round-trip exactly through acc between them, so
-// every element adds its terms in t order whichever run and stripe cover
-// it.
+// costs no arithmetic; each column stripe (top wide while the columns
+// last, then halving down to 4, then a masked stripe for the last 1-3
+// columns) then runs the list through one kernel with the stripe of acc
+// held in registers. Runs go in ascending t and the accumulators
+// round-trip exactly through acc between them, so every element adds its
+// terms in t order whichever run and stripe cover it.
 //
 // The kernels read v in place. Packing each stripe's v columns into a
 // contiguous panel first (Goto and van de Geijn) gained at most 8% at 64
 // rows and was about 2x slower at 4 rows, where copying v costs as much as
 // the arithmetic it feeds.
-func skipGemmAVX(acc []float64, lda int, x []float64, rx, sx int, v []float64, sv, rows, cols, n int) {
+func skipGemmStripes(top int, acc []float64, lda int, x []float64, rx, sx int, v []float64, sv, rows, cols, n int) {
 	if rows == 0 || cols == 0 || n == 0 {
 		return
 	}
@@ -203,7 +233,7 @@ func skipGemmAVX(acc []float64, lda int, x []float64, rx, sx int, v []float64, s
 				continue
 			}
 			for c := 0; c < cols; {
-				w := 32
+				w := top
 				for w > cols-c && w > 4 {
 					w /= 2
 				}
@@ -233,10 +263,12 @@ func skipList(lst []int32, x []float64, sx int) int {
 	return c
 }
 
-// skipRow runs the skiprow kernel for a w-column stripe, w one of 32, 16,
-// 8 and 4, or 1-3 for the masked tail.
+// skipRow runs the skiprow kernel for a w-column stripe, w one of 64, 32,
+// 16, 8 and 4, or 1-3 for the masked tail.
 func skipRow(w int, acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int) {
 	switch w {
+	case 64:
+		skiprow64avx512(acc, x, sx, lst, cnt, v, sv)
 	case 32:
 		skiprow32avx(acc, x, sx, lst, cnt, v, sv)
 	case 16:
@@ -276,6 +308,25 @@ func vdotRowsAVX(gi []float64, ldi int, g, w []float64, rows, in, n int) {
 	}
 }
 
+// vdotRowsAVX512 runs six gradient rows at a time through vdot6avx512 and
+// the last one to five through vdotRowsAVX.
+func vdotRowsAVX512(gi []float64, ldi int, g, w []float64, rows, in, n int) {
+	if rows == 0 || in == 0 || n == 0 {
+		vdotRowsGo(gi, ldi, g, w, rows, in, n) // empty dots are +0
+		return
+	}
+	_ = gi[(rows-1)*ldi+in-1]
+	_ = g[rows*n-1]
+	_ = w[in*n-1]
+	i := 0
+	for ; i+6 <= rows; i += 6 {
+		vdot6avx512(&gi[i*ldi], ldi, &g[i*n], &w[0], in, n)
+	}
+	if i < rows {
+		vdotRowsAVX(gi[i*ldi:], ldi, g[i*n:], w, rows-i, in, n)
+	}
+}
+
 // adamAVX runs whole 4-lane groups through adamavx and the last 0-3
 // elements through the Go twin.
 func adamAVX(p, g, m, v []float64, k *adamCoef) {
@@ -283,6 +334,17 @@ func adamAVX(p, g, m, v []float64, k *adamCoef) {
 	if n > 0 {
 		g, m, v := g[:len(p)], m[:len(p)], v[:len(p)]
 		adamavx(&p[0], &g[0], &m[0], &v[0], k, n)
+	}
+	adamGo(p[n:], g[n:], m[n:], v[n:], k)
+}
+
+// adamAVX512 runs whole 8-lane groups through adamavx512 and the last 0-7
+// elements through the Go twin.
+func adamAVX512(p, g, m, v []float64, k *adamCoef) {
+	n := len(p) &^ 7
+	if n > 0 {
+		g, m, v := g[:len(p)], m[:len(p)], v[:len(p)]
+		adamavx512(&p[0], &g[0], &m[0], &v[0], k, n)
 	}
 	adamGo(p[n:], g[n:], m[n:], v[n:], k)
 }
@@ -325,26 +387,32 @@ func bindAVXKernels() {
 	vscale = vscaleAVX
 }
 
-// SetVectorKernels binds the AVX kernel set (on=true, when the hardware
-// supports it) or the portable Go twins (on=false), and returns whether
-// the AVX set was bound BEFORE the call. Because both sets are bit-identical
-// the toggle never changes results — it exists so tests can pin both sets
-// and benchmarks and the driftbench gan_epoch stage can measure
-// scalar-vs-vector honestly. Not safe to call concurrently with running
-// training; flip it between runs.
-func SetVectorKernels(on bool) bool {
-	prev := simdActive
-	simdActive = on && hasAVX
-	if simdActive {
+// bindAVX512Kernels binds the AVX set with the 512-bit twins of the Dense
+// tile kernels and Adam in place of their 256-bit forms.
+func bindAVX512Kernels() {
+	bindAVXKernels()
+	skipGemm = skipGemmAVX512
+	vdotRows = vdotRowsAVX512
+	adamUpdate = adamAVX512
+}
+
+// setKernelWidth binds the widest kernel set no wider than w that the
+// hardware supports and returns the width bound before the call. Tests use
+// it to pin every width against the others.
+func setKernelWidth(w int) int {
+	prev := boundWidth
+	boundWidth = min(w, hostWidth)
+	switch boundWidth {
+	case width512:
+		bindAVX512Kernels()
+	case width256:
 		bindAVXKernels()
-	} else {
+	default:
 		bindGoKernels()
 	}
 	return prev
 }
 
 func init() {
-	if hasAVX {
-		bindAVXKernels()
-	}
+	setKernelWidth(hostWidth)
 }

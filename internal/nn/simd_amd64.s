@@ -2,39 +2,60 @@
 
 #include "textflag.h"
 
-// Every AVX kernel of the package: the Dense tile kernels, the element-wise
-// training kernels, the 16-lane vdot and the Adam update. Bit-identity
-// contract: only VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD (and their scalar VEX
-// forms for length tails), compares, blends and moves — one IEEE rounding
-// per lane per operation, exactly what the Go twins in simd_kernel.go
-// compute. VFMADD* must never appear here: fusing a multiply-add skips the
-// intermediate rounding. The reductions (vdot and its row-blocked form
-// vdot3) fold their lanes as vdotGo defines (ending in VEXTRACTF128/VADDPD/
-// VUNPCKHPD/VADDSD) — golden tests in simd_test.go pin every routine.
+// Every vector kernel of the package: the Dense tile kernels, the
+// element-wise training kernels, the 16-lane vdot and the Adam update, and
+// the AVX-512 twins of the Dense tile kernels and Adam at the end of the
+// file. Bit-identity contract: only VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD
+// (and their scalar VEX forms for length tails), compares, blends and
+// moves — one IEEE rounding per lane per operation, exactly what the Go
+// twins in simd_kernel.go compute. No fused multiply-add (FMA3) mnemonic
+// may appear in this file, not even in a comment, and CI greps for one:
+// fusing a multiply-add skips the intermediate rounding. The reductions
+// (vdot and its row-blocked forms vdot3 and vdot6) fold their lanes as
+// vdotGo defines (ending in VEXTRACTF128/VADDPD/VUNPCKHPD/VADDSD) — golden
+// tests in simd_test.go pin every routine at every width.
 
 DATA simdone<>+0(SB)/8, $0x3ff0000000000000 // 1.0
 GLOBL simdone<>(SB), RODATA, $8
 
-// func cpuHasAVX() bool
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+// func cpuFeatures() (avx, avx512 bool)
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx+0(FP)
+	MOVB $0, avx512+1(FP)
 	MOVL $1, AX
+	XORL CX, CX
 	CPUID
 	// AVX needs the CPU flags (ECX bit 28) and OSXSAVE (ECX bit 27).
 	MOVL CX, BX
 	ANDL $(1<<27 | 1<<28), BX
 	CMPL BX, $(1<<27 | 1<<28)
-	JNE  noavx
+	JNE  featdone
 	// XGETBV: the OS must save both XMM (bit 1) and YMM (bit 2) state.
 	XORL CX, CX
 	XGETBV
+	MOVL AX, R8
 	ANDL $6, AX
 	CMPL AX, $6
-	JNE  noavx
-	MOVB $1, ret+0(FP)
-	RET
+	JNE  featdone
+	MOVB $1, avx+0(FP)
+	// AVX-512F: XCR0 must also cover the opmask (bit 5), the upper halves
+	// of ZMM0-15 (bit 6) and ZMM16-31 (bit 7), and leaf 7 must report
+	// AVX512F (EBX bit 16).
+	ANDL $0xe6, R8
+	CMPL R8, $0xe6
+	JNE  featdone
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JB   featdone
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $(1<<16), BX
+	JZ   featdone
+	MOVB $1, avx512+1(FP)
 
-noavx:
-	MOVB $0, ret+0(FP)
+featdone:
 	RET
 
 // func axpy1avx(v float64, w, o *float64, n int)
@@ -1010,5 +1031,272 @@ adamnodecay:
 	JNZ     adamloop
 
 adamdone:
+	VZEROUPPER
+	RET
+
+// The AVX-512 twins. They implement the same definitions as the AVX
+// kernels above with 8-lane ZMM vectors: per-lane VMULPD/VADDPD/VDIVPD/
+// VSQRTPD, one IEEE rounding per lane per operation, never fused. They
+// run only where the gate reports AVX512F with the OS saving ZMM and
+// opmask state, and end in VZEROUPPER like every kernel here.
+
+// SKIPNEXT512 is SKIPNEXT with the step's x broadcast to all of Z8.
+#define SKIPNEXT512 \
+	MOVLQSX      (R9), AX; \
+	MOVQ         AX, DX; \
+	IMULQ        R8, AX; \
+	IMULQ        R10, DX; \
+	VBROADCASTSD (SI)(AX*1), Z8; \
+	ADDQ         BX, DX; \
+	ADDQ         $4, R9
+
+// SKIPTERM512 adds one 8-wide slice of the term to accumulator a, in
+// SKIPTERM's operand order (product + acc).
+#define SKIPTERM512(off, a, tmp) \
+	VMULPD off(DX), Z8, tmp; \
+	VADDPD a, tmp, a
+
+// func skiprow64avx512(acc, x *float64, sx int, lst *int32, cnt int, v *float64, sv int)
+//
+// skiprow32avx over a 64-column stripe held in eight ZMM accumulators.
+TEXT ·skiprow64avx512(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ sx+16(FP), R8
+	SHLQ $3, R8
+	MOVQ lst+24(FP), R9
+	MOVQ cnt+32(FP), CX
+	MOVQ v+40(FP), BX
+	MOVQ sv+48(FP), R10
+	SHLQ $3, R10
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	TESTQ   CX, CX
+	JZ      sr64store
+
+sr64loop:
+	SKIPNEXT512
+	SKIPTERM512(0, Z0, Z9)
+	SKIPTERM512(64, Z1, Z10)
+	SKIPTERM512(128, Z2, Z11)
+	SKIPTERM512(192, Z3, Z12)
+	SKIPTERM512(256, Z4, Z13)
+	SKIPTERM512(320, Z5, Z14)
+	SKIPTERM512(384, Z6, Z15)
+	SKIPTERM512(448, Z7, Z16)
+	DECQ CX
+	JNZ  sr64loop
+
+sr64store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	VZEROUPPER
+	RET
+
+// VDOT6ROW multiplies the shared 16-element weight chunk (Z12 = elements
+// 0-7, Z13 = 8-15) into one gradient row's two accumulators: lo holds
+// vdot's lanes 0-7 (from mlo), hi its lanes 8-15 (from mhi).
+#define VDOT6ROW(mlo, mhi, lo, hi) \
+	VMULPD mlo, Z12, Z14; \
+	VADDPD Z14, lo, lo; \
+	VMULPD mhi, Z13, Z15; \
+	VADDPD Z15, hi, hi
+
+// VDOTFOLD512 folds one row's two accumulators into the low lane of lo.
+// lo+hi holds (l[k]+l[k+8]) for k < 8: its low half is what VDOTFOLD's
+// first add makes of lanes 0-3 and 8-11, its high half of lanes 4-7 and
+// 12-15, so adding the halves gives f[k] = (l[k]+l[k+8]) + (l[k+4]+l[k+12])
+// and the 4-lane fold that follows is VDOTFOLD's own.
+#define VDOTFOLD512(zlo, zhi, ylo, yhi, xlo, xhi, x2) \
+	VADDPD        zhi, zlo, zlo; \
+	VEXTRACTF64X4 $1, zlo, yhi; \
+	VADDPD        yhi, ylo, ylo; \
+	VEXTRACTF128  $1, ylo, xhi; \
+	VADDPD        xhi, xlo, xlo; \
+	VUNPCKHPD     xlo, xlo, x2; \
+	VADDSD        x2, xlo, xlo
+
+// VDOT6TAIL adds one remainder term to a folded row sum: x12 holds the
+// weight element.
+#define VDOT6TAIL(mem, acc, tmp) \
+	VMULSD mem, X12, tmp; \
+	VADDSD tmp, acc, acc
+
+// func vdot6avx512(gi *float64, ldi int, grad, w *float64, in, n int)
+//
+// vdot3avx for six gradient rows at once: gi[r*ldi + j] = vdot(g[r*n:
+// (r+1)*n], w[j*n:(j+1)*n]) for r < 6 and j < in. Row r keeps vdot's 16
+// lanes in two ZMM accumulators (Z(2r) = lanes 0-7, Z(2r+1) = lanes 8-15),
+// so every lane adds its terms in vdot's order; the fold and the
+// sequential < 16 remainder are vdot's. Rows 0-2 are addressed from SI,
+// rows 3-5 from R14 = SI + 3 rows.
+TEXT ·vdot6avx512(SB), NOSPLIT, $0-48
+	MOVQ gi+0(FP), DI
+	MOVQ ldi+8(FP), R8
+	SHLQ $3, R8
+	MOVQ grad+16(FP), R9
+	MOVQ w+24(FP), BX
+	MOVQ in+32(FP), R10
+	MOVQ n+40(FP), R11
+	MOVQ R11, R12
+	SHLQ $3, R12 // gradient row stride in bytes
+	LEAQ (R8)(R8*2), DX // three gi rows in bytes
+	MOVQ R11, R13
+	SHRQ $4, R13  // 16-element chunks
+	ANDQ $15, R11 // sequential remainder
+
+	TESTQ R10, R10
+	JZ    d6done
+
+d6row:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	MOVQ   R9, SI
+	LEAQ   (R9)(R12*2), R14
+	ADDQ   R12, R14
+	MOVQ   R13, CX
+	TESTQ  CX, CX
+	JZ     d6fold
+
+d6chunk:
+	VMOVUPD (BX), Z12
+	VMOVUPD 64(BX), Z13
+	VDOT6ROW((SI), 64(SI), Z0, Z1)
+	VDOT6ROW((SI)(R12*1), 64(SI)(R12*1), Z2, Z3)
+	VDOT6ROW((SI)(R12*2), 64(SI)(R12*2), Z4, Z5)
+	VDOT6ROW((R14), 64(R14), Z6, Z7)
+	VDOT6ROW((R14)(R12*1), 64(R14)(R12*1), Z8, Z9)
+	VDOT6ROW((R14)(R12*2), 64(R14)(R12*2), Z10, Z11)
+	ADDQ $128, SI
+	ADDQ $128, R14
+	ADDQ $128, BX
+	DECQ CX
+	JNZ  d6chunk
+
+d6fold:
+	VDOTFOLD512(Z0, Z1, Y0, Y1, X0, X1, X13)
+	VDOTFOLD512(Z2, Z3, Y2, Y3, X2, X3, X13)
+	VDOTFOLD512(Z4, Z5, Y4, Y5, X4, X5, X13)
+	VDOTFOLD512(Z6, Z7, Y6, Y7, X6, X7, X13)
+	VDOTFOLD512(Z8, Z9, Y8, Y9, X8, X9, X13)
+	VDOTFOLD512(Z10, Z11, Y10, Y11, X10, X11, X13)
+
+	MOVQ  R11, CX
+	TESTQ CX, CX
+	JZ    d6store
+
+d6tail:
+	VMOVSD (BX), X12
+	VDOT6TAIL((SI), X0, X13)
+	VDOT6TAIL((SI)(R12*1), X2, X14)
+	VDOT6TAIL((SI)(R12*2), X4, X15)
+	VDOT6TAIL((R14), X6, X13)
+	VDOT6TAIL((R14)(R12*1), X8, X14)
+	VDOT6TAIL((R14)(R12*2), X10, X15)
+	ADDQ   $8, SI
+	ADDQ   $8, R14
+	ADDQ   $8, BX
+	DECQ   CX
+	JNZ    d6tail
+
+d6store:
+	LEAQ   (DI)(DX*1), AX
+	VMOVSD X0, (DI)
+	VMOVSD X2, (DI)(R8*1)
+	VMOVSD X4, (DI)(R8*2)
+	VMOVSD X6, (AX)
+	VMOVSD X8, (AX)(R8*1)
+	VMOVSD X10, (AX)(R8*2)
+	ADDQ   $8, DI
+	DECQ   R10
+	JNZ    d6row
+
+d6done:
+	VZEROUPPER
+	RET
+
+// func adamavx512(p, grad, m, v *float64, k *adamCoef, n int)
+//
+// adamavx eight lanes at a time over n&^7 elements (adamAVX512 leaves the
+// 0-7 element tail to adamGo), in adamGo's order of operations.
+TEXT ·adamavx512(SB), NOSPLIT, $0-48
+	MOVQ p+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ k+32(FP), AX
+	MOVQ n+40(FP), CX
+
+	VBROADCASTSD 0(AX), Z7   // b1
+	VBROADCASTSD 8(AX), Z8   // c1
+	VBROADCASTSD 16(AX), Z9  // b2
+	VBROADCASTSD 24(AX), Z10 // c2
+	VBROADCASTSD 32(AX), Z11 // bc1
+	VBROADCASTSD 40(AX), Z12 // bc2
+	VBROADCASTSD 48(AX), Z13 // lr
+	VBROADCASTSD 56(AX), Z14 // eps
+	VBROADCASTSD 64(AX), Z15 // wd
+	MOVBLZX      72(AX), R10 // decay
+
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   adam512done
+
+adam512loop:
+	VMOVUPD (SI), Z0
+	TESTQ   R10, R10
+	JZ      adam512nodecay
+	VMULPD  (DI), Z15, Z1
+	VADDPD  Z1, Z0, Z0
+
+adam512nodecay:
+	VMULPD  (R8), Z7, Z2
+	VMULPD  Z0, Z8, Z3
+	VADDPD  Z3, Z2, Z2
+	VMOVUPD Z2, (R8)
+	VMULPD  (R9), Z9, Z4
+	VMULPD  Z0, Z10, Z5
+	VMULPD  Z0, Z5, Z5
+	VADDPD  Z5, Z4, Z4
+	VMOVUPD Z4, (R9)
+	VDIVPD  Z11, Z2, Z2
+	VDIVPD  Z12, Z4, Z4
+	VSQRTPD Z4, Z4
+	VADDPD  Z14, Z4, Z4
+	VMULPD  Z2, Z13, Z2
+	VDIVPD  Z4, Z2, Z2
+	VMOVUPD (DI), Z6
+	VSUBPD  Z2, Z6, Z6
+	VMOVUPD Z6, (DI)
+	ADDQ    $64, DI
+	ADDQ    $64, SI
+	ADDQ    $64, R8
+	ADDQ    $64, R9
+	DECQ    DX
+	JNZ     adam512loop
+
+adam512done:
 	VZEROUPPER
 	RET

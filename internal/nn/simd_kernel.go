@@ -28,10 +28,34 @@ import "math"
 // platform and at every worker count. The losses sum their terms
 // sequentially in Go (loss.go), so no loss reduction needs a lane scheme.
 
-// The dispatch table: amd64 binds the AVX implementations at init when the
-// CPU supports them (see simd_amd64.go); everywhere else the Go twins stay
-// bound. SetVectorKernels flips the binding at runtime for tests and
-// benchmarks.
+// The kernel widths the dispatch table can bind: the Go twins, the 256-bit
+// AVX set, and the AVX set with 512-bit twins of the Dense tile kernels
+// and Adam.
+const (
+	widthGo = iota
+	width256
+	width512
+)
+
+// SetVectorKernels binds the widest vector kernel set the hardware
+// supports (on=true) or the portable Go twins (on=false), and returns
+// whether a vector set was bound BEFORE the call. Because every set is
+// bit-identical the toggle never changes results — it exists so tests can
+// pin the sets against each other and benchmarks and the driftbench
+// gan_epoch stage can measure scalar-vs-vector honestly. Off amd64 only
+// the Go twins exist and it always reports false. Not safe to call
+// concurrently with running training; flip it between runs.
+func SetVectorKernels(on bool) bool {
+	w := widthGo
+	if on {
+		w = hostWidth
+	}
+	return setKernelWidth(w) > widthGo
+}
+
+// The dispatch table: amd64 binds the widest vector set the CPU supports
+// at init (see simd_amd64.go); everywhere else the Go twins stay bound.
+// SetVectorKernels flips the binding at runtime for tests and benchmarks.
 var (
 	axpy1      func(v float64, w, o []float64)                                                           = axpy1Go
 	skipGemm   func(acc []float64, lda int, x []float64, rx, sx int, v []float64, sv, rows, cols, n int) = skipGemmGo

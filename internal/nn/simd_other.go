@@ -2,8 +2,8 @@
 
 package nn
 
-// SetVectorKernels is a no-op off amd64: only the portable Go kernels
-// exist, they are always bound, and the previous state is always "scalar".
-func SetVectorKernels(on bool) bool {
-	return false
-}
+// Off amd64 only the portable Go kernels exist and they are always bound.
+const hostWidth = widthGo
+
+// setKernelWidth is a no-op: the Go twins stay bound.
+func setKernelWidth(int) int { return widthGo }

@@ -62,16 +62,43 @@ func bitEqualScalar(t *testing.T, name string, n int, got, want float64) {
 	}
 }
 
+// widthNames names the kernel widths in test logs and benchmark names.
+var widthNames = [...]string{widthGo: "go", width256: "avx", width512: "avx512"}
+
+// forEachWidth binds, in turn, every kernel width from the host's widest
+// down to from, runs f at each, restores the binding it found, and logs
+// which widths ran: on a host without AVX-512 (or without AVX) the missing
+// sets cannot run, and the log says so.
+func forEachWidth(t *testing.T, from int, f func(w int)) {
+	t.Helper()
+	defer setKernelWidth(setKernelWidth(hostWidth))
+	var ran []string
+	for w := hostWidth; w >= from; w-- {
+		setKernelWidth(w)
+		f(w)
+		ran = append(ran, widthNames[w])
+	}
+	t.Logf("kernel widths run: %v (host widest: %s)", ran, widthNames[hostWidth])
+}
+
 // TestVectorKernelsGolden pins every dispatched kernel bitwise against its
 // portable Go twin across sizes covering all tail lengths and corner values
-// (-0.0, NaN, exact zeros). On hardware without AVX both sides run the same
-// Go code and the test degenerates to a self-check.
+// (-0.0, NaN, exact zeros), at every vector width the host has (the AVX
+// set, and the AVX-512 set with its own Adam), so the widths are pinned
+// against each other through the twins. On hardware without AVX both
+// sides run the same Go code and the test degenerates to a self-check.
 func TestVectorKernelsGolden(t *testing.T) {
-	if !SetVectorKernels(true) && !SetVectorKernels(true) {
-		t.Log("AVX unavailable; golden test runs scalar-vs-scalar")
-	}
-	defer SetVectorKernels(true)
+	forEachWidth(t, min(width256, hostWidth), func(w int) {
+		vectorKernelsGolden(t, widthNames[w])
+	})
+}
+
+func vectorKernelsGolden(t *testing.T, width string) {
 	rng := rand.New(rand.NewSource(42))
+	bitsEqual := func(t *testing.T, name string, got, want []float64) {
+		t.Helper()
+		bitsEqual(t, width+" "+name, got, want)
+	}
 
 	for _, n := range kernelSizes {
 		x := kernelInput(rng, n)
@@ -158,7 +185,7 @@ func TestVectorKernelsGolden(t *testing.T) {
 				xr[i] = math.Copysign(0, -1)
 			}
 		}
-		bitEqualScalar(t, "vdot", n, vdot(xr, yr), vdotGo(xr, yr))
+		bitEqualScalar(t, width+" vdot", n, vdot(xr, yr), vdotGo(xr, yr))
 
 		// adamUpdate, with and without weight decay, on finite state (the
 		// optimizer's domain) that includes zero gradients and parameters.
@@ -216,13 +243,44 @@ func TestAxpyKernelsMatchPortable(t *testing.T) {
 
 // TestDenseTileKernelsGolden pins the Dense tile kernels — skipGemm in
 // both of its orientations and the row-blocked vdotRows — against their
-// Go twins over shapes that hit every stripe width and column tail, the
-// 3-row blocks of vdotRows and the 256-step runs of skipGemm, with ±0,
-// NaN and ±Inf in every operand. Results must match bit for bit except
-// for NaN payloads (see sameFloats).
+// Go twins at every vector width the host has, over shapes that hit every
+// stripe width and column tail (the AVX-512 set's 64-column stripe and
+// its 1-63-column remainders included), the 3-row blocks of the AVX
+// vdotRows and the 6-row blocks of the AVX-512 one with their 1-5-row
+// tails, and the 256-step runs of skipGemm, with ±0, NaN and ±Inf in
+// every operand. Results must match bit for bit except for NaN payloads
+// (see sameFloats).
 func TestDenseTileKernelsGolden(t *testing.T) {
-	defer SetVectorKernels(SetVectorKernels(true))
-	rng := rand.New(rand.NewSource(5))
+	forEachWidth(t, min(width256, hostWidth), func(w int) {
+		rng := rand.New(rand.NewSource(5))
+		for _, rows := range []int{1, 3, 4, 5, 64, 65} {
+			for _, cols := range []int{1, 2, 3, 4, 6, 7, 8, 9, 12, 16, 19, 32, 52, 63, 64, 100, 256} {
+				for _, n := range []int{1, 2, 9, 255, 256, 257, 600} {
+					if rows*cols*n > 1<<21 {
+						continue
+					}
+					denseTileGolden(t, rng, fmt.Sprintf("%s rows=%d cols=%d n=%d", widthNames[w], rows, cols, n), rows, cols, n)
+				}
+			}
+		}
+		// Every row-block tail: 6-13 rows, at dot lengths around the
+		// 16-lane chunk.
+		for rows := 6; rows <= 13; rows++ {
+			for _, cols := range []int{1, 15, 16, 17, 52} {
+				denseTileGolden(t, rng, fmt.Sprintf("%s rows=%d cols=%d n=9", widthNames[w], rows, cols), rows, cols, 9)
+			}
+		}
+		// Every stripe cover of up to two 64-column stripes and a remainder.
+		for cols := 1; cols <= 130; cols++ {
+			denseTileGolden(t, rng, fmt.Sprintf("%s rows=2 cols=%d n=9", widthNames[w], cols), 2, cols, 9)
+		}
+	})
+}
+
+// denseTileGolden runs the tile kernels once at one shape against their Go
+// twins.
+func denseTileGolden(t *testing.T, rng *rand.Rand, name string, rows, cols, n int) {
+	t.Helper()
 	flat := func(n, d int) []float64 {
 		var out []float64
 		for _, r := range specialRows(rng, n, d) {
@@ -230,48 +288,38 @@ func TestDenseTileKernelsGolden(t *testing.T) {
 		}
 		return out
 	}
-	for _, rows := range []int{1, 3, 4, 5, 64, 65} {
-		for _, cols := range []int{1, 2, 3, 4, 6, 7, 8, 9, 12, 16, 19, 32, 52, 63, 256} {
-			for _, n := range []int{1, 2, 9, 255, 256, 257, 600} {
-				if rows*cols*n > 1<<21 {
-					continue
-				}
-				name := fmt.Sprintf("rows=%d cols=%d n=%d", rows, cols, n)
-				acc := flat(rows, cols)
-				v := flat(n, cols)
+	acc := flat(rows, cols)
+	v := flat(n, cols)
 
-				// Forward orientation: x rows of n steps.
-				x := flat(rows, n)
-				got := append([]float64(nil), acc...)
-				want := append([]float64(nil), acc...)
-				skipGemm(got, cols, x, n, 1, v, cols, rows, cols, n)
-				skipGemmGo(want, cols, x, n, 1, v, cols, rows, cols, n)
-				if !sameFloats(got, want) {
-					t.Fatalf("skipGemm forward %s: differs from its Go twin", name)
-				}
+	// Forward orientation: x rows of n steps.
+	x := flat(rows, n)
+	got := append([]float64(nil), acc...)
+	want := append([]float64(nil), acc...)
+	skipGemm(got, cols, x, n, 1, v, cols, rows, cols, n)
+	skipGemmGo(want, cols, x, n, 1, v, cols, rows, cols, n)
+	if !sameFloats(got, want) {
+		t.Fatalf("skipGemm forward %s: differs from its Go twin", name)
+	}
 
-				// Weight-gradient orientation: x is n×rows, read by column.
-				xt := flat(n, rows)
-				got = append(got[:0], acc...)
-				want = append(want[:0], acc...)
-				skipGemm(got, cols, xt, 1, rows, v, cols, rows, cols, n)
-				skipGemmGo(want, cols, xt, 1, rows, v, cols, rows, cols, n)
-				if !sameFloats(got, want) {
-					t.Fatalf("skipGemm weight gradient %s: differs from its Go twin", name)
-				}
+	// Weight-gradient orientation: x is n×rows, read by column.
+	xt := flat(n, rows)
+	got = append(got[:0], acc...)
+	want = append(want[:0], acc...)
+	skipGemm(got, cols, xt, 1, rows, v, cols, rows, cols, n)
+	skipGemmGo(want, cols, xt, 1, rows, v, cols, rows, cols, n)
+	if !sameFloats(got, want) {
+		t.Fatalf("skipGemm weight gradient %s: differs from its Go twin", name)
+	}
 
-				// vdotRows: rows gradient rows of width cols against n
-				// weight rows, into a gi with a wider row stride.
-				g := flat(rows, cols)
-				w := flat(n, cols)
-				gi, giGo := make([]float64, rows*(n+2)), make([]float64, rows*(n+2))
-				vdotRows(gi, n+2, g, w, rows, n, cols)
-				vdotRowsGo(giGo, n+2, g, w, rows, n, cols)
-				if !sameFloats(gi, giGo) {
-					t.Fatalf("vdotRows %s: differs from its Go twin", name)
-				}
-			}
-		}
+	// vdotRows: rows gradient rows of width cols against n weight rows,
+	// into a gi with a wider row stride.
+	g := flat(rows, cols)
+	w := flat(n, cols)
+	gi, giGo := make([]float64, rows*(n+2)), make([]float64, rows*(n+2))
+	vdotRows(gi, n+2, g, w, rows, n, cols)
+	vdotRowsGo(giGo, n+2, g, w, rows, n, cols)
+	if !sameFloats(gi, giGo) {
+		t.Fatalf("vdotRows %s: differs from its Go twin", name)
 	}
 }
 
@@ -303,6 +351,14 @@ func TestSetVectorKernelsToggle(t *testing.T) {
 	on := SetVectorKernels(true)
 	if on {
 		t.Fatal("SetVectorKernels(true) reported prev=true after disable")
+	}
+	// On binds the widest set the host has; any narrower vector set still
+	// reports as on.
+	if got := setKernelWidth(min(width256, hostWidth)); got != hostWidth {
+		t.Fatalf("SetVectorKernels(true) bound width %s, want %s", widthNames[got], widthNames[hostWidth])
+	}
+	if SetVectorKernels(true) != (hostWidth > widthGo) {
+		t.Fatal("a narrower vector set did not report as on")
 	}
 	for i := range o1 {
 		o1[i] = 0

@@ -34,22 +34,39 @@ func (s *SkipConcat) ForwardT(x *Tensor, train bool) *Tensor {
 
 // BackwardT splits the incoming gradient and sums the two input gradients.
 func (s *SkipConcat) BackwardT(gradOut *Tensor) *Tensor {
+	return s.backwardWindow(gradOut, 0, fullWindow)
+}
+
+// backwardWindow is BackwardT summing the two input gradients only over the
+// columns [lo, hi) (see BackwardWindow). The inner stack runs with the same
+// window, so an empty one skips the inner input gradient too.
+func (s *SkipConcat) backwardWindow(gradOut *Tensor, lo, hi int) *Tensor {
 	hWidth := gradOut.cols - s.inWidth
 	gradH := s.gradH.Reset(gradOut.rows, hWidth)
 	for i := 0; i < gradOut.rows; i++ {
 		copy(gradH.Row(i), gradOut.Row(i)[:hWidth])
 	}
-	inner := s.Inner.BackwardT(gradH)
+	inner := BackwardWindow(s.Inner, gradH, lo, hi)
 	gradIn := s.gradIn.Reset(gradOut.rows, s.inWidth)
+	hi = min(hi, s.inWidth)
 	for i := 0; i < gradOut.rows; i++ {
 		skip := gradOut.Row(i)[hWidth:]
 		innerRow := inner.Row(i)
 		gi := gradIn.Row(i)
-		for j := 0; j < s.inWidth; j++ {
+		for j := lo; j < hi; j++ {
 			gi[j] = innerRow[j] + skip[j]
 		}
 	}
 	return gradIn
+}
+
+// gradOutWindow implements windowed: the inner block [0, hWidth) of the
+// output gradient is always read, the skip block after it only up to the
+// input window's end. So when no input-gradient column is wanted, the
+// layer after the concatenation (whose backward runs first) computes only
+// the inner block.
+func (s *SkipConcat) gradOutWindow(_, hi int) (int, int) {
+	return 0, s.out.cols - s.inWidth + min(hi, s.inWidth)
 }
 
 // Params returns the inner stack's parameters.

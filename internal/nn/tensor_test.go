@@ -148,23 +148,21 @@ func sameRows(got, want [][]float64) bool {
 // TestDenseKernelGolden pins the Dense kernels bit for bit against the
 // pre-tensor reference over the tile geometry: output widths covering the
 // single-output definition and every column stripe and tail (1, 3, 7, 8,
-// 9, 256), input widths and batch sizes across the 3-row blocks of the
-// input gradient and the 256-step runs of skipGemm, inputs and gradients
-// with ±0,
-// NaN and ±Inf, a -0 bias and an infinite weight (which the zero skip must
-// keep out of the sums). ForwardT, InferT and the reference must agree on
+// 9, 64, 71, 256), input widths and batch sizes across the 3- and 6-row
+// blocks of the input gradient and the 256-step runs of skipGemm, inputs
+// and gradients with ±0, NaN and ±Inf, a -0 bias and an infinite weight
+// (which the zero skip must keep out of the sums). ForwardT, InferT and the reference must agree on
 // the forward; BackwardT and the reference on the input, weight and bias
 // gradients; each layer runs two batches so scratch reuse cannot leak
-// state. Both kernel sets run: the AVX set where the host has it, and the
-// Go twins.
+// state. Every kernel set runs: the AVX-512 and AVX sets where the host
+// has them, and the Go twins.
 func TestDenseKernelGolden(t *testing.T) {
-	defer SetVectorKernels(SetVectorKernels(true))
-	for _, vec := range []bool{true, false} {
-		SetVectorKernels(vec)
+	forEachWidth(t, widthGo, func(width int) {
+		vec := widthNames[width]
 		rng := rand.New(rand.NewSource(11))
-		for _, out := range []int{1, 3, 7, 8, 9, 256} {
+		for _, out := range []int{1, 3, 7, 8, 9, 64, 71, 256} {
 			for _, in := range []int{1, 5, 64, 65, 257} {
-				for _, rows := range []int{1, 2, 3, 4, 5, 64, 65, 257} {
+				for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 13, 64, 65, 257} {
 					if in*rows*out > 1<<22 {
 						continue // the long runs are covered at narrower shapes
 					}
@@ -174,7 +172,7 @@ func TestDenseKernelGolden(t *testing.T) {
 					w.Data[len(w.Data)/2] = math.Inf(1)
 					var scratch InferScratch
 					for trial := 0; trial < 2; trial++ {
-						name := fmt.Sprintf("vec=%v out=%d in=%d rows=%d trial=%d", vec, out, in, rows, trial)
+						name := fmt.Sprintf("%s out=%d in=%d rows=%d trial=%d", vec, out, in, rows, trial)
 						x := specialRows(rng, rows, in)
 						gradOut := specialRows(rng, rows, out)
 
@@ -203,7 +201,7 @@ func TestDenseKernelGolden(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // refBatchNormForward is the pre-tensor training-mode forward: it returns

@@ -233,16 +233,18 @@ type regBuilder struct {
 
 	rng      *rand.Rand
 	perm     []int
-	inSample []bool // by row; all false between trees
-	goLeft   []bool // by row; set for a node's rows when it splits
+	inSample []uint8 // by row, 0 or 1; all 0 between trees
+	goLeft   []uint8 // by row, 0 or 1; set for a node's rows when it splits
 	// idx holds the subsample in draw order, partitioned per node like the
 	// segments, so the sums over idx[lo:hi] add a node's rows in the same
 	// order as appending its rows to fresh left and right slices would.
-	idx      []int
-	part     []int
-	segRows  []int32   // segment j at [j*m, (j+1)*m)
+	idx  []int
+	part []int
+	// Segment j lives at [j*m, (j+1)*m); one slot of slack past the last
+	// segment takes the filter's unconditional store after its last row.
+	segRows  []int32
 	segVals  []float64 // values matching segRows
-	partRows []int32
+	partRows []int32   // a node's right-goers, staged (length n)
 	partVals []float64
 }
 
@@ -257,14 +259,14 @@ func newRegBuilder(x [][]float64, sorted sortedColumns, cfg BoostConfig) *regBui
 		maxDepth: cfg.MaxDepth, lambda: cfg.Lambda, minChildHess: cfg.MinChildHess,
 		rng:      rand.New(rand.NewSource(0)),
 		perm:     make([]int, d),
-		inSample: make([]bool, n),
-		goLeft:   make([]bool, n),
+		inSample: make([]uint8, n),
+		goLeft:   make([]uint8, n),
 		idx:      make([]int, n),
 		part:     make([]int, 0, n),
-		segRows:  make([]int32, nCols*n),
-		segVals:  make([]float64, nCols*n),
-		partRows: make([]int32, 0, n),
-		partVals: make([]float64, 0, n),
+		segRows:  make([]int32, nCols*n+1),
+		segVals:  make([]float64, nCols*n+1),
+		partRows: make([]int32, n),
+		partVals: make([]float64, n),
 	}
 }
 
@@ -281,23 +283,26 @@ func (b *regBuilder) fit(grad, hess []float64, rows []int, seed int64) *regressi
 	copy(b.idx, rows)
 
 	for _, i := range rows {
-		b.inSample[i] = true
+		b.inSample[i] = 1
 	}
 	n := b.sorted.n
 	for j, f := range b.cols {
 		vals := b.sorted.vals[f*n : (f+1)*n]
-		segRows := b.segRows[j*m : (j+1)*m]
-		segVals := b.segVals[j*m : (j+1)*m]
+		// The filter stores every row and advances only past in-sample
+		// ones: whether a row is in the sample is random in presorted
+		// order, so a branch on it would mispredict half the time. The
+		// store after the last in-sample row lands one past the segment,
+		// in the next segment (filled after this one) or the slack slot.
+		segRows := b.segRows[j*m : (j+1)*m+1]
+		segVals := b.segVals[j*m : (j+1)*m+1]
 		k := 0
 		for p, i := range b.sorted.rows[f*n : (f+1)*n] {
-			if b.inSample[i] {
-				segRows[k], segVals[k] = i, vals[p]
-				k++
-			}
+			segRows[k], segVals[k] = i, vals[p]
+			k += int(b.inSample[i])
 		}
 	}
 	for _, i := range rows {
-		b.inSample[i] = false
+		b.inSample[i] = 0
 	}
 
 	b.build(0, m, 0)
@@ -325,14 +330,15 @@ func (b *regBuilder) build(lo, hi, depth int) int {
 	nl := 0
 	right := b.part[:0]
 	for _, i := range idx {
-		left := b.x[i][feat] <= thresh
-		b.goLeft[i] = left
-		if left {
+		var g uint8
+		if b.x[i][feat] <= thresh {
+			g = 1
 			idx[nl] = i
 			nl++
 		} else {
 			right = append(right, i)
 		}
+		b.goLeft[i] = g
 	}
 	copy(idx[nl:], right)
 	if nl == 0 || nl == len(idx) {
@@ -352,25 +358,29 @@ func (b *regBuilder) build(lo, hi, depth int) int {
 }
 
 // partitionSegments stably splits every segment's node range [lo, hi)
-// into its nl left-goers followed by its right-goers.
+// into its nl left-goers followed by its right-goers. Each row is stored
+// both in place and in the right-goer staging buffer, and only the index
+// of its side advances: the side is random in presorted order, so this
+// loop has no branch on it. The in-place store of a right-goer is
+// overwritten by the next left-goer or, after the last one, by the staged
+// right-goers copied to [nl, hi).
 func (b *regBuilder) partitionSegments(lo, hi, nl int) {
 	m := b.m
+	partRows, partVals := b.partRows[:hi-lo], b.partVals[:hi-lo]
 	for j := range b.cols {
 		rows := b.segRows[j*m+lo : j*m+hi]
 		vals := b.segVals[j*m+lo : j*m+hi]
-		k := 0
-		partRows, partVals := b.partRows[:0], b.partVals[:0]
+		k, r := 0, 0
 		for p, i := range rows {
-			if b.goLeft[i] {
-				rows[k], vals[k] = i, vals[p]
-				k++
-			} else {
-				partRows = append(partRows, i)
-				partVals = append(partVals, vals[p])
-			}
+			v := vals[p]
+			left := int(b.goLeft[i])
+			rows[k], vals[k] = i, v
+			partRows[r], partVals[r] = i, v
+			k += left
+			r += 1 - left
 		}
-		copy(rows[nl:], partRows)
-		copy(vals[nl:], partVals)
+		copy(rows[nl:], partRows[:r])
+		copy(vals[nl:], partVals[:r])
 	}
 }
 
