@@ -204,10 +204,17 @@ func (g *CGAN) discInput(sh *ganShard, b *shardBatch, vr *nn.Tensor) *nn.Tensor 
 
 // generate runs generator replica s on the shard's invariant rows with a
 // fresh noise draw from rng. The result is the replica's output scratch,
-// valid until its next pass.
-func (g *CGAN) generate(sh *ganShard, s int, inv *nn.Tensor, rng *rand.Rand) *nn.Tensor {
+// valid until its next pass. The generator's weights do not change between
+// its pass in the discriminator update, which keeps the first layer's
+// products over the invariant block, and its pass in the generator update,
+// which resumes from them (resume true).
+func (g *CGAN) generate(sh *ganShard, s int, inv *nn.Tensor, rng *rand.Rand, resume bool) *nn.Tensor {
 	gaussianNoiseInto(&sh.noise, inv.Rows(), g.cfg.NoiseDim, rng)
-	return g.sgen.Net(s).ForwardT(nn.ConcatInto(&sh.genIn, inv, &sh.noise), true)
+	in := nn.ConcatInto(&sh.genIn, inv, &sh.noise)
+	if resume {
+		return nn.ForwardResume(g.sgen.Net(s), in, true, g.invDim)
+	}
+	return nn.ForwardKeep(g.sgen.Net(s), in, true, g.invDim)
 }
 
 // discShard is shard s of the discriminator update: a real and a fake pass
@@ -218,7 +225,9 @@ func (g *CGAN) discShard(tr *trainer, s int, b *shardBatch, loss []float64) erro
 	rows := b.inv.Rows()
 	dn := g.sdisc.Net(s)
 	g.sdisc.SeedDropouts(s, tr.shardSeed(phaseDiscDropout, s))
-	realOut := dn.ForwardT(g.discInput(sh, b, &b.vr), true)
+	// Both passes share the invariant block: the real pass keeps its
+	// first-layer products and the fake pass resumes from them.
+	realOut := nn.ForwardKeep(dn, g.discInput(sh, b, &b.vr), true, g.invDim)
 	sh.targets = constTargetsInto(sh.targets, rows, 0.9) // mild label smoothing for stability
 	var err error
 	if loss[0], err = nn.BCEWithLogitsTN(realOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
@@ -229,8 +238,8 @@ func (g *CGAN) discShard(tr *trainer, s int, b *shardBatch, loss []float64) erro
 	nn.BackwardWindow(dn, &sh.grad, 0, 0)
 	// Fake pass (generator output detached: we never backward into G here;
 	// the concat into discIn copies it out of the generator's scratch).
-	fake := g.generate(sh, s, &b.inv, tr.rand(s, phaseDiscNoise))
-	fakeOut := dn.ForwardT(g.discInput(sh, b, fake), true)
+	fake := g.generate(sh, s, &b.inv, tr.rand(s, phaseDiscNoise), false)
+	fakeOut := nn.ForwardResume(dn, g.discInput(sh, b, fake), true, g.invDim)
 	sh.targets = constTargetsInto(sh.targets, rows, 0)
 	if loss[1], err = nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
 		return err
@@ -247,7 +256,7 @@ func (g *CGAN) genShard(tr *trainer, s int, b *shardBatch, loss []float64) error
 	rows := b.inv.Rows()
 	dn := g.sdisc.Net(s)
 	g.sdisc.SeedDropouts(s, tr.shardSeed(phaseGenDropout, s))
-	fake := g.generate(sh, s, &b.inv, tr.rand(s, phaseGenNoise))
+	fake := g.generate(sh, s, &b.inv, tr.rand(s, phaseGenNoise), true)
 	fakeOut := dn.ForwardT(g.discInput(sh, b, fake), true)
 	sh.targets = constTargetsInto(sh.targets, rows, 1)
 	var err error
@@ -255,8 +264,12 @@ func (g *CGAN) genShard(tr *trainer, s int, b *shardBatch, loss []float64) error
 		return err
 	}
 	// Only the gradient w.r.t. the generated variant block is read, so the
-	// backward computes just that window of the input gradient.
-	gradDIn := nn.BackwardWindow(dn, &sh.grad, g.invDim, g.invDim+g.varDim)
+	// backward computes just that window of the input gradient, and the
+	// discriminator is frozen in this update, so none of its parameter
+	// gradients. Its arenas stay as the discriminator update left them:
+	// all zero (ReduceGrads zeroes the replicas', the optimizer step the
+	// canonical ones).
+	gradDIn := nn.BackwardFrozen(dn, &sh.grad, g.invDim, g.invDim+g.varDim)
 	gradFake := sh.gradFake.Reset(rows, g.varDim)
 	for i := 0; i < rows; i++ {
 		copy(gradFake.Row(i), gradDIn.Row(i)[g.invDim:g.invDim+g.varDim])
@@ -274,7 +287,6 @@ func (g *CGAN) genShard(tr *trainer, s int, b *shardBatch, loss []float64) error
 		}
 	}
 	nn.BackwardWindow(g.sgen.Net(s), gradFake, 0, 0)
-	nn.ZeroGrads(g.sdisc.Params(s)) // D gradients from this pass are discarded
 	return nil
 }
 

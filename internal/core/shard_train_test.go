@@ -272,6 +272,35 @@ func TestShardedEpochAllocs(t *testing.T) {
 	}
 }
 
+// TestGANGradArenasZeroBetweenSteps pins what lets the generator update run
+// the discriminator backward frozen instead of zeroing its gradients after:
+// every step leaves every gradient arena of every replica zero (ReduceGrads
+// zeroes the replicas', the optimizer step the canonical ones), and the
+// frozen backward writes none. A fit ends on a generator update, so any
+// discriminator gradient it wrote would still be there.
+func TestGANGradArenasZeroBetweenSteps(t *testing.T) {
+	inv, vr, y := shardTrainData(96, 4, 3, 11)
+	for _, model := range []string{"GAN", "NoCond"} {
+		for _, shards := range []int{1, 4} {
+			g := testRecon(model, 2, shards, 1, nil).(*CGAN)
+			if err := g.Fit(inv, vr, y, 2); err != nil {
+				t.Fatalf("%s fit: %v", model, err)
+			}
+			for _, sn := range []*nn.ShardedNet{g.sdisc, g.sgen} {
+				for r := 0; r < sn.Shards(); r++ {
+					for _, p := range sn.Params(r) {
+						for _, v := range p.Grad {
+							if v != 0 {
+								t.Fatalf("%s shards=%d: replica %d gradient of %s is not zero", model, shards, r, p.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 const trainFingerprintPath = "testdata/train_fingerprint.golden"
 
 // snapshotsHash hashes the bits of every parameter and running statistic.

@@ -33,6 +33,14 @@ type Dense struct {
 	input  *Tensor // caller-owned; stable between ForwardT and BackwardT
 	out    Tensor
 	gradIn Tensor
+
+	// The last keep (see ForwardKeep): the partial outputs b + Σ_{j<k}
+	// x[j]·W[j] per row, the input columns [0, k) they came from, and the
+	// weight and bias versions they were computed under.
+	prefix, prefixX Tensor
+	prefixK         int
+	prefixAt        [2]uint64
+	kept            bool
 }
 
 // NewDense creates a dense layer with He-uniform initialization.
@@ -77,19 +85,97 @@ func (d *Dense) forward(x, out *Tensor) *Tensor {
 	for i := 0; i < x.rows; i++ {
 		copy(out.Row(i), d.b.Data)
 	}
-	skipGemm(out.data, d.Out, x.data, x.cols, 1, d.w.Data, d.Out, x.rows, d.Out, x.cols)
+	d.addTerms(out, x, 0, x.cols)
 	return out
+}
+
+// addTerms adds the terms x[j]·W[j] of the input columns lo ≤ j < hi to
+// out, in ascending j (skipGemm over that block of columns).
+func (d *Dense) addTerms(out, x *Tensor, lo, hi int) {
+	if x.rows == 0 {
+		return
+	}
+	skipGemm(out.data, d.Out, x.data[lo:], x.cols, 1, d.w.Data[lo*d.Out:], d.Out, x.rows, d.Out, hi-lo)
+}
+
+// forwardPrefix implements prefixed. Split at k, the forward's per-element
+// term sequence is the same: the bias, then the columns j < k, then the
+// columns j ≥ k, each in ascending j. A keep runs the first part, saves it,
+// and runs the second; a resume starts from the saved first part.
+func (d *Dense) forwardPrefix(x *Tensor, _ bool, k int, resume bool) *Tensor {
+	if k < 0 || k > x.cols {
+		panic(fmt.Sprintf("nn: prefix of %d columns on a %d-column input", k, x.cols))
+	}
+	if resume {
+		d.checkPrefix(x, k)
+	} else {
+		d.keepPrefix(x, k)
+	}
+	d.input = x
+	out := d.out.Reset(x.rows, d.Out)
+	if d.Out == 1 {
+		// b + vdot(row, w) does not split (vdot's lanes span the whole
+		// row): both modes run the whole forward.
+		return d.forward(x, out)
+	}
+	if resume {
+		copy(out.data, d.prefix.data)
+	} else {
+		for i := 0; i < x.rows; i++ {
+			copy(out.Row(i), d.b.Data)
+		}
+		d.addTerms(out, x, 0, k)
+		copy(d.prefix.Reset(x.rows, d.Out).data, out.data)
+	}
+	d.addTerms(out, x, k, x.cols)
+	return out
+}
+
+// keepPrefix records what a later resume must match: the input columns
+// [0, k) and the weight versions.
+func (d *Dense) keepPrefix(x *Tensor, k int) {
+	px := d.prefixX.Reset(x.rows, k)
+	for i := 0; i < x.rows; i++ {
+		copy(px.Row(i), x.Row(i)[:k])
+	}
+	d.prefixK = k
+	d.prefixAt = [2]uint64{d.w.version(), d.b.version()}
+	d.kept = true
+}
+
+// checkPrefix panics unless the kept prefix is still valid for x: the same
+// k and rows, bit-identical input columns [0, k), and no update to the
+// weights since the keep.
+func (d *Dense) checkPrefix(x *Tensor, k int) {
+	switch {
+	case !d.kept:
+		panic("nn: prefix resume without a keep")
+	case k != d.prefixK:
+		panic(fmt.Sprintf("nn: prefix resume at %d columns, kept %d", k, d.prefixK))
+	case x.rows != d.prefixX.rows:
+		panic(fmt.Sprintf("nn: prefix resume on %d rows, kept %d", x.rows, d.prefixX.rows))
+	case d.prefixAt != [2]uint64{d.w.version(), d.b.version()}:
+		panic("nn: prefix resume after a weight update")
+	}
+	for i := 0; i < x.rows; i++ {
+		xr := x.Row(i)[:k]
+		for j, v := range d.prefixX.Row(i) {
+			if math.Float64bits(xr[j]) != math.Float64bits(v) {
+				panic(fmt.Sprintf("nn: prefix resume on a different input (row %d, column %d)", i, j))
+			}
+		}
+	}
 }
 
 // BackwardT accumulates dL/dW, dL/db and returns dL/dx in place.
 func (d *Dense) BackwardT(gradOut *Tensor) *Tensor {
-	return d.backwardWindow(gradOut, 0, fullWindow)
+	return d.backwardWindow(gradOut, 0, fullWindow, false)
 }
 
 // backwardWindow is BackwardT computing the input gradient only over the
 // columns [lo, hi) (see BackwardWindow); the weight and bias gradients are
-// always whole.
-func (d *Dense) backwardWindow(gradOut *Tensor, lo, hi int) *Tensor {
+// whole, or not computed at all when frozen (see BackwardFrozen).
+func (d *Dense) backwardWindow(gradOut *Tensor, lo, hi int, frozen bool) *Tensor {
 	gradIn := d.gradIn.Reset(gradOut.rows, d.In)
 	in := d.input
 	if in.cols != d.In {
@@ -109,23 +195,28 @@ func (d *Dense) backwardWindow(gradOut *Tensor, lo, hi int) *Tensor {
 			// Slice to the live input width so the degenerate narrow-input
 			// case keeps its zero tail, like the generic path.
 			vscale(gradIn.Row(i)[lo:hi], d.w.Data[lo:hi], g0)
-			axpy1(g0, row, d.w.Grad[:len(row)])
-			d.b.Grad[0] += g0
+			if !frozen {
+				axpy1(g0, row, d.w.Grad[:len(row)])
+				d.b.Grad[0] += g0
+			}
 		}
 		return gradIn
 	}
-	// Weight gradient: gw[j][k] += x[i][j]·g[i][k] over the batch rows i in
-	// ascending order, skipping x[i][j] == 0 — skipGemm over the transposed
-	// input. The skip is part of the definition (0·NaN and 0·Inf are NaN).
-	skipGemm(d.w.Grad, d.Out, in.data, 1, in.cols, gradOut.data, d.Out, in.cols, d.Out, gradOut.rows)
+	if !frozen {
+		// Weight gradient: gw[j][k] += x[i][j]·g[i][k] over the batch rows
+		// i in ascending order, skipping x[i][j] == 0 — skipGemm over the
+		// transposed input. The skip is part of the definition (0·NaN and
+		// 0·Inf are NaN).
+		skipGemm(d.w.Grad, d.Out, in.data, 1, in.cols, gradOut.data, d.Out, in.cols, d.Out, gradOut.rows)
+		for i := 0; i < gradOut.rows; i++ {
+			vadd(d.b.Grad, gradOut.Row(i))
+		}
+	}
 	// Input gradient: gi[i][j] = vdot(g[i], W[j]), the fixed 16-lane dot —
 	// the bit-level reference for this layer (see refDenseBackward) — for
 	// the window's columns j only.
 	if lo < hi {
 		vdotRows(gradIn.data[lo:], d.In, gradOut.data, d.w.Data[lo*d.Out:], gradOut.rows, hi-lo, d.Out)
-	}
-	for i := 0; i < gradOut.rows; i++ {
-		vadd(d.b.Grad, gradOut.Row(i))
 	}
 	return gradIn
 }

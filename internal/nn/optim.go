@@ -41,6 +41,7 @@ func (o *SGD) Step(params []*Param) {
 				p.Data[i] += v[i]
 			}
 		}
+		p.stepped()
 		p.ZeroGrad()
 	}
 }
@@ -97,6 +98,7 @@ func (o *Adam) Step(params []*Param) {
 			o.v[p] = v
 		}
 		adamUpdate(p.Data, p.Grad, m, v, &o.k)
+		p.stepped()
 		p.ZeroGrad()
 	}
 }

@@ -14,15 +14,37 @@ type Param struct {
 	Name string
 	Data []float64
 	Grad []float64
+
+	// steps counts the updates written to Data (optimizer steps, snapshot
+	// restores). Shard replicas share it with the Data they share, so a
+	// prefix kept on any replica sees every step (see ForwardKeep).
+	steps *uint64
 }
 
 // NewParam allocates a named parameter of the given size.
 func NewParam(name string, size int) *Param {
 	return &Param{
-		Name: name,
-		Data: make([]float64, size),
-		Grad: make([]float64, size),
+		Name:  name,
+		Data:  make([]float64, size),
+		Grad:  make([]float64, size),
+		steps: new(uint64),
 	}
+}
+
+// version returns the number of updates written to Data so far.
+func (p *Param) version() uint64 {
+	if p.steps == nil {
+		return 0
+	}
+	return *p.steps
+}
+
+// stepped records one update of Data.
+func (p *Param) stepped() {
+	if p.steps == nil {
+		p.steps = new(uint64)
+	}
+	*p.steps++
 }
 
 // ZeroGrad clears the accumulated gradient.

@@ -143,7 +143,7 @@ func cloneShardParam(p *Param, canonical bool) *Param {
 	if canonical {
 		return p
 	}
-	return &Param{Name: p.Name, Data: p.Data, Grad: make([]float64, len(p.Grad))}
+	return &Param{Name: p.Name, Data: p.Data, Grad: make([]float64, len(p.Grad)), steps: p.steps}
 }
 
 func cloneForShard(l Layer, canonical bool) Layer {

@@ -21,8 +21,17 @@ func NewSkipConcat(inner Layer) *SkipConcat {
 
 // ForwardT computes [inner(x), x] in place.
 func (s *SkipConcat) ForwardT(x *Tensor, train bool) *Tensor {
+	return s.concat(x, s.Inner.ForwardT(x, train))
+}
+
+// forwardPrefix implements prefixed: the inner stack keeps or resumes.
+func (s *SkipConcat) forwardPrefix(x *Tensor, train bool, k int, resume bool) *Tensor {
+	return s.concat(x, forwardPrefix(s.Inner, x, train, k, resume))
+}
+
+// concat writes [h, x] into the layer's output.
+func (s *SkipConcat) concat(x, h *Tensor) *Tensor {
 	s.inWidth = x.cols
-	h := s.Inner.ForwardT(x, train)
 	out := s.out.Reset(x.rows, h.cols+x.cols)
 	for i := 0; i < x.rows; i++ {
 		row := out.Row(i)
@@ -34,19 +43,19 @@ func (s *SkipConcat) ForwardT(x *Tensor, train bool) *Tensor {
 
 // BackwardT splits the incoming gradient and sums the two input gradients.
 func (s *SkipConcat) BackwardT(gradOut *Tensor) *Tensor {
-	return s.backwardWindow(gradOut, 0, fullWindow)
+	return s.backwardWindow(gradOut, 0, fullWindow, false)
 }
 
 // backwardWindow is BackwardT summing the two input gradients only over the
 // columns [lo, hi) (see BackwardWindow). The inner stack runs with the same
-// window, so an empty one skips the inner input gradient too.
-func (s *SkipConcat) backwardWindow(gradOut *Tensor, lo, hi int) *Tensor {
+// window and mode, so an empty window skips the inner input gradient too.
+func (s *SkipConcat) backwardWindow(gradOut *Tensor, lo, hi int, frozen bool) *Tensor {
 	hWidth := gradOut.cols - s.inWidth
 	gradH := s.gradH.Reset(gradOut.rows, hWidth)
 	for i := 0; i < gradOut.rows; i++ {
 		copy(gradH.Row(i), gradOut.Row(i)[:hWidth])
 	}
-	inner := BackwardWindow(s.Inner, gradH, lo, hi)
+	inner := backwardWalk(s.Inner, gradH, lo, hi, frozen)
 	gradIn := s.gradIn.Reset(gradOut.rows, s.inWidth)
 	hi = min(hi, s.inWidth)
 	for i := 0; i < gradOut.rows; i++ {

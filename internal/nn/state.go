@@ -105,6 +105,7 @@ func RestoreSnapshot(root Layer, snap *Snapshot) error {
 	}
 	for i, p := range params {
 		copy(p.Data, snap.Params[i])
+		p.stepped()
 	}
 	for i, s := range stateful {
 		if err := s.SetExtraState(snap.Extra[i]); err != nil {

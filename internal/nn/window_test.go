@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -14,8 +15,13 @@ import (
 // block and [0,In), every parameter gradient, the batch-norm running
 // statistics and the dropout masks must be bit-identical to the full
 // backward's, and the window's columns of the returned input gradient must
-// equal the full gradient's bit for bit. Each case runs two batches per
-// window so stale scratch outside one window cannot leak into the next.
+// equal the full gradient's bit for bit. The frozen rows run the same
+// windows through BackwardFrozen on the cases without batch norm: every
+// parameter gradient (the single-output head's included) must keep the
+// value it held before the call, bit for bit, while the window's
+// input-gradient columns and the other layer state match the unfrozen
+// call's. Each case runs two batches per window so stale scratch outside
+// one window cannot leak into the next.
 func TestBackwardWindowGolden(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -51,17 +57,25 @@ func TestBackwardWindowGolden(t *testing.T) {
 		for _, win := range [][2]int{{0, 0}, {c.in / 3, 2 * c.in / 3}, {0, c.in}} {
 			lo, hi := win[0], win[1]
 			name := fmt.Sprintf("%s window [%d,%d)", c.name, lo, hi)
-			full, part := c.build(rand.New(rand.NewSource(3))), c.build(rand.New(rand.NewSource(3)))
+			full, part, frozen := c.build(rand.New(rand.NewSource(3))), c.build(rand.New(rand.NewSource(3))), c.build(rand.New(rand.NewSource(3)))
 			data := rand.New(rand.NewSource(4))
 			for batch := 0; batch < 2; batch++ {
 				x := rowsT(c.values(data, rows, c.in))
 				out := full.ForwardT(x, true)
-				if !sameFloats(part.ForwardT(x, true).Data(), out.Data()) {
-					t.Fatalf("%s: the two copies' forwards differ", name)
+				if !sameFloats(part.ForwardT(x, true).Data(), out.Data()) ||
+					!sameFloats(frozen.ForwardT(x, true).Data(), out.Data()) {
+					t.Fatalf("%s: the copies' forwards differ", name)
 				}
 				g := rowsT(c.values(data, rows, out.Cols()))
 				ZeroGrads(full.Params())
 				ZeroGrads(part.Params())
+				var held [][]float64
+				for _, p := range frozen.Params() {
+					for i := range p.Grad {
+						p.Grad[i] = data.NormFloat64()
+					}
+					held = append(held, append([]float64(nil), p.Grad...))
+				}
 				want := full.BackwardT(g).ToRows()
 				got := BackwardWindow(part, g, lo, hi)
 				for i, w := range want {
@@ -70,9 +84,35 @@ func TestBackwardWindowGolden(t *testing.T) {
 					}
 				}
 				sameLayerState(t, fmt.Sprintf("%s batch %d", name, batch), full, part)
+				if hasBatchNorm(frozen) {
+					continue // batch norm cannot skip its gradients
+				}
+				gotFrozen := BackwardFrozen(frozen, g, lo, hi)
+				for i, w := range want {
+					if !sameFloats(gotFrozen.Row(i)[lo:hi], w[lo:hi]) {
+						t.Fatalf("%s batch %d: frozen input gradient row %d differs in the window", name, batch, i)
+					}
+				}
+				for i, p := range frozen.Params() {
+					if !sameFloats(p.Grad, held[i]) {
+						t.Fatalf("%s batch %d: frozen backward changed the gradient of %s", name, batch, p.Name)
+					}
+				}
+				sameStats(t, fmt.Sprintf("%s batch %d frozen", name, batch), full, frozen)
 			}
 		}
 	}
+}
+
+// hasBatchNorm reports whether the layer tree contains a batch norm.
+func hasBatchNorm(root Layer) bool {
+	found := false
+	walkLayers(root, func(l Layer) {
+		if _, ok := l.(*BatchNorm); ok {
+			found = true
+		}
+	})
+	return found
 }
 
 // sameLayerState fails unless the two identically built layer trees hold
@@ -86,6 +126,13 @@ func sameLayerState(t *testing.T, name string, a, b Layer) {
 			t.Fatalf("%s: gradient of %s differs", name, pa[i].Name)
 		}
 	}
+	sameStats(t, name, a, b)
+}
+
+// sameStats fails unless the two identically built layer trees hold
+// bit-identical batch-norm running statistics and dropout masks.
+func sameStats(t *testing.T, name string, a, b Layer) {
+	t.Helper()
 	sa, sb := TakeSnapshot(a), TakeSnapshot(b)
 	for i := range sa.Extra {
 		for j := range sa.Extra[i] {
@@ -110,4 +157,20 @@ func sameLayerState(t *testing.T, name string, a, b Layer) {
 			t.Fatalf("%s: dropout %d mask differs", name, i)
 		}
 	}
+}
+
+// TestBackwardFrozenRefusesUnfreezableLayer pins BackwardFrozen's failure
+// mode: a layer with parameters that cannot skip their gradients panics
+// rather than accumulating into them.
+func TestBackwardFrozenRefusesUnfreezableLayer(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	net := NewNetwork(NewDense(4, 6, rng), NewBatchNorm(6))
+	g := rowsT(randRows(rng, 3, 6))
+	net.ForwardT(rowsT(randRows(rng, 3, 4)), true)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "cannot run a frozen backward") {
+			t.Fatalf("panic %q, want the frozen-backward refusal", msg)
+		}
+	}()
+	BackwardFrozen(net, g, 0, 0)
 }

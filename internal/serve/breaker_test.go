@@ -2,17 +2,33 @@ package serve
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"netdrift/internal/obs"
 )
 
-// fakeClock is a manually advanced clock for breaker timing tests.
-type fakeClock struct{ t time.Time }
+// fakeClock is a manually advanced clock for breaker timing tests. It is
+// mutex-guarded so a test can advance it while a server's goroutines read
+// it.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
 func newTestBreaker(cfg BreakerConfig, o *obs.Observer) (*Breaker, *fakeClock) {
 	b := NewBreaker("test", cfg, o)
 	clk := &fakeClock{t: time.Unix(1000, 0)}

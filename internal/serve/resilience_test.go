@@ -284,6 +284,11 @@ func TestExecutorPanicIsA500AndWorkerSurvives(t *testing.T) {
 	reg.Swap(a)
 	co := NewCoalescer(reg, Options{MaxBatch: 8, Workers: 1, Obs: o, Faults: inj, Breaker: fastBreaker()})
 	defer co.Close()
+	// The breaker's clock stands still until the recovery loop, so the
+	// degraded request below lands inside the open backoff however slowly
+	// the host runs it.
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	co.execBreaker.now = clk.now
 	ts := httptest.NewServer(NewServer(reg, co, o))
 	defer ts.Close()
 
@@ -302,8 +307,9 @@ func TestExecutorPanicIsA500AndWorkerSurvives(t *testing.T) {
 	if res2.StatusCode != http.StatusOK || !ar2.Degraded {
 		t.Fatalf("post-panic request status=%d degraded=%v, want degraded passthrough", res2.StatusCode, ar2.Degraded)
 	}
-	// And after faults stop it fully recovers.
+	// And after faults stop and the backoff has passed, it fully recovers.
 	inj.Clear()
+	clk.advance(time.Second) // past fastBreaker's longest jittered backoff
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		res, ar := postAdapt(t, ts.URL, body)
