@@ -1,21 +1,19 @@
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (§VI). Each benchmark regenerates its experiment at BenchScale
-// (see internal/experiments.Scale — sample counts and epoch budgets scaled
-// for a single CPU core; use cmd/driftbench -scale full for paper-scale
-// runs) and reports the headline F1 numbers as benchmark metrics.
+// Unit-cost benchmarks behind the paper's evaluation (§VI): the per-sample
+// adaptation cost and one classifier fit per family, the cost every
+// Table I cell pays four times. The tables themselves come from
+// cmd/driftbench -exp, and the per-layer and end-to-end costs (FS search,
+// GAN epoch, adapt per row) from the benchmark module under bench/.
 //
-// Run everything with:
+// Run them with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 package netdrift_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
-	"netdrift/internal/causal"
 	"netdrift/internal/core"
 	"netdrift/internal/experiments"
 	"netdrift/internal/models"
@@ -23,217 +21,6 @@ import (
 
 // benchSeed keeps every benchmark deterministic run-to-run.
 const benchSeed = 1
-
-// BenchmarkTable1_5GC regenerates Table I for the 5GC dataset: all 13
-// methods × 4 classifiers × shots {1, 5, 10}.
-func BenchmarkTable1_5GC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(experiments.Table1Config{
-			Dataset: "5gc",
-			Shots:   []int{1, 5, 10},
-			Repeats: 1,
-			Seed:    benchSeed,
-			Scale:   experiments.BenchScale,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Print(experiments.FormatTable1(res))
-		reportHeadline(b, res)
-	}
-}
-
-// BenchmarkTable1_5GIPC regenerates Table I for the 5GIPC dataset.
-func BenchmarkTable1_5GIPC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(experiments.Table1Config{
-			Dataset: "5gipc",
-			Shots:   []int{1, 5, 10},
-			Repeats: 1,
-			Seed:    benchSeed,
-			Scale:   experiments.BenchScale,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Print(experiments.FormatTable1(res))
-		reportHeadline(b, res)
-	}
-}
-
-func reportHeadline(b *testing.B, res *experiments.Table1Result) {
-	b.Helper()
-	if v, ok := res.MeanScore("FS+GAN (ours)"); ok {
-		b.ReportMetric(v, "F1_FS+GAN")
-	}
-	if v, ok := res.MeanScore("FS (ours)"); ok {
-		b.ReportMetric(v, "F1_FS")
-	}
-	if v, ok := res.MeanScore("SrcOnly"); ok {
-		b.ReportMetric(v, "F1_SrcOnly")
-	}
-	if v, ok := res.MeanScore("CMT"); ok {
-		b.ReportMetric(v, "F1_CMT")
-	}
-}
-
-// BenchmarkTable2_Ablation_5GC regenerates the Table II reconstruction
-// ablation on 5GC (TNet).
-func BenchmarkTable2_Ablation_5GC(b *testing.B) {
-	benchTable2(b, "5gc")
-}
-
-// BenchmarkTable2_Ablation_5GIPC regenerates the Table II reconstruction
-// ablation on 5GIPC (TNet).
-func BenchmarkTable2_Ablation_5GIPC(b *testing.B) {
-	benchTable2(b, "5gipc")
-}
-
-func benchTable2(b *testing.B, ds string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable2(experiments.Table2Config{
-			Dataset: ds,
-			Shots:   []int{1, 5, 10},
-			Repeats: 1,
-			Seed:    benchSeed,
-			Scale:   experiments.BenchScale,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Print(experiments.FormatTable2(res))
-		for _, kind := range res.Kinds {
-			b.ReportMetric(res.Scores[kind][10], "F1_FS+"+kind.String()+"@10")
-		}
-	}
-}
-
-// BenchmarkTable3_MultiTarget regenerates the Table III no-retraining
-// experiment: one source-trained TNet, two target domains, two adapters.
-func BenchmarkTable3_MultiTarget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable3(experiments.Table3Config{
-			Shots:   []int{1, 5, 10},
-			Repeats: 1,
-			Seed:    benchSeed,
-			Scale:   experiments.BenchScale,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Print(experiments.FormatTable3(res))
-		b.ReportMetric(res.Scores[0][0][10], "F1_A1T1@10")
-		b.ReportMetric(res.Scores[1][1][10], "F1_A2T2@10")
-		b.ReportMetric(res.CommonVariantFraction, "variant_jaccard")
-	}
-}
-
-// BenchmarkSensitivity_VariantFeatures regenerates the §VI-C variant-
-// feature detection sweep (paper: 35/68/75 on 5GC, 23/31/37 on 5GIPC).
-func BenchmarkSensitivity_VariantFeatures(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, ds := range []string{"5gc", "5gipc"} {
-			res, err := experiments.RunVariantCounts(experiments.SensitivityConfig{
-				Dataset: ds,
-				Shots:   []int{1, 5, 10},
-				Repeats: 2,
-				Seed:    benchSeed,
-				Scale:   experiments.BenchScale,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			fmt.Print(experiments.FormatVariantCounts(res))
-			b.ReportMetric(res.FSCounts[1], "FS@1_"+ds)
-			b.ReportMetric(res.FSCounts[10], "FS@10_"+ds)
-		}
-	}
-}
-
-// BenchmarkSensitivity_Variance regenerates the §VI-C draw-variance check
-// (paper: FS+GAN within ±2.6 F1 across target-sample selections).
-func BenchmarkSensitivity_Variance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunVariance(experiments.SensitivityConfig{
-			Dataset: "5gipc",
-			Repeats: 3,
-			Seed:    benchSeed,
-			Scale:   experiments.BenchScale,
-		}, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Print(experiments.FormatVariance(res))
-		b.ReportMetric(res.Mean, "F1_mean")
-		b.ReportMetric(res.StdDev, "F1_stddev")
-	}
-}
-
-// BenchmarkSrcOnlyInDomain regenerates the §VI-B(a) check that SrcOnly is
-// strong when no drift separates train and test.
-func BenchmarkSrcOnlyInDomain(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, ds := range []string{"5gc", "5gipc"} {
-			res, err := experiments.RunInDomain(experiments.SensitivityConfig{
-				Dataset: ds,
-				Seed:    benchSeed,
-				Scale:   experiments.BenchScale,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			fmt.Print(experiments.FormatInDomain(res))
-			b.ReportMetric(res.F1["TNet"], "F1_TNet_"+ds)
-		}
-	}
-}
-
-// BenchmarkFS_RunningTime measures the FS causal search alone (paper
-// §VI-D: 42 min for 5GC on their server; ours runs the F-node-restricted
-// search on BenchScale data).
-func BenchmarkFS_RunningTime(b *testing.B) {
-	pair, err := experiments.MakePair("5gc", experiments.BenchScale, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	support, _, err := pair.TargetTrain.FewShot(10, false, rand.New(rand.NewSource(benchSeed)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sep := core.NewFeatureSeparator(causal.FNodeConfig{})
-		if err := sep.Fit(pair.Source.X, support.X); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGAN_Training measures one conditional-GAN fit on source data
-// (paper §VI-D: ~12 min for 5GC on their GPU server).
-func BenchmarkGAN_Training(b *testing.B) {
-	pair, err := experiments.MakePair("5gc", experiments.BenchScale, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	support, _, err := pair.TargetTrain.FewShot(10, false, rand.New(rand.NewSource(benchSeed)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ad := core.NewAdapter(core.AdapterConfig{
-			Mode:  core.ModeFSRecon,
-			Recon: core.ReconGAN,
-			GAN:   core.GANConfig{Epochs: experiments.BenchScale.GANEpochs},
-			Seed:  benchSeed,
-		})
-		if err := ad.Fit(pair.Source, support); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkInference_PerSample measures the per-sample alignment cost: one
 // generator pass per target sample (paper §VI-D: ~0.05 s/sample on their

@@ -13,14 +13,6 @@
 // internal/experiments.Scale). -workers N bounds the parallel compute
 // layer (0 = all cores, 1 = sequential) without changing any result bit.
 //
-// Benchmarking:
-//
-//	driftbench -bench                              # sequential vs parallel
-//	                                               # stage timings + the
-//	                                               # bit-identical verdicts,
-//	                                               # written to
-//	                                               # BENCH_parallel.json
-//
 // Observability:
 //
 //	driftbench -exp table1 -http :9090             # live Prometheus /metrics,
@@ -81,8 +73,6 @@ func run(args []string, out io.Writer) error {
 		methods  = fs.String("methods", "", "comma-separated Table I method filter (empty = all)")
 		workers  = fs.Int("workers", 0, "parallel workers for experiment cells and kernels (0 = all cores, 1 = sequential; results are bit-identical either way)")
 		shards   = fs.Int("train-shards", 0, "gradient shards per training minibatch for the \"ours\" reconstructors (0/1 = one shard drawing from the model's own seeded streams; the shard count is part of the reproducibility key — it changes results; -workers never does)")
-		bench    = fs.Bool("bench", false, "measure sequential vs parallel stage wall time and write a speedup report instead of running an experiment")
-		benchOut = fs.String("bench-out", "BENCH_parallel.json", "output path for the -bench report")
 		verbose  = fs.Bool("v", false, "print per-cell progress")
 		httpAddr = fs.String("http", "", "serve /metrics, /debug/vars, and /debug/pprof on this address while running (e.g. :9090)")
 		jsonPath = fs.String("json", "", "write a machine-readable JSON run report to this file")
@@ -141,20 +131,6 @@ func run(args []string, out io.Writer) error {
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		fmt.Fprintf(out, "serving metrics on http://%s/metrics\n", ln.Addr())
-	}
-
-	if *bench {
-		if err := runBench(out, observer, benchConfig{
-			Workers: *workers, Scale: sc, ScaleName: *scale, Seed: *seed,
-			Shots: shotList, Repeats: *repeats, Methods: filter,
-			Progress: progress, Out: *benchOut,
-		}); err != nil {
-			return err
-		}
-		if serveAddr != "" && scrapeForTest != nil {
-			scrapeForTest(serveAddr)
-		}
-		return nil
 	}
 
 	results := make(map[string]any)
@@ -261,7 +237,7 @@ func run(args []string, out io.Writer) error {
 	if *jsonPath != "" {
 		rep := report{
 			Experiment: *exp,
-			Dataset:    *ds,
+			Dataset:    datasetFor(*exp, *ds),
 			Scale:      *scale,
 			Shots:      shotList,
 			Repeats:    *repeats,
@@ -290,10 +266,11 @@ func run(args []string, out io.Writer) error {
 // exercise the live endpoints.
 var scrapeForTest func(addr string)
 
-// datasetFor blanks the dataset for experiments that ignore it so result
-// keys and the report stay honest.
+// datasetFor is the dataset experiment exp runs on, which the result keys
+// and the -json report record: blank for table3, which ignores -dataset,
+// and for all, which runs both datasets.
 func datasetFor(exp, ds string) string {
-	if exp == "table3" {
+	if exp == "table3" || exp == "all" {
 		return ""
 	}
 	return ds

@@ -5,31 +5,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"netdrift/internal/core"
 	"netdrift/internal/experiments"
 	"netdrift/internal/obs"
 	"netdrift/internal/serve"
 )
 
-// runLoadgen benchmarks the serving path twice:
-//
-//  1. A closed-loop HTTP load generator: -conns clients hammer an
-//     in-process server over loopback for -duration, reporting request
-//     throughput and latency quantiles — the end-to-end number including
-//     JSON, HTTP, and coalescing.
-//  2. An in-process micro-benchmark of the batching win itself: the
-//     pre-batching serving approach (TransformTarget called per row,
-//     batch size 1) against AdaptBatch in MaxBatch chunks, verified
-//     bit-identical, optionally appended as a "serve" stage to the
-//     BENCH_parallel.json report.
+// runLoadgen drives a closed-loop HTTP load generator against an
+// in-process server: -conns clients hammer it over loopback for -duration,
+// and it reports request throughput, latency quantiles and the verdict
+// line, the end-to-end picture including the codec, HTTP and coalescing.
+// Before the server closes, one probe request goes through both wire
+// codecs; their responses must match bit for bit or the run fails.
 func runLoadgen(out io.Writer, cfg config) error {
 	_, reg, co, handler, _, err := buildStack(cfg)
 	if err != nil {
@@ -123,14 +116,11 @@ func runLoadgen(out io.Writer, cfg config) error {
 	}
 	wg.Wait()
 
-	// The codec comparison stage runs against the still-live server so both
-	// codecs ride the full HTTP + coalescer path the clients just used.
-	stBin, codecErr := codecStage(url, rows, cfg.RowsPerReq)
+	// The probe runs against the still-live server so both codecs ride the
+	// full HTTP + coalescer path the clients just used.
+	probeErr := crossCodecProbe(url, rows[:min(cfg.RowsPerReq, len(rows))])
 	srv.Close()
 	co.Close()
-	if codecErr != nil {
-		return fmt.Errorf("serve_binary stage: %w", codecErr)
-	}
 
 	secs := cfg.Duration.Seconds()
 	reqRate := float64(requests.Load()) / secs
@@ -156,32 +146,12 @@ func runLoadgen(out io.Writer, cfg config) error {
 	fmt.Fprintf(out, "  verdict: %s  total=%d ok=%d degraded=%d shed=%d timeouts=%d errors=%d  p50=%.2fms p95=%.2fms p99=%.2fms burn=%.2f\n",
 		verdict, total, requests.Load(), degraded.Load(), shed.Load(), timeouts.Load(), failures.Load(),
 		stats.P50Seconds*1e3, stats.P95Seconds*1e3, stats.P99Seconds*1e3, stats.BurnRate)
+	if probeErr != nil {
+		return fmt.Errorf("cross-codec probe: %w", probeErr)
+	}
+	fmt.Fprintln(out, "  cross-codec: bit-identical (bundle, rows and predictions of one seed-7 probe over json and binary)")
 	if requests.Load() == 0 {
 		return fmt.Errorf("loadgen completed zero golden-path requests")
-	}
-
-	// --- Part 2: the micro-batching stage for the bench report. ---
-	st, err := serveStage(bundle, rows, cfg.MaxBatch)
-	if err != nil {
-		return err
-	}
-	// Carry the end-to-end rolling quantiles and burn rate into the bench
-	// report so BENCH_parallel.json records the SLO picture, not just the
-	// kernel speedup.
-	st.P50Seconds, st.P95Seconds, st.P99Seconds = stats.P50Seconds, stats.P95Seconds, stats.P99Seconds
-	st.BurnRate = stats.BurnRate
-	fmt.Fprintf(out, "serve stage: seq(batch=1) %.3fs  batched(%d) %.3fs  speedup %.2fx  allocs %d/%d  bit-identical %v\n",
-		st.SeqSeconds, cfg.MaxBatch, st.ParSeconds, st.Speedup, st.SeqAllocs, st.ParAllocs, st.BitIdentical)
-	fmt.Fprintf(out, "serve_binary stage: json %.3fs  binary %.3fs  speedup %.2fx  p99 %.2fms  bit-identical %v\n",
-		stBin.SeqSeconds, stBin.ParSeconds, stBin.Speedup, stBin.P99Seconds*1e3, stBin.BitIdentical)
-	if cfg.BenchOut != "" {
-		if err := appendServeStage(cfg.BenchOut, st); err != nil {
-			return err
-		}
-		if err := appendServeStage(cfg.BenchOut, stBin); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "serve + serve_binary stages appended to %s\n", cfg.BenchOut)
 	}
 	return nil
 }
@@ -207,108 +177,46 @@ func decodeAdaptResponse(res *http.Response, binary bool) (serve.AdaptResponse, 
 	return ar, err
 }
 
-// codecStage benchmarks the JSON wire codec against the binary one over
-// the live server: a fixed request count per codec through one client
-// (closed loop), client-side encode/decode allocations included — the
-// end-to-end cost a caller actually pays per codec. seq_* fields carry
-// the JSON pass, par_* the binary pass, so the stage reads exactly like
-// the other speedup stages in BENCH_parallel.json. BitIdentical is a
-// one-shot cross-codec comparison of the same request (rows and
-// predictions, bit for bit).
-func codecStage(url string, rows [][]float64, rowsPerReq int) (serveStageReport, error) {
-	st := serveStageReport{Name: "serve_binary"}
-	const reqCount = 192
-	batches := make([][][]float64, 0, reqCount)
-	pos := 0
-	for len(batches) < reqCount {
-		batch := make([][]float64, 0, rowsPerReq)
-		for len(batch) < rowsPerReq {
-			batch = append(batch, rows[pos])
-			pos = (pos + 1) % len(rows)
-		}
-		batches = append(batches, batch)
-	}
-
+// crossCodecProbe sends one request (the probe rows, seed 7, predict)
+// through the JSON codec and through the binary one, and returns an error
+// unless both responses carry the same bundle ID, rows and predictions,
+// bit for bit.
+func crossCodecProbe(url string, probe [][]float64) error {
 	client := &http.Client{}
-	hist := obs.NewFixedHistogram(obs.LatencyBuckets)
-	run := func(binary bool, hist *obs.FixedHistogram) (float64, uint64, uint64, error) {
-		contentType := "application/json"
-		if binary {
-			contentType = serve.ContentTypeRows
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for _, batch := range batches {
-			var body []byte
-			if binary {
-				body = serve.AppendRowsRequest(nil, batch, 0, false)
-			} else {
-				body, _ = json.Marshal(serve.AdaptRequest{Rows: batch})
-			}
-			reqStart := time.Now()
-			res, err := client.Post(url, contentType, bytes.NewReader(body))
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			ar, decErr := decodeAdaptResponse(res, binary)
-			hist.Observe(time.Since(reqStart).Seconds())
-			if decErr != nil {
-				return 0, 0, 0, decErr
-			}
-			if res.StatusCode != http.StatusOK {
-				return 0, 0, 0, fmt.Errorf("status %d", res.StatusCode)
-			}
-			if len(ar.Rows) != len(batch) {
-				return 0, 0, 0, fmt.Errorf("%d rows back, sent %d", len(ar.Rows), len(batch))
-			}
-		}
-		secs := time.Since(start).Seconds()
-		runtime.ReadMemStats(&after)
-		return secs, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, nil
-	}
-
-	var err error
-	if st.SeqSeconds, st.SeqAllocs, st.SeqBytes, err = run(false, obs.NewFixedHistogram(obs.LatencyBuckets)); err != nil {
-		return st, fmt.Errorf("json pass: %w", err)
-	}
-	if st.ParSeconds, st.ParAllocs, st.ParBytes, err = run(true, hist); err != nil {
-		return st, fmt.Errorf("binary pass: %w", err)
-	}
-	if st.ParSeconds > 0 {
-		st.Speedup = st.SeqSeconds / st.ParSeconds
-	}
-	st.P50Seconds = hist.Quantile(0.5)
-	st.P95Seconds = hist.Quantile(0.95)
-	st.P99Seconds = hist.Quantile(0.99)
-
-	// Cross-codec bit-identity: the same request (rows, seed, predict)
-	// through both codecs must adapt and predict identically.
-	probe := batches[0]
 	jsonBody, _ := json.Marshal(serve.AdaptRequest{Rows: probe, Seed: 7, Predict: true})
 	jres, err := client.Post(url, "application/json", bytes.NewReader(jsonBody))
 	if err != nil {
-		return st, err
+		return err
 	}
 	jar, err := decodeAdaptResponse(jres, false)
 	if err != nil {
-		return st, err
+		return fmt.Errorf("json response: %w", err)
 	}
 	bres, err := client.Post(url, serve.ContentTypeRows,
 		bytes.NewReader(serve.AppendRowsRequest(nil, probe, 7, true)))
 	if err != nil {
-		return st, err
+		return err
 	}
 	bar, err := decodeAdaptResponse(bres, true)
 	if err != nil {
-		return st, err
+		return fmt.Errorf("binary response: %w", err)
 	}
-	st.BitIdentical = jar.BundleID == bar.BundleID &&
-		identicalRows(jar.Rows, bar.Rows) && identicalRows(jar.Predictions, bar.Predictions)
-	return st, nil
+	switch {
+	case jres.StatusCode != http.StatusOK || bres.StatusCode != http.StatusOK:
+		return fmt.Errorf("status json %d, binary %d", jres.StatusCode, bres.StatusCode)
+	case len(jar.Rows) != len(probe):
+		return fmt.Errorf("%d rows back, sent %d", len(jar.Rows), len(probe))
+	case jar.BundleID != bar.BundleID:
+		return fmt.Errorf("bundle %q over json, %q over binary", jar.BundleID, bar.BundleID)
+	case !identicalRows(jar.Rows, bar.Rows):
+		return fmt.Errorf("adapted rows differ between json and binary")
+	case !identicalRows(jar.Predictions, bar.Predictions):
+		return fmt.Errorf("predictions differ between json and binary")
+	}
+	return nil
 }
 
-// identicalRows compares two matrices for exact float equality.
+// identicalRows compares two matrices bit for bit, so -0 and +0 differ.
 func identicalRows(a, b [][]float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -318,163 +226,10 @@ func identicalRows(a, b [][]float64) bool {
 			return false
 		}
 		for j := range a[i] {
-			if a[i][j] != b[i][j] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// serveStage mirrors driftbench's benchStage schema for the serving layer.
-type serveStageReport struct {
-	Name         string  `json:"name"`
-	SeqSeconds   float64 `json:"seq_seconds"`
-	ParSeconds   float64 `json:"par_seconds"`
-	Speedup      float64 `json:"speedup"`
-	SeqAllocs    uint64  `json:"seq_allocs"`
-	SeqBytes     uint64  `json:"seq_bytes"`
-	ParAllocs    uint64  `json:"par_allocs"`
-	ParBytes     uint64  `json:"par_bytes"`
-	BitIdentical bool    `json:"bit_identical"`
-	// End-to-end rolling-window latency quantiles and SLO burn rate from
-	// the closed-loop HTTP load (zero when the stage runs without loadgen).
-	P50Seconds float64 `json:"p50_seconds,omitempty"`
-	P95Seconds float64 `json:"p95_seconds,omitempty"`
-	P99Seconds float64 `json:"p99_seconds,omitempty"`
-	BurnRate   float64 `json:"burn_rate,omitempty"`
-}
-
-// serveStage measures the micro-batching win: the sequential pass serves
-// every row through the pre-batching API (TransformTarget, batch size 1 —
-// what a server would do without the coalescer); the batched pass runs the
-// same rows through AdaptBatch in maxBatch chunks with pinned noise, then
-// both outputs are compared bit for bit. Both sides repeat the row set
-// enough times to make the timing robust on small fixtures.
-func serveStage(bundle *serve.Bundle, rows [][]float64, maxBatch int) (serveStageReport, error) {
-	ad := bundle.Adapter
-	st := serveStageReport{Name: "serve"}
-	passes := 1
-	if len(rows) > 0 {
-		for passes*len(rows) < 1024 {
-			passes++
-		}
-	}
-
-	timed := func(fn func() error) (float64, uint64, uint64, error) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		err := fn()
-		secs := time.Since(start).Seconds()
-		runtime.ReadMemStats(&after)
-		return secs, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, err
-	}
-
-	var seqOut [][]float64
-	var err error
-	st.SeqSeconds, st.SeqAllocs, st.SeqBytes, err = timed(func() error {
-		one := make([][]float64, 1)
-		for p := 0; p < passes; p++ {
-			seqOut = make([][]float64, 0, len(rows))
-			for _, row := range rows {
-				one[0] = row
-				res, err := ad.TransformTarget(one)
-				if err != nil {
-					return err
-				}
-				seqOut = append(seqOut, res[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return st, fmt.Errorf("serve stage seq: %w", err)
-	}
-
-	var scr core.AdaptScratch
-	parOut := make([][]float64, 0, len(rows))
-	seeds := make([]int64, maxBatch) // all zero: pinned noise, same as TransformTarget
-	st.ParSeconds, st.ParAllocs, st.ParBytes, err = timed(func() error {
-		for p := 0; p < passes; p++ {
-			parOut = parOut[:0]
-			for lo := 0; lo < len(rows); lo += maxBatch {
-				hi := lo + maxBatch
-				if hi > len(rows) {
-					hi = len(rows)
-				}
-				outT, err := ad.AdaptBatch(rows[lo:hi], seeds[:hi-lo], &scr)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < outT.Rows(); i++ {
-					parOut = append(parOut, append([]float64(nil), outT.Row(i)...))
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return st, fmt.Errorf("serve stage batched: %w", err)
-	}
-	if st.ParSeconds > 0 {
-		st.Speedup = st.SeqSeconds / st.ParSeconds
-	}
-
-	st.BitIdentical = len(seqOut) == len(parOut)
-	for i := 0; st.BitIdentical && i < len(seqOut); i++ {
-		if len(seqOut[i]) != len(parOut[i]) {
-			st.BitIdentical = false
-			break
-		}
-		for j := range seqOut[i] {
-			if seqOut[i][j] != parOut[i][j] {
-				st.BitIdentical = false
-				break
-			}
-		}
-	}
-	return st, nil
-}
-
-// appendServeStage adds (or replaces, matching by name) a serving stage in
-// the driftbench report, decoding loosely so every other field the
-// benchmark wrote is preserved byte-for-byte in value terms.
-func appendServeStage(path string, st serveStageReport) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("-bench-out read (run driftbench -bench first): %w", err)
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("-bench-out parse: %w", err)
-	}
-	var stage any = toJSONValue(st)
-	stages, _ := rep["stages"].([]any)
-	replaced := false
-	for i, s := range stages {
-		if m, ok := s.(map[string]any); ok && m["name"] == st.Name {
-			stages[i] = stage
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		stages = append(stages, stage)
-	}
-	rep["stages"] = stages
-	outBlob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(outBlob, '\n'), 0o644)
-}
-
-// toJSONValue round-trips a struct through JSON into the loose form used
-// by appendServeStage.
-func toJSONValue(v any) any {
-	blob, _ := json.Marshal(v)
-	var out any
-	_ = json.Unmarshal(blob, &out)
-	return out
 }

@@ -12,11 +12,10 @@
 //	curl -s -X POST localhost:8100/v1/adapt -d '{"rows":[[...]],"predict":true}'
 //	curl -s localhost:8100/metrics
 //
-// Benchmark it (closed-loop load generator against an in-process server,
-// plus the micro-batching speedup stage appended to BENCH_parallel.json):
+// Load it (closed-loop load generator against an in-process server, ending
+// with a cross-codec bit-identity probe that fails the run on a mismatch):
 //
-//	driftserve -bundle fixture.json -loadgen -conns 4 -duration 10s \
-//	    -bench-out BENCH_parallel.json
+//	driftserve -bundle fixture.json -loadgen -conns 4 -duration 10s
 package main
 
 import (
@@ -94,7 +93,6 @@ type config struct {
 	Conns      int
 	Duration   time.Duration
 	RowsPerReq int
-	BenchOut   string
 	Codec      string
 
 	// Drift-controller knobs (-ctrl serving mode and -ctrlcheck).
@@ -170,7 +168,6 @@ func run(args []string, out io.Writer) error {
 		conns      = fs.Int("conns", 4, "concurrent closed-loop clients for -loadgen/-chaoscheck")
 		duration   = fs.Duration("duration", 5*time.Second, "load generation duration")
 		rowsPerReq = fs.Int("rows-per-req", 8, "rows per request for -loadgen")
-		benchOut   = fs.String("bench-out", "", "append the serve micro-batching + codec stages to this BENCH_parallel.json (empty = skip)")
 		codec      = fs.String("codec", "json", "wire codec the -loadgen clients speak: json|binary")
 
 		obsdump = fs.String("obsdump", "", "pretty-print a flight-recorder snapshot file and exit")
@@ -214,7 +211,7 @@ func run(args []string, out io.Writer) error {
 		SLOLatency: *sloLatency, SLOAvailability: *sloAvail,
 		Dataset: *ds, ScaleName: *scale, Scale: sc, Seed: *seed, Shots: *shots, ID: *id,
 		Format: *format, Convert: *convert,
-		Conns: *conns, Duration: *duration, RowsPerReq: *rowsPerReq, BenchOut: *benchOut,
+		Conns: *conns, Duration: *duration, RowsPerReq: *rowsPerReq,
 		Codec: *codec,
 		Ctrl:  *ctrlOn, CtrlWindow: *ctrlWindow, CtrlCooldown: *ctrlCooldown,
 		CtrlMargin: *ctrlMargin, CtrlWatch: *ctrlWatch,

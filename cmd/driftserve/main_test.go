@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,12 +12,9 @@ import (
 )
 
 // TestMkBundleAndLoadgen exercises the full binary surface at quick scale:
-// fit + write a bundle, then run the load generator against it and append
-// the serve stage to a bench report skeleton.
+// fit + write a bundle, then run the load generator against it.
 func TestMkBundleAndLoadgen(t *testing.T) {
-	dir := t.TempDir()
-	bundlePath := filepath.Join(dir, "bundle.json")
-	benchPath := filepath.Join(dir, "bench.json")
+	bundlePath := filepath.Join(t.TempDir(), "bundle.json")
 
 	var out strings.Builder
 	err := run([]string{
@@ -32,18 +28,11 @@ func TestMkBundleAndLoadgen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A minimal pre-existing bench report the serve stage gets appended to.
-	seedReport := `{"gomaxprocs":1,"stages":[{"name":"matmul","speedup":1}]}`
-	if err := os.WriteFile(benchPath, []byte(seedReport), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	out.Reset()
 	err = run([]string{
 		"-loadgen", "-bundle", bundlePath,
 		"-dataset", "5gc", "-scale", "quick", "-seed", "3",
 		"-conns", "2", "-duration", "500ms", "-rows-per-req", "4",
-		"-bench-out", benchPath,
 	}, &out)
 	if err != nil {
 		t.Fatalf("loadgen: %v\n%s", err, out.String())
@@ -53,50 +42,6 @@ func TestMkBundleAndLoadgen(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "verdict: clean") {
 		t.Errorf("loadgen output missing clean verdict line:\n%s", out.String())
-	}
-
-	blob, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep["gomaxprocs"] != float64(1) {
-		t.Error("appending the serve stage dropped existing report fields")
-	}
-	stages, _ := rep["stages"].([]any)
-	var serveStage map[string]any
-	for _, s := range stages {
-		if m, ok := s.(map[string]any); ok && m["name"] == "serve" {
-			serveStage = m
-		}
-	}
-	if serveStage == nil {
-		t.Fatalf("no serve stage in bench report: %v", stages)
-	}
-	if serveStage["bit_identical"] != true {
-		t.Errorf("serve stage not bit-identical: %v", serveStage)
-	}
-	if serveStage["speedup"].(float64) <= 0 {
-		t.Errorf("serve stage speedup %v", serveStage["speedup"])
-	}
-
-	// Re-running replaces the serve stage instead of stacking duplicates.
-	out.Reset()
-	err = run([]string{
-		"-loadgen", "-bundle", bundlePath,
-		"-dataset", "5gc", "-scale", "quick", "-seed", "3",
-		"-conns", "1", "-duration", "200ms",
-		"-bench-out", benchPath,
-	}, &out)
-	if err != nil {
-		t.Fatalf("second loadgen: %v\n%s", err, out.String())
-	}
-	blob, _ = os.ReadFile(benchPath)
-	if n := strings.Count(string(blob), `"name": "serve"`); n != 1 {
-		t.Errorf("serve stage appears %d times after re-run, want 1", n)
 	}
 }
 
@@ -174,20 +119,15 @@ func TestMkBundleBinaryAndConvert(t *testing.T) {
 }
 
 // TestLoadgenBinaryCodec drives the load generator over the binary wire
-// codec and checks both the clean verdict and the serve_binary bench stage
-// (cross-codec bit-identity plus JSON-vs-binary latency comparison).
+// codec and checks both the clean verdict and the cross-codec probe's
+// bit-identity line.
 func TestLoadgenBinaryCodec(t *testing.T) {
 	bundlePath := mkTestBundle(t)
-	benchPath := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(benchPath, []byte(`{"stages":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var out strings.Builder
 	err := run([]string{
 		"-loadgen", "-codec", "binary", "-bundle", bundlePath,
 		"-dataset", "5gc", "-scale", "quick", "-seed", "3",
 		"-conns", "2", "-duration", "300ms", "-rows-per-req", "4",
-		"-bench-out", benchPath,
 	}, &out)
 	if err != nil {
 		t.Fatalf("loadgen -codec binary: %v\n%s", err, out.String())
@@ -199,30 +139,8 @@ func TestLoadgenBinaryCodec(t *testing.T) {
 	if !strings.Contains(text, "verdict: clean") {
 		t.Errorf("binary loadgen not clean:\n%s", text)
 	}
-	if !strings.Contains(text, "serve_binary stage:") {
-		t.Errorf("missing serve_binary summary line:\n%s", text)
-	}
-
-	blob, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatal(err)
-	}
-	stages, _ := rep["stages"].([]any)
-	var binStage map[string]any
-	for _, s := range stages {
-		if m, ok := s.(map[string]any); ok && m["name"] == "serve_binary" {
-			binStage = m
-		}
-	}
-	if binStage == nil {
-		t.Fatalf("no serve_binary stage in bench report: %v", stages)
-	}
-	if binStage["bit_identical"] != true {
-		t.Errorf("serve_binary stage not bit-identical: %v", binStage)
+	if !strings.Contains(text, "cross-codec: bit-identical") {
+		t.Errorf("missing cross-codec bit-identity line:\n%s", text)
 	}
 }
 

@@ -109,8 +109,9 @@ func BenchmarkAdaptBatch32(b *testing.B) {
 }
 
 // BenchmarkAdaptPerRowLegacy serves the same 32 rows the pre-batching way:
-// one TransformTarget call per row — the baseline the serve stage of
-// BENCH_parallel.json compares against.
+// one TransformTarget call per row, the baseline BenchmarkAdaptBatch32 is
+// read against (TestAdaptBatchMatchesTransformTarget pins both to the same
+// bits).
 func BenchmarkAdaptPerRowLegacy(b *testing.B) {
 	ad, rows := benchServeAdapter(b)
 	one := make([][]float64, 1)

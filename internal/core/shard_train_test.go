@@ -346,22 +346,76 @@ func trainFingerprint(t *testing.T) []string {
 
 // TestTrainingFingerprintGolden pins the trained weights, batch-norm running
 // statistics and (at Shards 0) the obs hook event stream of all four
-// reconstructor kinds to hashes recorded in testdata. A refactor of the
-// trainers must not move a single bit.
+// reconstructor kinds to hashes recorded in testdata, at every kernel width
+// the host has. A refactor of the trainers or a kernel must not move a
+// single bit.
 func TestTrainingFingerprintGolden(t *testing.T) {
 	blob, err := os.ReadFile(trainFingerprintPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	got := trainFingerprint(t)
-	if len(got) != len(want) {
-		t.Fatalf("%d fingerprint lines, golden has %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("line %d:\n got %s\nwant %s", i, got[i], want[i])
+	widths := nn.KernelWidths()
+	defer nn.SetKernelWidth(nn.SetKernelWidth(widths[0]))
+	for _, width := range widths {
+		nn.SetKernelWidth(width)
+		got := trainFingerprint(t)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d fingerprint lines, golden has %d:\n%s", width, len(got), len(want), strings.Join(got, "\n"))
 		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s line %d:\n got %s\nwant %s", width, i, got[i], want[i])
+			}
+		}
+	}
+	logWidths(t, widths)
+}
+
+// TestGANEpochKernelWidthsBitIdentical trains one conditional GAN per
+// hidden width on the Go twins with one worker, then again at every kernel
+// width the host has with four workers, and requires every trained weight
+// and running statistic to match bit for bit: the end-to-end check of the
+// vector kernels against their twins and of the shard reduction against
+// the worker count at once. The shape reaches what the fingerprint
+// fixture's Hidden 16 cannot: Hidden 64 fills the AVX-512 64-column
+// skipGemm stripe exactly and Hidden 100 adds its 32+4-column remainder,
+// and 64-row batches over 8 shards give 8-row shards, one 6-row vdotRows
+// block and a 2-row tail each.
+func TestGANEpochKernelWidthsBitIdentical(t *testing.T) {
+	inv, vr, y := shardTrainData(384, 12, 6, 4246)
+	widths := nn.KernelWidths()
+	defer nn.SetKernelWidth(nn.SetKernelWidth(widths[0]))
+	train := func(hidden int, width string, workers int) []*nn.Snapshot {
+		t.Helper()
+		nn.SetKernelWidth(width)
+		g := NewCGAN(GANConfig{
+			Epochs: 2, BatchSize: 64, Hidden: hidden, NoiseDim: 8,
+			Seed: 102, Conditional: true, Shards: 8, Workers: workers,
+		})
+		if err := g.Fit(inv, vr, y, 2); err != nil {
+			t.Fatalf("hidden=%d %s workers=%d: fit: %v", hidden, width, workers, err)
+		}
+		t.Logf("hidden=%d trained at kernel width %s, workers %d", hidden, width, workers)
+		return g.Snapshots()
+	}
+	for _, hidden := range []int{64, 100} {
+		want := train(hidden, "go", 1)
+		for _, width := range widths {
+			got := train(hidden, width, 4)
+			snapshotsEqual(t, fmt.Sprintf("hidden=%d %s", hidden, width), 4, want, got)
+		}
+	}
+	logWidths(t, widths)
+}
+
+// logWidths logs the kernel widths a test ran and, when the host has no
+// AVX-512, that the 512-bit kernels did not run.
+func logWidths(t *testing.T, ran []string) {
+	t.Helper()
+	t.Logf("kernel widths run: %v (host widest: %s)", ran, nn.KernelWidths()[0])
+	if nn.KernelWidths()[0] != "avx512" {
+		t.Logf("AVX-512 absent on this host: the 512-bit kernels did not run")
 	}
 }
 

@@ -36,12 +36,13 @@ func denseBenchInput(rng *rand.Rand, rows, cols int, zeros float64) *Tensor {
 }
 
 // benchWidths runs f as one sub-benchmark per kernel width the host can
-// bind (go, avx, avx512), restoring the binding it found.
+// bind (avx512, avx, go), restoring the binding it found.
 func benchWidths(b *testing.B, f func(b *testing.B)) {
-	defer setKernelWidth(setKernelWidth(hostWidth))
-	for w := widthGo; w <= hostWidth; w++ {
-		b.Run(widthNames[w], func(b *testing.B) {
-			setKernelWidth(w)
+	widths := KernelWidths()
+	defer SetKernelWidth(SetKernelWidth(widths[0]))
+	for _, w := range widths {
+		b.Run(w, func(b *testing.B) {
+			SetKernelWidth(w)
 			f(b)
 		})
 	}

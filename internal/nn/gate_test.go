@@ -130,49 +130,63 @@ func gateBatch(rng *rand.Rand, n, d int) [][]float64 {
 // InferT) bit for bit against the scalar reference: outputs, input
 // gradients and the accumulated gradients of all three parameters, across
 // widths around the 32-wide rank and the 4-lane kernels, batch sizes 1-65
-// (growing and shrinking the scratch), and with the vector kernels on and
-// off. The weights move between batches, as an optimizer step would move
-// them, so a stale transposed copy would show.
+// (growing and shrinking the scratch), at every kernel width the host has:
+// vec=true runs each vector set as its own subtest, vec=false the Go twins.
+// The weights move between batches, as an optimizer step would move them,
+// so a stale transposed copy would show.
 func TestFeatureGateMatchesReference(t *testing.T) {
-	defer SetVectorKernels(SetVectorKernels(true))
+	widths := KernelWidths()
+	defer SetKernelWidth(SetKernelWidth(widths[0]))
 	for _, vec := range []bool{true, false} {
-		SetVectorKernels(vec)
+		sets := widths[len(widths)-1:]
+		if vec {
+			sets = widths[:len(widths)-1]
+		}
 		for _, dim := range []int{1, 3, 31, 32, 33, 442} {
 			t.Run(fmt.Sprintf("vec=%v/dim=%d", vec, dim), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(dim)))
-				gate := NewFeatureGate(dim, rng)
-				ref := newRefFeatureGate(gate)
-				var in, gOut Tensor
-				var s InferScratch
-				for step := 0; step < 65; step++ {
-					// Batch sizes 1..65 in an order that grows and shrinks.
-					n := (step*29)%65 + 1
-					x := gateBatch(rng, n, dim)
-					g := randBatch(rng, n, dim)
-					g[0][0] = 0 // a zero dz row entry
+				if len(sets) == 0 {
+					t.Skip("no vector kernel set on this host")
+				}
+				for _, width := range sets {
+					SetKernelWidth(width)
+					t.Run(width, func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(dim)))
+						gate := NewFeatureGate(dim, rng)
+						ref := newRefFeatureGate(gate)
+						var in, gOut Tensor
+						var s InferScratch
+						for step := 0; step < 65; step++ {
+							// Batch sizes 1..65 in an order that grows and shrinks.
+							n := (step*29)%65 + 1
+							x := gateBatch(rng, n, dim)
+							g := randBatch(rng, n, dim)
+							g[0][0] = 0 // a zero dz row entry
 
-					wantOut := ref.forward(x)
-					got := gate.ForwardT(in.SetFromRows(x), true)
-					inferred := Infer(gate, &in, &s)
-					wantIn := ref.backward(g)
-					gotIn := gate.BackwardT(gOut.SetFromRows(g))
-					for i := range x {
-						bitsEqual(t, fmt.Sprintf("n=%d out row %d", n, i), got.Row(i), wantOut[i])
-						bitsEqual(t, fmt.Sprintf("n=%d infer row %d", n, i), inferred.Row(i), wantOut[i])
-						bitsEqual(t, fmt.Sprintf("n=%d gradIn row %d", n, i), gotIn.Row(i), wantIn[i])
-					}
-					bitsEqual(t, "w1.grad", gate.w1.Grad, ref.gw1)
-					bitsEqual(t, "w2.grad", gate.w2.Grad, ref.gw2)
-					bitsEqual(t, "b.grad", gate.b.Grad, ref.gb)
+							wantOut := ref.forward(x)
+							got := gate.ForwardT(in.SetFromRows(x), true)
+							inferred := Infer(gate, &in, &s)
+							wantIn := ref.backward(g)
+							gotIn := gate.BackwardT(gOut.SetFromRows(g))
+							for i := range x {
+								bitsEqual(t, fmt.Sprintf("n=%d out row %d", n, i), got.Row(i), wantOut[i])
+								bitsEqual(t, fmt.Sprintf("n=%d infer row %d", n, i), inferred.Row(i), wantOut[i])
+								bitsEqual(t, fmt.Sprintf("n=%d gradIn row %d", n, i), gotIn.Row(i), wantIn[i])
+							}
+							bitsEqual(t, "w1.grad", gate.w1.Grad, ref.gw1)
+							bitsEqual(t, "w2.grad", gate.w2.Grad, ref.gw2)
+							bitsEqual(t, "b.grad", gate.b.Grad, ref.gb)
 
-					// Move the weights identically in both gates.
-					for _, pair := range [][2][]float64{{gate.w1.Data, ref.w1}, {gate.w2.Data, ref.w2}, {gate.b.Data, ref.b}} {
-						k := rng.Intn(len(pair[0]))
-						v := pair[0][k] + 0.1*rng.NormFloat64()
-						pair[0][k], pair[1][k] = v, v
-					}
+							// Move the weights identically in both gates.
+							for _, pair := range [][2][]float64{{gate.w1.Data, ref.w1}, {gate.w2.Data, ref.w2}, {gate.b.Data, ref.b}} {
+								k := rng.Intn(len(pair[0]))
+								v := pair[0][k] + 0.1*rng.NormFloat64()
+								pair[0][k], pair[1][k] = v, v
+							}
+						}
+					})
 				}
 			})
 		}
 	}
+	logWidths(t, widths)
 }

@@ -47,30 +47,33 @@ func ganLikeNet(t *testing.T, in, hidden, out int) *Network {
 
 // TestInferMatchesForwardEval pins the serving contract: Infer is
 // bit-identical to eval-mode ForwardT for every batch size, including the
-// degenerate single-row batch.
+// degenerate single-row batch, at every kernel width the host has (the net
+// trains at that width too).
 func TestInferMatchesForwardEval(t *testing.T) {
-	const in, hidden, out = 13, 24, 7
-	net := ganLikeNet(t, in, hidden, out)
-	rng := rand.New(rand.NewSource(29))
-	var scratch InferScratch
-	for _, rows := range []int{1, 2, 7, 32} {
-		x := NewTensor(rows, in)
-		for i := range x.Data() {
-			x.Data()[i] = rng.NormFloat64()
-		}
-		want := net.ForwardT(x, false).ToRows()
-		got := Infer(net, x, &scratch)
-		if got.Rows() != rows || got.Cols() != out {
-			t.Fatalf("rows=%d: infer shape %dx%d, want %dx%d", rows, got.Rows(), got.Cols(), rows, out)
-		}
-		for i := 0; i < rows; i++ {
-			for j, w := range want[i] {
-				if g := got.At(i, j); g != w {
-					t.Fatalf("rows=%d: infer[%d][%d] = %v, forward eval = %v", rows, i, j, g, w)
+	forEachWidth(t, true, func(width string) {
+		const in, hidden, out = 13, 24, 7
+		net := ganLikeNet(t, in, hidden, out)
+		rng := rand.New(rand.NewSource(29))
+		var scratch InferScratch
+		for _, rows := range []int{1, 2, 7, 32} {
+			x := NewTensor(rows, in)
+			for i := range x.Data() {
+				x.Data()[i] = rng.NormFloat64()
+			}
+			want := net.ForwardT(x, false).ToRows()
+			got := Infer(net, x, &scratch)
+			if got.Rows() != rows || got.Cols() != out {
+				t.Fatalf("%s rows=%d: infer shape %dx%d, want %dx%d", width, rows, got.Rows(), got.Cols(), rows, out)
+			}
+			for i := 0; i < rows; i++ {
+				for j, w := range want[i] {
+					if g := got.At(i, j); g != w {
+						t.Fatalf("%s rows=%d: infer[%d][%d] = %v, forward eval = %v", width, rows, i, j, g, w)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestInferDropoutGradReverseIdentity checks the identity layers pass the

@@ -19,13 +19,13 @@ import (
 // Dense: a generator-shaped net (SkipConcat over batch norm) and a
 // discriminator-shaped one (dropout, single-output head).
 func TestForwardResumeGolden(t *testing.T) {
-	forEachWidth(t, widthGo, func(w int) {
+	forEachWidth(t, true, func(w string) {
 		for _, shape := range [][2]int{{419, 256}, {458, 256}, {419, 52}} {
 			in, out := shape[0], shape[1]
 			d := NewDense(in, out, rand.New(rand.NewSource(int64(in+out))))
 			for _, k := range []int{0, 1, 63, 64, 390, in - 1, in} {
 				for _, rows := range []int{1, 6, 7, 13, 64} {
-					name := fmt.Sprintf("%s dense %dx%d k=%d rows=%d", widthNames[w], in, out, k, rows)
+					name := fmt.Sprintf("%s dense %dx%d k=%d rows=%d", w, in, out, k, rows)
 					x1, x2 := prefixPair(rand.New(rand.NewSource(int64(100*k+rows))), rows, in, k)
 					checkKeepResume(t, name, d, d, x1, x2, k)
 				}
@@ -53,7 +53,7 @@ func TestForwardResumeGolden(t *testing.T) {
 			// in both, so the plain copy is the reference for the other.
 			plain, split := c.build(rand.New(rand.NewSource(5))), c.build(rand.New(rand.NewSource(5)))
 			x1, x2 := prefixPair(rand.New(rand.NewSource(6)), 13, c.in, c.k)
-			checkKeepResume(t, widthNames[w]+" "+c.name, plain, split, x1, x2, c.k)
+			checkKeepResume(t, w+" "+c.name, plain, split, x1, x2, c.k)
 		}
 	})
 	t.Run("stale prefix panics", testStalePrefixPanics)

@@ -16,9 +16,6 @@ var hostWidth = func() int {
 	return widthGo
 }()
 
-// boundWidth is the kernel set the dispatch table currently holds.
-var boundWidth = widthGo
-
 // The vector routines live in simd_amd64.s. No-FMA contract: per-lane
 // VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD plus scalar VEX tails, bit-identical
 // to the Go twins in simd_kernel.go at both vector widths.
@@ -396,13 +393,9 @@ func bindAVX512Kernels() {
 	adamUpdate = adamAVX512
 }
 
-// setKernelWidth binds the widest kernel set no wider than w that the
-// hardware supports and returns the width bound before the call. Tests use
-// it to pin every width against the others.
-func setKernelWidth(w int) int {
-	prev := boundWidth
-	boundWidth = min(w, hostWidth)
-	switch boundWidth {
+// bindKernels binds kernel set w, which the hardware supports.
+func bindKernels(w int) {
+	switch w {
 	case width512:
 		bindAVX512Kernels()
 	case width256:
@@ -410,9 +403,8 @@ func setKernelWidth(w int) int {
 	default:
 		bindGoKernels()
 	}
-	return prev
 }
 
 func init() {
-	setKernelWidth(hostWidth)
+	SetKernelWidth(widthNames[hostWidth])
 }

@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Portable scalar kernels for the training and serving hot loops (the
 // Dense tile kernels, BatchNorm forward/backward, the ReLU family, the
@@ -37,25 +40,48 @@ const (
 	width512
 )
 
-// SetVectorKernels binds the widest vector kernel set the hardware
-// supports (on=true) or the portable Go twins (on=false), and returns
-// whether a vector set was bound BEFORE the call. Because every set is
-// bit-identical the toggle never changes results — it exists so tests can
-// pin the sets against each other and benchmarks and the driftbench
-// gan_epoch stage can measure scalar-vs-vector honestly. Off amd64 only
-// the Go twins exist and it always reports false. Not safe to call
-// concurrently with running training; flip it between runs.
-func SetVectorKernels(on bool) bool {
-	w := widthGo
-	if on {
-		w = hostWidth
+// widthNames names the kernel widths in KernelWidths and SetKernelWidth.
+var widthNames = [...]string{widthGo: "go", width256: "avx", width512: "avx512"}
+
+// boundWidth is the kernel set the dispatch table currently holds.
+var boundWidth = widthGo
+
+// KernelWidths lists the kernel sets this host can bind, widest first:
+// "avx512" and "avx" where the CPU has them, then "go", the portable twins,
+// which is the only set off amd64. Every set computes the same bits; the
+// list lets tests pin the sets against each other and benchmarks time them.
+func KernelWidths() []string {
+	names := make([]string, 0, hostWidth+1)
+	for w := hostWidth; w >= widthGo; w-- {
+		names = append(names, widthNames[w])
 	}
-	return setKernelWidth(w) > widthGo
+	return names
+}
+
+// SetKernelWidth binds the named kernel set, one of KernelWidths, and
+// returns the name of the set bound before the call, so
+//
+//	defer nn.SetKernelWidth(nn.SetKernelWidth("go"))
+//
+// runs the rest of a test on the Go twins. It is for tests and benchmarks
+// only: the dispatch table is package state, so calling it while a network
+// trains or infers races with that work. A name KernelWidths does not list
+// panics.
+func SetKernelWidth(name string) string {
+	for w := widthGo; w <= hostWidth; w++ {
+		if widthNames[w] == name {
+			prev := boundWidth
+			bindKernels(w)
+			boundWidth = w
+			return widthNames[prev]
+		}
+	}
+	panic(fmt.Sprintf("nn: kernel width %q is not one of %v", name, KernelWidths()))
 }
 
 // The dispatch table: amd64 binds the widest vector set the CPU supports
 // at init (see simd_amd64.go); everywhere else the Go twins stay bound.
-// SetVectorKernels flips the binding at runtime for tests and benchmarks.
+// SetKernelWidth flips the binding at runtime for tests and benchmarks.
 var (
 	axpy1      func(v float64, w, o []float64)                                                           = axpy1Go
 	skipGemm   func(acc []float64, lda int, x []float64, rx, sx int, v []float64, sv, rows, cols, n int) = skipGemmGo

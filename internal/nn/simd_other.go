@@ -5,5 +5,5 @@ package nn
 // Off amd64 only the portable Go kernels exist and they are always bound.
 const hostWidth = widthGo
 
-// setKernelWidth is a no-op: the Go twins stay bound.
-func setKernelWidth(int) int { return widthGo }
+// bindKernels has nothing to bind: the Go twins stay bound.
+func bindKernels(int) {}

@@ -62,23 +62,34 @@ func bitEqualScalar(t *testing.T, name string, n int, got, want float64) {
 	}
 }
 
-// widthNames names the kernel widths in test logs and benchmark names.
-var widthNames = [...]string{widthGo: "go", width256: "avx", width512: "avx512"}
-
-// forEachWidth binds, in turn, every kernel width from the host's widest
-// down to from, runs f at each, restores the binding it found, and logs
-// which widths ran: on a host without AVX-512 (or without AVX) the missing
-// sets cannot run, and the log says so.
-func forEachWidth(t *testing.T, from int, f func(w int)) {
+// forEachWidth binds, in turn, every kernel width the host has, widest
+// first, runs f at each, restores the binding it found, and logs which
+// widths ran: on a host without AVX-512 (or without AVX) the missing sets
+// cannot run, and the log says so. With twins false it skips the Go twins,
+// for tests that compare each vector set against them, unless the twins
+// are the only set.
+func forEachWidth(t *testing.T, twins bool, f func(width string)) {
 	t.Helper()
-	defer setKernelWidth(setKernelWidth(hostWidth))
-	var ran []string
-	for w := hostWidth; w >= from; w-- {
-		setKernelWidth(w)
-		f(w)
-		ran = append(ran, widthNames[w])
+	widths := KernelWidths()
+	if !twins && len(widths) > 1 {
+		widths = widths[:len(widths)-1]
 	}
-	t.Logf("kernel widths run: %v (host widest: %s)", ran, widthNames[hostWidth])
+	defer SetKernelWidth(SetKernelWidth(widths[0]))
+	for _, w := range widths {
+		SetKernelWidth(w)
+		f(w)
+	}
+	logWidths(t, widths)
+}
+
+// logWidths logs the kernel widths a test ran and, when the host has no
+// AVX-512, that the 512-bit kernels did not run.
+func logWidths(t *testing.T, ran []string) {
+	t.Helper()
+	t.Logf("kernel widths run: %v (host widest: %s)", ran, KernelWidths()[0])
+	if KernelWidths()[0] != "avx512" {
+		t.Logf("AVX-512 absent on this host: the 512-bit kernels did not run")
+	}
 }
 
 // TestVectorKernelsGolden pins every dispatched kernel bitwise against its
@@ -88,8 +99,8 @@ func forEachWidth(t *testing.T, from int, f func(w int)) {
 // against each other through the twins. On hardware without AVX both
 // sides run the same Go code and the test degenerates to a self-check.
 func TestVectorKernelsGolden(t *testing.T) {
-	forEachWidth(t, min(width256, hostWidth), func(w int) {
-		vectorKernelsGolden(t, widthNames[w])
+	forEachWidth(t, false, func(w string) {
+		vectorKernelsGolden(t, w)
 	})
 }
 
@@ -251,7 +262,7 @@ func TestAxpyKernelsMatchPortable(t *testing.T) {
 // every operand. Results must match bit for bit except for NaN payloads
 // (see sameFloats).
 func TestDenseTileKernelsGolden(t *testing.T) {
-	forEachWidth(t, min(width256, hostWidth), func(w int) {
+	forEachWidth(t, false, func(w string) {
 		rng := rand.New(rand.NewSource(5))
 		for _, rows := range []int{1, 3, 4, 5, 64, 65} {
 			for _, cols := range []int{1, 2, 3, 4, 6, 7, 8, 9, 12, 16, 19, 32, 52, 63, 64, 100, 256} {
@@ -259,7 +270,7 @@ func TestDenseTileKernelsGolden(t *testing.T) {
 					if rows*cols*n > 1<<21 {
 						continue
 					}
-					denseTileGolden(t, rng, fmt.Sprintf("%s rows=%d cols=%d n=%d", widthNames[w], rows, cols, n), rows, cols, n)
+					denseTileGolden(t, rng, fmt.Sprintf("%s rows=%d cols=%d n=%d", w, rows, cols, n), rows, cols, n)
 				}
 			}
 		}
@@ -267,12 +278,12 @@ func TestDenseTileKernelsGolden(t *testing.T) {
 		// 16-lane chunk.
 		for rows := 6; rows <= 13; rows++ {
 			for _, cols := range []int{1, 15, 16, 17, 52} {
-				denseTileGolden(t, rng, fmt.Sprintf("%s rows=%d cols=%d n=9", widthNames[w], rows, cols), rows, cols, 9)
+				denseTileGolden(t, rng, fmt.Sprintf("%s rows=%d cols=%d n=9", w, rows, cols), rows, cols, 9)
 			}
 		}
 		// Every stripe cover of up to two 64-column stripes and a remainder.
 		for cols := 1; cols <= 130; cols++ {
-			denseTileGolden(t, rng, fmt.Sprintf("%s rows=2 cols=%d n=9", widthNames[w], cols), 2, cols, 9)
+			denseTileGolden(t, rng, fmt.Sprintf("%s rows=2 cols=%d n=9", w, cols), 2, cols, 9)
 		}
 	})
 }
@@ -323,46 +334,56 @@ func denseTileGolden(t *testing.T, rng *rand.Rand, name string, rows, cols, n in
 	}
 }
 
-// TestSetVectorKernelsToggle checks the toggle round-trips and that the
-// dispatch table follows it: with kernels off, axpy1 must match axpy1Go
-// exactly (trivially true — it IS axpy1Go then) and flipping back on must
-// restore the prior state's report.
-func TestSetVectorKernelsToggle(t *testing.T) {
-	initial := SetVectorKernels(true) // capture whether AVX binds at all
-	defer SetVectorKernels(initial)
-
-	prev := SetVectorKernels(false)
-	if prev != initial {
-		t.Fatalf("SetVectorKernels(false) reported prev=%v, want %v", prev, initial)
+// TestSetKernelWidthToggle checks the width selector round-trips and that
+// the dispatch table follows it: KernelWidths lists the host's sets widest
+// first and ends at the Go twins, each SetKernelWidth reports the set bound
+// before it, the twins bound make axpy1 the Go twin, and a set the host
+// lacks panics instead of binding something else.
+func TestSetKernelWidthToggle(t *testing.T) {
+	widths := KernelWidths()
+	if widths[len(widths)-1] != "go" {
+		t.Fatalf("KernelWidths() = %v, want the Go twins last", widths)
 	}
-	if SetVectorKernels(false) {
-		t.Fatal("kernels report active immediately after disabling")
+	initial := SetKernelWidth("go")
+	defer SetKernelWidth(initial)
+	if initial != widths[0] {
+		t.Fatalf("bound width at start = %s, want the host widest %s", initial, widths[0])
+	}
+	if prev := SetKernelWidth("go"); prev != "go" {
+		t.Fatalf("SetKernelWidth(go) after go reported prev=%s", prev)
 	}
 
-	// Scalar-bound axpy and kernels still produce the contract results.
+	// Twin-bound axpy still produces the contract results.
 	rng := rand.New(rand.NewSource(7))
 	w := positiveInput(rng, 37)
 	o1 := make([]float64, 37)
 	o2 := make([]float64, 37)
 	axpy1(1.5, w, o1)
 	axpy1Go(1.5, w, o2)
-	bitsEqual(t, "axpy1 scalar-bound", o1, o2)
+	bitsEqual(t, "axpy1 twin-bound", o1, o2)
 
-	on := SetVectorKernels(true)
-	if on {
-		t.Fatal("SetVectorKernels(true) reported prev=true after disable")
+	prev := "go"
+	for _, name := range widths {
+		if got := SetKernelWidth(name); got != prev {
+			t.Fatalf("SetKernelWidth(%s) reported prev=%s, want %s", name, got, prev)
+		}
+		prev = name
+		for i := range o1 {
+			o1[i] = 0
+		}
+		axpy1(1.5, w, o1)
+		bitsEqual(t, "axpy1 at "+name, o1, o2)
 	}
-	// On binds the widest set the host has; any narrower vector set still
-	// reports as on.
-	if got := setKernelWidth(min(width256, hostWidth)); got != hostWidth {
-		t.Fatalf("SetVectorKernels(true) bound width %s, want %s", widthNames[got], widthNames[hostWidth])
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetKernelWidth of an unknown set did not panic")
+			}
+		}()
+		SetKernelWidth("sse")
+	}()
+	if got := SetKernelWidth(initial); got != prev {
+		t.Fatalf("a refused SetKernelWidth changed the binding to %s, want %s", got, prev)
 	}
-	if SetVectorKernels(true) != (hostWidth > widthGo) {
-		t.Fatal("a narrower vector set did not report as on")
-	}
-	for i := range o1 {
-		o1[i] = 0
-	}
-	axpy1(1.5, w, o1)
-	bitsEqual(t, "axpy1 after re-enable", o1, o2)
 }

@@ -157,8 +157,7 @@ func sameRows(got, want [][]float64) bool {
 // state. Every kernel set runs: the AVX-512 and AVX sets where the host
 // has them, and the Go twins.
 func TestDenseKernelGolden(t *testing.T) {
-	forEachWidth(t, widthGo, func(width int) {
-		vec := widthNames[width]
+	forEachWidth(t, true, func(vec string) {
 		rng := rand.New(rand.NewSource(11))
 		for _, out := range []int{1, 3, 7, 8, 9, 64, 71, 256} {
 			for _, in := range []int{1, 5, 64, 65, 257} {
