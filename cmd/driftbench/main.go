@@ -291,10 +291,11 @@ func printSummary(out io.Writer, o *obs.Observer) {
 		if !ok || fits == 0 {
 			continue
 		}
-		conv := reg.Histogram(obs.MetricConvergedEpoch, "model", model)
+		// Every fit records one converged epoch, so Count() == fits > 0.
+		conv := reg.Histogram(obs.MetricConvergedEpoch, obs.PipelineBuckets, "model", model)
 		epochs, _ := reg.Value(obs.MetricTrainEpochs, "model", model)
 		fmt.Fprintf(out, "%s: %.0f fits, %.0f epochs total, converged at epoch %.1f on average\n",
-			model, fits, epochs, conv.Mean())
+			model, fits, epochs, conv.Sum()/float64(conv.Count()))
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 //
 //	A  clean loop: drifted telemetry through POST /v1/ingest must detect,
 //	   refit (real FS+GAN), pass the shadow gate, hot-swap, and survive the
-//	   watchdog — and the drift-to-recovery gauge must appear on /metrics.
+//	   watchdog — and the drift-to-recovery gauge and the refit-seconds
+//	   histogram's +Inf bucket must appear on /metrics.
 //	B  refit chaos: with ctrl.refit erroring at 100%, a fresh drift must
 //	   retry with backoff and land at refit-fail without touching serving.
 //	C  poisoned candidate: a refit that returns the stale pass-through
@@ -250,11 +251,16 @@ func runCtrlCheck(out io.Writer, cfg config) error {
 		return fail("A", err)
 	}
 	recovery := c.Status().LastRecoverySeconds
-	metricLine, err := scrapeMetric(base, "netdrift_ctrl_drift_to_recovery_seconds")
-	if err != nil {
-		return fail("A", err)
+	for _, name := range []string{
+		"netdrift_ctrl_drift_to_recovery_seconds",
+		`netdrift_ctrl_refit_seconds_bucket{le="+Inf"}`,
+	} {
+		metricLine, err := scrapeMetric(base, name)
+		if err != nil {
+			return fail("A", err)
+		}
+		fmt.Fprintf(out, "  %s\n", metricLine)
 	}
-	fmt.Fprintf(out, "  %s\n", metricLine)
 	phases = append(phases, "A")
 
 	// --- Phase B: refit chaos — retries, backoff, fail-closed. ---

@@ -55,7 +55,7 @@ func runLoadgen(out io.Writer, cfg config) error {
 	if binaryCodec {
 		contentType = serve.ContentTypeRows
 	}
-	latency := obs.NewFixedHistogram(obs.LatencyBuckets)
+	latency := obs.NewHistogram(obs.LatencyBuckets)
 	// Client-side rolling RED tracker: the caller's view of the SLO, fed
 	// the same objective the server burns against. One window wide enough
 	// to cover the whole run, so the verdict quantiles summarize everything.

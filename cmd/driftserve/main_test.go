@@ -320,6 +320,9 @@ func TestCtrlCheck(t *testing.T) {
 	if !strings.Contains(text, "netdrift_ctrl_drift_to_recovery_seconds") {
 		t.Errorf("drift-to-recovery metric not scraped from /metrics:\n%s", text)
 	}
+	if !strings.Contains(text, `netdrift_ctrl_refit_seconds_bucket{le="+Inf"}`) {
+		t.Errorf("refit-seconds histogram bucket not scraped from /metrics:\n%s", text)
+	}
 }
 
 // TestFaultPlanUnknownSite: a typo'd chaos site must be rejected up front

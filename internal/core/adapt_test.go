@@ -79,7 +79,7 @@ func TestAdaptBatchMatchesTransformTarget(t *testing.T) {
 	for i := range want {
 		got := out.Row(i)
 		for j := range want[i] {
-			if got[j] != want[i][j] {
+			if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
 				t.Fatalf("AdaptBatch differs from TransformTarget at [%d][%d]: %v vs %v",
 					i, j, got[j], want[i][j])
 			}
@@ -113,7 +113,7 @@ func TestAdaptBatchMatchesPerSampleAdapt(t *testing.T) {
 			t.Fatalf("row %d width %d vs %d", i, len(single), len(batched))
 		}
 		for j := range single {
-			if single[j] != batched[j] {
+			if math.Float64bits(single[j]) != math.Float64bits(batched[j]) {
 				t.Fatalf("row %d diverges at col %d: solo %v vs batched %v",
 					i, j, single[j], batched[j])
 			}
@@ -165,7 +165,7 @@ func TestAdaptBatchSubBatchInvariance(t *testing.T) {
 			got := part.Row(i)
 			want := wholeCopy[span[0]+i]
 			for j := range want {
-				if got[j] != want[j] {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("split batch diverges at row %d col %d", span[0]+i, j)
 				}
 			}
@@ -195,7 +195,7 @@ func TestAdaptBatchFSMode(t *testing.T) {
 	}
 	for i := range want {
 		for j := range want[i] {
-			if out.Row(i)[j] != want[i][j] {
+			if math.Float64bits(out.Row(i)[j]) != math.Float64bits(want[i][j]) {
 				t.Fatalf("FS projection differs at [%d][%d]", i, j)
 			}
 		}

@@ -203,7 +203,7 @@ func (a *Adapter) observeReconstruction(inv, vr [][]float64) {
 	if err != nil || len(vrHat) != len(vr) {
 		return
 	}
-	h := o.Histogram(obs.MetricReconError)
+	h := o.Histogram(obs.MetricReconError, obs.PipelineBuckets)
 	for i := range vr {
 		var ss float64
 		for j := range vr[i] {

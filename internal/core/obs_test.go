@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"netdrift/internal/obs"
@@ -59,15 +60,43 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 	if marg, _ := reg.Value(obs.MetricCITests, "kind", "marginal"); marg == 0 {
 		t.Error("no marginal CI tests recorded")
 	}
-	if h := reg.Histogram(obs.MetricAdapterFitSeconds); h.Count() != 1 {
+	if h := reg.Histogram(obs.MetricAdapterFitSeconds, nil); h.Count() != 1 {
 		t.Errorf("adapter fit timer count = %d; want 1", h.Count())
 	}
 	if rows, _ := reg.Value(obs.MetricTransformRows); rows != float64(len(test.X)) {
 		t.Errorf("transform rows = %v; want %d", rows, len(test.X))
 	}
-	if conv := reg.Histogram(obs.MetricConvergedEpoch, "model", "GAN"); conv.Count() != 1 {
+	if conv := reg.Histogram(obs.MetricConvergedEpoch, nil, "model", "GAN"); conv.Count() != 1 {
 		t.Errorf("converged-epoch count = %d; want 1", conv.Count())
-	} else if m := conv.Mean(); m < 1 || m > 8 {
+	} else if m := conv.Sum() / float64(conv.Count()); m < 1 || m > 8 {
 		t.Errorf("converged epoch = %v; want within [1, 8]", m)
 	}
+	// A ladder too narrow for the run would clamp its quantiles to the
+	// top bound; every sample must land in a finite bucket instead.
+	if over := overflowed(t, reg); len(over) > 0 {
+		t.Errorf("histograms with +Inf overflow samples:\n%s", strings.Join(over, "\n"))
+	}
+}
+
+// overflowed lists the histogram series of r whose +Inf bucket holds
+// samples: its cumulative count exceeds that of the last finite bucket.
+func overflowed(t *testing.T, r *obs.Registry) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	prev := ""
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.Contains(line, "_bucket{") {
+			continue
+		}
+		cum := line[strings.LastIndexByte(line, ' ')+1:]
+		if strings.Contains(line, `le="+Inf"`) && cum != prev {
+			out = append(out, line)
+		}
+		prev = cum
+	}
+	return out
 }

@@ -581,7 +581,7 @@ func (c *Controller) campaign() {
 		c.endCampaign()
 		return
 	}
-	c.o.Histogram(obs.MetricCtrlRefitSeconds).Observe(c.now().Sub(refitStart).Seconds())
+	c.o.Histogram(obs.MetricCtrlRefitSeconds, obs.PipelineBuckets).Observe(c.now().Sub(refitStart).Seconds())
 	if cand.ID == "" {
 		cand.ID = fmt.Sprintf("ctrl-epoch%d", nextEpoch)
 	}

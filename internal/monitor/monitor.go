@@ -260,8 +260,8 @@ func (d *Detector) Check(window [][]float64) (*Report, error) {
 			Rejected: ksRejected || psiRejected,
 		}
 		if o != nil {
-			o.Histogram(obs.MetricMonitorKSStat).Observe(stat)
-			o.Histogram(obs.MetricMonitorPSI).Observe(psi)
+			o.Histogram(obs.MetricMonitorKSStat, obs.PipelineBuckets).Observe(stat)
+			o.Histogram(obs.MetricMonitorPSI, obs.PipelineBuckets).Observe(psi)
 		}
 	}
 	minFraction := d.cfg.MinFraction

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -320,9 +321,37 @@ func TestDetectorRecordsMetrics(t *testing.T) {
 	if v, _ := o.Registry.Value(obs.MetricMonitorDrifts); v != 1 {
 		t.Errorf("drifts counter = %v; want 1", v)
 	}
-	if h := o.Registry.Histogram(obs.MetricMonitorKSStat); h.Count() != 10 {
+	if h := o.Registry.Histogram(obs.MetricMonitorKSStat, nil); h.Count() != 10 {
 		t.Errorf("KS-stat observations = %d; want 10 (2 windows x 5 features)", h.Count())
 	}
+	// A ladder too narrow for the run would clamp its quantiles to the
+	// top bound; every sample must land in a finite bucket instead.
+	if over := overflowed(t, o.Registry); len(over) > 0 {
+		t.Errorf("histograms with +Inf overflow samples:\n%s", strings.Join(over, "\n"))
+	}
+}
+
+// overflowed lists the histogram series of r whose +Inf bucket holds
+// samples: its cumulative count exceeds that of the last finite bucket.
+func overflowed(t *testing.T, r *obs.Registry) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	prev := ""
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.Contains(line, "_bucket{") {
+			continue
+		}
+		cum := line[strings.LastIndexByte(line, ' ')+1:]
+		if strings.Contains(line, `le="+Inf"`) && cum != prev {
+			out = append(out, line)
+		}
+		prev = cum
+	}
+	return out
 }
 
 func TestKSTwoSampleStatistic(t *testing.T) {

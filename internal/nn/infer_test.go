@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -67,7 +68,7 @@ func TestInferMatchesForwardEval(t *testing.T) {
 			}
 			for i := 0; i < rows; i++ {
 				for j, w := range want[i] {
-					if g := got.At(i, j); g != w {
+					if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("%s rows=%d: infer[%d][%d] = %v, forward eval = %v", width, rows, i, j, g, w)
 					}
 				}
@@ -119,7 +120,7 @@ func TestInferConcurrent(t *testing.T) {
 				got := Infer(net, x, &s)
 				for i := range want {
 					for j, w := range want[i] {
-						if got.At(i, j) != w {
+						if math.Float64bits(got.At(i, j)) != math.Float64bits(w) {
 							select {
 							case errs <- "concurrent infer diverged from sequential reference":
 							default:

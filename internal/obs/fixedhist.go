@@ -24,25 +24,36 @@ var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 // JSON body through a large binary row batch.
 var SizeBuckets = []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
 
-// FixedHistogram is a fixed-boundary histogram: observations are counted
+// PipelineBuckets are the fixed boundaries for the offline pipeline and
+// drift-control metrics: fit, predict, shard and refit seconds, training
+// losses, converged epochs, CI conditioning-set sizes, reconstruction
+// RMSE and the KS/PSI drift statistics. All of these are non-negative;
+// 1-2.5-5 steps per decade from 0.001 to 10000 keep a quick-scale run
+// (GAN loss p99 ~43, adapter fit <= 2.5 s) well inside the top bound.
+var PipelineBuckets = []float64{
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
+	10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
+}
+
+// Histogram is a fixed-boundary histogram: observations are counted
 // into buckets with explicit ascending upper bounds (plus an implicit
-// +Inf overflow bucket), the native Prometheus "histogram" shape. Unlike
-// the streaming Histogram it is lock-free — Observe is two atomic adds
-// and a CAS loop for the sum — which suits high-rate serving paths where
-// many goroutines record latencies concurrently. Quantiles (p50/p90/p99
-// via Snapshot) are estimated by linear interpolation inside the target
-// bucket, exactly as Prometheus' histogram_quantile does.
-type FixedHistogram struct {
+// +Inf overflow bucket), the native Prometheus "histogram" shape. It is
+// lock-free — Observe is two atomic adds and a CAS loop for the sum —
+// which suits high-rate serving paths where many goroutines record
+// latencies concurrently. Quantiles (p50/p90/p99 via Snapshot) are
+// estimated by linear interpolation inside the target bucket, exactly as
+// Prometheus' histogram_quantile does; Sum()/Count() is the exact mean.
+type Histogram struct {
 	bounds  []float64 // ascending upper bounds; +Inf bucket is implicit
 	buckets []atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
 
-// NewFixedHistogram creates a histogram with the given ascending upper
+// NewHistogram creates a histogram with the given ascending upper
 // bounds. The bounds are copied, sorted, and deduplicated; an empty list
 // falls back to LatencyBuckets.
-func NewFixedHistogram(bounds []float64) *FixedHistogram {
+func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = LatencyBuckets
 	}
@@ -58,7 +69,7 @@ func NewFixedHistogram(bounds []float64) *FixedHistogram {
 		}
 		dedup = append(dedup, b)
 	}
-	return &FixedHistogram{
+	return &Histogram{
 		bounds:  dedup,
 		buckets: make([]atomic.Uint64, len(dedup)+1),
 	}
@@ -66,7 +77,7 @@ func NewFixedHistogram(bounds []float64) *FixedHistogram {
 
 // Observe counts one sample. NaN samples are dropped. Safe for concurrent
 // use; nil-safe like every obs handle.
-func (h *FixedHistogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
@@ -83,7 +94,7 @@ func (h *FixedHistogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-func (h *FixedHistogram) Count() uint64 {
+func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
@@ -91,7 +102,7 @@ func (h *FixedHistogram) Count() uint64 {
 }
 
 // Sum returns the sum of all observations.
-func (h *FixedHistogram) Sum() float64 {
+func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
@@ -99,7 +110,7 @@ func (h *FixedHistogram) Sum() float64 {
 }
 
 // Bounds returns the bucket upper bounds (shared slice; do not mutate).
-func (h *FixedHistogram) Bounds() []float64 {
+func (h *Histogram) Bounds() []float64 {
 	if h == nil {
 		return nil
 	}
@@ -108,7 +119,7 @@ func (h *FixedHistogram) Bounds() []float64 {
 
 // BucketCounts returns a snapshot of the per-bucket (non-cumulative)
 // counts; the final element is the +Inf overflow bucket.
-func (h *FixedHistogram) BucketCounts() []uint64 {
+func (h *Histogram) BucketCounts() []uint64 {
 	if h == nil {
 		return nil
 	}
@@ -123,7 +134,7 @@ func (h *FixedHistogram) BucketCounts() []uint64 {
 // within the bucket containing the target rank, Prometheus-style: the
 // first bucket interpolates from zero, and ranks landing in the +Inf
 // bucket report the largest finite bound.
-func (h *FixedHistogram) Quantile(q float64) float64 {
+func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
@@ -137,7 +148,7 @@ func searchBound(bounds []float64, v float64) int {
 }
 
 // bucketQuantile is the shared fixed-bucket quantile estimator used by
-// FixedHistogram and the rolling RED windows: counts holds per-bound
+// Histogram and the rolling RED windows: counts holds per-bound
 // counts plus the trailing +Inf bucket.
 func bucketQuantile(bounds []float64, counts []uint64, q float64) float64 {
 	var total uint64
@@ -177,13 +188,4 @@ func bucketQuantile(bounds []float64, counts []uint64, q float64) float64 {
 		return 0
 	}
 	return bounds[len(bounds)-1]
-}
-
-// quantilesFixed returns estimates for several q values.
-func (h *FixedHistogram) quantilesFixed(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	return out
 }

@@ -7,36 +7,36 @@ import "time"
 const (
 	// internal/causal
 	MetricCITests    = "netdrift_ci_tests_total"    // counter{kind="marginal"|"conditional"}
-	MetricCICondSize = "netdrift_ci_cond_size"      // histogram of conditioning-set sizes
+	MetricCICondSize = "netdrift_ci_cond_size"      // PipelineBuckets: conditioning-set sizes
 	MetricFSVerdicts = "netdrift_fs_features_total" // counter{verdict="variant"|"invariant"}
 	MetricFSSearches = "netdrift_fs_searches_total" // counter
 	// internal/core
-	MetricAdapterFitSeconds = "netdrift_adapter_fit_seconds" // histogram
-	MetricTransformSeconds  = "netdrift_transform_seconds"   // histogram
+	MetricAdapterFitSeconds = "netdrift_adapter_fit_seconds" // PipelineBuckets
+	MetricTransformSeconds  = "netdrift_transform_seconds"   // PipelineBuckets
 	MetricTransformRows     = "netdrift_transform_rows_total"
 	MetricTrainEpochs       = "netdrift_train_epochs_total"    // counter{model=...}
-	MetricGenLoss           = "netdrift_train_gen_loss"        // histogram{model=...}
-	MetricDiscLoss          = "netdrift_train_disc_loss"       // histogram{model=...}
+	MetricGenLoss           = "netdrift_train_gen_loss"        // PipelineBuckets{model=...}
+	MetricDiscLoss          = "netdrift_train_disc_loss"       // PipelineBuckets{model=...}
 	MetricTrainFits         = "netdrift_train_fits_total"      // counter{model=...}
-	MetricConvergedEpoch    = "netdrift_train_converged_epoch" // histogram{model=...}
+	MetricConvergedEpoch    = "netdrift_train_converged_epoch" // PipelineBuckets{model=...}
 	MetricTrainShards       = "netdrift_train_shards_total"    // counter{model=...}
-	MetricTrainShardSeconds = "netdrift_train_shard_seconds"   // histogram{model=...}
-	MetricReconError        = "netdrift_reconstruction_rmse"   // histogram
+	MetricTrainShardSeconds = "netdrift_train_shard_seconds"   // PipelineBuckets{model=...}
+	MetricReconError        = "netdrift_reconstruction_rmse"   // PipelineBuckets
 	// internal/monitor
 	MetricMonitorChecks = "netdrift_monitor_checks_total"
 	MetricMonitorDrifts = "netdrift_monitor_drifts_total"
-	MetricMonitorKSStat = "netdrift_monitor_ks_stat" // histogram across features
-	MetricMonitorPSI    = "netdrift_monitor_psi"     // histogram across features
+	MetricMonitorKSStat = "netdrift_monitor_ks_stat" // PipelineBuckets, across features
+	MetricMonitorPSI    = "netdrift_monitor_psi"     // PipelineBuckets, across features
 	// internal/baselines
-	MetricMethodSeconds = "netdrift_method_predict_seconds" // histogram{method=...}
+	MetricMethodSeconds = "netdrift_method_predict_seconds" // PipelineBuckets{method=...}
 	// internal/serve
 	MetricServeRequests     = "netdrift_serve_requests_total"     // counter{outcome="ok"|"error"|"canceled"}
 	MetricServeRows         = "netdrift_serve_rows_total"         // counter
 	MetricServeBatches      = "netdrift_serve_batches_total"      // counter
 	MetricServeSwaps        = "netdrift_serve_swaps_total"        // counter
-	MetricServeReqLatency   = "netdrift_serve_request_seconds"    // fixed histogram
-	MetricServeBatchLatency = "netdrift_serve_batch_seconds"      // fixed histogram
-	MetricServeBatchSize    = "netdrift_serve_batch_size"         // fixed histogram
+	MetricServeReqLatency   = "netdrift_serve_request_seconds"    // LatencyBuckets
+	MetricServeBatchLatency = "netdrift_serve_batch_seconds"      // LatencyBuckets
+	MetricServeBatchSize    = "netdrift_serve_batch_size"         // BatchSizeBuckets
 	MetricServeQueueDepth   = "netdrift_serve_queue_depth"        // gauge
 	MetricServeBundleLoads  = "netdrift_serve_bundle_loads_total" // counter
 	// internal/serve resilience layer
@@ -46,14 +46,14 @@ const (
 	MetricServeBreakerTransitions = "netdrift_serve_breaker_transitions_total" // counter{breaker=..., to="closed"|"open"|"half-open"}
 	// internal/serve wire codecs
 	MetricServeCodecRequests = "netdrift_serve_codec_requests_total" // counter{codec="json"|"binary"}
-	MetricServeRequestBytes  = "netdrift_serve_request_bytes"        // fixed histogram{codec=...}: /v1/adapt request body sizes
-	MetricServeResponseBytes = "netdrift_serve_response_bytes"       // fixed histogram{codec=...}: /v1/adapt response body sizes
+	MetricServeRequestBytes  = "netdrift_serve_request_bytes"        // SizeBuckets{codec=...}: /v1/adapt request body sizes
+	MetricServeResponseBytes = "netdrift_serve_response_bytes"       // SizeBuckets{codec=...}: /v1/adapt response body sizes
 	// internal/ctrl drift-response controller
 	MetricCtrlTransitions     = "netdrift_ctrl_transitions_total"         // counter{event="drift-detected"|"refit-start"|...}
 	MetricCtrlIngestRows      = "netdrift_ctrl_ingest_rows_total"         // counter: target rows accepted into the controller
 	MetricCtrlReservoirRows   = "netdrift_ctrl_reservoir_rows"            // gauge: labelled shots currently retained
 	MetricCtrlEpoch           = "netdrift_ctrl_epoch"                     // gauge: promotions survived by the controller
-	MetricCtrlRefitSeconds    = "netdrift_ctrl_refit_seconds"             // histogram: wall time of successful refits
+	MetricCtrlRefitSeconds    = "netdrift_ctrl_refit_seconds"             // PipelineBuckets: wall time of successful refits
 	MetricCtrlGateScore       = "netdrift_ctrl_gate_score"                // gauge{role="candidate"|"incumbent"}: last shadow-gate macro-F1
 	MetricCtrlDriftToRecovery = "netdrift_ctrl_drift_to_recovery_seconds" // gauge: drift-detected -> promote wall time, last campaign
 	MetricCtrlCheckpoints     = "netdrift_ctrl_checkpoints_total"         // counter: atomic checkpoint files written
@@ -147,19 +147,11 @@ func (o *Observer) Gauge(name string, labels ...string) *Gauge {
 }
 
 // Histogram is a nil-safe Registry.Histogram.
-func (o *Observer) Histogram(name string, labels ...string) *Histogram {
+func (o *Observer) Histogram(name string, bounds []float64, labels ...string) *Histogram {
 	if o == nil {
 		return nil
 	}
-	return o.Registry.Histogram(name, labels...)
-}
-
-// FixedHistogram is a nil-safe Registry.FixedHistogram.
-func (o *Observer) FixedHistogram(name string, bounds []float64, labels ...string) *FixedHistogram {
-	if o == nil {
-		return nil
-	}
-	return o.Registry.FixedHistogram(name, bounds, labels...)
+	return o.Registry.Histogram(name, bounds, labels...)
 }
 
 // StartSpan opens a root span; returns nil (all methods no-ops) when
@@ -213,13 +205,13 @@ func (o *Observer) FlightSnapshot(reason string) string {
 var noop = func() {}
 
 // Time starts a latency timer; invoking the returned func observes the
-// elapsed seconds into the named histogram. Disabled observers return a
-// shared no-op without touching the clock.
+// elapsed seconds into the named PipelineBuckets histogram. Disabled
+// observers return a shared no-op without touching the clock.
 func (o *Observer) Time(name string, labels ...string) func() {
 	if o == nil || o.Registry == nil {
 		return noop
 	}
-	h := o.Registry.Histogram(name, labels...)
+	h := o.Registry.Histogram(name, PipelineBuckets, labels...)
 	start := time.Now()
 	return func() { h.Observe(time.Since(start).Seconds()) }
 }
@@ -232,9 +224,9 @@ func (o *Observer) OnTrainEpoch(e TrainEpoch) {
 	}
 	if r := o.Registry; r != nil {
 		r.Counter(MetricTrainEpochs, "model", e.Model).Inc()
-		r.Histogram(MetricGenLoss, "model", e.Model).Observe(e.GenLoss)
+		r.Histogram(MetricGenLoss, PipelineBuckets, "model", e.Model).Observe(e.GenLoss)
 		if e.Adversarial {
-			r.Histogram(MetricDiscLoss, "model", e.Model).Observe(e.DiscLoss)
+			r.Histogram(MetricDiscLoss, PipelineBuckets, "model", e.Model).Observe(e.DiscLoss)
 		}
 	}
 	if o.Train != nil {
@@ -249,7 +241,7 @@ func (o *Observer) OnTrainDone(d TrainDone) {
 	}
 	if r := o.Registry; r != nil {
 		r.Counter(MetricTrainFits, "model", d.Model).Inc()
-		r.Histogram(MetricConvergedEpoch, "model", d.Model).Observe(float64(d.ConvergedEpoch))
+		r.Histogram(MetricConvergedEpoch, PipelineBuckets, "model", d.Model).Observe(float64(d.ConvergedEpoch))
 	}
 	if o.Train != nil {
 		o.Train.Done(d)
@@ -268,7 +260,7 @@ func (o *Observer) OnTrainShard(model string, seconds float64) {
 	}
 	if r := o.Registry; r != nil {
 		r.Counter(MetricTrainShards, "model", model).Inc()
-		r.Histogram(MetricTrainShardSeconds, "model", model).Observe(seconds)
+		r.Histogram(MetricTrainShardSeconds, PipelineBuckets, "model", model).Observe(seconds)
 	}
 }
 
@@ -284,7 +276,7 @@ func (o *Observer) OnCITest(t CITest) {
 			kind = "conditional"
 		}
 		r.Counter(MetricCITests, "kind", kind).Inc()
-		r.Histogram(MetricCICondSize).Observe(float64(t.CondSize))
+		r.Histogram(MetricCICondSize, PipelineBuckets).Observe(float64(t.CondSize))
 	}
 	if o.Search != nil {
 		o.Search.CITest(t)

@@ -25,7 +25,7 @@ func TestObserverNilSafety(t *testing.T) {
 	}
 	o.Counter("c").Inc()
 	o.Gauge("g").Set(1)
-	o.Histogram("h").Observe(1)
+	o.Histogram("h", nil).Observe(1)
 	o.Time("t")()
 	o.OnTrainEpoch(TrainEpoch{})
 	o.OnTrainDone(TrainDone{})
@@ -69,10 +69,10 @@ func TestObserverHookForwarding(t *testing.T) {
 	if v, ok := o.Registry.Value(MetricFSVerdicts, "verdict", "variant"); !ok || v != 1 {
 		t.Errorf("variant verdict counter = %g, %v", v, ok)
 	}
-	if c := o.Registry.Histogram(MetricGenLoss, "model", "GAN").Count(); c != 1 {
+	if c := o.Registry.Histogram(MetricGenLoss, nil, "model", "GAN").Count(); c != 1 {
 		t.Errorf("gen loss observations = %d", c)
 	}
-	if c := o.Registry.Histogram(MetricConvergedEpoch, "model", "GAN").Count(); c != 1 {
+	if c := o.Registry.Histogram(MetricConvergedEpoch, nil, "model", "GAN").Count(); c != 1 {
 		t.Errorf("converged epoch observations = %d", c)
 	}
 }
@@ -82,7 +82,7 @@ func TestObserverTime(t *testing.T) {
 	stop := o.Time(MetricTransformSeconds)
 	time.Sleep(2 * time.Millisecond)
 	stop()
-	h := o.Registry.Histogram(MetricTransformSeconds)
+	h := o.Registry.Histogram(MetricTransformSeconds, nil)
 	if h.Count() != 1 {
 		t.Fatalf("timer observations = %d", h.Count())
 	}

@@ -92,7 +92,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindFixedHistogram
 )
 
 func (k metricKind) String() string {
@@ -101,14 +100,8 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindFixedHistogram:
-		// Fixed-boundary histograms expose cumulative le buckets, the
-		// native Prometheus "histogram" type.
-		return "histogram"
 	default:
-		// Streaming histograms expose quantiles, so they render as the
-		// Prometheus "summary" type.
-		return "summary"
+		return "histogram"
 	}
 }
 
@@ -187,24 +180,16 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	return r.metric(name, kindGauge, labels, func() any { return new(Gauge) }).(*Gauge)
 }
 
-// Histogram returns the streaming histogram for name and label pairs.
-func (r *Registry) Histogram(name string, labels ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.metric(name, kindHistogram, labels, func() any { return newHistogram(defaultHistogramBins) }).(*Histogram)
-}
-
-// FixedHistogram returns the fixed-boundary histogram for name and label
+// Histogram returns the fixed-boundary histogram for name and label
 // pairs, creating it with the given bucket bounds on first use. Later
 // calls for the same (name, labels) return the existing instance — the
 // first caller's bounds win; pass nil bounds to accept whatever is
 // already registered (or LatencyBuckets on first use).
-func (r *Registry) FixedHistogram(name string, bounds []float64, labels ...string) *FixedHistogram {
+func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.metric(name, kindFixedHistogram, labels, func() any { return NewFixedHistogram(bounds) }).(*FixedHistogram)
+	return r.metric(name, kindHistogram, labels, func() any { return NewHistogram(bounds) }).(*Histogram)
 }
 
 // Sample is one exported metric point (histograms expand into several).
@@ -260,26 +245,14 @@ func (r *Registry) Snapshot() []Sample {
 		case *Histogram:
 			out = append(out, Sample{Name: e.name + "_count", Labels: lab, Value: float64(m.Count())})
 			out = append(out, Sample{Name: e.name + "_sum", Labels: lab, Value: m.Sum()})
-			qs := m.quantiles(exportQuantiles...)
-			for i, q := range exportQuantiles {
+			counts := m.BucketCounts()
+			for _, q := range exportQuantiles {
 				ql := labelMap(e.labels)
 				if ql == nil {
 					ql = map[string]string{}
 				}
 				ql["quantile"] = formatFloat(q)
-				out = append(out, Sample{Name: e.name, Labels: ql, Value: qs[i]})
-			}
-		case *FixedHistogram:
-			out = append(out, Sample{Name: e.name + "_count", Labels: lab, Value: float64(m.Count())})
-			out = append(out, Sample{Name: e.name + "_sum", Labels: lab, Value: m.Sum()})
-			qs := m.quantilesFixed(exportQuantiles...)
-			for i, q := range exportQuantiles {
-				ql := labelMap(e.labels)
-				if ql == nil {
-					ql = map[string]string{}
-				}
-				ql["quantile"] = formatFloat(q)
-				out = append(out, Sample{Name: e.name, Labels: ql, Value: qs[i]})
+				out = append(out, Sample{Name: e.name, Labels: ql, Value: bucketQuantile(m.Bounds(), counts, q)})
 			}
 		}
 	}
@@ -330,14 +303,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case *Gauge:
 			fmt.Fprintf(&b, "%s%s %s\n", e.name, renderLabels(e.labels), formatFloat(m.Value()))
 		case *Histogram:
-			qs := m.quantiles(exportQuantiles...)
-			for i, q := range exportQuantiles {
-				ql := append(append([]string(nil), e.labels...), "quantile", formatFloat(q))
-				fmt.Fprintf(&b, "%s%s %s\n", e.name, renderLabels(ql), formatFloat(qs[i]))
-			}
-			fmt.Fprintf(&b, "%s_sum%s %s\n", e.name, renderLabels(e.labels), formatFloat(m.Sum()))
-			fmt.Fprintf(&b, "%s_count%s %d\n", e.name, renderLabels(e.labels), m.Count())
-		case *FixedHistogram:
 			counts := m.BucketCounts()
 			var cum uint64
 			for i, bound := range m.Bounds() {

@@ -50,7 +50,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("ops_total").Inc()
 				r.Counter("ops_by_worker_total", "w", string(rune('a'+w%4))).Inc()
 				r.Gauge("last").Set(float64(i))
-				r.Histogram("latency").Observe(float64(i))
+				r.Histogram("latency", nil).Observe(float64(i))
 				if i%100 == 0 {
 					var b strings.Builder
 					_ = r.WritePrometheus(&b)
@@ -63,7 +63,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("ops_total").Value(); got != workers*perWorker {
 		t.Errorf("ops_total = %g, want %d", got, workers*perWorker)
 	}
-	if got := r.Histogram("latency").Count(); got != workers*perWorker {
+	if got := r.Histogram("latency", nil).Count(); got != workers*perWorker {
 		t.Errorf("latency count = %d, want %d", got, workers*perWorker)
 	}
 }
@@ -73,7 +73,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("netdrift_ci_tests_total", "kind", "marginal").Add(42)
 	r.Counter("netdrift_ci_tests_total", "kind", "conditional").Add(7)
 	r.Gauge("netdrift_up").Set(1)
-	h := r.Histogram("netdrift_latency_seconds", "phase", "fit")
+	h := r.Histogram("netdrift_latency_seconds", []float64{1, 2.5}, "phase", "fit")
 	for i := 1; i <= 4; i++ {
 		h.Observe(float64(i))
 	}
@@ -84,10 +84,10 @@ func TestWritePrometheusGolden(t *testing.T) {
 	want := `# TYPE netdrift_ci_tests_total counter
 netdrift_ci_tests_total{kind="conditional"} 7
 netdrift_ci_tests_total{kind="marginal"} 42
-# TYPE netdrift_latency_seconds summary
-netdrift_latency_seconds{phase="fit",quantile="0.5"} 2.5
-netdrift_latency_seconds{phase="fit",quantile="0.9"} 4
-netdrift_latency_seconds{phase="fit",quantile="0.99"} 4
+# TYPE netdrift_latency_seconds histogram
+netdrift_latency_seconds_bucket{phase="fit",le="1"} 1
+netdrift_latency_seconds_bucket{phase="fit",le="2.5"} 2
+netdrift_latency_seconds_bucket{phase="fit",le="+Inf"} 4
 netdrift_latency_seconds_sum{phase="fit"} 10
 netdrift_latency_seconds_count{phase="fit"} 4
 # TYPE netdrift_up gauge
@@ -102,7 +102,7 @@ func TestWritePrometheusParseable(t *testing.T) {
 	// Every non-comment line must be `name{labels} value` with a float value.
 	r := NewRegistry()
 	r.Counter("a_total").Inc()
-	r.Histogram("b_seconds").Observe(0.5)
+	r.Histogram("b_seconds", nil).Observe(0.5)
 	r.Gauge("c", "k", `quo"te`).Set(-2)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -132,7 +132,7 @@ func TestWritePrometheusParseable(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total", "path", "/x").Add(5)
-	r.Histogram("lat").Observe(2)
+	r.Histogram("lat", nil).Observe(2)
 	snap := r.Snapshot()
 	byName := map[string]Sample{}
 	for _, s := range snap {
@@ -173,7 +173,7 @@ func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
-	r.Histogram("z").Observe(1)
+	r.Histogram("z", nil).Observe(1)
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}

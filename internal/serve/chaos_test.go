@@ -52,7 +52,7 @@ func TestCancelWhileBatchInFlight(t *testing.T) {
 	if err != nil || res.Degraded {
 		t.Fatalf("request after mid-batch cancel: res=%+v err=%v", res, err)
 	}
-	if !sameRows(res.Rows, adaptWith(t, a, rows[:2], 0)) {
+	if !sameRowsBits(res.Rows, adaptWith(t, a, rows[:2], 0)) {
 		t.Error("post-cancel response not golden")
 	}
 }
@@ -77,7 +77,7 @@ func TestCloseRacingFlush(t *testing.T) {
 				res, err := co.Submit(context.Background(), rows[:3], 0, false)
 				switch {
 				case err == nil:
-					if res.Degraded || !sameRows(res.Rows, golden) {
+					if res.Degraded || !sameRowsBits(res.Rows, golden) {
 						t.Error("racing Submit returned a non-golden success")
 					}
 					served.Add(1)
@@ -125,7 +125,7 @@ func TestOverflowSplitNearDeadline(t *testing.T) {
 			if res.Degraded {
 				t.Fatalf("iter %d: degraded result with healthy executor", i)
 			}
-			if !sameRows(res.Rows, golden) {
+			if !sameRowsBits(res.Rows, golden) {
 				t.Fatalf("iter %d: successful result is not the full golden row set (%d rows)", i, len(res.Rows))
 			}
 			full++
@@ -205,14 +205,14 @@ func TestChaosHammer(t *testing.T) {
 						continue
 					}
 					if ar.Degraded {
-						if !sameRows(ar.Rows, sh.raw) {
+						if !sameRowsBits(ar.Rows, sh.raw) {
 							torn.Add(1)
 						} else {
 							degraded.Add(1)
 						}
 						continue
 					}
-					if ar.BundleID != a.ID || !sameRows(ar.Rows, sh.golden) {
+					if ar.BundleID != a.ID || !sameRowsBits(ar.Rows, sh.golden) {
 						torn.Add(1)
 					} else {
 						ok.Add(1)
@@ -244,7 +244,7 @@ func TestChaosHammer(t *testing.T) {
 	for {
 		res, ar := postAdapt(t, ts.URL, shapes[0].body)
 		if res.StatusCode == http.StatusOK && !ar.Degraded {
-			if !sameRows(ar.Rows, shapes[0].golden) {
+			if !sameRowsBits(ar.Rows, shapes[0].golden) {
 				t.Fatal("post-storm response is not bit-identical golden")
 			}
 			break

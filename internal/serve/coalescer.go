@@ -356,8 +356,8 @@ func (c *Coalescer) work() {
 	var mlpScr models.MLPScratch
 	o := c.opts.Obs
 	m := &workerMetrics{
-		batchLatency: o.FixedHistogram(obs.MetricServeBatchLatency, obs.LatencyBuckets),
-		batchSize:    o.FixedHistogram(obs.MetricServeBatchSize, obs.BatchSizeBuckets),
+		batchLatency: o.Histogram(obs.MetricServeBatchLatency, obs.LatencyBuckets),
+		batchSize:    o.Histogram(obs.MetricServeBatchSize, obs.BatchSizeBuckets),
 		batches:      o.Counter(obs.MetricServeBatches),
 		rowsTotal:    o.Counter(obs.MetricServeRows),
 	}
@@ -367,7 +367,7 @@ func (c *Coalescer) work() {
 }
 
 type workerMetrics struct {
-	batchLatency, batchSize *obs.FixedHistogram
+	batchLatency, batchSize *obs.Histogram
 	batches, rowsTotal      *obs.Counter
 }
 

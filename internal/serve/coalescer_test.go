@@ -29,7 +29,7 @@ func TestCoalescerMaxWaitFlushesLoneRequest(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("lone request took %v; MaxWait expiry did not flush", elapsed)
 	}
-	if !sameRows(res.Rows, adaptWith(t, a, rows[:3], 0)) {
+	if !sameRowsBits(res.Rows, adaptWith(t, a, rows[:3], 0)) {
 		t.Error("timer-flushed request served wrong rows")
 	}
 }
@@ -50,7 +50,7 @@ func TestCoalescerOverflowSplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRows(res.Rows, adaptWith(t, a, rows[:n], 7)) {
+	if !sameRowsBits(res.Rows, adaptWith(t, a, rows[:n], 7)) {
 		t.Error("oversized request rows differ from unbatched reference")
 	}
 	var batches float64
@@ -65,7 +65,7 @@ func TestCoalescerOverflowSplitting(t *testing.T) {
 	// No executed batch may exceed MaxBatch: the batch-size histogram's
 	// 100th percentile clamps to the bucket bound covering the largest
 	// observation.
-	sizeHist := o.Registry.FixedHistogram(obs.MetricServeBatchSize, obs.BatchSizeBuckets)
+	sizeHist := o.Registry.Histogram(obs.MetricServeBatchSize, obs.BatchSizeBuckets)
 	if maxSeen := sizeHist.Quantile(1); maxSeen > 4 {
 		t.Errorf("largest executed batch ≈ %v rows, exceeds MaxBatch 4", maxSeen)
 	}
@@ -125,7 +125,7 @@ func TestCoalescerCloseDrainsQueuedRequests(t *testing.T) {
 			t.Errorf("queued request %d failed at shutdown: %v", i, errs[i])
 			continue
 		}
-		if !sameRows(results[i].Rows, want[i:i+1]) {
+		if !sameRowsBits(results[i].Rows, want[i:i+1]) {
 			t.Errorf("request %d drained with wrong rows", i)
 		}
 	}

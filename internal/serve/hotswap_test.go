@@ -20,7 +20,7 @@ func TestHotSwapNoTornReads(t *testing.T) {
 	probe := rows[:8]
 	wantA := adaptWith(t, a, probe, 0)
 	wantB := adaptWith(t, b, probe, 0)
-	if sameRows(wantA, wantB) {
+	if sameRowsBits(wantA, wantB) {
 		t.Fatal("fixture bundles are not distinguishable; the test cannot detect torn reads")
 	}
 
@@ -75,7 +75,7 @@ func TestHotSwapNoTornReads(t *testing.T) {
 					t.Errorf("response claims unknown bundle %q", res.BundleID)
 					return
 				}
-				if !sameRows(res.Rows, want) {
+				if !sameRowsBits(res.Rows, want) {
 					t.Errorf("torn read: response attributed to %q does not match that bundle's output", res.BundleID)
 					return
 				}

@@ -143,7 +143,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	if t := sp.Trace(); t != "" {
 		w.Header().Set(TraceHeader, t)
 	}
-	reqLatency := s.o.FixedHistogram(obs.MetricServeReqLatency, obs.LatencyBuckets)
+	reqLatency := s.o.Histogram(obs.MetricServeReqLatency, obs.LatencyBuckets)
 	outcome := func(kind string) {
 		s.o.Counter(obs.MetricServeRequests, "outcome", kind).Inc()
 		secs := time.Since(start).Seconds()
@@ -179,7 +179,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	}()
 	if binaryReq {
 		body, err := pb.readBody(r.Body)
-		s.o.FixedHistogram(obs.MetricServeRequestBytes, obs.SizeBuckets, "codec", codecBinary).
+		s.o.Histogram(obs.MetricServeRequestBytes, obs.SizeBuckets, "codec", codecBinary).
 			Observe(float64(len(body)))
 		if err != nil {
 			outcome("error")
@@ -199,7 +199,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		var req AdaptRequest
 		cr := countingReader{r: r.Body}
 		err := json.NewDecoder(&cr).Decode(&req)
-		s.o.FixedHistogram(obs.MetricServeRequestBytes, obs.SizeBuckets, "codec", codecJSON).
+		s.o.Histogram(obs.MetricServeRequestBytes, obs.SizeBuckets, "codec", codecJSON).
 			Observe(float64(cr.n))
 		if err != nil {
 			outcome("error")
@@ -285,7 +285,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		pb.resp = AppendRowsResponse(pb.resp[:0], &res)
 		w.Header().Set("Content-Type", ContentTypeRows)
 		w.Write(pb.resp)
-		s.o.FixedHistogram(obs.MetricServeResponseBytes, obs.SizeBuckets, "codec", codecBinary).
+		s.o.Histogram(obs.MetricServeResponseBytes, obs.SizeBuckets, "codec", codecBinary).
 			Observe(float64(len(pb.resp)))
 		return
 	}
@@ -297,7 +297,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		Predictions: res.Predictions,
 		Degraded:    res.Degraded,
 	})
-	s.o.FixedHistogram(obs.MetricServeResponseBytes, obs.SizeBuckets, "codec", codecJSON).
+	s.o.Histogram(obs.MetricServeResponseBytes, obs.SizeBuckets, "codec", codecJSON).
 		Observe(float64(cw.n))
 }
 

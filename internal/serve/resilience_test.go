@@ -112,7 +112,7 @@ func TestSubmitRowWidthGuard(t *testing.T) {
 	if err != nil || res.Degraded {
 		t.Fatalf("well-formed request after bad one: res=%+v err=%v", res, err)
 	}
-	if !sameRows(res.Rows, adaptWith(t, a, rows[:2], 0)) {
+	if !sameRowsBits(res.Rows, adaptWith(t, a, rows[:2], 0)) {
 		t.Error("well-formed request not served golden after width failure")
 	}
 }
@@ -201,8 +201,8 @@ func TestDegradedPassthroughAndRecovery(t *testing.T) {
 
 	// Healthy first: golden path.
 	res, ar := postAdapt(t, ts.URL, body)
-	if res.StatusCode != http.StatusOK || ar.Degraded || !sameRows(ar.Rows, golden) {
-		t.Fatalf("healthy response status=%d degraded=%v golden=%v", res.StatusCode, ar.Degraded, sameRows(ar.Rows, golden))
+	if res.StatusCode != http.StatusOK || ar.Degraded || !sameRowsBits(ar.Rows, golden) {
+		t.Fatalf("healthy response status=%d degraded=%v golden=%v", res.StatusCode, ar.Degraded, sameRowsBits(ar.Rows, golden))
 	}
 
 	// Break the executor: every batch errors.
@@ -216,7 +216,7 @@ func TestDegradedPassthroughAndRecovery(t *testing.T) {
 		if !ar.Degraded {
 			t.Fatalf("request %d under total executor failure not degraded", i)
 		}
-		if !sameRows(ar.Rows, rows[:4]) {
+		if !sameRowsBits(ar.Rows, rows[:4]) {
 			t.Fatalf("degraded response does not echo raw input rows")
 		}
 		sawDegraded++
@@ -245,7 +245,7 @@ func TestDegradedPassthroughAndRecovery(t *testing.T) {
 	for time.Now().Before(deadline) {
 		res, ar := postAdapt(t, ts.URL, body)
 		if res.StatusCode == http.StatusOK && !ar.Degraded {
-			if !sameRows(ar.Rows, golden) {
+			if !sameRowsBits(ar.Rows, golden) {
 				t.Fatal("post-recovery response is not bit-identical to golden")
 			}
 			recovered = true
@@ -314,7 +314,7 @@ func TestExecutorPanicIsA500AndWorkerSurvives(t *testing.T) {
 	for time.Now().Before(deadline) {
 		res, ar := postAdapt(t, ts.URL, body)
 		if res.StatusCode == http.StatusOK && !ar.Degraded {
-			if !sameRows(ar.Rows, adaptWith(t, a, rows[:2], 0)) {
+			if !sameRowsBits(ar.Rows, adaptWith(t, a, rows[:2], 0)) {
 				t.Fatal("post-panic recovery output not golden")
 			}
 			return
@@ -410,7 +410,7 @@ func TestBundleLoadCircuitBreaker(t *testing.T) {
 	if err != nil || !res2.Degraded {
 		t.Fatalf("no bundle + open breaker: res=%+v err=%v, want degraded passthrough", res2, err)
 	}
-	if !sameRows(res2.Rows, rows[:2]) {
+	if !sameRowsBits(res2.Rows, rows[:2]) {
 		t.Error("degraded passthrough did not echo raw rows")
 	}
 	// Recovery: fix the file, advance past the backoff via a fresh breaker

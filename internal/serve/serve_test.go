@@ -119,23 +119,6 @@ func adaptWith(t testing.TB, b *Bundle, rows [][]float64, requestSeed int64) [][
 	return cp
 }
 
-func sameRows(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func TestBundleFileRoundTrip(t *testing.T) {
 	a, _, rows := fixtures(t)
 	path := filepath.Join(t.TempDir(), "bundle.json")
@@ -153,7 +136,7 @@ func TestBundleFileRoundTrip(t *testing.T) {
 	if loaded.ID != a.ID || loaded.Classifier == nil {
 		t.Errorf("loaded bundle id=%q classifier=%v", loaded.ID, loaded.Classifier != nil)
 	}
-	if !sameRows(adaptWith(t, loaded, rows, 0), adaptWith(t, a, rows, 0)) {
+	if !sameRowsBits(adaptWith(t, loaded, rows, 0), adaptWith(t, a, rows, 0)) {
 		t.Error("bundle loaded from disk serves different outputs")
 	}
 	if _, err := reg.LoadFile(filepath.Join(t.TempDir(), "missing.json")); !os.IsNotExist(err) {
@@ -240,7 +223,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if ar.BundleID != a.ID {
 		t.Errorf("bundle id %q, want %q", ar.BundleID, a.ID)
 	}
-	if !sameRows(ar.Rows, adaptWith(t, a, rows, 0)) {
+	if !sameRowsBits(ar.Rows, adaptWith(t, a, rows, 0)) {
 		t.Error("served rows differ from direct AdaptBatch")
 	}
 	if len(ar.Predictions) != len(rows) || len(ar.Predictions[0]) != 2 {
@@ -337,7 +320,7 @@ func TestSubmitCoalescesConcurrentRequests(t *testing.T) {
 			}
 			// Seed 0 pins the noise, so every row's result is independent
 			// of how requests were coalesced.
-			if !sameRows(res.Rows, want[lo:lo+perClient]) {
+			if !sameRowsBits(res.Rows, want[lo:lo+perClient]) {
 				t.Errorf("client %d got rows differing from the unbatched reference", c)
 			}
 		}(c)

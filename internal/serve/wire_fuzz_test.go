@@ -9,10 +9,11 @@ import (
 	"netdrift/internal/binenc"
 )
 
-// sameRowsBits compares matrices by float bit pattern, so NaN payloads
-// (which the wire codec carries verbatim; finiteness is enforced by
-// validateRows at the API boundary, not the codec) still compare equal to
-// themselves.
+// sameRowsBits compares matrices by float bit pattern: -0 differs from
+// +0, so bit-identity pins cannot pass on value equality alone, and NaN
+// payloads (which the wire codec carries verbatim; finiteness is enforced
+// by validateRows at the API boundary, not the codec) still compare equal
+// to themselves.
 func sameRowsBits(a, b [][]float64) bool {
 	if len(a) != len(b) {
 		return false

@@ -66,8 +66,8 @@ func TestRowsWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seed != 77 || !predict || !sameRows(got, rows) {
-		t.Fatalf("request round trip: seed=%d predict=%v sameRows=%v", seed, predict, sameRows(got, rows))
+	if seed != 77 || !predict || !sameRowsBits(got, rows) {
+		t.Fatalf("request round trip: seed=%d predict=%v sameRowsBits=%v", seed, predict, sameRowsBits(got, rows))
 	}
 
 	res := Result{
@@ -81,7 +81,7 @@ func TestRowsWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.BundleID != res.BundleID || !out.Degraded ||
-		!sameRows(out.Rows, res.Rows) || !sameRows(out.Predictions, res.Predictions) {
+		!sameRowsBits(out.Rows, res.Rows) || !sameRowsBits(out.Predictions, res.Predictions) {
 		t.Fatalf("response round trip mismatch: %+v", out)
 	}
 
@@ -136,10 +136,10 @@ func TestAdaptCrossCodecGolden(t *testing.T) {
 	if bout.BundleID != jout.BundleID {
 		t.Errorf("bundle id %q vs %q across codecs", bout.BundleID, jout.BundleID)
 	}
-	if !sameRows(bout.Rows, jout.Rows) {
+	if !sameRowsBits(bout.Rows, jout.Rows) {
 		t.Error("adapted rows differ between JSON and binary codecs")
 	}
-	if !sameRows(bout.Predictions, jout.Predictions) {
+	if !sameRowsBits(bout.Predictions, jout.Predictions) {
 		t.Error("predictions differ between JSON and binary codecs")
 	}
 	if bout.Degraded || jout.Degraded {
@@ -222,7 +222,7 @@ func TestBinaryDegradedPassthrough(t *testing.T) {
 	if !out.Degraded {
 		t.Error("binary payload degraded flag not set")
 	}
-	if !sameRows(out.Rows, probe) {
+	if !sameRowsBits(out.Rows, probe) {
 		t.Error("degraded binary response does not echo raw input rows")
 	}
 	inj.Clear()
@@ -300,7 +300,7 @@ func TestBundleBinaryGolden(t *testing.T) {
 		t.Fatalf("ids %q / %q", fromJSON.ID, fromBin.ID)
 	}
 	probe := rows[:5]
-	if !sameRows(adaptWith(t, fromJSON, probe, 3), adaptWith(t, fromBin, probe, 3)) {
+	if !sameRowsBits(adaptWith(t, fromJSON, probe, 3), adaptWith(t, fromBin, probe, 3)) {
 		t.Error("adapters loaded from JSON and binary bundles adapt differently")
 	}
 	pj, err := fromJSON.Classifier.PredictProba(probe)
@@ -311,7 +311,7 @@ func TestBundleBinaryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRows(pj, pb) {
+	if !sameRowsBits(pj, pb) {
 		t.Error("classifiers loaded from JSON and binary bundles predict differently")
 	}
 
