@@ -105,9 +105,27 @@ func validateFit(x [][]float64, y []int, numClasses int) error {
 	if numClasses < 2 {
 		return fmt.Errorf("models: numClasses %d must be >= 2", numClasses)
 	}
+	if len(x[0]) == 0 {
+		return errors.New("models: training rows have no features")
+	}
+	for i, row := range x {
+		if len(row) != len(x[0]) {
+			return fmt.Errorf("models: row %d has width %d, row 0 has %d", i, len(row), len(x[0]))
+		}
+	}
 	for i, v := range y {
 		if v < 0 || v >= numClasses {
 			return fmt.Errorf("models: label %d at row %d out of range [0,%d)", v, i, numClasses)
+		}
+	}
+	return nil
+}
+
+// checkWidths rejects rows whose width is not the trained width in.
+func checkWidths(x [][]float64, in int) error {
+	for i, row := range x {
+		if len(row) != in {
+			return fmt.Errorf("models: row %d has width %d, trained on %d", i, len(row), in)
 		}
 	}
 	return nil

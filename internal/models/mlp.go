@@ -108,10 +108,8 @@ func softmaxForward(net *nn.Network, x [][]float64, wantIn int) ([][]float64, er
 	if len(x) == 0 {
 		return nil, nil
 	}
-	for i, row := range x {
-		if len(row) != wantIn {
-			return nil, fmt.Errorf("models: row %d has width %d, trained on %d", i, len(row), wantIn)
-		}
+	if err := checkWidths(x, wantIn); err != nil {
+		return nil, err
 	}
 	var in nn.Tensor
 	out := net.ForwardT(in.SetFromRows(x), false).ToRows()

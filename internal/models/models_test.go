@@ -2,9 +2,11 @@ package models
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"netdrift/internal/nn"
@@ -266,25 +268,42 @@ func TestClassifiersLeaveInputsUnchanged(t *testing.T) {
 	}
 }
 
-// TestSoftmaxPredictRejectsRaggedRows checks that the neural classifiers
-// validate every row's width: a long row used to be truncated and a short
-// one zero-padded, both predicted without an error.
-func TestSoftmaxPredictRejectsRaggedRows(t *testing.T) {
+// TestClassifiersRejectRaggedRows checks that every classifier validates
+// every row's width, in Fit and in PredictProba. Ragged training rows used
+// to panic in XGB (index out of range) and train silently in TNet, MLP and
+// RF; at predict time a long row used to be truncated and a short one
+// zero-padded by the neural classifiers, RF panicked on a short row and
+// XGB predicted both.
+func TestClassifiersRejectRaggedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x, y := blobs(60, 4, 2, 3, rng)
-	for _, kind := range []Kind{KindTNet, KindMLP} {
-		c, err := New(kind, Options{Seed: 9, Epochs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Fit(x, y, 2); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		for _, bad := range [][]float64{{1, 2, 3, 4, 5}, {1, 2, 3}} {
-			rows := [][]float64{x[0], bad, x[1]}
-			if _, err := PredictClasses(c, rows); err == nil {
-				t.Errorf("%s: row of width %d predicted without an error", kind, len(bad))
+	for _, kind := range AllKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			c, err := New(kind, Options{Seed: 9, Epochs: 2, Trees: 3})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			for _, bad := range [][]float64{{1, 2, 3, 4, 5}, {1, 2, 3}, {1}} {
+				rows := [][]float64{x[0], x[1], bad, x[2]}
+				err := c.Fit(rows, y[:4], 2)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("row 2 has width %d", len(bad))) {
+					t.Errorf("Fit with a row of width %d: err = %v, want the row's width", len(bad), err)
+				}
+			}
+			if err := c.Fit([][]float64{{}, {}}, []int{0, 1}, 2); err == nil {
+				t.Error("Fit on rows without features returned no error")
+			}
+			if err := c.Fit(x, y, 2); err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range [][]float64{{1, 2, 3, 4, 5}, {1, 2, 3}, {1}} {
+				rows := [][]float64{x[0], bad, x[1]}
+				_, err := c.PredictProba(rows)
+				want := fmt.Sprintf("models: row 1 has width %d, trained on 4", len(bad))
+				if err == nil || err.Error() != want {
+					t.Errorf("PredictProba with a row of width %d: err = %v, want %q", len(bad), err, want)
+				}
+			}
+		})
 	}
 }

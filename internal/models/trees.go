@@ -8,6 +8,7 @@ import (
 type ForestClassifier struct {
 	opts Options
 	rf   *tree.RandomForest
+	in   int
 }
 
 var _ Classifier = (*ForestClassifier)(nil)
@@ -36,7 +37,7 @@ func (f *ForestClassifier) Fit(x [][]float64, y []int, numClasses int) error {
 	if err != nil {
 		return err
 	}
-	f.rf = rf
+	f.rf, f.in = rf, len(x[0])
 	return nil
 }
 
@@ -45,6 +46,9 @@ func (f *ForestClassifier) PredictProba(x [][]float64) ([][]float64, error) {
 	if f.rf == nil {
 		return nil, ErrNotFitted
 	}
+	if err := checkWidths(x, f.in); err != nil {
+		return nil, err
+	}
 	return f.rf.PredictProba(x)
 }
 
@@ -52,6 +56,7 @@ func (f *ForestClassifier) PredictProba(x [][]float64) ([][]float64, error) {
 type BoostClassifier struct {
 	opts Options
 	gb   *tree.GradientBoosting
+	in   int
 }
 
 var _ Classifier = (*BoostClassifier)(nil)
@@ -80,7 +85,7 @@ func (b *BoostClassifier) Fit(x [][]float64, y []int, numClasses int) error {
 	if err != nil {
 		return err
 	}
-	b.gb = gb
+	b.gb, b.in = gb, len(x[0])
 	return nil
 }
 
@@ -88,6 +93,9 @@ func (b *BoostClassifier) Fit(x [][]float64, y []int, numClasses int) error {
 func (b *BoostClassifier) PredictProba(x [][]float64) ([][]float64, error) {
 	if b.gb == nil {
 		return nil, ErrNotFitted
+	}
+	if err := checkWidths(x, b.in); err != nil {
+		return nil, err
 	}
 	return b.gb.PredictProba(x)
 }

@@ -19,9 +19,13 @@ import (
 //
 // The flat path keeps the arithmetic of the original per-row scalar loops
 // bit for bit (pinned by TestFeatureGateMatchesReference): every
-// accumulator sums the same terms in the same order, and the inner loops
-// run through axpy1, whose vector form is per-lane multiply and add with
-// no fusion.
+// accumulator sums the same terms in the same order. Five of its six
+// products are skipGemm calls over the whole batch, in the two
+// orientations Dense uses (u = x·W1ᵀ and du = dz·W2 like its forward,
+// dW1 += duᵀ·x and dW2 += dzᵀ·u like its weight gradient, and the input
+// gradient's du·W1 like its forward again); W2·u, which has no zero skip,
+// is one axpy1 per rank and row. Neither kernel fuses a multiply into an
+// add.
 type FeatureGate struct {
 	Dim  int
 	Rank int
@@ -30,10 +34,10 @@ type FeatureGate struct {
 
 	// w1T (Dim×Rank) and w2T (Rank×Dim) are transposed copies of w1 and w2,
 	// refreshed at the start of every ForwardT, so the forward pass can
-	// accumulate u and W2·u with contiguous axpy rows instead of walking
-	// the weights with a stride of Dim. They are read only inside the call
-	// that refreshed them, so an optimizer step between calls never leaves
-	// them stale.
+	// take u from skipGemm and W2·u from contiguous axpy rows instead of
+	// walking the weights with a stride of Dim. They are read only inside
+	// the call that refreshed them, so an optimizer step between calls
+	// never leaves them stale.
 	w1T, w2T []float64
 
 	input  *Tensor // caller-owned; stable between ForwardT and BackwardT
@@ -41,7 +45,8 @@ type FeatureGate struct {
 	sig    Tensor  // n×Dim, σ(z)
 	out    Tensor
 	gradIn Tensor
-	dz, du []float64
+	dz     Tensor // n×Dim
+	du     Tensor // n×Rank
 }
 
 // NewFeatureGate creates a gate over dim features with a default rank of
@@ -62,8 +67,6 @@ func NewFeatureGate(dim int, rng *rand.Rand) *FeatureGate {
 		b:    NewParam(fmt.Sprintf("gate%d.b", dim), dim),
 		w1T:  make([]float64, dim*rank),
 		w2T:  make([]float64, rank*dim),
-		dz:   make([]float64, dim),
-		du:   make([]float64, rank),
 	}
 	lim1 := math.Sqrt(6.0 / float64(dim))
 	for i := range g.w1.Data {
@@ -89,34 +92,35 @@ func transposeInto(dst, src []float64, rows, cols int) {
 	}
 }
 
-// forwardRow gates one row: u = W1·x, sig = σ(W2·u + b), out = x ⊙ sig.
-// u[m] sums w1[m][j]·x[j] over the nonzero inputs in ascending j, and
-// W2·u sums w2[k][m]·u[m] in ascending m from +0 before b[k] is added —
-// the orders of the scalar reference.
-func (g *FeatureGate) forwardRow(row, u, sig, out, w1T, w2T []float64) {
-	if len(row) != g.Dim {
-		panic(fmt.Sprintf("nn: gate over %d features given a %d-wide row", g.Dim, len(row)))
+// forward gates the batch x: u = x·W1ᵀ, sig = σ(W2·u + b), out = x ⊙ sig.
+// u[m] sums w1[m][j]·x[j] over the nonzero inputs in ascending j from +0
+// (skipGemm's definition), and W2·u sums w2[k][m]·u[m] in ascending m from
+// +0 before b[k] is added — the orders of the scalar reference.
+func (g *FeatureGate) forward(x, u, sig, out *Tensor, w1T, w2T []float64) {
+	if x.cols != g.Dim {
+		panic(fmt.Sprintf("nn: gate over %d features given a %d-wide row", g.Dim, x.cols))
 	}
-	for m := range u {
-		u[m] = 0
+	u.ZeroReset(x.rows, g.Rank)
+	sig.Reset(x.rows, g.Dim)
+	out.Reset(x.rows, g.Dim)
+	if x.rows == 0 {
+		return
 	}
-	for j, v := range row {
-		if v == 0 {
-			continue
+	skipGemm(u.data, g.Rank, x.data, g.Dim, 1, w1T, g.Rank, x.rows, g.Rank, g.Dim)
+	for i := 0; i < x.rows; i++ {
+		row, s, o := x.Row(i), sig.Row(i), out.Row(i)
+		// s first accumulates z − b = W2·u, one rank at a time.
+		for k := range s {
+			s[k] = 0
 		}
-		axpy1(v, w1T[j*g.Rank:(j+1)*g.Rank], u)
-	}
-	// sig first accumulates z − b = W2·u, one rank at a time.
-	for k := range sig {
-		sig[k] = 0
-	}
-	for m, um := range u {
-		axpy1(um, w2T[m*g.Dim:(m+1)*g.Dim], sig)
-	}
-	for k, s := range sig {
-		z := g.b.Data[k] + s
-		sig[k] = 1 / (1 + math.Exp(-z))
-		out[k] = row[k] * sig[k]
+		for m, um := range u.Row(i) {
+			axpy1(um, w2T[m*g.Dim:(m+1)*g.Dim], s)
+		}
+		for k, sk := range s {
+			z := g.b.Data[k] + sk
+			s[k] = 1 / (1 + math.Exp(-z))
+			o[k] = row[k] * s[k]
+		}
 	}
 }
 
@@ -125,71 +129,76 @@ func (g *FeatureGate) ForwardT(x *Tensor, _ bool) *Tensor {
 	g.input = x
 	transposeInto(g.w1T, g.w1.Data, g.Rank, g.Dim)
 	transposeInto(g.w2T, g.w2.Data, g.Dim, g.Rank)
-	u := g.u.Reset(x.rows, g.Rank)
-	sig := g.sig.Reset(x.rows, g.Dim)
-	out := g.out.Reset(x.rows, g.Dim)
-	for i := 0; i < x.rows; i++ {
-		g.forwardRow(x.Row(i), u.Row(i), sig.Row(i), out.Row(i), g.w1T, g.w2T)
-	}
-	return out
+	g.forward(x, &g.u, &g.sig, &g.out, g.w1T, g.w2T)
+	return &g.out
 }
 
 // BackwardT accumulates the gate's parameter gradients and returns dL/dx in
 // place.
 func (g *FeatureGate) BackwardT(gradOut *Tensor) *Tensor {
-	gradIn := g.gradIn.Reset(gradOut.rows, g.Dim)
-	dz, du := g.dz, g.du
-	for i := 0; i < gradOut.rows; i++ {
-		gRow := gradOut.Row(i)
-		x := g.input.Row(i)
-		s := g.sig.Row(i)
-		u := g.u.Row(i)
-		// dL/dz_k = gRow[k]·x_k·s_k(1-s_k)
-		for k := range dz {
-			dz[k] = gRow[k] * x[k] * s[k] * (1 - s[k])
+	return g.backwardWindow(gradOut, 0, fullWindow, false)
+}
+
+// backwardWindow is BackwardT computing the input gradient only over the
+// columns [lo, hi) (see BackwardWindow). Every input-gradient element is
+// its own sum, g⊙s plus its du·W1 terms, that no other output reads, so
+// the window skips whole elements. The parameter gradients are always
+// whole: the gate cannot run frozen, and panics when asked to.
+func (g *FeatureGate) backwardWindow(gradOut *Tensor, lo, hi int, frozen bool) *Tensor {
+	if frozen {
+		panic(fmt.Sprintf("nn: %T cannot run a frozen backward", g))
+	}
+	n, x := gradOut.rows, g.input
+	// dL/dz_k = gRow[k]·x_k·s_k(1-s_k)
+	dz := g.dz.Reset(n, g.Dim)
+	for i := 0; i < n; i++ {
+		gRow, xr, s, d := gradOut.Row(i), x.Row(i), g.sig.Row(i), dz.Row(i)
+		for k := range d {
+			d[k] = gRow[k] * xr[k] * s[k] * (1 - s[k])
 		}
-		vadd(g.b.Grad, dz)
-		// du = W2ᵀ·dz; dW2[k][m] += dz_k·u_m
-		for m := range du {
-			du[m] = 0
-		}
-		for k, dzk := range dz {
-			if dzk == 0 {
-				continue
-			}
-			axpy1(dzk, g.w2.Data[k*g.Rank:(k+1)*g.Rank], du)
-			axpy1(dzk, u, g.w2.Grad[k*g.Rank:(k+1)*g.Rank])
-		}
-		// dx_j = gRow[j]·s_j + Σ_m du_m·W1[m][j]; dW1[m][j] += du_m·x_j
-		gi := gradIn.Row(i)
-		for j := range gi {
+		vadd(g.b.Grad, d)
+	}
+	du := g.du.ZeroReset(n, g.Rank)
+	gradIn := g.gradIn.Reset(n, g.Dim)
+	if n == 0 {
+		return gradIn
+	}
+	// du = dz·W2 and dW2 += dzᵀ·u, skipping dz = 0; dW1 += duᵀ·x, skipping
+	// du = 0. Each gradient sums its batch rows in ascending order.
+	skipGemm(du.data, g.Rank, dz.data, g.Dim, 1, g.w2.Data, g.Rank, n, g.Rank, g.Dim)
+	skipGemm(g.w2.Grad, g.Rank, dz.data, 1, g.Dim, g.u.data, g.Rank, g.Dim, g.Rank, n)
+	skipGemm(g.w1.Grad, g.Dim, du.data, 1, g.Rank, x.data, g.Dim, g.Rank, g.Dim, n)
+	// dx_j = gRow[j]·s_j + Σ_m du_m·W1[m][j] over the window's columns,
+	// skipping du = 0.
+	hi = min(hi, g.Dim)
+	lo = min(lo, hi)
+	if lo == hi {
+		return gradIn
+	}
+	for i := 0; i < n; i++ {
+		gRow, s, gi := gradOut.Row(i), g.sig.Row(i), gradIn.Row(i)
+		for j := lo; j < hi; j++ {
 			gi[j] = gRow[j] * s[j]
 		}
-		for m, dum := range du {
-			if dum == 0 {
-				continue
-			}
-			axpy1(dum, g.w1.Data[m*g.Dim:(m+1)*g.Dim], gi)
-			axpy1(dum, x, g.w1.Grad[m*g.Dim:(m+1)*g.Dim])
-		}
 	}
+	skipGemm(gradIn.data[lo:], g.Dim, du.data, g.Rank, 1, g.w1.Data[lo:], g.Dim, n, hi-lo, g.Rank)
 	return gradIn
 }
 
+// gradOutWindow implements windowed: dz, which every parameter gradient
+// reads, takes every output-gradient column.
+func (g *FeatureGate) gradOutWindow(int, int) (int, int) { return 0, fullWindow }
+
 // InferT implements Layer: ForwardT's arithmetic with the transposed
-// weights and per-row scratch taken from the arena, so nothing on the layer
-// is written.
+// weights and the batch scratch taken from the arena, so nothing on the
+// layer is written.
 func (g *FeatureGate) InferT(x *Tensor, s *InferScratch) *Tensor {
 	w1T := s.grab().Reset(g.Dim, g.Rank).data
 	w2T := s.grab().Reset(g.Rank, g.Dim).data
 	transposeInto(w1T, g.w1.Data, g.Rank, g.Dim)
 	transposeInto(w2T, g.w2.Data, g.Dim, g.Rank)
-	u := s.grab().Reset(1, g.Rank).data
-	sig := s.grab().Reset(1, g.Dim).data
-	out := s.grab().Reset(x.rows, g.Dim)
-	for i := 0; i < x.rows; i++ {
-		g.forwardRow(x.Row(i), u, sig, out.Row(i), w1T, w2T)
-	}
+	u, sig, out := s.grab(), s.grab(), s.grab()
+	g.forward(x, u, sig, out, w1T, w2T)
 	return out
 }
 

@@ -39,9 +39,9 @@ const fullWindow = math.MaxInt
 // returned gradient's columns [lo, hi); its other columns are unspecified.
 // An empty window (lo >= hi) is a caller that discards the input gradient.
 // The window is bit-neutral because every input-gradient element is its
-// own dot product (Dense) or its own sum (SkipConcat) that nothing else
-// reads: narrowing it only skips whole elements, never reorders the terms
-// of one. Layers that cannot narrow their input gradient ignore the
+// own dot product (Dense) or its own sum (FeatureGate, SkipConcat) that
+// nothing else reads: narrowing it only skips whole elements, never
+// reorders the terms of one. Layers that cannot narrow their input gradient ignore the
 // window and compute all of it.
 func BackwardWindow(root Layer, gradOut *Tensor, lo, hi int) *Tensor {
 	return backwardWalk(root, gradOut, lo, hi, false)
@@ -55,7 +55,7 @@ func BackwardWindow(root Layer, gradOut *Tensor, lo, hi int) *Tensor {
 // element reads a parameter gradient: skipping them only skips whole
 // accumulations nothing else reads. It panics on a layer with parameters
 // that cannot skip their gradients (only Dense can, and the containers
-// pass the mode on).
+// pass the mode on; FeatureGate and BatchNorm cannot).
 func BackwardFrozen(root Layer, gradOut *Tensor, lo, hi int) *Tensor {
 	return backwardWalk(root, gradOut, lo, hi, true)
 }
@@ -73,8 +73,9 @@ func backwardWalk(root Layer, gradOut *Tensor, lo, hi int, frozen bool) *Tensor 
 }
 
 // windowed is implemented by the layers that can narrow their input
-// gradient to a column window and skip their parameter gradients: Dense,
-// SkipConcat and Network.
+// gradient to a column window: Dense, FeatureGate, SkipConcat and
+// Network. All but FeatureGate can also skip their parameter gradients;
+// FeatureGate panics when asked to.
 type windowed interface {
 	// backwardWindow is BackwardT computing only the input-gradient
 	// columns [lo, hi) (see BackwardWindow), and no parameter gradients

@@ -21,14 +21,12 @@ import (
 // value it held before the call, bit for bit, while the window's
 // input-gradient columns and the other layer state match the unfrozen
 // call's. Each case runs two batches per window so stale scratch outside
-// one window cannot leak into the next.
+// one window cannot leak into the next. The feature-gate cases (a gate
+// alone, below and above its rank of 32, and TNet's gate-then-dense head)
+// run at every kernel width, since the gate's products are the dispatched
+// skipGemm; the gate cannot run frozen.
 func TestBackwardWindowGolden(t *testing.T) {
-	cases := []struct {
-		name   string
-		in     int // input columns fed to the layer
-		build  func(rng *rand.Rand) Layer
-		values func(rng *rand.Rand, n, d int) [][]float64
-	}{
+	cases := []windowCase{
 		{"dense 13x7", 13, func(rng *rand.Rand) Layer { return NewDense(13, 7, rng) }, specialRows},
 		{"dense 40x20", 40, func(rng *rand.Rand) Layer { return NewDense(40, 20, rng) }, specialRows},
 		{"dense 13x1", 13, func(rng *rand.Rand) Layer { return NewDense(13, 1, rng) }, specialRows},
@@ -52,63 +50,92 @@ func TestBackwardWindowGolden(t *testing.T) {
 			)
 		}, randRows},
 	}
-	const rows = 7
 	for _, c := range cases {
-		for _, win := range [][2]int{{0, 0}, {c.in / 3, 2 * c.in / 3}, {0, c.in}} {
-			lo, hi := win[0], win[1]
-			name := fmt.Sprintf("%s window [%d,%d)", c.name, lo, hi)
-			full, part, frozen := c.build(rand.New(rand.NewSource(3))), c.build(rand.New(rand.NewSource(3))), c.build(rand.New(rand.NewSource(3)))
-			data := rand.New(rand.NewSource(4))
-			for batch := 0; batch < 2; batch++ {
-				x := rowsT(c.values(data, rows, c.in))
-				out := full.ForwardT(x, true)
-				if !sameFloats(part.ForwardT(x, true).Data(), out.Data()) ||
-					!sameFloats(frozen.ForwardT(x, true).Data(), out.Data()) {
-					t.Fatalf("%s: the copies' forwards differ", name)
-				}
-				g := rowsT(c.values(data, rows, out.Cols()))
-				ZeroGrads(full.Params())
-				ZeroGrads(part.Params())
-				var held [][]float64
-				for _, p := range frozen.Params() {
-					for i := range p.Grad {
-						p.Grad[i] = data.NormFloat64()
-					}
-					held = append(held, append([]float64(nil), p.Grad...))
-				}
-				want := full.BackwardT(g).ToRows()
-				got := BackwardWindow(part, g, lo, hi)
-				for i, w := range want {
-					if !sameFloats(got.Row(i)[lo:hi], w[lo:hi]) {
-						t.Fatalf("%s batch %d: input gradient row %d differs in the window", name, batch, i)
-					}
-				}
-				sameLayerState(t, fmt.Sprintf("%s batch %d", name, batch), full, part)
-				if hasBatchNorm(frozen) {
-					continue // batch norm cannot skip its gradients
-				}
-				gotFrozen := BackwardFrozen(frozen, g, lo, hi)
-				for i, w := range want {
-					if !sameFloats(gotFrozen.Row(i)[lo:hi], w[lo:hi]) {
-						t.Fatalf("%s batch %d: frozen input gradient row %d differs in the window", name, batch, i)
-					}
-				}
-				for i, p := range frozen.Params() {
-					if !sameFloats(p.Grad, held[i]) {
-						t.Fatalf("%s batch %d: frozen backward changed the gradient of %s", name, batch, p.Name)
-					}
-				}
-				sameStats(t, fmt.Sprintf("%s batch %d frozen", name, batch), full, frozen)
+		checkWindowCase(t, c)
+	}
+	gates := []windowCase{
+		{"feature gate 7", 7, func(rng *rand.Rand) Layer { return NewFeatureGate(7, rng) }, gateBatch},
+		{"feature gate 45", 45, func(rng *rand.Rand) Layer { return NewFeatureGate(45, rng) }, gateBatch},
+		{"gated network", 40, func(rng *rand.Rand) Layer {
+			return NewNetwork(NewFeatureGate(40, rng), NewDense(40, 12, rng), NewReLU(), NewDense(12, 3, rng))
+		}, gateBatch},
+	}
+	forEachWidth(t, true, func(width string) {
+		for _, c := range gates {
+			c.name += " at " + width
+			checkWindowCase(t, c)
+		}
+	})
+}
+
+// windowCase is one layer TestBackwardWindowGolden checks.
+type windowCase struct {
+	name   string
+	in     int // input columns fed to the layer
+	build  func(rng *rand.Rand) Layer
+	values func(rng *rand.Rand, n, d int) [][]float64
+}
+
+// checkWindowCase runs TestBackwardWindowGolden's checks on one case.
+func checkWindowCase(t *testing.T, c windowCase) {
+	t.Helper()
+	const rows = 7
+	for _, win := range [][2]int{{0, 0}, {c.in / 3, 2 * c.in / 3}, {0, c.in}} {
+		lo, hi := win[0], win[1]
+		name := fmt.Sprintf("%s window [%d,%d)", c.name, lo, hi)
+		full, part, frozen := c.build(rand.New(rand.NewSource(3))), c.build(rand.New(rand.NewSource(3))), c.build(rand.New(rand.NewSource(3)))
+		data := rand.New(rand.NewSource(4))
+		for batch := 0; batch < 2; batch++ {
+			x := rowsT(c.values(data, rows, c.in))
+			out := full.ForwardT(x, true)
+			if !sameFloats(part.ForwardT(x, true).Data(), out.Data()) ||
+				!sameFloats(frozen.ForwardT(x, true).Data(), out.Data()) {
+				t.Fatalf("%s: the copies' forwards differ", name)
 			}
+			g := rowsT(c.values(data, rows, out.Cols()))
+			ZeroGrads(full.Params())
+			ZeroGrads(part.Params())
+			var held [][]float64
+			for _, p := range frozen.Params() {
+				for i := range p.Grad {
+					p.Grad[i] = data.NormFloat64()
+				}
+				held = append(held, append([]float64(nil), p.Grad...))
+			}
+			want := full.BackwardT(g).ToRows()
+			got := BackwardWindow(part, g, lo, hi)
+			for i, w := range want {
+				if !sameFloats(got.Row(i)[lo:hi], w[lo:hi]) {
+					t.Fatalf("%s batch %d: input gradient row %d differs in the window", name, batch, i)
+				}
+			}
+			sameLayerState(t, fmt.Sprintf("%s batch %d", name, batch), full, part)
+			if unfreezable(frozen) {
+				continue // batch norm and the gate cannot skip their gradients
+			}
+			gotFrozen := BackwardFrozen(frozen, g, lo, hi)
+			for i, w := range want {
+				if !sameFloats(gotFrozen.Row(i)[lo:hi], w[lo:hi]) {
+					t.Fatalf("%s batch %d: frozen input gradient row %d differs in the window", name, batch, i)
+				}
+			}
+			for i, p := range frozen.Params() {
+				if !sameFloats(p.Grad, held[i]) {
+					t.Fatalf("%s batch %d: frozen backward changed the gradient of %s", name, batch, p.Name)
+				}
+			}
+			sameStats(t, fmt.Sprintf("%s batch %d frozen", name, batch), full, frozen)
 		}
 	}
 }
 
-// hasBatchNorm reports whether the layer tree contains a batch norm.
-func hasBatchNorm(root Layer) bool {
+// unfreezable reports whether the layer tree contains a batch norm or a
+// feature gate, the layers that cannot skip their parameter gradients.
+func unfreezable(root Layer) bool {
 	found := false
 	walkLayers(root, func(l Layer) {
-		if _, ok := l.(*BatchNorm); ok {
+		switch l.(type) {
+		case *BatchNorm, *FeatureGate:
 			found = true
 		}
 	})
@@ -160,17 +187,29 @@ func sameStats(t *testing.T, name string, a, b Layer) {
 }
 
 // TestBackwardFrozenRefusesUnfreezableLayer pins BackwardFrozen's failure
-// mode: a layer with parameters that cannot skip their gradients panics
+// mode: a layer with parameters that cannot skip their gradients (a batch
+// norm, which does not narrow, and a feature gate, which does) panics
 // rather than accumulating into them.
 func TestBackwardFrozenRefusesUnfreezableLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	net := NewNetwork(NewDense(4, 6, rng), NewBatchNorm(6))
-	g := rowsT(randRows(rng, 3, 6))
-	net.ForwardT(rowsT(randRows(rng, 3, 4)), true)
-	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "cannot run a frozen backward") {
-			t.Fatalf("panic %q, want the frozen-backward refusal", msg)
+	for _, net := range []Layer{
+		NewNetwork(NewDense(4, 6, rng), NewBatchNorm(6)),
+		NewNetwork(NewDense(4, 6, rng), NewFeatureGate(6, rng)),
+		NewFeatureGate(6, rng),
+	} {
+		in := 4
+		if _, ok := net.(*FeatureGate); ok {
+			in = 6
 		}
-	}()
-	BackwardFrozen(net, g, 0, 0)
+		g := rowsT(randRows(rng, 3, 6))
+		net.ForwardT(rowsT(randRows(rng, 3, in)), true)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "cannot run a frozen backward") {
+					t.Fatalf("%T: panic %q, want the frozen-backward refusal", net, msg)
+				}
+			}()
+			BackwardFrozen(net, g, 0, 0)
+		}()
+	}
 }

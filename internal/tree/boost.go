@@ -107,10 +107,10 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 			}
 		}
 		// Row subsample shared by the round.
-		rows := subsampleRows(n, cfg.Subsample, rng)
+		b.sample(subsampleRows(n, cfg.Subsample, rng))
 		roundTrees := make([]*regressionTree, numClasses)
 		for c := 0; c < numClasses; c++ {
-			rt := b.fit(grads[c], hess[c], rows, rng.Int63())
+			rt := b.fit(grads[c], hess[c], rng.Int63())
 			roundTrees[c] = rt
 			for i := 0; i < n; i++ {
 				scores[i][c] += cfg.LearningRate * rt.predict(x[i])
@@ -177,29 +177,40 @@ type regressionTree struct {
 	nodes []node
 }
 
-// sortedColumns holds every feature's presorted order: feature f's row
-// indices ordered by value at rows[f*n:(f+1)*n], and the values in that
-// order at vals[f*n:(f+1)*n].
+// sortedColumns holds every feature's presorted order as packed entries
+// rank<<32 | row: feature f's rows ordered by value at segs[f*n:(f+1)*n],
+// each with the dense rank of its value along that order. The rank steps
+// up wherever the value changes (!=) from the entry before, so for finite
+// values two entries anywhere in the order hold equal values exactly when
+// their ranks are equal. An entry is one word, so the filters and
+// partitions below move two thirds of the bytes of an (int32 row, float64
+// value) pair; a value is read back from x only for a threshold.
 type sortedColumns struct {
 	n    int
-	rows []int32
-	vals []float64
+	segs []uint64
 }
+
+// entryRow and entryRank unpack a sortedColumns entry.
+func entryRow(e uint64) uint32  { return uint32(e) }
+func entryRank(e uint64) uint32 { return uint32(e >> 32) }
 
 func presortColumns(x [][]float64) sortedColumns {
 	n, d := len(x), len(x[0])
-	s := sortedColumns{n: n, rows: make([]int32, d*n), vals: make([]float64, d*n)}
+	s := sortedColumns{n: n, segs: make([]uint64, d*n)}
+	idx := make([]int32, n)
 	col := make([]float64, n)
 	for f := 0; f < d; f++ {
-		idx := s.rows[f*n : (f+1)*n]
 		for i := range idx {
 			idx[i] = int32(i)
 			col[i] = x[i][f]
 		}
 		sort.Slice(idx, func(a, b int) bool { return col[idx[a]] < col[idx[b]] })
-		vals := s.vals[f*n : (f+1)*n]
+		var rank uint64
 		for p, i := range idx {
-			vals[p] = col[i]
+			if p > 0 && col[idx[p-1]] != col[i] {
+				rank++
+			}
+			s.segs[f*n+p] = rank<<32 | uint64(i)
 		}
 	}
 	return s
@@ -209,13 +220,17 @@ func presortColumns(x [][]float64) sortedColumns {
 // Its scratch is sized once and reused by every tree of every round and
 // class.
 //
-// A tree filters each sampled column's presorted order to the round's
-// subsample, giving one segment of m (row, value) entries per column.
-// Every node owns the same range [lo, hi) of each segment, which holds
-// exactly its rows in presorted order: a split partitions each segment
-// stably, left-goers first. The split scan therefore visits a node's rows
-// in the order a filtered scan of the whole presorted column would,
-// accumulates the same gradient sums, and grows the same tree bit for bit.
+// A round filters each column's presorted order to its subsample once,
+// the first time one of its trees samples the column, giving one segment
+// of m entries per column. A tree's root scans those round segments; its
+// first split partitions each sampled column's round segment into the
+// tree's own segment j, and every later split partitions the tree's
+// segments in place. Every node owns the same range [lo, hi) of each
+// segment, which holds exactly its rows in presorted order: a split
+// partitions stably, left-goers first. The split scan therefore visits a
+// node's rows in the order a filtered scan of the whole presorted column
+// would, accumulates the same gradient sums, and grows the same tree bit
+// for bit.
 type regBuilder struct {
 	x      [][]float64
 	sorted sortedColumns
@@ -225,27 +240,33 @@ type regBuilder struct {
 	lambda       float64
 	minChildHess float64
 
+	// The round's subsample.
+	rows     []int
+	m        int     // rows in the subsample, the length of every segment
+	inSample []uint8 // by row, 0 or 1: 1 for the subsample's rows
+	round    int     // rounds sampled so far
+	// Column f's round segment lives at [f*(m+1), f*(m+1)+m), filtered in
+	// the round filteredIn[f]; the slot after it takes the filter's
+	// unconditional store after its last row.
+	roundSegs  []uint64
+	filteredIn []int
+
 	// The tree being grown.
 	grad, hess []float64
 	cols       []int // sampled features in draw order; segment j is cols[j]
-	m          int   // rows in the subsample, the length of every segment
 	tree       *regressionTree
 
-	rng      *rand.Rand
-	perm     []int
-	inSample []uint8 // by row, 0 or 1; all 0 between trees
-	goLeft   []uint8 // by row, 0 or 1; set for a node's rows when it splits
+	rng    *rand.Rand
+	perm   []int
+	goLeft []uint8 // by row, 0 or 1; set for a node's rows when it splits
 	// idx holds the subsample in draw order, partitioned per node like the
 	// segments, so the sums over idx[lo:hi] add a node's rows in the same
 	// order as appending its rows to fresh left and right slices would.
 	idx  []int
 	part []int
-	// Segment j lives at [j*m, (j+1)*m); one slot of slack past the last
-	// segment takes the filter's unconditional store after its last row.
-	segRows  []int32
-	segVals  []float64 // values matching segRows
-	partRows []int32   // a node's right-goers, staged (length n)
-	partVals []float64
+	// The tree's segment j lives at [j*m, (j+1)*m).
+	segs     []uint64
+	partSegs []uint64 // a node's right-goers, staged (length n)
 }
 
 func newRegBuilder(x [][]float64, sorted sortedColumns, cfg BoostConfig) *regBuilder {
@@ -257,71 +278,110 @@ func newRegBuilder(x [][]float64, sorted sortedColumns, cfg BoostConfig) *regBui
 	return &regBuilder{
 		x: x, sorted: sorted, nCols: nCols,
 		maxDepth: cfg.MaxDepth, lambda: cfg.Lambda, minChildHess: cfg.MinChildHess,
-		rng:      rand.New(rand.NewSource(0)),
-		perm:     make([]int, d),
-		inSample: make([]uint8, n),
-		goLeft:   make([]uint8, n),
-		idx:      make([]int, n),
-		part:     make([]int, 0, n),
-		segRows:  make([]int32, nCols*n+1),
-		segVals:  make([]float64, nCols*n+1),
-		partRows: make([]int32, n),
-		partVals: make([]float64, n),
+		inSample:   make([]uint8, n),
+		filteredIn: make([]int, d),
+		rng:        rand.New(rand.NewSource(0)),
+		perm:       make([]int, d),
+		goLeft:     make([]uint8, n),
+		idx:        make([]int, n),
+		part:       make([]int, 0, n),
+		partSegs:   make([]uint64, n),
 	}
 }
 
-// fit grows one tree on the subsample rows, which it leaves unmodified.
-// The tree's column sample comes from an rng seeded with seed, drawing
-// exactly what rand.New(rand.NewSource(seed)).Perm would.
-func (b *regBuilder) fit(grad, hess []float64, rows []int, seed int64) *regressionTree {
+// sample starts a round on the subsample rows, which the round's trees
+// grow on and leave unmodified. The segments are sized for the first
+// round's subsample; every later one of a fit has the same size.
+func (b *regBuilder) sample(rows []int) {
+	for _, i := range b.rows {
+		b.inSample[i] = 0
+	}
+	for _, i := range rows {
+		b.inSample[i] = 1
+	}
+	b.rows, b.m = rows, len(rows)
+	b.round++
+	if d := len(b.filteredIn); len(b.roundSegs) != d*(b.m+1) {
+		b.roundSegs = make([]uint64, d*(b.m+1))
+		b.segs = make([]uint64, b.nCols*b.m)
+	}
+}
+
+// roundSegment returns column f's round segment, filtering it first if no
+// tree of the round has sampled f yet.
+func (b *regBuilder) roundSegment(f int) []uint64 {
+	m, n := b.m, b.sorted.n
+	seg := b.roundSegs[f*(m+1) : (f+1)*(m+1)]
+	if b.filteredIn[f] != b.round {
+		b.filteredIn[f] = b.round
+		// The filter stores every entry and advances only past in-sample
+		// ones: whether a row is in the sample is random in presorted
+		// order, so a branch on it would mispredict half the time. The
+		// store after the last in-sample row lands in the slack slot.
+		k := 0
+		for _, e := range b.sorted.segs[f*n : (f+1)*n] {
+			seg[k] = e
+			k += int(b.inSample[entryRow(e)])
+		}
+	}
+	return seg[:m]
+}
+
+// segment returns the node range [lo, hi) of segment j for a node of the
+// given depth: the root reads the round segment of column cols[j], every
+// other node the tree's segment j.
+func (b *regBuilder) segment(j, lo, hi, depth int) []uint64 {
+	if depth == 0 {
+		return b.roundSegment(b.cols[j])[lo:hi]
+	}
+	return b.segs[j*b.m+lo : j*b.m+hi]
+}
+
+// fit grows one tree on the round's subsample. The tree's column sample
+// comes from an rng seeded with seed, drawing exactly what
+// rand.New(rand.NewSource(seed)).Perm would.
+func (b *regBuilder) fit(grad, hess []float64, seed int64) *regressionTree {
 	b.rng.Seed(seed)
 	b.cols = permInto(b.rng, len(b.x[0]), b.perm)[:b.nCols]
 	b.grad, b.hess = grad, hess
 	b.tree = &regressionTree{}
-	m := len(rows)
-	b.m = m
-	copy(b.idx, rows)
-
-	for _, i := range rows {
-		b.inSample[i] = 1
-	}
-	n := b.sorted.n
-	for j, f := range b.cols {
-		vals := b.sorted.vals[f*n : (f+1)*n]
-		// The filter stores every row and advances only past in-sample
-		// ones: whether a row is in the sample is random in presorted
-		// order, so a branch on it would mispredict half the time. The
-		// store after the last in-sample row lands one past the segment,
-		// in the next segment (filled after this one) or the slack slot.
-		segRows := b.segRows[j*m : (j+1)*m+1]
-		segVals := b.segVals[j*m : (j+1)*m+1]
-		k := 0
-		for p, i := range b.sorted.rows[f*n : (f+1)*n] {
-			segRows[k], segVals[k] = i, vals[p]
-			k += int(b.inSample[i])
-		}
-	}
-	for _, i := range rows {
-		b.inSample[i] = 0
-	}
-
-	b.build(0, m, 0)
+	copy(b.idx, b.rows)
+	sumG, sumH := b.sums(0, b.m)
+	b.build(0, b.m, 0, sumG, sumH)
 	return b.tree
 }
 
-// build grows the subtree over the node range [lo, hi) and returns its
-// node index.
-func (b *regBuilder) build(lo, hi, depth int) int {
-	idx := b.idx[lo:hi]
-	var sumG, sumH float64
-	for _, i := range idx {
+// sums adds the gradients and hessians of the node range [lo, hi) in idx
+// order, the order every node's sums are taken in.
+func (b *regBuilder) sums(lo, hi int) (sumG, sumH float64) {
+	for _, i := range b.idx[lo:hi] {
 		sumG += b.grad[i]
 		sumH += b.hess[i]
 	}
-	if depth >= b.maxDepth || len(idx) < 2 {
+	return sumG, sumH
+}
+
+// scans reports whether a node of the given depth, row count and hessian
+// sum runs a split scan. A cut needs hl >= minChildHess on its left and
+// sumH-hl >= minChildHess on its right, which no cut of a node with
+// sumH < 2*minChildHess passes: fl(sumH-hl) is then exact (Sterbenz) and
+// below minChildHess. The bound keeps a relative slack of 1e-9 below
+// that: sumH adds the node's rows in idx order while the scan's prefix
+// sums add them in presorted order, so the two can differ in their last
+// bits, and a node near the bound is scanned rather than pruned. The
+// prune therefore only skips scans that cannot succeed.
+func (b *regBuilder) scans(depth, rows int, sumH float64) bool {
+	return depth < b.maxDepth && rows >= 2 && sumH >= 2*b.minChildHess*(1-1e-9)
+}
+
+// build grows the subtree over the node range [lo, hi), whose sums are
+// sumG and sumH, and returns its node index.
+func (b *regBuilder) build(lo, hi, depth int, sumG, sumH float64) int {
+	if !b.scans(depth, hi-lo, sumH) {
 		return b.leaf(sumG, sumH)
 	}
-	feat, thresh, ok := b.bestSplit(lo, hi, sumG, sumH)
+	idx := b.idx[lo:hi]
+	feat, thresh, ok := b.bestSplit(lo, hi, depth, sumG, sumH)
 	if !ok {
 		return b.leaf(sumG, sumH)
 	}
@@ -344,43 +404,43 @@ func (b *regBuilder) build(lo, hi, depth int) int {
 	if nl == 0 || nl == len(idx) {
 		return b.leaf(sumG, sumH)
 	}
-	// Leaf children never scan their segments.
-	if depth+1 < b.maxDepth {
-		b.partitionSegments(lo, hi, nl)
+	// Children that will not scan never read their segments.
+	lg, lh := b.sums(lo, lo+nl)
+	rg, rh := b.sums(lo+nl, hi)
+	if b.scans(depth+1, nl, lh) || b.scans(depth+1, hi-lo-nl, rh) {
+		b.partitionSegments(lo, hi, nl, depth)
 	}
 	me := len(b.tree.nodes)
 	b.tree.nodes = append(b.tree.nodes, node{feature: feat, thresh: thresh})
-	l := b.build(lo, lo+nl, depth+1)
-	r := b.build(lo+nl, hi, depth+1)
+	l := b.build(lo, lo+nl, depth+1, lg, lh)
+	r := b.build(lo+nl, hi, depth+1, rg, rh)
 	b.tree.nodes[me].left = l
 	b.tree.nodes[me].right = r
 	return me
 }
 
-// partitionSegments stably splits every segment's node range [lo, hi)
-// into its nl left-goers followed by its right-goers. Each row is stored
-// both in place and in the right-goer staging buffer, and only the index
-// of its side advances: the side is random in presorted order, so this
-// loop has no branch on it. The in-place store of a right-goer is
-// overwritten by the next left-goer or, after the last one, by the staged
-// right-goers copied to [nl, hi).
-func (b *regBuilder) partitionSegments(lo, hi, nl int) {
-	m := b.m
-	partRows, partVals := b.partRows[:hi-lo], b.partVals[:hi-lo]
+// partitionSegments stably splits the node range [lo, hi) of every
+// segment of a node of the given depth into its nl left-goers followed by
+// its right-goers, in the tree's segments. Each entry is stored both at
+// the left-goers' end and in the right-goer staging buffer, and only the
+// index of its side advances: the side is random in presorted order, so
+// this loop has no branch on it. The store of a right-goer at the
+// left-goers' end is overwritten by the next left-goer or, after the last
+// one, by the staged right-goers copied to [nl, hi).
+func (b *regBuilder) partitionSegments(lo, hi, nl, depth int) {
+	part := b.partSegs[:hi-lo]
 	for j := range b.cols {
-		rows := b.segRows[j*m+lo : j*m+hi]
-		vals := b.segVals[j*m+lo : j*m+hi]
+		src := b.segment(j, lo, hi, depth)
+		dst := b.segs[j*b.m+lo : j*b.m+hi]
 		k, r := 0, 0
-		for p, i := range rows {
-			v := vals[p]
-			left := int(b.goLeft[i])
-			rows[k], vals[k] = i, v
-			partRows[r], partVals[r] = i, v
+		for _, e := range src {
+			left := int(b.goLeft[entryRow(e)])
+			dst[k] = e
+			part[r] = e
 			k += left
 			r += 1 - left
 		}
-		copy(rows[nl:], partRows[:r])
-		copy(vals[nl:], partVals[:r])
+		copy(dst[nl:], part[:r])
 	}
 }
 
@@ -391,38 +451,48 @@ func (b *regBuilder) leaf(sumG, sumH float64) int {
 }
 
 // bestSplit maximizes the XGBoost structure gain over the node's range of
-// every sampled column's segment, scanned in presorted order.
-func (b *regBuilder) bestSplit(lo, hi int, sumG, sumH float64) (int, float64, bool) {
+// every sampled column's segment, scanned in presorted order. A cut
+// between two entries is a candidate where their ranks differ, that is,
+// for finite values, where the value changes; its threshold is the
+// midpoint of the two rows' values, read from x.
+func (b *regBuilder) bestSplit(lo, hi, depth int, sumG, sumH float64) (int, float64, bool) {
 	lambda, minHess := b.lambda, b.minChildHess
 	parent := sumG * sumG / (sumH + lambda)
 	bestGain := 1e-9
-	bestFeat, bestThresh := -1, 0.0
-	m := b.m
+	bestFeat := -1
+	var bestLeft, bestRight uint32 // the rows either side of the best cut
 	for j, f := range b.cols {
-		rows := b.segRows[j*m+lo : j*m+hi]
-		vals := b.segVals[j*m+lo : j*m+hi]
+		seg := b.segment(j, lo, hi, depth)
 		var gl, hl float64
-		gl += b.grad[rows[0]]
-		hl += b.hess[rows[0]]
-		for p := 1; p < len(rows); p++ {
-			// Candidate cut between positions p-1 and p.
-			v, next := vals[p-1], vals[p]
-			if v != next && hl >= minHess && sumH-hl >= minHess {
+		gl += b.grad[entryRow(seg[0])]
+		hl += b.hess[entryRow(seg[0])]
+		for p := 1; p < len(seg); p++ {
+			// Candidate cut between positions p-1 and p. hl only grows,
+			// so once the right side's hessian is short no later cut
+			// can pass.
+			if sumH-hl < minHess {
+				break
+			}
+			prev, e := seg[p-1], seg[p]
+			if entryRank(prev) != entryRank(e) && hl >= minHess {
 				gr := sumG - gl
 				hr := sumH - hl
 				gain := gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent
 				if gain > bestGain {
 					bestGain = gain
 					bestFeat = f
-					bestThresh = (v + next) / 2
+					bestLeft, bestRight = entryRow(prev), entryRow(e)
 				}
 			}
-			i := rows[p]
+			i := entryRow(e)
 			gl += b.grad[i]
 			hl += b.hess[i]
 		}
 	}
-	return bestFeat, bestThresh, bestFeat >= 0
+	if bestFeat < 0 {
+		return -1, 0, false
+	}
+	return bestFeat, (b.x[bestLeft][bestFeat] + b.x[bestRight][bestFeat]) / 2, true
 }
 
 func (t *regressionTree) predict(row []float64) float64 {

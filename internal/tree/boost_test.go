@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -11,7 +12,11 @@ import (
 // for the segment-partitioned builder: each split scan walks every sampled
 // feature's whole presorted order and skips rows outside the node, and a
 // split appends the node's rows to fresh left and right slices.
-func refFitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig) *GradientBoosting {
+//
+// It also counts, in *unsplittable, the nodes it scans in vain because
+// their hessian sum is below 2*MinChildHess: the nodes the builder's
+// prune returns as leaves without a scan.
+func refFitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig, unsplittable *int) *GradientBoosting {
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := len(x)
@@ -55,7 +60,7 @@ func refFitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostCon
 		roundTrees := make([]*regressionTree, numClasses)
 		for c := 0; c < numClasses; c++ {
 			rt := refFitRegressionTree(x, presorted, grads[c], hess[c], rows, cfg,
-				rand.New(rand.NewSource(rng.Int63())))
+				rand.New(rand.NewSource(rng.Int63())), unsplittable)
 			roundTrees[c] = rt
 			for i := 0; i < n; i++ {
 				scores[i][c] += cfg.LearningRate * rt.predict(x[i])
@@ -92,9 +97,11 @@ type refRegBuilder struct {
 	cols       []int
 	tree       *regressionTree
 	inNode     []bool
+
+	unsplittable *int
 }
 
-func refFitRegressionTree(x [][]float64, presorted [][]int32, grad, hess []float64, rows []int, cfg BoostConfig, rng *rand.Rand) *regressionTree {
+func refFitRegressionTree(x [][]float64, presorted [][]int32, grad, hess []float64, rows []int, cfg BoostConfig, rng *rand.Rand, unsplittable *int) *regressionTree {
 	d := len(x[0])
 	nCols := int(float64(d) * cfg.ColSample)
 	if nCols < 1 {
@@ -103,6 +110,7 @@ func refFitRegressionTree(x [][]float64, presorted [][]int32, grad, hess []float
 	b := &refRegBuilder{
 		x: x, presorted: presorted, grad: grad, hess: hess, cfg: cfg,
 		cols: rng.Perm(d)[:nCols], tree: &regressionTree{}, inNode: make([]bool, len(x)),
+		unsplittable: unsplittable,
 	}
 	b.build(rows, 0)
 	return b.tree
@@ -116,6 +124,9 @@ func (b *refRegBuilder) build(idx []int, depth int) int {
 	}
 	if depth >= b.cfg.MaxDepth || len(idx) < 2 {
 		return b.leaf(sumG, sumH)
+	}
+	if sumH < 2*b.cfg.MinChildHess {
+		*b.unsplittable++
 	}
 	feat, thresh, ok := b.bestSplit(idx, sumG, sumH)
 	if !ok {
@@ -220,9 +231,14 @@ func tiedProblem(n, d, k int, rng *rand.Rand) ([][]float64, []int) {
 // TestGradientBoostingMatchesReference pins the segment-partitioned split
 // search to the filter-scan reference: every tree must match node for node,
 // with the same feature, threshold bits, leaf-value bits and children.
+// MinChildHess runs up to 16, where whole nodes and whole trees cannot
+// split, so the builder's prune of unsplittable nodes and its early end of
+// the split scan must leave every tree as the reference grows it; the
+// boundary trials put a node's hessian sum exactly at, or one ulp away
+// from, 2*MinChildHess.
 func TestGradientBoostingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	splits := 0
+	splits, unsplittable := 0, 0
 	for trial := 0; trial < 96; trial++ {
 		n := 2 + rng.Intn(499)
 		if trial < 6 {
@@ -235,45 +251,90 @@ func TestGradientBoostingMatchesReference(t *testing.T) {
 			MaxDepth:     1 + trial%6,
 			Subsample:    1,
 			ColSample:    1,
-			MinChildHess: []float64{1e-3, 0.05, 1}[rng.Intn(3)],
+			MinChildHess: []float64{1e-3, 0.05, 1, 4, 16}[rng.Intn(5)],
+			Lambda:       []float64{1e-3, 1, 5}[trial%3],
 			Seed:         rng.Int63(),
 		}
 		if trial/6%2 == 0 {
 			cfg.Subsample = []float64{0.5, 0.8}[rng.Intn(2)]
 			cfg.ColSample = []float64{0.3, 0.6}[rng.Intn(2)]
 		}
-		got, err := FitGradientBoosting(x, y, k, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refFitGradientBoosting(x, y, k, cfg)
-		if len(got.trees) != len(want.trees) {
-			t.Fatalf("trial %d: %d rounds, want %d", trial, len(got.trees), len(want.trees))
-		}
-		for r := range want.trees {
-			for c := range want.trees[r] {
-				g, w := got.trees[r][c].nodes, want.trees[r][c].nodes
-				if len(g) != len(w) {
-					t.Fatalf("trial %d (n=%d k=%d %+v) round %d class %d: %d nodes, want %d",
-						trial, n, k, cfg, r, c, len(g), len(w))
-				}
-				for i := range w {
-					if g[i].feature != w[i].feature || g[i].left != w[i].left || g[i].right != w[i].right ||
-						math.Float64bits(g[i].thresh) != math.Float64bits(w[i].thresh) ||
-						math.Float64bits(g[i].value) != math.Float64bits(w[i].value) {
-						t.Fatalf("trial %d (n=%d k=%d %+v) round %d class %d node %d: got %+v, want %+v",
-							trial, n, k, cfg, r, c, i, g[i], w[i])
-					}
-					if w[i].feature >= 0 {
-						splits++
-					}
-				}
-			}
-		}
+		label := fmt.Sprintf("trial %d (n=%d k=%d %+v)", trial, n, k, cfg)
+		splits += sameBoostedTrees(t, label, x, y, k, cfg, &unsplittable)
 	}
 	if splits < 1000 {
 		t.Fatalf("only %d splits across all trials; the inputs barely exercise the split search", splits)
 	}
+	if unsplittable < 1000 {
+		t.Fatalf("only %d unsplittable nodes across all trials; the inputs barely exercise the prune", unsplittable)
+	}
+
+	// Boundary trials. In the first round every score is 0, so with two
+	// classes every hessian is exactly 0.25 and a node of m rows sums to
+	// m/4 exactly. With MinChildHess at half the root's sum, the one
+	// valid cut is the middle one, where both sides hold exactly
+	// MinChildHess; one ulp more and no cut is valid, one ulp less and the
+	// middle cut still is the only one.
+	boundarySplits := 0
+	for trial := 0; trial < 24; trial++ {
+		n := 2 * (1 + rng.Intn(40))
+		x := make([][]float64, n)
+		y := make([]int, n)
+		for i, v := range rng.Perm(n) {
+			x[i] = []float64{float64(v), float64(rng.Intn(3))}
+			y[i] = rng.Intn(2)
+		}
+		half := float64(n) / 8
+		cfg := BoostConfig{
+			Rounds:       1 + trial%2,
+			MaxDepth:     3,
+			Subsample:    1,
+			ColSample:    1,
+			MinChildHess: []float64{half, math.Nextafter(half, 0), math.Nextafter(half, math.Inf(1))}[trial%3],
+			Seed:         rng.Int63(),
+		}
+		label := fmt.Sprintf("boundary trial %d (n=%d %+v)", trial, n, cfg)
+		boundarySplits += sameBoostedTrees(t, label, x, y, 2, cfg, &unsplittable)
+	}
+	t.Logf("%d splits, %d boundary splits, %d unsplittable nodes", splits, boundarySplits, unsplittable)
+	if boundarySplits < 8 {
+		t.Fatalf("only %d splits across the boundary trials; the middle cut was never taken", boundarySplits)
+	}
+}
+
+// sameBoostedTrees fits FitGradientBoosting and the reference on the same
+// problem, fails unless every tree matches node for node, and returns the
+// reference's split count.
+func sameBoostedTrees(t *testing.T, label string, x [][]float64, y []int, k int, cfg BoostConfig, unsplittable *int) int {
+	t.Helper()
+	got, err := FitGradientBoosting(x, y, k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refFitGradientBoosting(x, y, k, cfg, unsplittable)
+	if len(got.trees) != len(want.trees) {
+		t.Fatalf("%s: %d rounds, want %d", label, len(got.trees), len(want.trees))
+	}
+	splits := 0
+	for r := range want.trees {
+		for c := range want.trees[r] {
+			g, w := got.trees[r][c].nodes, want.trees[r][c].nodes
+			if len(g) != len(w) {
+				t.Fatalf("%s round %d class %d: %d nodes, want %d", label, r, c, len(g), len(w))
+			}
+			for i := range w {
+				if g[i].feature != w[i].feature || g[i].left != w[i].left || g[i].right != w[i].right ||
+					math.Float64bits(g[i].thresh) != math.Float64bits(w[i].thresh) ||
+					math.Float64bits(g[i].value) != math.Float64bits(w[i].value) {
+					t.Fatalf("%s round %d class %d node %d: got %+v, want %+v", label, r, c, i, g[i], w[i])
+				}
+				if w[i].feature >= 0 {
+					splits++
+				}
+			}
+		}
+	}
+	return splits
 }
 
 var benchBoost *GradientBoosting

@@ -7,6 +7,8 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -38,7 +40,9 @@ type ClassificationTree struct {
 	numClasses int
 }
 
-// FitClassificationTree builds a tree on the given rows.
+// FitClassificationTree builds a tree on the given rows. It is the
+// one-tree case of the forest's builder: the columns are ranked once, and
+// the tree grows on every row once, in order.
 func FitClassificationTree(x [][]float64, y []int, numClasses int, cfg ClassTreeConfig) (*ClassificationTree, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("tree: %d rows, %d labels", len(x), len(y))
@@ -46,6 +50,104 @@ func FitClassificationTree(x [][]float64, y []int, numClasses int, cfg ClassTree
 	if numClasses < 2 {
 		return nil, fmt.Errorf("tree: numClasses %d must be >= 2", numClasses)
 	}
+	b := newClassBuilder(x, y, numClasses, cfg)
+	rows := make([]int, len(x))
+	for i := range rows {
+		rows[i] = i
+	}
+	return b.fit(rows), nil
+}
+
+// rankColumns ranks the columns of x once: rank[f*n+i] is the dense rank
+// of x[i][f] among feature f's distinct values in ascending order. Values
+// are distinct as < sees them, so -0 and +0 share a rank; NaNs share rank
+// 0, ahead of every number, so a NaN feature fits, but outside the
+// bit-identity contract. Each column is ordered by an LSD radix sort of
+// its orderKeys, one byte a pass, skipping the passes whose byte every key
+// shares.
+func rankColumns(x [][]float64) []uint32 {
+	n, d := len(x), len(x[0])
+	rank := make([]uint32, d*n)
+	keys, keysTmp := make([]uint64, n), make([]uint64, n)
+	order, orderTmp := make([]uint32, n), make([]uint32, n)
+	var count [256]int
+	for f := 0; f < d; f++ {
+		for i, row := range x {
+			keys[i], order[i] = orderKey(row[f]), uint32(i)
+		}
+		for shift := 0; shift < 64; shift += 8 {
+			count = [256]int{}
+			for _, k := range keys {
+				count[k>>shift&255]++
+			}
+			if count[keys[0]>>shift&255] == n {
+				continue
+			}
+			sum := 0
+			for c, m := range count {
+				count[c], sum = sum, sum+m
+			}
+			for p, k := range keys {
+				dst := count[k>>shift&255]
+				count[k>>shift&255]++
+				keysTmp[dst], orderTmp[dst] = k, order[p]
+			}
+			keys, keysTmp = keysTmp, keys
+			order, orderTmp = orderTmp, order
+		}
+		r := uint32(0)
+		for p, i := range order {
+			if p > 0 && keys[p] != keys[p-1] {
+				r++
+			}
+			rank[f*n+int(i)] = r
+		}
+	}
+	return rank
+}
+
+// orderKey maps v to an integer whose order is the order < gives numbers:
+// -0 and +0 map to one key, and every NaN to 0, below every number.
+func orderKey(v float64) uint64 {
+	switch {
+	case v != v:
+		return 0
+	case v == 0:
+		v = 0 // +0
+	}
+	b := math.Float64bits(v)
+	if b>>63 == 1 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// classBuilder grows the classification trees of one fit, a forest's or a
+// single tree's, over the fit's ranked columns. Its scratch is sized once
+// and reused by every node of every tree: each buffer is fully (re)written
+// before use and consumed before the recursion into the children.
+type classBuilder struct {
+	x    [][]float64
+	y    []int
+	k    int
+	cfg  ClassTreeConfig
+	rank []uint32 // rankColumns(x)
+	tree *ClassificationTree
+
+	// A split scan sorts one key per node row, rank<<shift | label, so a
+	// plain integer sort orders the rows by value, and each key carries
+	// the row's label.
+	shift      uint
+	counts     []float64
+	leftCounts []float64
+	keys       []uint64
+	part       []int
+	perm       []int
+}
+
+// newClassBuilder ranks the columns of x and sizes the scratch for trees
+// of up to len(x) rows, filling in cfg's defaults.
+func newClassBuilder(x [][]float64, y []int, numClasses int, cfg ClassTreeConfig) *classBuilder {
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = 12
 	}
@@ -59,56 +161,24 @@ func FitClassificationTree(x [][]float64, y []int, numClasses int, cfg ClassTree
 	if cfg.Rng == nil {
 		cfg.Rng = rand.New(rand.NewSource(0))
 	}
-	t := &ClassificationTree{numClasses: numClasses}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	b := &classBuilder{
-		x: x, y: y, k: numClasses, cfg: cfg, tree: t,
+	return &classBuilder{
+		x: x, y: y, k: numClasses, cfg: cfg,
+		rank:       rankColumns(x),
+		shift:      uint(bits.Len(uint(numClasses - 1))),
 		counts:     make([]float64, numClasses),
 		leftCounts: make([]float64, numClasses),
-		pairs:      make([]keyedLabel, len(x)),
+		keys:       make([]uint64, len(x)),
 		part:       make([]int, 0, len(x)),
 		perm:       make([]int, d),
 	}
-	b.build(idx, 0)
-	return t, nil
 }
 
-type classBuilder struct {
-	x    [][]float64
-	y    []int
-	k    int
-	cfg  ClassTreeConfig
-	tree *ClassificationTree
-
-	// Split-scan scratch, shared across the whole build: every buffer is
-	// fully (re)written before use and consumed before the recursion into
-	// the children, so one instance of each suffices for the entire tree.
-	counts     []float64
-	leftCounts []float64
-	pairs      []keyedLabel
-	part       []int
-	perm       []int
-}
-
-// keyedLabel is one row's value of the feature under scan, with its label.
-type keyedLabel struct {
-	v float64
-	y int
-}
-
-// byValue orders pairs by value with the semantics of <: pairs whose
-// values are not ordered by < (equal values, ±0) compare as ties.
-func byValue(a, b keyedLabel) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case b.v < a.v:
-		return 1
-	}
-	return 0
+// fit grows one tree on at most len(x) rows of x given by index, repeats
+// allowed (a bootstrap resample), in that order. It reorders rows in place.
+func (b *classBuilder) fit(rows []int) *ClassificationTree {
+	b.tree = &ClassificationTree{numClasses: b.k}
+	b.build(rows, 0)
+	return b.tree
 }
 
 // build grows the subtree for idx and returns its node index. It may
@@ -174,37 +244,43 @@ func (b *classBuilder) leaf(counts []float64, n int) int {
 }
 
 // bestSplit scans a random feature subset for the gini-optimal threshold.
+// Each feature's node rows are sorted by their rank keys; the order of
+// rows with equal values is the label order, and need not be anything in
+// particular: thresholds are only evaluated where the value changes, and
+// the rows left of such a point are exactly those with a smaller value,
+// whatever their order among themselves. The threshold is the midpoint of
+// the two values around the best cut, read from the node's rows.
 func (b *classBuilder) bestSplit(idx []int, counts []float64) (int, float64, bool) {
 	n := float64(len(idx))
 	parentImp := giniImpurity(counts, n)
 	bestGain := 1e-12
-	bestFeat, bestThresh := -1, 0.0
+	bestFeat := -1
+	var bestLo, bestHi uint64 // the ranks either side of the best cut
 
 	d := len(b.x[0])
 	feats := permInto(b.cfg.Rng, d, b.perm)[:b.cfg.MaxFeatures]
-	pairs := b.pairs[:len(idx)]
+	keys := b.keys[:len(idx)]
 	leftCounts := b.leftCounts
+	shift, label := b.shift, uint64(1)<<b.shift-1
+	stride := len(b.x)
 	for _, f := range feats {
+		ranks := b.rank[f*stride : (f+1)*stride]
 		for k, i := range idx {
-			pairs[k] = keyedLabel{b.x[i][f], b.y[i]}
+			keys[k] = uint64(ranks[i])<<shift | uint64(b.y[i])
 		}
-		// The order of tied values is unspecified, and need not be fixed:
-		// thresholds are only evaluated where the value changes, and the
-		// rows left of such a point are exactly those with a smaller
-		// value, whatever their order among themselves.
-		slices.SortFunc(pairs, byValue)
+		slices.Sort(keys)
 		for c := range leftCounts {
 			leftCounts[c] = 0
 		}
 		var nl float64
-		for pos := 0; pos < len(pairs)-1; pos++ {
-			leftCounts[pairs[pos].y]++
+		for pos := 0; pos < len(keys)-1; pos++ {
+			leftCounts[keys[pos]&label]++
 			nl++
-			v, next := pairs[pos].v, pairs[pos+1].v
-			if v == next {
+			r, next := keys[pos]>>shift, keys[pos+1]>>shift
+			if r == next {
 				continue
 			}
-			if int(nl) < b.cfg.MinLeaf || len(pairs)-int(nl) < b.cfg.MinLeaf {
+			if int(nl) < b.cfg.MinLeaf || len(keys)-int(nl) < b.cfg.MinLeaf {
 				continue
 			}
 			nr := n - nl
@@ -215,11 +291,27 @@ func (b *classBuilder) bestSplit(idx []int, counts []float64) (int, float64, boo
 			if gain > bestGain {
 				bestGain = gain
 				bestFeat = f
-				bestThresh = (v + next) / 2
+				bestLo, bestHi = r, next
 			}
 		}
 	}
-	return bestFeat, bestThresh, bestFeat >= 0
+	if bestFeat < 0 {
+		return -1, 0, false
+	}
+	// Rows of one rank hold the same value, up to the sign of a zero,
+	// which the midpoint does not see: a zero only ever meets a nonzero
+	// value there, and adds to it exactly.
+	var v, next float64
+	ranks := b.rank[bestFeat*stride : (bestFeat+1)*stride]
+	for _, i := range idx {
+		switch uint64(ranks[i]) {
+		case bestLo:
+			v = b.x[i][bestFeat]
+		case bestHi:
+			next = b.x[i][bestFeat]
+		}
+	}
+	return bestFeat, (v + next) / 2, true
 }
 
 // permInto fills buf with a pseudo-random permutation of [0, n), consuming

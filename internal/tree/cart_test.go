@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -152,25 +153,174 @@ func TestClassificationTreeMatchesReference(t *testing.T) {
 		}
 		cfg.Rng = rand.New(rand.NewSource(seed))
 		want := refFitClassificationTree(x, y, k, cfg)
-		g, w := got.nodes, want.nodes
-		if len(g) != len(w) {
-			t.Fatalf("trial %d (n=%d d=%d k=%d): %d nodes, want %d", trial, n, d, k, len(g), len(w))
+		splits += sameClassTree(t, fmt.Sprintf("trial %d (n=%d d=%d k=%d)", trial, n, d, k), got, want)
+	}
+	if splits < 1000 {
+		t.Fatalf("only %d splits across all trials; the inputs barely exercise the split search", splits)
+	}
+}
+
+// sameClassTree fails unless the two trees match node for node, with the
+// same feature, threshold bits, children and leaf-distribution bits, and
+// returns the number of splits in want.
+func sameClassTree(t *testing.T, label string, got, want *ClassificationTree) int {
+	t.Helper()
+	g, w := got.nodes, want.nodes
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d nodes, want %d", label, len(g), len(w))
+	}
+	splits := 0
+	for i := range w {
+		same := g[i].feature == w[i].feature && g[i].left == w[i].left && g[i].right == w[i].right &&
+			math.Float64bits(g[i].thresh) == math.Float64bits(w[i].thresh) && len(g[i].dist) == len(w[i].dist)
+		for c := 0; same && c < len(w[i].dist); c++ {
+			same = math.Float64bits(g[i].dist[c]) == math.Float64bits(w[i].dist[c])
 		}
-		for i := range w {
-			same := g[i].feature == w[i].feature && g[i].left == w[i].left && g[i].right == w[i].right &&
-				math.Float64bits(g[i].thresh) == math.Float64bits(w[i].thresh) && len(g[i].dist) == len(w[i].dist)
-			for c := 0; same && c < len(w[i].dist); c++ {
-				same = math.Float64bits(g[i].dist[c]) == math.Float64bits(w[i].dist[c])
+		if !same {
+			t.Fatalf("%s node %d: got %+v, want %+v", label, i, g[i], w[i])
+		}
+		if w[i].feature >= 0 {
+			splits++
+		}
+	}
+	return splits
+}
+
+// refFitRandomForest is the forest FitRandomForest replaced, kept as its
+// oracle: every tree is refFitClassificationTree on a copy of its
+// bootstrap resample, with the bootstrap and tree seeds drawn from the
+// forest's seed in the same order.
+func refFitRandomForest(x [][]float64, y []int, numClasses int, cfg ForestConfig) []*ClassificationTree {
+	if cfg.NumTrees == 0 {
+		cfg.NumTrees = 100
+	}
+	if cfg.MaxDepth == 0 {
+		cfg.MaxDepth = 16
+	}
+	if cfg.MinLeaf == 0 {
+		cfg.MinLeaf = 1
+	}
+	d := len(x[0])
+	if cfg.MaxFeatures == 0 {
+		cfg.MaxFeatures = int(math.Sqrt(float64(d))) + 1
+	}
+	if cfg.MaxFeatures > d {
+		cfg.MaxFeatures = d
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n := len(x)
+	var trees []*ClassificationTree
+	for t := 0; t < cfg.NumTrees; t++ {
+		bx, by := make([][]float64, n), make([]int, n)
+		for i := range bx {
+			j := rng.Intn(n)
+			bx[i], by[i] = x[j], y[j]
+		}
+		trees = append(trees, refFitClassificationTree(bx, by, numClasses, ClassTreeConfig{
+			MaxDepth:    cfg.MaxDepth,
+			MinLeaf:     cfg.MinLeaf,
+			MaxFeatures: cfg.MaxFeatures,
+			Rng:         rand.New(rand.NewSource(rng.Int63())),
+		}))
+	}
+	return trees
+}
+
+// TestRandomForestMatchesReference pins the forest (columns ranked once
+// per fit, bootstraps kept as row indices, integer key sorts per node) to
+// the reference forest of per-tree bootstrap copies and sort.Slice split
+// sorts: every tree must match node for node, bit for bit. Inputs are
+// heavily tied, with both signs of zero and duplicated rows, some sharing
+// a backing slice and some copies with their own label.
+func TestRandomForestMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	splits := 0
+	for trial := 0; trial < 48; trial++ {
+		n := 2 + rng.Intn(299)
+		if trial < 4 {
+			n = 2 + trial
+		}
+		k := 2 + trial%9
+		d := 1 + rng.Intn(16)
+		x, y := tiedProblem(n, d, k, rng)
+		for _, row := range x {
+			for f, v := range row {
+				if v == 0 && rng.Intn(2) == 0 {
+					row[f] = math.Copysign(0, -1)
+				}
 			}
-			if !same {
-				t.Fatalf("trial %d (n=%d d=%d k=%d) node %d: got %+v, want %+v", trial, n, d, k, i, g[i], w[i])
+		}
+		for i := range x {
+			switch j := rng.Intn(n); rng.Intn(8) {
+			case 0:
+				x[i], y[i] = x[j], y[j]
+			case 1:
+				x[i] = append([]float64(nil), x[j]...)
 			}
-			if w[i].feature >= 0 {
-				splits++
-			}
+		}
+		cfg := ForestConfig{
+			NumTrees: 1 + rng.Intn(6),
+			MaxDepth: 1 + trial%16,
+			MinLeaf:  1 + trial%3,
+			Seed:     rng.Int63(),
+		}
+		if trial%2 == 1 {
+			cfg.MaxFeatures = 1 + rng.Intn(d)
+		}
+		got, err := FitRandomForest(x, y, k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refFitRandomForest(x, y, k, cfg)
+		if len(got.trees) != len(want) {
+			t.Fatalf("trial %d: %d trees, want %d", trial, len(got.trees), len(want))
+		}
+		for i := range want {
+			label := fmt.Sprintf("trial %d (n=%d d=%d k=%d %+v) tree %d", trial, n, d, k, cfg, i)
+			splits += sameClassTree(t, label, got.trees[i], want[i])
 		}
 	}
 	if splits < 1000 {
 		t.Fatalf("only %d splits across all trials; the inputs barely exercise the split search", splits)
+	}
+}
+
+// TestForestNaNFeaturesFit checks that NaN feature values, which the
+// bit-identity contract does not cover, still fit and predict without a
+// panic: a forest and a single tree on columns that are partly and
+// entirely NaN.
+func TestForestNaNFeaturesFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	x, y := gaussBlobs(120, 4, 3, 3, rng)
+	for i, row := range x {
+		row[3] = math.NaN()
+		if i%3 == 0 {
+			row[0] = math.NaN()
+		}
+	}
+	rf, err := FitRandomForest(x, y, 3, ForestConfig{NumTrees: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := FitClassificationTree(x, y, 3, ClassTreeConfig{Rng: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []interface {
+		PredictProba([][]float64) ([][]float64, error)
+	}{rf, tr} {
+		probs, err := m.PredictProba(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range probs {
+			var s float64
+			for _, v := range p {
+				s += v
+			}
+			if math.Abs(s-1) > 1e-9 {
+				t.Fatalf("%T row %d: probabilities sum to %v", m, i, s)
+			}
+		}
 	}
 }

@@ -26,6 +26,9 @@ func FitRandomForest(x [][]float64, y []int, numClasses int, cfg ForestConfig) (
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("tree: %d rows, %d labels", len(x), len(y))
 	}
+	if numClasses < 2 {
+		return nil, fmt.Errorf("tree: numClasses %d must be >= 2", numClasses)
+	}
 	if cfg.NumTrees == 0 {
 		cfg.NumTrees = 100
 	}
@@ -41,25 +44,23 @@ func FitRandomForest(x [][]float64, y []int, numClasses int, cfg ForestConfig) (
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rf := &RandomForest{numClasses: numClasses}
+	// One ranking of the columns serves every tree; each tree keeps its
+	// bootstrap as row indices into x, drawn as before.
+	b := newClassBuilder(x, y, numClasses, ClassTreeConfig{
+		MaxDepth:    cfg.MaxDepth,
+		MinLeaf:     cfg.MinLeaf,
+		MaxFeatures: cfg.MaxFeatures,
+		Rng:         rand.New(rand.NewSource(0)),
+	})
 	n := len(x)
+	rows := make([]int, n)
 	for t := 0; t < cfg.NumTrees; t++ {
-		bx := make([][]float64, n)
-		by := make([]int, n)
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			bx[i] = x[j]
-			by[i] = y[j]
+		for i := range rows {
+			rows[i] = rng.Intn(n)
 		}
-		tr, err := FitClassificationTree(bx, by, numClasses, ClassTreeConfig{
-			MaxDepth:    cfg.MaxDepth,
-			MinLeaf:     cfg.MinLeaf,
-			MaxFeatures: cfg.MaxFeatures,
-			Rng:         rand.New(rand.NewSource(rng.Int63())),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tree %d: %w", t, err)
-		}
-		rf.trees = append(rf.trees, tr)
+		// Reseeding draws what a fresh rand.New(rand.NewSource(seed)) would.
+		b.cfg.Rng.Seed(rng.Int63())
+		rf.trees = append(rf.trees, b.fit(rows))
 	}
 	return rf, nil
 }
