@@ -1,7 +1,9 @@
-// Drift watch: the operational loop the paper sketches in §VI-D — the
-// deployed model never retrains; a lightweight monitor watches incoming
-// telemetry windows and triggers an FS+GAN refresh only when the
-// distribution actually departs from the source domain.
+// Drift watch: the operational loop the paper sketches in §VI-D, run by
+// the drift controller (internal/ctrl). The deployed classifier never
+// retrains; the controller watches incoming telemetry windows, refits the
+// FS+GAN adapter only when the distribution departs from the source
+// domain, and hot-swaps the refit in only if it beats the serving adapter
+// on a labelled probe set.
 //
 // Run with:
 //
@@ -9,15 +11,19 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
+	"time"
 
 	"netdrift/internal/core"
+	"netdrift/internal/ctrl"
 	"netdrift/internal/dataset"
-	"netdrift/internal/metrics"
 	"netdrift/internal/models"
 	"netdrift/internal/monitor"
+	"netdrift/internal/serve"
 )
 
 func main() {
@@ -38,107 +44,129 @@ func run() error {
 		return err
 	}
 
-	// Train the fault detector once, on source data.
-	scalerOnly := core.NewAdapter(core.AdapterConfig{
+	// The serving bundle: an adapter fitted on source shots only, so it
+	// has never seen the drift, and the fault detector, trained once on
+	// source data and never again.
+	bootSupport, _, err := d.Source.FewShot(2, true, rand.New(rand.NewSource(18)))
+	if err != nil {
+		return err
+	}
+	incumbent := core.NewAdapter(core.AdapterConfig{
 		Mode: core.ModeFSRecon, Recon: core.ReconGAN,
 		GAN: core.GANConfig{Epochs: 1}, Seed: 18,
 	})
-	bootSupport, _, err := d.Targets[0].Train.FewShot(2, true, rand.New(rand.NewSource(18)))
+	if err := incumbent.Fit(d.Source, bootSupport); err != nil {
+		return err
+	}
+	train, err := incumbent.TrainingData(d.Source)
 	if err != nil {
 		return err
 	}
-	if err := scalerOnly.Fit(d.Source, bootSupport); err != nil {
-		return err
-	}
-	train, err := scalerOnly.TrainingData(d.Source)
-	if err != nil {
-		return err
-	}
-	clf := models.NewTNet(models.Options{Seed: 18, Epochs: 20})
+	clf := models.NewMLPClassifier(models.Options{Seed: 18, Epochs: 20})
 	if err := clf.Fit(train.X, train.Y, 2); err != nil {
 		return err
 	}
+	reg := serve.NewRegistry(nil)
+	reg.Swap(&serve.Bundle{ID: "source", Adapter: incumbent, Classifier: clf})
 
-	// Arm the drift monitor with the source distribution.
 	det := monitor.New(monitor.Config{})
 	if err := det.Fit(d.Source.X); err != nil {
 		return err
 	}
-
-	// Simulated stream: three in-domain windows, then the drift arrives.
-	srcPool := d.Source.Shuffle(rand.New(rand.NewSource(19)))
-	windows := []struct {
-		name string
-		rows [][]float64
-	}{
-		{"week 1 (stable)", srcPool.X[0:250]},
-		{"week 2 (stable)", srcPool.X[250:500]},
-		{"week 3 (stable)", srcPool.X[500:750]},
-		{"week 4 (traffic trend changed)", d.Targets[0].Test.X[:250]},
+	bundles, err := os.MkdirTemp("", "driftwatch")
+	if err != nil {
+		return err
 	}
-	var adapter *core.Adapter
-	for _, w := range windows {
-		rep, err := det.Check(w.rows)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-32s drifted=%-5v features=%2d maxPSI=%.2f\n",
-			w.name, rep.Drifted, len(rep.DriftedFeatures), rep.MaxPSI)
-		// Per-feature attribution: which columns pushed the verdict over.
-		for _, f := range rep.TopOffenders(3) {
-			fmt.Printf("    feature %2d: KS=%.3f (p=%.2g) PSI=%.2f\n",
-				f.Index, f.KSStat, f.KSP, f.PSI)
-		}
-		if rep.Drifted && adapter == nil {
-			fmt.Println("  -> drift confirmed: collecting 5 labelled samples per fault type, refitting FS+GAN")
-			support, _, err := d.Targets[0].Train.FewShot(5, true, rand.New(rand.NewSource(20)))
-			if err != nil {
-				return err
-			}
-			adapter = core.NewAdapter(core.AdapterConfig{
+	defer os.RemoveAll(bundles)
+
+	// Week 4's drifted rows come from the target test split; the rest of
+	// it is the labelled probe the gate scores both adapters on.
+	test := d.Targets[0].Test.Shuffle(rand.New(rand.NewSource(19)))
+	probe := &dataset.Dataset{X: test.X[250:], Y: test.Y[250:]}
+	done := make(chan ctrl.Event, 1)
+	c, err := ctrl.New(ctrl.Config{
+		Detector: det, Registry: reg, Probe: probe, NumClasses: 2,
+		// The refit is the paper's FS+GAN on the labelled shots the
+		// controller kept; the candidate ships no classifier, so the
+		// serving one is carried forward.
+		Refit: func(_ context.Context, shots *dataset.Dataset, epoch int) (*ctrl.Candidate, error) {
+			ad := core.NewAdapter(core.AdapterConfig{
 				Mode: core.ModeFSRecon, Recon: core.ReconGAN,
-				GAN: core.GANConfig{Epochs: 40}, Seed: 21,
+				GAN: core.GANConfig{Epochs: 40}, Seed: 20 + int64(epoch),
 			})
-			if err := adapter.Fit(d.Source, support); err != nil {
+			if err := ad.Fit(d.Source, shots); err != nil {
+				return nil, err
+			}
+			fmt.Printf("     FS identified %d variant features from %d shots; GAN trained on source only\n",
+				len(ad.VariantFeatures()), len(shots.X))
+			return &ctrl.Candidate{ID: fmt.Sprintf("refit-%d", epoch), Adapter: ad}, nil
+		},
+		WindowSize: 200, CheckEvery: 50,
+		WatchFor: 200 * time.Millisecond, WatchEvery: 50 * time.Millisecond,
+		BundleDir: bundles,
+		OnEvent: func(ev ctrl.Event) {
+			fmt.Printf("  -> %-14s %s\n", ev.Kind, ev.Detail)
+			switch ev.Kind {
+			case ctrl.EventWatchClear, ctrl.EventGateFail, ctrl.EventRefitFail, ctrl.EventPromoteFail, ctrl.EventRollback:
+				select { // OnEvent may run under the controller's lock
+				case done <- ev:
+				default:
+				}
+			}
+		},
+	})
+	if err != nil {
+		return err
+	}
+	c.Start()
+	defer c.Close()
+
+	// Simulated stream: three in-domain weeks, then the drift arrives, and
+	// the field labels five samples per fault type.
+	srcPool := d.Source.Shuffle(rand.New(rand.NewSource(19)))
+	support, _, err := d.Targets[0].Train.FewShot(5, true, rand.New(rand.NewSource(20)))
+	if err != nil {
+		return err
+	}
+	windows := []struct {
+		name   string
+		rows   [][]float64
+		labels []int
+	}{
+		{"week 1 (stable)", srcPool.X[0:250], nil},
+		{"week 2 (stable)", srcPool.X[250:500], nil},
+		{"week 3 (stable)", srcPool.X[500:750], nil},
+		{"field labels (5 per fault type)", support.X, support.Y},
+		{"week 4 (traffic trend changed)", test.X[:250], nil},
+	}
+	// Telemetry arrives in batches of 25 rows; the controller checks its
+	// 200-row window every 50 rows and needs two drifted checks in a row.
+	const batch = 25
+	for _, w := range windows {
+		fmt.Println(w.name)
+		var sum serve.IngestSummary
+		for lo := 0; lo < len(w.rows); lo += batch {
+			hi := min(lo+batch, len(w.rows))
+			var labels []int
+			if w.labels != nil {
+				labels = w.labels[lo:hi]
+			}
+			if sum, err = c.IngestRows(w.rows[lo:hi], labels); err != nil {
 				return err
 			}
-			fmt.Printf("  -> FS identified %d variant features; GAN trained on source only\n",
-				len(adapter.VariantFeatures()))
 		}
-	}
-	if adapter == nil {
-		return fmt.Errorf("drift was never detected")
+		fmt.Printf("     phase=%s, labelled shots kept=%d\n", sum.Phase, sum.ReservoirRows)
 	}
 
-	// The same TNet — untouched — now serves the drifted domain through the
-	// refreshed adapter.
-	test := d.Targets[0].Test
-	raw, err := scalerOnly.TrainingData(test)
-	if err != nil {
-		return err
+	// The campaign runs in the background: refit, gate, promote, watch.
+	select {
+	case ev := <-done:
+		if ev.Kind != ctrl.EventWatchClear {
+			return fmt.Errorf("drift campaign ended at %s: %s", ev.Kind, ev.Detail)
+		}
+	case <-time.After(5 * time.Minute):
+		return fmt.Errorf("no drift campaign finished (controller phase %s)", c.Status().Phase)
 	}
-	rawPred, err := models.PredictClasses(clf, raw.X)
-	if err != nil {
-		return err
-	}
-	rawF1, err := metrics.MacroF1Score(test.Y, rawPred, 2)
-	if err != nil {
-		return err
-	}
-	aligned, err := adapter.TransformTarget(test.X)
-	if err != nil {
-		return err
-	}
-	pred, err := models.PredictClasses(clf, aligned)
-	if err != nil {
-		return err
-	}
-	f1, err := metrics.MacroF1Score(test.Y, pred, 2)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nfault detection on the drifted domain: F1 %.1f without adapter, %.1f with refreshed FS+GAN\n",
-		rawF1, f1)
-	fmt.Println("the TNet model itself was never retrained.")
+	fmt.Printf("\nserving %q: the refit adapter before the source-trained MLP, never retrained\n", reg.Current().ID)
 	return nil
 }

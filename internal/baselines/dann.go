@@ -141,16 +141,16 @@ func (s *dannScratch) gather(x [][]float64, y, idx []int) {
 func (m *DANN) adversarialStep(feat, labelHead, domainHead *nn.Network, s *dannScratch, domain float64) error {
 	// z is feat's output scratch: it stays live until feat's next forward,
 	// through both heads and the SupCon term below.
-	z := feat.ForwardT(&s.x, true)
+	z := feat.ForwardT(&s.x)
 
-	logits := labelHead.ForwardT(z, true)
+	logits := labelHead.ForwardT(z)
 	if _, err := nn.SoftmaxCET(logits, s.y, &s.gradLogits); err != nil {
 		return err
 	}
 	gz := s.gradZ.Reset(z.Rows(), z.Cols())
 	copy(gz.Data(), labelHead.BackwardT(&s.gradLogits).Data())
 
-	dLogit := domainHead.ForwardT(z, true)
+	dLogit := domainHead.ForwardT(z)
 	s.targets = s.targets[:0]
 	for i := 0; i < z.Rows(); i++ {
 		s.targets = append(s.targets, domain)

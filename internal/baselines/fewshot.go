@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"netdrift/internal/dataset"
+	"netdrift/internal/metrics"
 	"netdrift/internal/models"
 	"netdrift/internal/nn"
 )
@@ -109,8 +110,9 @@ func (m *FewShotNet) Predict(source, support, test *dataset.Dataset, _ models.Cl
 	}
 
 	var xt nn.Tensor
+	var inf nn.InferScratch
 	embed := func(x [][]float64) [][]float64 {
-		return net.ForwardT(xt.SetFromRows(x), false).ToRows()
+		return nn.Infer(net, xt.SetFromRows(x), &inf).ToRows()
 	}
 	supZ := embed(supX)
 	testZ := embed(testX)
@@ -158,7 +160,7 @@ func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Par
 		return fmt.Errorf("empty episode")
 	}
 
-	z := net.ForwardT(nn.GatherInto(&scr.batch, srcX, srcRows), true)
+	z := net.ForwardT(nn.GatherInto(&scr.batch, srcX, srcRows))
 	dim := z.Cols()
 
 	// Per-class support statistics.
@@ -300,13 +302,7 @@ func matchInference(testZ, supZ [][]float64, supY []int, numClasses int) []int {
 		for s, a := range att {
 			classMass[supY[s]] += a
 		}
-		best := 0
-		for c, v := range classMass {
-			if v > classMass[best] {
-				best = c
-			}
-		}
-		out[i] = best
+		out[i] = metrics.Argmax(classMass)
 	}
 	return out
 }

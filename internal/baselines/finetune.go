@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"netdrift/internal/dataset"
+	"netdrift/internal/metrics"
 	"netdrift/internal/models"
 	"netdrift/internal/nn"
 )
@@ -73,17 +74,11 @@ func (m *FineTune) Predict(source, support, test *dataset.Dataset, _ models.Clas
 // highest-scoring class (the first on ties).
 func argmaxLogits(net nn.Layer, x [][]float64) []int {
 	var in nn.Tensor
-	logits := net.ForwardT(in.SetFromRows(x), false)
+	var scr nn.InferScratch
+	logits := nn.Infer(net, in.SetFromRows(x), &scr)
 	out := make([]int, logits.Rows())
 	for i := range out {
-		row := logits.Row(i)
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[i] = best
+		out[i] = metrics.Argmax(logits.Row(i))
 	}
 	return out
 }

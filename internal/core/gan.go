@@ -212,9 +212,9 @@ func (g *CGAN) generate(sh *ganShard, s int, inv *nn.Tensor, rng *rand.Rand, res
 	gaussianNoiseInto(&sh.noise, inv.Rows(), g.cfg.NoiseDim, rng)
 	in := nn.ConcatInto(&sh.genIn, inv, &sh.noise)
 	if resume {
-		return nn.ForwardResume(g.sgen.Net(s), in, true, g.invDim)
+		return nn.ForwardResume(g.sgen.Net(s), in, g.invDim)
 	}
-	return nn.ForwardKeep(g.sgen.Net(s), in, true, g.invDim)
+	return nn.ForwardKeep(g.sgen.Net(s), in, g.invDim)
 }
 
 // discShard is shard s of the discriminator update: a real and a fake pass
@@ -227,7 +227,7 @@ func (g *CGAN) discShard(tr *trainer, s int, b *shardBatch, loss []float64) erro
 	g.sdisc.SeedDropouts(s, tr.shardSeed(phaseDiscDropout, s))
 	// Both passes share the invariant block: the real pass keeps its
 	// first-layer products and the fake pass resumes from them.
-	realOut := nn.ForwardKeep(dn, g.discInput(sh, b, &b.vr), true, g.invDim)
+	realOut := nn.ForwardKeep(dn, g.discInput(sh, b, &b.vr), g.invDim)
 	sh.targets = constTargetsInto(sh.targets, rows, 0.9) // mild label smoothing for stability
 	var err error
 	if loss[0], err = nn.BCEWithLogitsTN(realOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
@@ -239,7 +239,7 @@ func (g *CGAN) discShard(tr *trainer, s int, b *shardBatch, loss []float64) erro
 	// Fake pass (generator output detached: we never backward into G here;
 	// the concat into discIn copies it out of the generator's scratch).
 	fake := g.generate(sh, s, &b.inv, tr.rand(s, phaseDiscNoise), false)
-	fakeOut := nn.ForwardResume(dn, g.discInput(sh, b, fake), true, g.invDim)
+	fakeOut := nn.ForwardResume(dn, g.discInput(sh, b, fake), g.invDim)
 	sh.targets = constTargetsInto(sh.targets, rows, 0)
 	if loss[1], err = nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
 		return err
@@ -257,7 +257,7 @@ func (g *CGAN) genShard(tr *trainer, s int, b *shardBatch, loss []float64) error
 	dn := g.sdisc.Net(s)
 	g.sdisc.SeedDropouts(s, tr.shardSeed(phaseGenDropout, s))
 	fake := g.generate(sh, s, &b.inv, tr.rand(s, phaseGenNoise), true)
-	fakeOut := dn.ForwardT(g.discInput(sh, b, fake), true)
+	fakeOut := dn.ForwardT(g.discInput(sh, b, fake))
 	sh.targets = constTargetsInto(sh.targets, rows, 1)
 	var err error
 	if loss[0], err = nn.BCEWithLogitsTN(fakeOut, sh.targets, &sh.grad, float64(tr.n)); err != nil {
@@ -340,6 +340,7 @@ func (g *CGAN) ReconstructMC(inv [][]float64, m int) ([][]float64, error) {
 		return nil, nil
 	}
 	var in, noise, genIn nn.Tensor
+	var scr nn.InferScratch
 	if err := rowsInto(&in, inv, g.invDim); err != nil {
 		return nil, err
 	}
@@ -349,7 +350,7 @@ func (g *CGAN) ReconstructMC(inv [][]float64, m int) ([][]float64, error) {
 	}
 	for draw := 0; draw < m; draw++ {
 		gaussianNoiseInto(&noise, in.Rows(), g.cfg.NoiseDim, g.rng)
-		out := g.gen.ForwardT(nn.ConcatInto(&genIn, &in, &noise), false)
+		out := nn.Infer(g.gen, nn.ConcatInto(&genIn, &in, &noise), &scr)
 		for i := range acc {
 			for j, v := range out.Row(i) {
 				acc[i][j] += v

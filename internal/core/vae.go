@@ -139,7 +139,7 @@ func (v *VAE) shard(tr *trainer, s int, b *shardBatch, loss []float64) error {
 	rows := b.inv.Rows()
 	ld := v.cfg.LatentDim
 
-	encOut := v.senc.Net(s).ForwardT(nn.ConcatInto(&sh.encIn, &b.inv, &b.vr), true)
+	encOut := v.senc.Net(s).ForwardT(nn.ConcatInto(&sh.encIn, &b.inv, &b.vr))
 	gaussianNoiseInto(&sh.eps, rows, ld, tr.rand(s, phaseVAENoise))
 	z := sh.z.Reset(rows, ld)
 	for i := 0; i < rows; i++ {
@@ -154,7 +154,7 @@ func (v *VAE) shard(tr *trainer, s int, b *shardBatch, loss []float64) error {
 	}
 
 	dec := v.sdec.Net(s)
-	recon := dec.ForwardT(nn.ConcatInto(&sh.decIn, &b.inv, z), true)
+	recon := dec.ForwardT(nn.ConcatInto(&sh.decIn, &b.inv, z))
 	var err error
 	if loss[0], err = nn.MSETN(recon, &b.vr, &sh.gradRecon, float64(tr.n*v.varDim)); err != nil {
 		return err
@@ -266,7 +266,7 @@ func (a *VanillaAE) Fit(inv, vr [][]float64, y []int, _ int) error {
 // squared-error sum.
 func (a *VanillaAE) shard(tr *trainer, s int, b *shardBatch, loss []float64) error {
 	net, grad := a.snet.Net(s), &a.grads[s]
-	out := net.ForwardT(&b.inv, true)
+	out := net.ForwardT(&b.inv)
 	var err error
 	if loss[0], err = nn.MSETN(out, &b.vr, grad, float64(tr.n*a.varDim)); err != nil {
 		return err

@@ -28,11 +28,11 @@ type GateReport struct {
 }
 
 // scoreAdapter runs the probe set through one adapter + classifier on the
-// inference-only serving path (AdaptBatch with pinned seeds, PredictProbaT)
-// and returns macro-F1. Using the serving path matters twice over: the
-// incumbent being scored is concurrently serving live traffic (the training
-// entry points mutate layer caches; these do not), and the score measures
-// exactly what promoted traffic would see, bit for bit.
+// serving path (AdaptBatch with pinned seeds, PredictProbaT) and returns
+// macro-F1, so the score measures exactly what promoted traffic would see,
+// bit for bit. The incumbent being scored may be serving live traffic
+// meanwhile; that is safe because every eval forward (nn.Infer) only reads
+// the networks, and only training writes them.
 func scoreAdapter(ad *core.Adapter, clf *models.MLPClassifier, probe *dataset.Dataset, numClasses int) (float64, error) {
 	seeds := make([]int64, len(probe.X))
 	var scr core.AdaptScratch
@@ -54,14 +54,7 @@ func scoreAdapter(ad *core.Adapter, clf *models.MLPClassifier, probe *dataset.Da
 	}
 	yPred := make([]int, probs.Rows())
 	for i := range yPred {
-		row := probs.Row(i)
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		yPred[i] = best
+		yPred[i] = metrics.Argmax(probs.Row(i))
 	}
 	return metrics.MacroF1Score(probe.Y, yPred, numClasses)
 }

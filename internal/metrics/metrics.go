@@ -113,17 +113,14 @@ func MacroF1Score(yTrue, yPred []int, numClasses int) (float64, error) {
 	return 100 * c.MacroF1(), nil
 }
 
-// Argmax returns the index of the largest value in each probability row.
-func Argmax(probs [][]float64) []int {
-	out := make([]int, len(probs))
-	for i, row := range probs {
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
+// Argmax returns the index of row's largest value, the first one on ties:
+// the class decision of every classifier and baseline.
+func Argmax(row []float64) int {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
 		}
-		out[i] = best
 	}
-	return out
+	return best
 }

@@ -86,9 +86,21 @@ func TestMacroF1Score(t *testing.T) {
 	}
 }
 
+// TestArgmax pins the class decision, the first index on ties included.
 func TestArgmax(t *testing.T) {
-	got := Argmax([][]float64{{0.1, 0.7, 0.2}, {0.9, 0.05, 0.05}})
-	if got[0] != 1 || got[1] != 0 {
-		t.Errorf("Argmax = %v; want [1 0]", got)
+	for _, c := range []struct {
+		row  []float64
+		want int
+	}{
+		{[]float64{0.1, 0.7, 0.2}, 1},
+		{[]float64{0.9, 0.05, 0.05}, 0},
+		{[]float64{0.4, 0.4, 0.2}, 0},
+		{[]float64{0.2, 0.4, 0.4}, 1},
+		{[]float64{-1, -1}, 0},
+		{[]float64{3}, 0},
+	} {
+		if got := Argmax(c.row); got != c.want {
+			t.Errorf("Argmax(%v) = %d; want %d", c.row, got, c.want)
+		}
 	}
 }

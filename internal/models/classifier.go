@@ -7,6 +7,8 @@ package models
 import (
 	"errors"
 	"fmt"
+
+	"netdrift/internal/metrics"
 )
 
 // Kind identifies a classifier family.
@@ -60,13 +62,7 @@ func PredictClasses(c Classifier, x [][]float64) ([]int, error) {
 	}
 	out := make([]int, len(probs))
 	for i, row := range probs {
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[i] = best
+		out[i] = metrics.Argmax(row)
 	}
 	return out, nil
 }

@@ -10,10 +10,7 @@ import (
 // MLPClassifier is a plain two-hidden-layer perceptron trained with Adam.
 type MLPClassifier struct {
 	opts Options
-
-	net        *nn.Network
-	numClasses int
-	in         int
+	softmaxNet
 }
 
 var _ Classifier = (*MLPClassifier)(nil)
@@ -45,14 +42,6 @@ func (m *MLPClassifier) Fit(x [][]float64, y []int, numClasses int) error {
 		Rng:     rng,
 	})
 	return TrainSoftmaxNet(m.net, x, y, m.opts.Epochs, 64, 1e-3, rng)
-}
-
-// PredictProba implements Classifier.
-func (m *MLPClassifier) PredictProba(x [][]float64) ([][]float64, error) {
-	if m.net == nil {
-		return nil, ErrNotFitted
-	}
-	return softmaxForward(m.net, x, m.in)
 }
 
 // TrainSoftmaxNet trains net with softmax cross-entropy: epochs of
@@ -95,7 +84,7 @@ func newSoftmaxTrainer(net *nn.Network, x [][]float64, y []int, lr float64) *sof
 func (tr *softmaxTrainer) step(idx []int) error {
 	nn.GatherInto(&tr.bx, tr.x, idx)
 	tr.by = nn.GatherLabelsInto(tr.by, tr.y, idx)
-	out := tr.net.ForwardT(&tr.bx, true)
+	out := tr.net.ForwardT(&tr.bx)
 	if _, err := nn.SoftmaxCET(out, tr.by, &tr.grad); err != nil {
 		return err
 	}
@@ -104,17 +93,39 @@ func (tr *softmaxTrainer) step(idx []int) error {
 	return nil
 }
 
-func softmaxForward(net *nn.Network, x [][]float64, wantIn int) ([][]float64, error) {
+// softmaxNet is the fitted state TNet and MLPClassifier share, and their
+// one predict body.
+type softmaxNet struct {
+	net        *nn.Network
+	numClasses int
+	in         int
+}
+
+// PredictProba implements Classifier. It only reads the classifier, so
+// concurrent calls are safe.
+func (s *softmaxNet) PredictProba(x [][]float64) ([][]float64, error) {
+	if s.net == nil {
+		return nil, ErrNotFitted
+	}
 	if len(x) == 0 {
 		return nil, nil
 	}
-	if err := checkWidths(x, wantIn); err != nil {
+	if err := checkWidths(x, s.in); err != nil {
 		return nil, err
 	}
 	var in nn.Tensor
-	out := net.ForwardT(in.SetFromRows(x), false).ToRows()
-	for _, row := range out {
-		nn.SoftmaxInto(row, row)
+	var scr MLPScratch
+	return s.softmaxInfer(in.SetFromRows(x), &scr).ToRows(), nil
+}
+
+// softmaxInfer is the eval forward (nn.Infer) and a row softmax, both into
+// scr. It only reads the network, so any number of goroutines may predict
+// through one classifier, each with its own scratch.
+func (s *softmaxNet) softmaxInfer(x *nn.Tensor, scr *MLPScratch) *nn.Tensor {
+	logits := nn.Infer(s.net, x, &scr.infer)
+	out := scr.out.Reset(logits.Rows(), logits.Cols())
+	for i := 0; i < logits.Rows(); i++ {
+		nn.SoftmaxInto(out.Row(i), logits.Row(i))
 	}
-	return out, nil
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"netdrift/internal/nn"
@@ -168,7 +169,7 @@ func TestFeatureGateGradientCheck(t *testing.T) {
 
 	var in, g nn.Tensor
 	lossFn := func() float64 {
-		l, err := nn.SoftmaxCET(net.ForwardT(in.SetFromRows(x), true), y, &g)
+		l, err := nn.SoftmaxCET(net.ForwardT(in.SetFromRows(x)), y, &g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestFeatureGateInputGradient(t *testing.T) {
 	// The batch-mean squared error: MSETN's sum over rows×cols.
 	count := float64(len(target) * len(target[0]))
 	lossFn := func() float64 {
-		l, _ := nn.MSETN(gate.ForwardT(in.SetFromRows(x), true), &tgt, &g, count)
+		l, _ := nn.MSETN(gate.ForwardT(in.SetFromRows(x)), &tgt, &g, count)
 		return l / count
 	}
 	lossFn()
@@ -304,6 +305,55 @@ func TestClassifiersRejectRaggedRows(t *testing.T) {
 					t.Errorf("PredictProba with a row of width %d: err = %v, want %q", len(bad), err, want)
 				}
 			}
+		})
+	}
+}
+
+// TestPredictProbaConcurrent predicts from four goroutines through one
+// fitted TNet and one fitted MLP, each goroutine on its own suffix of the
+// probe rows, and requires the sequential call's bits. PredictProba used
+// to run the layers' own forward scratch, which concurrent calls tore;
+// under -race this also proves it never writes the classifier.
+func TestPredictProbaConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x, y := blobs(120, 6, 3, 3, rng)
+	probe, _ := blobs(33, 6, 3, 3, rng)
+	for _, kind := range []Kind{KindTNet, KindMLP} {
+		t.Run(kind.String(), func(t *testing.T) {
+			c, err := New(kind, Options{Seed: 2, Epochs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Fit(x, y, 3); err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.PredictProba(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for iter := 0; iter < 5; iter++ {
+						got, err := c.PredictProba(probe[g:])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i, row := range got {
+							for j, v := range row {
+								if math.Float64bits(v) != math.Float64bits(want[g+i][j]) {
+									t.Errorf("goroutine %d: [%d][%d] = %v, sequential %v", g, i, j, v, want[g+i][j])
+									return
+								}
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }

@@ -94,19 +94,18 @@ func mlpFromBlob(blob *mlpBlob) (*MLPClassifier, error) {
 	return m, nil
 }
 
-// MLPScratch holds per-worker buffers for PredictProbaT. One scratch serves
-// one call at a time; the zero value is ready to use.
+// MLPScratch holds the buffers of one neural classifier prediction. One
+// scratch serves one call at a time; the zero value is ready to use.
 type MLPScratch struct {
 	infer nn.InferScratch
 	out   nn.Tensor
 }
 
-// PredictProbaT is PredictProba on the serving hot path: inference-only
-// forward over caller-owned scratch, softmax written in place. Unlike
-// PredictProba it is safe to call from many goroutines on one classifier,
-// each with its own scratch, and a steady-state call allocates nothing.
-// The returned tensor is scratch-owned and valid until the scratch's next
-// use. Bit-identical to PredictProba.
+// PredictProbaT is PredictProba on the serving hot path, the same body
+// over a caller-owned tensor and scratch: like PredictProba it is safe to
+// call from many goroutines on one classifier, each with its own scratch,
+// and a steady-state call allocates nothing. The returned tensor is
+// scratch-owned and valid until the scratch's next use.
 func (m *MLPClassifier) PredictProbaT(x *nn.Tensor, scr *MLPScratch) (*nn.Tensor, error) {
 	if m.net == nil {
 		return nil, ErrNotFitted
@@ -117,10 +116,5 @@ func (m *MLPClassifier) PredictProbaT(x *nn.Tensor, scr *MLPScratch) (*nn.Tensor
 	if x.Cols() != m.in {
 		return nil, fmt.Errorf("models: input width %d, trained on %d", x.Cols(), m.in)
 	}
-	logits := nn.Infer(m.net, x, &scr.infer)
-	out := scr.out.Reset(logits.Rows(), logits.Cols())
-	for i := 0; i < logits.Rows(); i++ {
-		nn.SoftmaxInto(out.Row(i), logits.Row(i))
-	}
-	return out, nil
+	return m.softmaxInfer(x, scr), nil
 }

@@ -11,10 +11,7 @@ import (
 // MLP trunk.
 type TNet struct {
 	opts Options
-
-	net        *nn.Network
-	numClasses int
-	in         int
+	softmaxNet
 }
 
 var _ Classifier = (*TNet)(nil)
@@ -50,12 +47,4 @@ func (t *TNet) Fit(x [][]float64, y []int, numClasses int) error {
 		nn.NewDense(64, numClasses, rng),
 	)
 	return TrainSoftmaxNet(t.net, x, y, t.opts.Epochs, 64, 1e-3, rng)
-}
-
-// PredictProba implements Classifier.
-func (t *TNet) PredictProba(x [][]float64) ([][]float64, error) {
-	if t.net == nil {
-		return nil, ErrNotFitted
-	}
-	return softmaxForward(t.net, x, t.in)
 }

@@ -66,22 +66,15 @@ func NewBatchNorm(dim int) *BatchNorm {
 	return bn
 }
 
-// ForwardT normalizes the batch in place.
-func (bn *BatchNorm) ForwardT(x *Tensor, train bool) *Tensor {
+// ForwardT normalizes the batch in place with the batch's statistics. A
+// one-row batch, which has none, takes the running statistics instead,
+// and BackwardT treats them as constants.
+func (bn *BatchNorm) ForwardT(x *Tensor) *Tensor {
 	n := x.rows
 	out := bn.out.Reset(n, bn.Dim)
-	if !train || n == 1 {
-		// Inference path (also used for degenerate single-sample batches).
+	if n == 1 {
 		bn.trainPass = false
-		for i := 0; i < n; i++ {
-			row := x.Row(i)
-			o := out.Row(i)
-			for j, v := range row {
-				xh := (v - bn.runningMean[j]) / math.Sqrt(bn.runningVar[j]+bn.Eps)
-				o[j] = float64(bn.gamma.Data[j]*xh) + bn.beta.Data[j]
-			}
-		}
-		return out
+		return bn.normalizeRunning(x, out, bn.std)
 	}
 
 	mean := bn.mean
@@ -116,6 +109,23 @@ func (bn *BatchNorm) ForwardT(x *Tensor, train bool) *Tensor {
 		bn.statsPending = true
 	} else {
 		bn.applyStats(mean, variance)
+	}
+	return out
+}
+
+// normalizeRunning writes gamma·(x - running mean)/std + beta into out,
+// after writing std = sqrt(running variance + Eps) per column: the one
+// running-statistics normalization, behind InferT and a one-row ForwardT.
+func (bn *BatchNorm) normalizeRunning(x, out *Tensor, std []float64) *Tensor {
+	for j := range std {
+		std[j] = math.Sqrt(bn.runningVar[j] + bn.Eps)
+	}
+	for i := 0; i < x.rows; i++ {
+		o := out.Row(i)
+		for j, v := range x.Row(i) {
+			xh := (v - bn.runningMean[j]) / std[j]
+			o[j] = float64(bn.gamma.Data[j]*xh) + bn.beta.Data[j]
+		}
 	}
 	return out
 }

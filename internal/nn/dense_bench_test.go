@@ -61,7 +61,7 @@ func BenchmarkDenseForwardT(b *testing.B) {
 				x := denseBenchInput(rng, denseBenchRows, s.in, s.zeros)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					d.ForwardT(x, true)
+					d.ForwardT(x)
 				}
 			})
 		})
@@ -79,7 +79,7 @@ func BenchmarkDenseBackwardT(b *testing.B) {
 				d := NewDense(s.in, s.out, rng)
 				x := denseBenchInput(rng, denseBenchRows, s.in, s.zeros)
 				g := denseBenchInput(rng, denseBenchRows, s.out, 0)
-				d.ForwardT(x, true)
+				d.ForwardT(x)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					d.BackwardT(g)

@@ -125,7 +125,7 @@ func (g *FeatureGate) forward(x, u, sig, out *Tensor, w1T, w2T []float64) {
 }
 
 // ForwardT applies the gate to a batch in place.
-func (g *FeatureGate) ForwardT(x *Tensor, _ bool) *Tensor {
+func (g *FeatureGate) ForwardT(x *Tensor) *Tensor {
 	g.input = x
 	transposeInto(g.w1T, g.w1.Data, g.Rank, g.Dim)
 	transposeInto(g.w2T, g.w2.Data, g.Dim, g.Rank)

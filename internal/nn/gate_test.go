@@ -163,7 +163,7 @@ func TestFeatureGateMatchesReference(t *testing.T) {
 							g[0][0] = 0 // a zero dz row entry
 
 							wantOut := ref.forward(x)
-							got := gate.ForwardT(in.SetFromRows(x), true)
+							got := gate.ForwardT(in.SetFromRows(x))
 							inferred := Infer(gate, &in, &s)
 							wantIn := ref.backward(g)
 							gotIn := gate.BackwardT(gOut.SetFromRows(g))

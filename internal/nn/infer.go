@@ -1,20 +1,19 @@
 package nn
 
-import "math"
-
-// This file is the serving hot path: an inference-only forward pass that
-// runs over a caller-owned scratch arena instead of the per-layer scratch
-// used by ForwardT. The training path stores activations and gradients on
+// This file is the one eval forward: every prediction, reconstruction and
+// embedding of a trained network runs through Infer, over a caller-owned
+// scratch arena instead of the per-layer scratch used by the training
+// forward ForwardT. The training path stores activations and gradients on
 // the layers themselves, which makes a network single-threaded; Infer
 // keeps the network strictly read-only (weights and batch-norm running
 // statistics are only read, never written), so any number of goroutines
 // can run inference through one shared network as long as each owns its
 // own InferScratch — and none runs ForwardT/BackwardT concurrently.
 //
-// The arithmetic is bit-identical to ForwardT in eval mode (train=false):
-// each InferT below runs its layer's forward kernel or mirrors its
-// ForwardT eval branch loop for loop, pinned by the golden tests in
-// infer_test.go.
+// Dense, the activations and FeatureGate run the forward kernels their
+// ForwardT runs; batch normalization uses its running statistics and
+// dropout is the identity. The output bits are pinned by the digests in
+// infer_test.go at every kernel width.
 
 // InferScratch is a caller-owned arena of reusable output tensors for the
 // inference-only forward path. Each Infer call resets the arena and hands
@@ -40,10 +39,10 @@ func (s *InferScratch) grab() *Tensor {
 	return t
 }
 
-// Infer runs root's eval-mode forward pass over the arena and returns the
-// arena-owned output tensor. It is bit-identical to root.ForwardT(x,
-// false) but mutates nothing except the arena, making it safe to call
-// concurrently on a shared network (one arena per goroutine).
+// Infer runs root's eval forward pass over the arena and returns the
+// arena-owned output tensor. It mutates nothing except the arena, making
+// it safe to call concurrently on a shared network (one arena per
+// goroutine).
 func Infer(root Layer, x *Tensor, s *InferScratch) *Tensor {
 	s.next = 0
 	return root.InferT(x, s)
@@ -66,41 +65,14 @@ func (d *Dense) InferT(x *Tensor, s *InferScratch) *Tensor {
 
 // InferT implements Layer for elementwise activations.
 func (a *activation) InferT(x *Tensor, s *InferScratch) *Tensor {
-	out := s.grab().Reset(x.rows, x.cols)
-	switch a.kind {
-	case actReLU:
-		vreluFwd(out.data, x.data)
-	case actLeakyReLU:
-		vlreluFwd(out.data, x.data, a.alpha)
-	default:
-		for i, v := range x.data {
-			out.data[i] = a.fn(v)
-		}
-	}
-	return out
+	return a.forward(x, s.grab().Reset(x.rows, x.cols))
 }
 
-// InferT implements Layer: the running-statistics normalization of
-// ForwardT's eval branch. The running stats are read, never updated.
+// InferT implements Layer: the running-statistics normalization, with the
+// per-column standard deviations in an arena buffer.
 func (bn *BatchNorm) InferT(x *Tensor, s *InferScratch) *Tensor {
-	n := x.rows
-	// The per-column standard deviation is row-invariant: computing it
-	// once per call instead of once per row changes nothing bit-wise
-	// (every element still divides by the identical math.Sqrt value).
 	std := s.grab().Reset(1, bn.Dim).Row(0)
-	for j := range std {
-		std[j] = math.Sqrt(bn.runningVar[j] + bn.Eps)
-	}
-	out := s.grab().Reset(n, bn.Dim)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		o := out.Row(i)
-		for j, v := range row {
-			xh := (v - bn.runningMean[j]) / std[j]
-			o[j] = float64(bn.gamma.Data[j]*xh) + bn.beta.Data[j]
-		}
-	}
-	return out
+	return bn.normalizeRunning(x, s.grab().Reset(x.rows, bn.Dim), std)
 }
 
 // InferT implements Layer: dropout is the identity at inference.
@@ -113,11 +85,5 @@ func (g *GradReverse) InferT(x *Tensor, _ *InferScratch) *Tensor { return x }
 // over the same arena.
 func (sc *SkipConcat) InferT(x *Tensor, s *InferScratch) *Tensor {
 	h := sc.Inner.InferT(x, s)
-	out := s.grab().Reset(x.rows, h.cols+x.cols)
-	for i := 0; i < x.rows; i++ {
-		row := out.Row(i)
-		copy(row[:h.cols], h.Row(i))
-		copy(row[h.cols:], x.Row(i))
-	}
-	return out
+	return ConcatInto(s.grab(), h, x)
 }

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -38,7 +40,7 @@ func ganLikeNet(t *testing.T, in, hidden, out int) *Network {
 		for i := range target.Data() {
 			target.Data()[i] = rng.NormFloat64()
 		}
-		o := net.ForwardT(x, true)
+		o := net.ForwardT(x)
 		mseMean(o, target, &grad)
 		net.BackwardT(&grad)
 		opt.Step(params)
@@ -46,31 +48,87 @@ func ganLikeNet(t *testing.T, in, hidden, out int) *Network {
 	return net
 }
 
-// TestInferMatchesForwardEval pins the serving contract: Infer is
-// bit-identical to eval-mode ForwardT for every batch size, including the
-// degenerate single-row batch, at every kernel width the host has (the net
-// trains at that width too).
-func TestInferMatchesForwardEval(t *testing.T) {
+// tnetLikeNet builds TNet's architecture in miniature (feature gate,
+// Dense, BatchNorm, ReLU, Dropout, dense head) and trains it a few softmax
+// steps, so the gate weights and the running statistics move off their
+// initial values and dropout has drawn its masks.
+func tnetLikeNet(t *testing.T, in, hidden, out int) *Network {
+	t.Helper()
+	rng := rand.New(rand.NewSource(13))
+	net := NewNetwork(
+		NewFeatureGate(in, rng),
+		NewDense(in, hidden, rng),
+		NewBatchNorm(hidden),
+		NewReLU(),
+		NewDropout(0.1, rng),
+		NewDense(hidden, out, rng),
+	)
+	opt := NewAdam(1e-3, 1e-6)
+	params := net.Params()
+	x := NewTensor(16, in)
+	y := make([]int, 16)
+	var grad Tensor
+	for step := 0; step < 5; step++ {
+		for i := range x.Data() {
+			x.Data()[i] = rng.NormFloat64()
+		}
+		for i := range y {
+			y[i] = rng.Intn(out)
+		}
+		if _, err := SoftmaxCET(net.ForwardT(x), y, &grad); err != nil {
+			t.Fatal(err)
+		}
+		net.BackwardT(&grad)
+		opt.Step(params)
+	}
+	return net
+}
+
+// bitsDigest is the FNV-64a hash of v's float64 bit patterns, each
+// written little-endian.
+func bitsDigest(v []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, f := range v {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestInferEvalDigestGolden pins Infer's output bits for the generator
+// architecture served in production and for TNet's, at batch sizes 1
+// (batch norm's degenerate single row), 2, 7 and 32, at every kernel
+// width the host has (the nets train at that width too). The digests were
+// recorded from the layers' eval-mode ForwardT before Infer became the only
+// eval forward, so they hold Infer to the arithmetic it replaced.
+func TestInferEvalDigestGolden(t *testing.T) {
+	rows := []int{1, 2, 7, 32}
+	nets := []struct {
+		name  string
+		build func(*testing.T, int, int, int) *Network
+		want  []uint64
+	}{
+		{"gan", ganLikeNet, []uint64{0xe3256fdafd27da7d, 0x0f2be31f3862589c, 0xdf1143ca043ddafe, 0x13f0fb79bc120c4e}},
+		{"tnet", tnetLikeNet, []uint64{0xc05fe46e858bb220, 0x6abe524cd2f4e24c, 0x7e35760333395d53, 0x9cf87a7b2bfb72f6}},
+	}
 	forEachWidth(t, true, func(width string) {
-		const in, hidden, out = 13, 24, 7
-		net := ganLikeNet(t, in, hidden, out)
-		rng := rand.New(rand.NewSource(29))
-		var scratch InferScratch
-		for _, rows := range []int{1, 2, 7, 32} {
-			x := NewTensor(rows, in)
-			for i := range x.Data() {
-				x.Data()[i] = rng.NormFloat64()
-			}
-			want := net.ForwardT(x, false).ToRows()
-			got := Infer(net, x, &scratch)
-			if got.Rows() != rows || got.Cols() != out {
-				t.Fatalf("%s rows=%d: infer shape %dx%d, want %dx%d", width, rows, got.Rows(), got.Cols(), rows, out)
-			}
-			for i := 0; i < rows; i++ {
-				for j, w := range want[i] {
-					if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("%s rows=%d: infer[%d][%d] = %v, forward eval = %v", width, rows, i, j, g, w)
-					}
+		for _, c := range nets {
+			const in, hidden, out = 13, 24, 7
+			net := c.build(t, in, hidden, out)
+			rng := rand.New(rand.NewSource(29))
+			var scratch InferScratch
+			for k, n := range rows {
+				x := NewTensor(n, in)
+				for i := range x.Data() {
+					x.Data()[i] = rng.NormFloat64()
+				}
+				got := Infer(net, x, &scratch)
+				if got.Rows() != n || got.Cols() != out {
+					t.Fatalf("%s %s rows=%d: infer shape %dx%d, want %dx%d", width, c.name, n, got.Rows(), got.Cols(), n, out)
+				}
+				if d := bitsDigest(got.Data()); d != c.want[k] {
+					t.Errorf("%s %s rows=%d: digest %016x, recorded %016x", width, c.name, n, d, c.want[k])
 				}
 			}
 		}

@@ -13,13 +13,14 @@ import (
 // is reused across calls: the returned tensor is the layer's scratch (or,
 // for identity layers, the input itself) and is valid until the layer's
 // next call. A layer instance processes one batch at a time (the usual
-// sequential-training contract).
+// sequential-training contract). ForwardT is the training forward: batch
+// normalization uses the batch's statistics and dropout draws its mask.
 //
-// InferT is the inference-only forward: the eval-mode arithmetic of
-// ForwardT(x, false), bit for bit, writing into arena buffers without
-// touching any layer-owned scratch or caches (see Infer).
+// InferT is the eval forward, the only one: running statistics, no
+// dropout, writing into arena buffers without touching any layer-owned
+// scratch or caches (see Infer).
 type Layer interface {
-	ForwardT(x *Tensor, train bool) *Tensor
+	ForwardT(x *Tensor) *Tensor
 	BackwardT(gradOut *Tensor) *Tensor
 	InferT(x *Tensor, s *InferScratch) *Tensor
 	Params() []*Param
@@ -62,7 +63,7 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 }
 
 // ForwardT computes the affine map in place.
-func (d *Dense) ForwardT(x *Tensor, _ bool) *Tensor {
+func (d *Dense) ForwardT(x *Tensor) *Tensor {
 	d.input = x
 	return d.forward(x, d.out.Reset(x.rows, d.Out))
 }
@@ -102,7 +103,7 @@ func (d *Dense) addTerms(out, x *Tensor, lo, hi int) {
 // term sequence is the same: the bias, then the columns j < k, then the
 // columns j ≥ k, each in ascending j. A keep runs the first part, saves it,
 // and runs the second; a resume starts from the saved first part.
-func (d *Dense) forwardPrefix(x *Tensor, _ bool, k int, resume bool) *Tensor {
+func (d *Dense) forwardPrefix(x *Tensor, k int, resume bool) *Tensor {
 	if k < 0 || k > x.cols {
 		panic(fmt.Sprintf("nn: prefix of %d columns on a %d-column input", k, x.cols))
 	}
@@ -260,9 +261,14 @@ func (a *activation) clone() *activation {
 	return &activation{kind: a.kind, alpha: a.alpha, fn: a.fn, deriv: a.deriv}
 }
 
-func (a *activation) ForwardT(x *Tensor, _ bool) *Tensor {
+func (a *activation) ForwardT(x *Tensor) *Tensor {
 	a.input = x
-	out := a.out.Reset(x.rows, x.cols)
+	return a.forward(x, a.out.Reset(x.rows, x.cols))
+}
+
+// forward writes the activation of x into out, the one forward of the
+// layer, shared by ForwardT and InferT.
+func (a *activation) forward(x, out *Tensor) *Tensor {
 	switch a.kind {
 	case actReLU:
 		// Dedicated kernel: LeakyReLU with alpha=0 would turn negatives
@@ -326,7 +332,7 @@ func NewSigmoid() Layer {
 }
 
 // Dropout zeroes each unit with probability P during training and scales
-// survivors by 1/(1-P) (inverted dropout). At inference it is the identity.
+// survivors by 1/(1-P) (inverted dropout). Its InferT is the identity.
 type Dropout struct {
 	P   float64
 	rng *rand.Rand
@@ -345,10 +351,9 @@ func NewDropout(p float64, rng *rand.Rand) *Dropout {
 	return &Dropout{P: p, rng: rng}
 }
 
-// ForwardT applies the dropout mask in training mode; at inference it
-// returns x unchanged.
-func (d *Dropout) ForwardT(x *Tensor, train bool) *Tensor {
-	if !train || d.P == 0 {
+// ForwardT draws a fresh dropout mask and applies it.
+func (d *Dropout) ForwardT(x *Tensor) *Tensor {
+	if d.P == 0 {
 		d.hasMask = false
 		return x
 	}
@@ -393,7 +398,7 @@ type GradReverse struct {
 }
 
 // ForwardT is the identity.
-func (g *GradReverse) ForwardT(x *Tensor, _ bool) *Tensor { return x }
+func (g *GradReverse) ForwardT(x *Tensor) *Tensor { return x }
 
 // BackwardT negates and scales the gradient.
 func (g *GradReverse) BackwardT(gradOut *Tensor) *Tensor {

@@ -18,9 +18,9 @@ func NewNetwork(layers ...Layer) *Network {
 
 // ForwardT runs the batch through all layers on the flat path. The result
 // is the last layer's scratch buffer, valid until that layer's next call.
-func (n *Network) ForwardT(x *Tensor, train bool) *Tensor {
+func (n *Network) ForwardT(x *Tensor) *Tensor {
 	for _, l := range n.Layers {
-		x = l.ForwardT(x, train)
+		x = l.ForwardT(x)
 	}
 	return x
 }
@@ -121,7 +121,7 @@ func (n *Network) gradOutWindow(lo, hi int) (int, int) {
 	return lo, hi
 }
 
-// ForwardKeep is root.ForwardT(x, train), bit for bit, that also keeps,
+// ForwardKeep is root.ForwardT(x), bit for bit, that also keeps,
 // in root's first Dense layer, its partial outputs over the input columns
 // [0, k): the bias plus those columns' terms. A later ForwardResume with
 // the same k on an input whose columns [0, k) are unchanged starts from
@@ -129,11 +129,11 @@ func (n *Network) gradOutWindow(lo, hi int) (int, int) {
 // same over several passes, such as the GAN's invariant features. The
 // first Dense is root itself, the first layer of a Network, or the first
 // Dense of a SkipConcat's inner stack; ForwardKeep panics if root has none.
-func ForwardKeep(root Layer, x *Tensor, train bool, k int) *Tensor {
-	return forwardPrefix(root, x, train, k, false)
+func ForwardKeep(root Layer, x *Tensor, k int) *Tensor {
+	return forwardPrefix(root, x, k, false)
 }
 
-// ForwardResume is root.ForwardT(x, train), bit for bit, starting the
+// ForwardResume is root.ForwardT(x), bit for bit, starting the
 // first Dense layer from the partial outputs the last ForwardKeep saved
 // (see ForwardKeep). It is bit-neutral because the Dense forward adds each
 // output's terms in ascending input column after its bias, so the kept
@@ -141,8 +141,8 @@ func ForwardKeep(root Layer, x *Tensor, train bool, k int) *Tensor {
 // kept partials are stale: no keep, a different k or row count, input
 // columns [0, k) that differ in any bit, or a weight update since the keep
 // (an optimizer step or a snapshot restore).
-func ForwardResume(root Layer, x *Tensor, train bool, k int) *Tensor {
-	return forwardPrefix(root, x, train, k, true)
+func ForwardResume(root Layer, x *Tensor, k int) *Tensor {
+	return forwardPrefix(root, x, k, true)
 }
 
 // prefixed is implemented by the layers that reach a first Dense layer:
@@ -151,28 +151,28 @@ type prefixed interface {
 	// forwardPrefix is ForwardT keeping (resume false) or resuming from
 	// the first Dense layer's partial outputs over the input columns
 	// [0, k).
-	forwardPrefix(x *Tensor, train bool, k int, resume bool) *Tensor
+	forwardPrefix(x *Tensor, k int, resume bool) *Tensor
 }
 
 // forwardPrefix dispatches a keep or resume to l, panicking when l cannot
 // reach a first Dense layer.
-func forwardPrefix(l Layer, x *Tensor, train bool, k int, resume bool) *Tensor {
+func forwardPrefix(l Layer, x *Tensor, k int, resume bool) *Tensor {
 	p, ok := l.(prefixed)
 	if !ok {
 		panic(fmt.Sprintf("nn: %T has no first Dense layer to keep a prefix in", l))
 	}
-	return p.forwardPrefix(x, train, k, resume)
+	return p.forwardPrefix(x, k, resume)
 }
 
 // forwardPrefix implements prefixed: the first layer keeps or resumes, the
 // rest run their ForwardT.
-func (n *Network) forwardPrefix(x *Tensor, train bool, k int, resume bool) *Tensor {
+func (n *Network) forwardPrefix(x *Tensor, k int, resume bool) *Tensor {
 	if len(n.Layers) == 0 {
 		panic("nn: empty network has no first Dense layer")
 	}
-	x = forwardPrefix(n.Layers[0], x, train, k, resume)
+	x = forwardPrefix(n.Layers[0], x, k, resume)
 	for _, l := range n.Layers[1:] {
-		x = l.ForwardT(x, train)
+		x = l.ForwardT(x)
 	}
 	return x
 }

@@ -52,7 +52,7 @@ func softmaxGradFns(t *testing.T, l Layer, x [][]float64, y []int) (lossFn func(
 	t.Helper()
 	var grad Tensor
 	lossFn = func() float64 {
-		loss, err := SoftmaxCET(l.ForwardT(rowsT(x), true), y, &grad)
+		loss, err := SoftmaxCET(l.ForwardT(rowsT(x)), y, &grad)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestDenseInputGradientCheck(t *testing.T) {
 	y := []int{1}
 	lossFn, _ := softmaxGradFns(t, d, x, y)
 	var g Tensor
-	if _, err := SoftmaxCET(d.ForwardT(rowsT(x), true), y, &g); err != nil {
+	if _, err := SoftmaxCET(d.ForwardT(rowsT(x)), y, &g); err != nil {
 		t.Fatal(err)
 	}
 	gin := d.BackwardT(&g).ToRows()
@@ -116,7 +116,7 @@ func TestReLUGradientCheck(t *testing.T) {
 	y := []int{1, 0}
 	// Verify no pre-activation sits near the ReLU kink for this seed, so
 	// the numerical reference below is trustworthy.
-	pre := net.Layers[0].ForwardT(rowsT(x), true).ToRows()
+	pre := net.Layers[0].ForwardT(rowsT(x)).ToRows()
 	for _, row := range pre {
 		for _, v := range row {
 			if math.Abs(v) < 1e-3 {
@@ -166,10 +166,11 @@ func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 	// Train on a shifted batch a few times.
 	batch := [][]float64{{10, -4}, {12, -6}, {8, -2}}
 	for i := 0; i < 50; i++ {
-		bn.ForwardT(rowsT(batch), true)
+		bn.ForwardT(rowsT(batch))
 	}
 	// A single inference sample equal to the running mean maps near beta=0.
-	out := bn.ForwardT(rowsT([][]float64{{10, -4}}), false).ToRows()
+	var s InferScratch
+	out := Infer(bn, rowsT([][]float64{{10, -4}}), &s).ToRows()
 	if math.Abs(out[0][0]) > 0.2 || math.Abs(out[0][1]) > 0.2 {
 		t.Errorf("inference at running mean = %v; want ~[0 0]", out[0])
 	}
@@ -180,7 +181,8 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := NewDropout(0.5, rng)
 	x := rowsT([][]float64{{1, 1, 1, 1, 1, 1, 1, 1}})
-	for j, v := range d.ForwardT(x, false).Row(0) {
+	var s InferScratch
+	for j, v := range Infer(d, x, &s).Row(0) {
 		if v != 1 {
 			t.Errorf("eval output[%d] = %v; want 1", j, v)
 		}
@@ -188,7 +190,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	// In train mode roughly half are dropped and survivors scaled by 2.
 	var zeros, twos int
 	for i := 0; i < 200; i++ {
-		for _, v := range d.ForwardT(x, true).Row(0) {
+		for _, v := range d.ForwardT(x).Row(0) {
 			switch v {
 			case 0:
 				zeros++
@@ -207,7 +209,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 
 func TestGradReverse(t *testing.T) {
 	g := &GradReverse{Lambda: 2}
-	out := g.ForwardT(rowsT([][]float64{{1, 2}}), true).Row(0)
+	out := g.ForwardT(rowsT([][]float64{{1, 2}})).Row(0)
 	if out[0] != 1 || out[1] != 2 {
 		t.Error("forward must be identity")
 	}
@@ -272,10 +274,10 @@ func TestBCEWithLogitsGradientCheck(t *testing.T) {
 	targets := []float64{1, 0, 1, 0}
 	var g Tensor
 	lossFn := func() float64 {
-		return bceMean(net.ForwardT(rowsT(x), true), targets, &g)
+		return bceMean(net.ForwardT(rowsT(x)), targets, &g)
 	}
 	analytic := func() {
-		bceMean(net.ForwardT(rowsT(x), true), targets, &g)
+		bceMean(net.ForwardT(rowsT(x)), targets, &g)
 		net.BackwardT(&g)
 	}
 	checkParamGrads(t, net.Params(), lossFn, analytic, 1e-6)
@@ -288,10 +290,10 @@ func TestMSEGradientCheck(t *testing.T) {
 	target := rowsT(randBatch(rng, 3, 3))
 	var g Tensor
 	lossFn := func() float64 {
-		return mseMean(net.ForwardT(rowsT(x), true), target, &g)
+		return mseMean(net.ForwardT(rowsT(x)), target, &g)
 	}
 	analytic := func() {
-		mseMean(net.ForwardT(rowsT(x), true), target, &g)
+		mseMean(net.ForwardT(rowsT(x)), target, &g)
 		net.BackwardT(&g)
 	}
 	checkParamGrads(t, net.Params(), lossFn, analytic, 1e-6)
@@ -351,7 +353,7 @@ func TestAdamReducesLoss(t *testing.T) {
 	var first, last float64
 	var g Tensor
 	for epoch := 0; epoch < 500; epoch++ {
-		l, err := SoftmaxCET(net.ForwardT(rowsT(x), true), y, &g)
+		l, err := SoftmaxCET(net.ForwardT(rowsT(x)), y, &g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +368,8 @@ func TestAdamReducesLoss(t *testing.T) {
 		t.Errorf("Adam failed to learn XOR: first=%v last=%v", first, last)
 	}
 	// Predictions must be correct.
-	out := net.ForwardT(rowsT(x), false)
+	var s InferScratch
+	out := Infer(net, rowsT(x), &s)
 	for i := range x {
 		if argmax(out.Row(i)) != y[i] {
 			t.Errorf("sample %d misclassified", i)
@@ -388,7 +391,7 @@ func TestSGDMomentumReducesLoss(t *testing.T) {
 	var first, last float64
 	var g Tensor
 	for epoch := 0; epoch < 200; epoch++ {
-		l, _ := SoftmaxCET(net.ForwardT(rowsT(x), true), y, &g)
+		l, _ := SoftmaxCET(net.ForwardT(rowsT(x)), y, &g)
 		if epoch == 0 {
 			first = l
 		}

@@ -64,13 +64,13 @@ func TestForwardResumeGolden(t *testing.T) {
 // bit that differs.
 func checkKeepResume(t *testing.T, name string, plain, split Layer, x1, x2 *Tensor, k int) {
 	t.Helper()
-	want := append([]float64(nil), plain.ForwardT(x1, true).Data()...)
-	if got := ForwardKeep(split, x1, true, k); !sameFloats(got.Data(), want) {
+	want := append([]float64(nil), plain.ForwardT(x1).Data()...)
+	if got := ForwardKeep(split, x1, k); !sameFloats(got.Data(), want) {
 		t.Fatalf("%s: kept forward differs from ForwardT", name)
 	}
 	for pass := 0; pass < 2; pass++ {
-		want = append(want[:0], plain.ForwardT(x2, true).Data()...)
-		if got := ForwardResume(split, x2, true, k); !sameFloats(got.Data(), want) {
+		want = append(want[:0], plain.ForwardT(x2).Data()...)
+		if got := ForwardResume(split, x2, k); !sameFloats(got.Data(), want) {
 			t.Fatalf("%s: resumed forward %d differs from ForwardT", name, pass)
 		}
 	}
@@ -112,41 +112,41 @@ func testStalePrefixPanics(t *testing.T) {
 	fresh := func() *Dense { return NewDense(20, 9, rand.New(rand.NewSource(9))) }
 	kept := func() *Dense {
 		d := fresh()
-		ForwardKeep(d, x7, true, 12)
+		ForwardKeep(d, x7, 12)
 		return d
 	}
 	cases := []struct {
 		name, why string
 		run       func()
 	}{
-		{"no keep", "without a keep", func() { ForwardResume(fresh(), x7, true, 12) }},
-		{"other width", "at 11 columns, kept 12", func() { ForwardResume(kept(), x7b, true, 11) }},
-		{"other rows", "on 6 rows, kept 7", func() { ForwardResume(kept(), x6, true, 12) }},
+		{"no keep", "without a keep", func() { ForwardResume(fresh(), x7, 12) }},
+		{"other width", "at 11 columns, kept 12", func() { ForwardResume(kept(), x7b, 11) }},
+		{"other rows", "on 6 rows, kept 7", func() { ForwardResume(kept(), x6, 12) }},
 		{"other prefix", "different input (row 3, column 11)", func() {
 			d := kept()
 			x := NewTensor(7, 20).SetFromRows(x7b.ToRows())
 			x.Set(3, 11, 1)
-			ForwardResume(d, x, true, 12)
+			ForwardResume(d, x, 12)
 		}},
 		{"Adam step", "weight update", func() {
 			d := kept()
 			NewAdam(1e-3, 0).Step(d.Params())
-			ForwardResume(d, x7b, true, 12)
+			ForwardResume(d, x7b, 12)
 		}},
 		{"Adam step on the canonical net", "weight update", func() {
 			sn := NewSharded(NewNetwork(fresh(), NewReLU()), 2)
-			ForwardKeep(sn.Net(1), x7, true, 12)
+			ForwardKeep(sn.Net(1), x7, 12)
 			NewAdam(1e-3, 0).Step(sn.Params(0))
-			ForwardResume(sn.Net(1), x7b, true, 12)
+			ForwardResume(sn.Net(1), x7b, 12)
 		}},
 		{"snapshot restore", "weight update", func() {
 			d := kept()
 			if err := RestoreSnapshot(d, TakeSnapshot(d)); err != nil {
 				t.Fatal(err)
 			}
-			ForwardResume(d, x7b, true, 12)
+			ForwardResume(d, x7b, 12)
 		}},
-		{"no first dense", "no first Dense", func() { ForwardKeep(NewNetwork(NewReLU(), fresh()), x7, true, 12) }},
+		{"no first dense", "no first Dense", func() { ForwardKeep(NewNetwork(NewReLU(), fresh()), x7, 12) }},
 	}
 	for _, c := range cases {
 		func() {
@@ -159,5 +159,5 @@ func testStalePrefixPanics(t *testing.T) {
 		}()
 	}
 	// The guard passes a valid resume.
-	ForwardResume(kept(), x7b, true, 12)
+	ForwardResume(kept(), x7b, 12)
 }

@@ -34,7 +34,7 @@ func runShardStep(sn *ShardedNet, x *Tensor, bounds []int, workers int) [][]uint
 	par.ForEach(workers, shards, func(s int) {
 		sn.SeedDropouts(s, mixSeed(99, s))
 		view := x.ViewRows(bounds[s], bounds[s+1], &views[s])
-		out := sn.Net(s).ForwardT(view, true)
+		out := sn.Net(s).ForwardT(view)
 		g := grads[s].Reset(out.Rows(), out.Cols())
 		for i := range g.data {
 			g.data[i] = 0.01 * float64(i%17)
@@ -186,7 +186,7 @@ func TestShardedNetUnsupportedLayerPanics(t *testing.T) {
 
 type fakeLayer struct{}
 
-func (f *fakeLayer) ForwardT(x *Tensor, _ bool) *Tensor        { return x }
+func (f *fakeLayer) ForwardT(x *Tensor) *Tensor                { return x }
 func (f *fakeLayer) BackwardT(g *Tensor) *Tensor               { return g }
 func (f *fakeLayer) InferT(x *Tensor, _ *InferScratch) *Tensor { return x }
 func (f *fakeLayer) Params() []*Param                          { return nil }

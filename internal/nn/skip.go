@@ -20,25 +20,19 @@ func NewSkipConcat(inner Layer) *SkipConcat {
 }
 
 // ForwardT computes [inner(x), x] in place.
-func (s *SkipConcat) ForwardT(x *Tensor, train bool) *Tensor {
-	return s.concat(x, s.Inner.ForwardT(x, train))
+func (s *SkipConcat) ForwardT(x *Tensor) *Tensor {
+	return s.concat(x, s.Inner.ForwardT(x))
 }
 
 // forwardPrefix implements prefixed: the inner stack keeps or resumes.
-func (s *SkipConcat) forwardPrefix(x *Tensor, train bool, k int, resume bool) *Tensor {
-	return s.concat(x, forwardPrefix(s.Inner, x, train, k, resume))
+func (s *SkipConcat) forwardPrefix(x *Tensor, k int, resume bool) *Tensor {
+	return s.concat(x, forwardPrefix(s.Inner, x, k, resume))
 }
 
 // concat writes [h, x] into the layer's output.
 func (s *SkipConcat) concat(x, h *Tensor) *Tensor {
 	s.inWidth = x.cols
-	out := s.out.Reset(x.rows, h.cols+x.cols)
-	for i := 0; i < x.rows; i++ {
-		row := out.Row(i)
-		copy(row[:h.cols], h.Row(i))
-		copy(row[h.cols:], x.Row(i))
-	}
-	return out
+	return ConcatInto(&s.out, h, x)
 }
 
 // BackwardT splits the incoming gradient and sums the two input gradients.

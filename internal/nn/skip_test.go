@@ -11,7 +11,7 @@ func TestSkipConcatForwardShape(t *testing.T) {
 	inner := NewNetwork(NewDense(3, 5, rng), NewTanh())
 	skip := NewSkipConcat(inner)
 	x := randBatch(rng, 4, 3)
-	out := skip.ForwardT(rowsT(x), true).ToRows()
+	out := skip.ForwardT(rowsT(x)).ToRows()
 	if len(out) != 4 || len(out[0]) != 8 {
 		t.Fatalf("output shape = %dx%d; want 4x8", len(out), len(out[0]))
 	}
@@ -45,16 +45,16 @@ func TestSkipConcatInputGradient(t *testing.T) {
 	x := randBatch(rng, 2, 2)
 	targets := []float64{1, 0}
 	var g Tensor
-	bceMean(net.ForwardT(rowsT(x), true), targets, &g)
+	bceMean(net.ForwardT(rowsT(x)), targets, &g)
 	gin := net.BackwardT(&g).ToRows()
 	const h = 1e-5
 	for i := range x {
 		for j := range x[i] {
 			orig := x[i][j]
 			x[i][j] = orig + h
-			lp := bceMean(net.ForwardT(rowsT(x), true), targets, &g)
+			lp := bceMean(net.ForwardT(rowsT(x)), targets, &g)
 			x[i][j] = orig - h
-			lm := bceMean(net.ForwardT(rowsT(x), true), targets, &g)
+			lm := bceMean(net.ForwardT(rowsT(x)), targets, &g)
 			x[i][j] = orig
 			want := (lp - lm) / (2 * h)
 			if math.Abs(gin[i][j]-want) > 1e-6*(1+math.Abs(want)) {

@@ -33,20 +33,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	opt := NewAdam(1e-2, 0)
 	var g Tensor
 	for e := 0; e < 10; e++ {
-		if _, err := SoftmaxCET(net.ForwardT(rowsT(x), true), y, &g); err != nil {
+		if _, err := SoftmaxCET(net.ForwardT(rowsT(x)), y, &g); err != nil {
 			t.Fatal(err)
 		}
 		net.BackwardT(&g)
 		opt.Step(net.Params())
 	}
-	want := net.ForwardT(rowsT(x), false).ToRows()
+	var s InferScratch
+	want := Infer(net, rowsT(x), &s).ToRows()
 
 	snap := TakeSnapshot(net)
 	fresh := buildStatefulNet(99) // different init, same architecture
 	if err := RestoreSnapshot(fresh, snap); err != nil {
 		t.Fatal(err)
 	}
-	got := fresh.ForwardT(rowsT(x), false).ToRows()
+	got := Infer(fresh, rowsT(x), &s).ToRows()
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
@@ -86,7 +87,7 @@ func TestRestoreSnapshotMismatch(t *testing.T) {
 
 func TestBatchNormExtraState(t *testing.T) {
 	bn := NewBatchNorm(2)
-	bn.ForwardT(rowsT([][]float64{{4, -2}, {6, -4}, {5, -3}}), true)
+	bn.ForwardT(rowsT([][]float64{{4, -2}, {6, -4}, {5, -3}}))
 	state := bn.ExtraState()
 	if len(state) != 2 || len(state[0]) != 2 {
 		t.Fatalf("state shape wrong: %v", state)
@@ -96,8 +97,9 @@ func TestBatchNormExtraState(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := rowsT([][]float64{{5, -3}})
-	out1 := bn.ForwardT(x, false).ToRows()
-	out2 := fresh.ForwardT(x, false).ToRows()
+	var s InferScratch
+	out1 := Infer(bn, x, &s).ToRows()
+	out2 := Infer(fresh, x, &s).ToRows()
 	// Gamma/beta are parameters (identical defaults), running stats now
 	// match, so inference outputs must agree.
 	if out1[0][0] != out2[0][0] || out1[0][1] != out2[0][1] {

@@ -175,7 +175,7 @@ func TestDenseKernelGolden(t *testing.T) {
 						x := specialRows(rng, rows, in)
 						gradOut := specialRows(rng, rows, out)
 
-						got := d.ForwardT(rowsT(x), true).ToRows()
+						got := d.ForwardT(rowsT(x)).ToRows()
 						want := refDenseForward(w.Data, b.Data, out, x)
 						if !sameRows(got, want) {
 							t.Fatalf("%s: forward mismatch", name)
@@ -294,7 +294,7 @@ func TestBatchNormKernelGolden(t *testing.T) {
 		x := randRows(rng, 6, 4)
 		gradOut := randRows(rng, 6, 4)
 
-		got := bn.ForwardT(rowsT(x), true).ToRows()
+		got := bn.ForwardT(rowsT(x)).ToRows()
 		want, xHat, std := refBatchNormForward(gamma.Data, beta.Data, refRunMean, refRunVar, bn.Momentum, bn.Eps, x)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: forward mismatch", trial)
@@ -418,7 +418,7 @@ func TestTrainingStepSteadyStateAllocs(t *testing.T) {
 	}
 	var grad Tensor
 	step := func() {
-		out := net.ForwardT(x, true)
+		out := net.ForwardT(x)
 		mseMean(out, target, &grad)
 		net.BackwardT(&grad)
 		opt.Step(params)
@@ -449,7 +449,7 @@ func BenchmarkTrainingStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := net.ForwardT(x, true)
+		out := net.ForwardT(x)
 		mseMean(out, target, &grad)
 		net.BackwardT(&grad)
 		opt.Step(params)

@@ -87,9 +87,9 @@ func checkWindowCase(t *testing.T, c windowCase) {
 		data := rand.New(rand.NewSource(4))
 		for batch := 0; batch < 2; batch++ {
 			x := rowsT(c.values(data, rows, c.in))
-			out := full.ForwardT(x, true)
-			if !sameFloats(part.ForwardT(x, true).Data(), out.Data()) ||
-				!sameFloats(frozen.ForwardT(x, true).Data(), out.Data()) {
+			out := full.ForwardT(x)
+			if !sameFloats(part.ForwardT(x).Data(), out.Data()) ||
+				!sameFloats(frozen.ForwardT(x).Data(), out.Data()) {
 				t.Fatalf("%s: the copies' forwards differ", name)
 			}
 			g := rowsT(c.values(data, rows, out.Cols()))
@@ -202,7 +202,7 @@ func TestBackwardFrozenRefusesUnfreezableLayer(t *testing.T) {
 			in = 6
 		}
 		g := rowsT(randRows(rng, 3, 6))
-		net.ForwardT(rowsT(randRows(rng, 3, in)), true)
+		net.ForwardT(rowsT(randRows(rng, 3, in)))
 		func() {
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "cannot run a frozen backward") {

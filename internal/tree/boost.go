@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -50,21 +49,19 @@ type GradientBoosting struct {
 	trees      [][]*regressionTree // [round][class]
 	lr         float64
 	numClasses int
+	width      int // trained row width
 }
 
 // FitGradientBoosting trains the boosted ensemble.
 func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig) (*GradientBoosting, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, fmt.Errorf("tree: %d rows, %d labels", len(x), len(y))
-	}
-	if numClasses < 2 {
-		return nil, fmt.Errorf("tree: numClasses %d must be >= 2", numClasses)
+	if err := checkFit(x, y, numClasses); err != nil {
+		return nil, err
 	}
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	n := len(x)
-	gb := &GradientBoosting{lr: cfg.LearningRate, numClasses: numClasses}
+	gb := &GradientBoosting{lr: cfg.LearningRate, numClasses: numClasses, width: len(x[0])}
 	// Raw scores per sample per class.
 	scores := make([][]float64, n)
 	for i := range scores {
@@ -85,19 +82,8 @@ func FitGradientBoosting(x [][]float64, y []int, numClasses int, cfg BoostConfig
 	for round := 0; round < cfg.Rounds; round++ {
 		// Softmax gradients/hessians.
 		for i := 0; i < n; i++ {
-			maxV := scores[i][0]
-			for _, v := range scores[i][1:] {
-				if v > maxV {
-					maxV = v
-				}
-			}
-			var sum float64
-			for c := 0; c < numClasses; c++ {
-				probs[c] = math.Exp(scores[i][c] - maxV)
-				sum += probs[c]
-			}
-			for c := 0; c < numClasses; c++ {
-				p := probs[c] / sum
+			softmaxInto(probs, scores[i])
+			for c, p := range probs {
 				g := p
 				if y[i] == c {
 					g -= 1
@@ -141,6 +127,9 @@ func (gb *GradientBoosting) PredictProba(x [][]float64) ([][]float64, error) {
 	if len(gb.trees) == 0 {
 		return nil, ErrNotTrained
 	}
+	if err := checkRows(x, gb.width); err != nil {
+		return nil, err
+	}
 	out := make([][]float64, len(x))
 	for i, row := range x {
 		scores := make([]float64, gb.numClasses)
@@ -149,24 +138,29 @@ func (gb *GradientBoosting) PredictProba(x [][]float64) ([][]float64, error) {
 				scores[c] += gb.lr * rt.predict(row)
 			}
 		}
-		maxV := scores[0]
-		for _, v := range scores[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		p := make([]float64, gb.numClasses)
-		for c, v := range scores {
-			p[c] = math.Exp(v - maxV)
-			sum += p[c]
-		}
-		for c := range p {
-			p[c] /= sum
-		}
-		out[i] = p
+		out[i] = make([]float64, gb.numClasses)
+		softmaxInto(out[i], scores)
 	}
 	return out, nil
+}
+
+// softmaxInto writes the softmax of scores into p: exp(s - max) per class,
+// each divided by their sum taken in class order.
+func softmaxInto(p, scores []float64) {
+	maxV := scores[0]
+	for _, v := range scores[1:] {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	var sum float64
+	for c, v := range scores {
+		p[c] = math.Exp(v - maxV)
+		sum += p[c]
+	}
+	for c := range p {
+		p[c] /= sum
+	}
 }
 
 // NumRounds reports the number of boosting rounds trained.

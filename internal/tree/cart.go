@@ -36,19 +36,16 @@ type ClassTreeConfig struct {
 
 // ClassificationTree is a CART tree with gini splitting.
 type ClassificationTree struct {
-	nodes      []node
-	numClasses int
+	nodes []node
+	width int // trained row width
 }
 
 // FitClassificationTree builds a tree on the given rows. It is the
 // one-tree case of the forest's builder: the columns are ranked once, and
 // the tree grows on every row once, in order.
 func FitClassificationTree(x [][]float64, y []int, numClasses int, cfg ClassTreeConfig) (*ClassificationTree, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, fmt.Errorf("tree: %d rows, %d labels", len(x), len(y))
-	}
-	if numClasses < 2 {
-		return nil, fmt.Errorf("tree: numClasses %d must be >= 2", numClasses)
+	if err := checkFit(x, y, numClasses); err != nil {
+		return nil, err
 	}
 	b := newClassBuilder(x, y, numClasses, cfg)
 	rows := make([]int, len(x))
@@ -56,6 +53,41 @@ func FitClassificationTree(x [][]float64, y []int, numClasses int, cfg ClassTree
 		rows[i] = i
 	}
 	return b.fit(rows), nil
+}
+
+// checkFit validates a training set for every learner of the package:
+// as many labels as rows, at least one row and one feature, every row as
+// wide as the first, and every label a class in [0, numClasses).
+func checkFit(x [][]float64, y []int, numClasses int) error {
+	if len(x) == 0 || len(x) != len(y) {
+		return fmt.Errorf("tree: %d rows, %d labels", len(x), len(y))
+	}
+	if numClasses < 2 {
+		return fmt.Errorf("tree: numClasses %d must be >= 2", numClasses)
+	}
+	if len(x[0]) == 0 {
+		return errors.New("tree: rows have no features")
+	}
+	if err := checkRows(x, len(x[0])); err != nil {
+		return err
+	}
+	for i, c := range y {
+		if c < 0 || c >= numClasses {
+			return fmt.Errorf("tree: label %d at row %d out of range [0,%d)", c, i, numClasses)
+		}
+	}
+	return nil
+}
+
+// checkRows rejects a row whose width is not width: a ragged training row,
+// or a prediction row of another width than the model trained on.
+func checkRows(x [][]float64, width int) error {
+	for i, row := range x {
+		if len(row) != width {
+			return fmt.Errorf("tree: row %d has width %d, want %d", i, len(row), width)
+		}
+	}
+	return nil
 }
 
 // rankColumns ranks the columns of x once: rank[f*n+i] is the dense rank
@@ -176,7 +208,7 @@ func newClassBuilder(x [][]float64, y []int, numClasses int, cfg ClassTreeConfig
 // fit grows one tree on at most len(x) rows of x given by index, repeats
 // allowed (a bootstrap resample), in that order. It reorders rows in place.
 func (b *classBuilder) fit(rows []int) *ClassificationTree {
-	b.tree = &ClassificationTree{numClasses: b.k}
+	b.tree = &ClassificationTree{width: len(b.x[0])}
 	b.build(rows, 0)
 	return b.tree
 }
@@ -364,6 +396,9 @@ func giniImpurityRight(total, left []float64, nr float64) float64 {
 func (t *ClassificationTree) PredictProba(x [][]float64) ([][]float64, error) {
 	if len(t.nodes) == 0 {
 		return nil, ErrNotTrained
+	}
+	if err := checkRows(x, t.width); err != nil {
+		return nil, err
 	}
 	out := make([][]float64, len(x))
 	for i, row := range x {

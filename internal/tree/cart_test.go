@@ -13,7 +13,7 @@ import (
 // for the keyed (value, label) sort. Rows are partitioned into fresh
 // left/right slices.
 func refFitClassificationTree(x [][]float64, y []int, numClasses int, cfg ClassTreeConfig) *ClassificationTree {
-	t := &ClassificationTree{numClasses: numClasses}
+	t := &ClassificationTree{width: len(x[0])}
 	idx := make([]int, len(x))
 	for i := range idx {
 		idx[i] = i

@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -19,15 +18,13 @@ type ForestConfig struct {
 type RandomForest struct {
 	trees      []*ClassificationTree
 	numClasses int
+	width      int // trained row width
 }
 
 // FitRandomForest trains the ensemble on bootstrap resamples.
 func FitRandomForest(x [][]float64, y []int, numClasses int, cfg ForestConfig) (*RandomForest, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, fmt.Errorf("tree: %d rows, %d labels", len(x), len(y))
-	}
-	if numClasses < 2 {
-		return nil, fmt.Errorf("tree: numClasses %d must be >= 2", numClasses)
+	if err := checkFit(x, y, numClasses); err != nil {
+		return nil, err
 	}
 	if cfg.NumTrees == 0 {
 		cfg.NumTrees = 100
@@ -43,7 +40,7 @@ func FitRandomForest(x [][]float64, y []int, numClasses int, cfg ForestConfig) (
 		cfg.MaxFeatures = int(math.Sqrt(float64(d))) + 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	rf := &RandomForest{numClasses: numClasses}
+	rf := &RandomForest{numClasses: numClasses, width: d}
 	// One ranking of the columns serves every tree; each tree keeps its
 	// bootstrap as row indices into x, drawn as before.
 	b := newClassBuilder(x, y, numClasses, ClassTreeConfig{
@@ -70,26 +67,22 @@ func (rf *RandomForest) PredictProba(x [][]float64) ([][]float64, error) {
 	if len(rf.trees) == 0 {
 		return nil, ErrNotTrained
 	}
-	out := make([][]float64, len(x))
-	for i := range out {
-		out[i] = make([]float64, rf.numClasses)
-	}
-	for _, t := range rf.trees {
-		p, err := t.PredictProba(x)
-		if err != nil {
-			return nil, err
-		}
-		for i := range p {
-			for c, v := range p[i] {
-				out[i][c] += v
-			}
-		}
+	if err := checkRows(x, rf.width); err != nil {
+		return nil, err
 	}
 	inv := 1 / float64(len(rf.trees))
-	for i := range out {
-		for c := range out[i] {
-			out[i][c] *= inv
+	out := make([][]float64, len(x))
+	for i, row := range x {
+		p := make([]float64, rf.numClasses)
+		for _, t := range rf.trees {
+			for c, v := range t.traverse(row).dist {
+				p[c] += v
+			}
 		}
+		for c := range p {
+			p[c] *= inv
+		}
+		out[i] = p
 	}
 	return out, nil
 }

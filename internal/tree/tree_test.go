@@ -275,3 +275,71 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsMalformedRows runs the three fits and the three PredictProba
+// methods on malformed input. Ragged, featureless and out-of-range-label
+// training sets and prediction rows of another width than the trained one
+// must each return an error; they used to index out of range.
+func TestRejectsMalformedRows(t *testing.T) {
+	type predictor interface {
+		PredictProba([][]float64) ([][]float64, error)
+	}
+	fits := []struct {
+		name string
+		fit  func(x [][]float64, y []int) (predictor, error)
+	}{
+		{"ClassificationTree", func(x [][]float64, y []int) (predictor, error) {
+			return FitClassificationTree(x, y, 2, ClassTreeConfig{})
+		}},
+		{"RandomForest", func(x [][]float64, y []int) (predictor, error) {
+			return FitRandomForest(x, y, 2, ForestConfig{NumTrees: 3, Seed: 1})
+		}},
+		{"GradientBoosting", func(x [][]float64, y []int) (predictor, error) {
+			return FitGradientBoosting(x, y, 2, BoostConfig{Rounds: 3, Seed: 1})
+		}},
+	}
+	rng := rand.New(rand.NewSource(3))
+	x, y := gaussBlobs(40, 3, 2, 3, rng)
+	badFits := []struct {
+		name string
+		x    [][]float64
+		y    []int
+	}{
+		{"wide row", [][]float64{x[0], x[1], {1, 2, 3, 4}, x[3]}, y[:4]},
+		{"narrow row", [][]float64{x[0], {1}, x[2], x[3]}, y[:4]},
+		{"empty later row", [][]float64{x[0], x[1], {}, x[3]}, y[:4]},
+		{"no features", [][]float64{{}, {}}, []int{0, 1}},
+		{"negative label", x[:4], []int{0, 1, -1, 1}},
+		{"label past numClasses", x[:4], []int{0, 1, 2, 1}},
+	}
+	badRows := []struct {
+		name string
+		x    [][]float64
+	}{
+		{"narrow row", [][]float64{x[0], {1, 2}}},
+		{"one-column row", [][]float64{{1}}},
+		{"empty row", [][]float64{x[0], {}}},
+		{"wide row", [][]float64{{1, 2, 3, 4}}},
+	}
+	for _, f := range fits {
+		t.Run(f.name, func(t *testing.T) {
+			for _, bad := range badFits {
+				if _, err := f.fit(bad.x, bad.y); err == nil {
+					t.Errorf("fit with a %s returned no error", bad.name)
+				}
+			}
+			m, err := f.fit(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range badRows {
+				if _, err := m.PredictProba(bad.x); err == nil {
+					t.Errorf("PredictProba with a %s returned no error", bad.name)
+				}
+			}
+			if p, err := m.PredictProba(x[:2]); err != nil || len(p) != 2 {
+				t.Errorf("PredictProba on well-formed rows: %d rows, err %v", len(p), err)
+			}
+		})
+	}
+}
