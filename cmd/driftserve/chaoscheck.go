@@ -122,23 +122,6 @@ func runChaosCheck(out io.Writer, cfg config) error {
 	defer srv.Close()
 	url := "http://" + ln.Addr().String() + "/v1/adapt"
 
-	sameRows := func(a, b [][]float64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if len(a[i]) != len(b[i]) {
-				return false
-			}
-			for j := range a[i] {
-				if a[i][j] != b[i][j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
 	// --- The storm. ---
 	fmt.Fprintf(out, "chaoscheck: bundle %q, %d conns for %s, plan %q\n",
 		bundle.ID, cfg.Conns, cfg.Duration, cfg.FaultPlan)
@@ -172,12 +155,12 @@ func runChaosCheck(out io.Writer, cfg config) error {
 					case decErr != nil:
 						torn.Add(1)
 					case ar.Degraded:
-						if sameRows(ar.Rows, sh.raw) {
+						if identicalRows(ar.Rows, sh.raw) {
 							degraded.Add(1)
 						} else {
 							torn.Add(1)
 						}
-					case ar.BundleID == bundle.ID && sameRows(ar.Rows, sh.golden):
+					case ar.BundleID == bundle.ID && identicalRows(ar.Rows, sh.golden):
 						ok.Add(1)
 					default:
 						torn.Add(1)
@@ -222,7 +205,7 @@ func runChaosCheck(out io.Writer, cfg config) error {
 			return false, false
 		}
 		// A healthy 200 that is not bit-identical golden is a torn response.
-		golden := sameRows(ar.Rows, shapes[0].golden)
+		golden := identicalRows(ar.Rows, shapes[0].golden)
 		return golden, !golden
 	}
 	for time.Now().Before(recoverDeadline) {

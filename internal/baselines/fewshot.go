@@ -132,7 +132,7 @@ type episodeScratch struct {
 }
 
 // episode runs one episodic training step on source data.
-func (m *FewShotNet) episode(net *nn.Network, opt nn.Optimizer, params []*nn.Param,
+func (m *FewShotNet) episode(net *nn.Network, opt *nn.Adam, params []*nn.Param,
 	srcX [][]float64, byClass map[int][]int, numClasses, shots, queries int, rng *rand.Rand, scr *episodeScratch) error {
 
 	var srcRows []int            // source row of each batch position

@@ -277,51 +277,6 @@ func TestFindVariantOn5GCGroundTruth(t *testing.T) {
 	t.Logf("5GC FS: %d variant found, recall %.2f precision %.2f", len(res.Variant), recall, precision)
 }
 
-func TestPCSkeletonChain(t *testing.T) {
-	// X0 -> X1 -> X2: PC should keep edges (0,1), (1,2) and drop (0,2).
-	rng := rand.New(rand.NewSource(8))
-	n := 3000
-	x := make([][]float64, n)
-	for i := range x {
-		a := rng.NormFloat64()
-		b := 1.5*a + 0.4*rng.NormFloat64()
-		c := 1.2*b + 0.4*rng.NormFloat64()
-		x[i] = []float64{a, b, c}
-	}
-	sk, err := PCSkeleton(x, PCConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sk.Adj[0][1] || !sk.Adj[1][2] {
-		t.Error("chain edges missing")
-	}
-	if sk.Adj[0][2] {
-		t.Error("transitive edge (0,2) should be removed by conditioning on 1")
-	}
-	if sk.NumEdges() != 2 {
-		t.Errorf("edges = %d; want 2", sk.NumEdges())
-	}
-	if n := sk.Neighbors(1); len(n) != 2 {
-		t.Errorf("neighbors of 1 = %v; want [0 2]", n)
-	}
-}
-
-func TestPCSkeletonIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 1500
-	x := make([][]float64, n)
-	for i := range x {
-		x[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-	}
-	sk, err := PCSkeleton(x, PCConfig{Alpha: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sk.NumEdges() != 0 {
-		t.Errorf("independent data has %d edges; want 0", sk.NumEdges())
-	}
-}
-
 func TestSubsetsUpTo(t *testing.T) {
 	var got [][]int
 	subsetsUpTo([]int{1, 2, 3}, 2, func(cond []int) bool {

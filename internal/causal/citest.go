@@ -2,8 +2,8 @@
 // the paper's FS method: Fisher-z conditional-independence tests on a
 // pooled source+target dataset augmented with an F-node (domain indicator),
 // and the PC-style neighbourhood search that identifies soft-intervention
-// targets — the domain-variant features (§V-A). A generic order-limited PC
-// skeleton search is included for causal-graph exploration.
+// targets — the domain-variant features (§V-A). The full causal graph is
+// never built.
 package causal
 
 import (

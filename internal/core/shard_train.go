@@ -186,7 +186,7 @@ type lossTerm struct {
 // phase is one optimizer update of a training step.
 type phase struct {
 	body   shardBody
-	opt    nn.Optimizer
+	opt    *nn.Adam
 	params []*nn.Param
 	grads  []*nn.ShardedNet // nets whose shard gradients merge before the step
 	terms  []lossTerm
@@ -198,7 +198,7 @@ type phase struct {
 
 // phase builds an optimizer update: body runs on every shard, the shard
 // gradients of grads merge, and opt steps params.
-func (tr *trainer) phase(body shardBody, opt nn.Optimizer, params []*nn.Param, grads []*nn.ShardedNet, terms ...lossTerm) *phase {
+func (tr *trainer) phase(body shardBody, opt *nn.Adam, params []*nn.Param, grads []*nn.ShardedNet, terms ...lossTerm) *phase {
 	p := &phase{
 		body: body, opt: opt, params: params, grads: grads, terms: terms,
 		parts: make([][]float64, tr.shards),

@@ -52,9 +52,9 @@ const (
 )
 
 func init() {
-	fault.RegisterSite(FaultSiteRefit, "controller refit attempt, before RefitFunc runs")
-	fault.RegisterSite(FaultSitePromote, "controller promote attempt, before the bundle write")
-	fault.RegisterSite(FaultSiteRollback, "controller rollback attempt, before the registry swap")
+	fault.RegisterSite(FaultSiteRefit)
+	fault.RegisterSite(FaultSitePromote)
+	fault.RegisterSite(FaultSiteRollback)
 }
 
 // Event kinds emitted on every controller transition (obs counter
@@ -109,8 +109,7 @@ type RefitFunc func(ctx context.Context, shots *dataset.Dataset, epoch int) (*Ca
 // NumClasses are required; everything else defaults sanely.
 type Config struct {
 	// Detector is the fitted drift detector. The controller owns it from
-	// here on (it refits the reference after successful promotions unless
-	// SkipRebaseline is set).
+	// here on (it refits the reference after successful promotions).
 	Detector *monitor.Detector
 	// Registry receives promoted bundles and supplies the incumbent.
 	Registry *serve.Registry
@@ -144,11 +143,6 @@ type Config struct {
 	// must beat the incumbent by at the gate. Zero selects the default
 	// (1.0); negative means the candidate need only match.
 	MinWinMargin float64
-	// SkipRebaseline leaves the detector's reference untouched after a
-	// successful promotion. The default refits it on the current window so
-	// the monitor measures drift since the last adaptation — otherwise the
-	// still-shifted raw telemetry would re-trigger forever.
-	SkipRebaseline bool
 
 	// BundleDir receives promoted bundle files, bundle-epoch%06d.<ext>
 	// (default ".").
@@ -168,23 +162,12 @@ type Config struct {
 	WatchEvery time.Duration
 	// WatchWindow is the SLO stats window the watchdog reads (default 1m).
 	WatchWindow time.Duration
-	// RollbackBurn rolls back when the /v1/adapt burn rate meets it
-	// (default 2.0 — burning budget twice as fast as sustainable).
-	RollbackBurn float64
-	// RollbackDegradeFrac rolls back when this fraction of post-promote
-	// requests were served degraded/passthrough (default 0.5). Degraded
-	// responses do not burn the SLO budget, so the watchdog tracks them
-	// separately.
-	RollbackDegradeFrac float64
 	// MinWatchRequests is the evidence floor: neither rollback trigger
 	// fires on fewer requests (default 20).
 	MinWatchRequests int
 
 	// CheckpointPath enables atomic state checkpoints ("" = off).
 	CheckpointPath string
-	// CheckpointEvery also checkpoints after this many ingested rows, on
-	// top of every transition (default 256).
-	CheckpointEvery int
 
 	// Seed scopes the reservoir sampling and retry jitter.
 	Seed int64
@@ -195,9 +178,20 @@ type Config struct {
 	// OnEvent observes every transition, synchronously. It must not call
 	// back into the Controller (it may run under the controller's lock).
 	OnEvent func(Event)
-	// Now is the clock (default time.Now); injectable for tests.
-	Now func() time.Time
 }
+
+const (
+	// rollbackBurn rolls back when the /v1/adapt burn rate meets it:
+	// burning budget twice as fast as sustainable.
+	rollbackBurn = 2.0
+	// rollbackDegradeFrac rolls back when this fraction of post-promote
+	// requests were served degraded/passthrough. Degraded responses do
+	// not burn the SLO budget, so the watchdog tracks them separately.
+	rollbackDegradeFrac = 0.5
+	// checkpointEvery also checkpoints after this many ingested rows, on
+	// top of every transition.
+	checkpointEvery = 256
+)
 
 func (c *Config) applyDefaults() {
 	if c.WindowSize == 0 {
@@ -242,20 +236,8 @@ func (c *Config) applyDefaults() {
 	if c.WatchWindow == 0 {
 		c.WatchWindow = time.Minute
 	}
-	if c.RollbackBurn == 0 {
-		c.RollbackBurn = 2.0
-	}
-	if c.RollbackDegradeFrac == 0 {
-		c.RollbackDegradeFrac = 0.5
-	}
 	if c.MinWatchRequests == 0 {
 		c.MinWatchRequests = 20
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 256
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 }
 
@@ -290,10 +272,8 @@ type Controller struct {
 	driftAt       time.Time
 	epoch         int
 	ingested      int64
-	incumbentPath string // bundle serving before the current/last campaign
-	promotedPath  string // bundle installed by the last promotion
-	prevBundle    *serve.Bundle
-	prevPath      string
+	incumbentPath string  // bundle serving before the current/last campaign
+	promotedPath  string  // bundle installed by the last promotion
 	lastRecovery  float64 // seconds, last successful campaign
 	restored      bool    // a checkpoint was loaded
 
@@ -399,8 +379,6 @@ func (c *Controller) Close() {
 	})
 }
 
-func (c *Controller) now() time.Time { return c.cfg.Now() }
-
 // emit records one transition everywhere at once: transition counter,
 // flight-recorder event, and the OnEvent callback. May run under c.mu —
 // OnEvent must not call back into the controller.
@@ -408,13 +386,14 @@ func (c *Controller) emit(kind, detail string, epoch int) {
 	c.o.Counter(obs.MetricCtrlTransitions, "event", kind).Inc()
 	c.o.FlightRecord(obs.FlightKindCtrl, kind, "", detail)
 	if c.cfg.OnEvent != nil {
-		c.cfg.OnEvent(Event{Kind: kind, Epoch: epoch, At: c.now(), Detail: detail})
+		c.cfg.OnEvent(Event{Kind: kind, Epoch: epoch, At: time.Now(), Detail: detail})
 	}
 }
 
 // IngestRows implements serve.IngestSink: it feeds target-domain telemetry
 // into the drift window and (labelled rows only; label < 0 means
-// unlabelled) the shot reservoir, and runs the drift check on cadence.
+// unlabelled) the shot reservoir, and runs one drift check for every
+// CheckEvery rows, each on the window as it stood at that row.
 // Malformed rows are rejected with serve.ErrIngestRejected before any
 // state changes.
 func (c *Controller) IngestRows(rows [][]float64, labels []int) (serve.IngestSummary, error) {
@@ -455,14 +434,14 @@ func (c *Controller) IngestRows(rows [][]float64, labels []int) (serve.IngestSum
 		c.ingested++
 		c.sinceCheck++
 		c.sinceCkpt++
+		if c.winCount == len(c.window) && c.sinceCheck >= c.cfg.CheckEvery {
+			c.sinceCheck = 0
+			c.checkLocked()
+		}
 	}
 	c.o.Counter(obs.MetricCtrlIngestRows).Add(float64(len(rows)))
 	c.o.Gauge(obs.MetricCtrlReservoirRows).Set(float64(c.res.totalRows()))
-	if c.winCount == len(c.window) && c.sinceCheck >= c.cfg.CheckEvery {
-		c.sinceCheck = 0
-		c.checkLocked()
-	}
-	needCkpt := c.cfg.CheckpointPath != "" && c.sinceCkpt >= c.cfg.CheckpointEvery
+	needCkpt := c.cfg.CheckpointPath != "" && c.sinceCkpt >= checkpointEvery
 	if needCkpt {
 		c.sinceCkpt = 0
 	}
@@ -495,13 +474,13 @@ func (c *Controller) checkLocked() {
 	c.driftStreak++
 	if c.phase != PhaseIdle ||
 		c.driftStreak < c.cfg.DriftUp ||
-		c.now().Before(c.cooldownUntil) ||
+		time.Now().Before(c.cooldownUntil) ||
 		c.res.totalRows() == 0 ||
 		c.res.minClassCount() < c.cfg.MinShotsPerClass {
 		return
 	}
 	c.phase = PhaseRefitting
-	c.driftAt = c.now()
+	c.driftAt = time.Now()
 	c.driftStreak = 0
 	c.emit(EventDriftDetected,
 		fmt.Sprintf("features=%d/%d maxPSI=%.3f reservoir=%d",
@@ -534,7 +513,7 @@ func (c *Controller) loop() {
 func (c *Controller) endCampaign() {
 	c.mu.Lock()
 	c.phase = PhaseIdle
-	c.cooldownUntil = c.now().Add(c.cfg.Cooldown)
+	c.cooldownUntil = time.Now().Add(c.cfg.Cooldown)
 	c.driftStreak = 0
 	c.mu.Unlock()
 	c.checkpoint("campaign-end")
@@ -556,7 +535,7 @@ func (c *Controller) campaign() {
 	// Refit, under retry with jittered backoff and per-attempt timeout.
 	c.emit(EventRefitStart, fmt.Sprintf("shots=%d classes=%d", len(shots.X), len(shots.ClassCounts())), nextEpoch)
 	refitSp := sp.Child("ctrl.refit")
-	refitStart := c.now()
+	refitStart := time.Now()
 	var cand *Candidate
 	err := retryDo(c.ctx, c.cfg.Retry, c.retryRng, func(ctx context.Context) error {
 		if err := c.cfg.Faults.Fire(FaultSiteRefit); err != nil {
@@ -581,7 +560,7 @@ func (c *Controller) campaign() {
 		c.endCampaign()
 		return
 	}
-	c.o.Histogram(obs.MetricCtrlRefitSeconds, obs.PipelineBuckets).Observe(c.now().Sub(refitStart).Seconds())
+	c.o.Histogram(obs.MetricCtrlRefitSeconds, obs.PipelineBuckets).Observe(time.Since(refitStart).Seconds())
 	if cand.ID == "" {
 		cand.ID = fmt.Sprintf("ctrl-epoch%d", nextEpoch)
 	}
@@ -615,6 +594,15 @@ func (c *Controller) campaign() {
 	c.emit(EventGatePass, fmt.Sprintf("candidate=%.2f incumbent=%.2f margin=%.2f",
 		rep.CandidateScore, rep.IncumbentScore, rep.Margin), nextEpoch)
 
+	c.promoteAndWatch(sp, cand, incumbent, nextEpoch, driftAt)
+}
+
+// promoteAndWatch is the tail every campaign shares, the forced one
+// included: carry the incumbent's classifier forward, promote, watch, and
+// end the campaign. driftAt is zero for a forced promotion. sp may be nil
+// (nil spans are no-ops). Returns the promote error, if any.
+func (c *Controller) promoteAndWatch(sp *obs.Span, cand *Candidate, incumbent *serve.Bundle, nextEpoch int, driftAt time.Time) error {
+	defer c.endCampaign()
 	// The classifier is never retrained; when the candidate does not ship
 	// its own, the incumbent's is carried forward into the promoted bundle
 	// so the serving surface (predictions included) never narrows.
@@ -625,25 +613,27 @@ func (c *Controller) campaign() {
 	// Promote: write the candidate bundle and hot-swap it in, retaining
 	// the incumbent for rollback.
 	promoteSp := sp.Child("ctrl.promote")
-	prev, prevPath, perr := c.promote(cand, nextEpoch, driftAt)
+	prev, prevPath, err := c.promote(cand, nextEpoch, driftAt)
 	promoteSp.End()
-	if perr != nil {
+	if err != nil {
 		sp.SetAttr("outcome", EventPromoteFail)
-		c.emit(EventPromoteFail, perr.Error(), nextEpoch)
-		c.endCampaign()
-		return
+		detail := err.Error()
+		if driftAt.IsZero() {
+			detail = "forced: " + detail
+		}
+		c.emit(EventPromoteFail, detail, nextEpoch)
+		return err
 	}
 
 	// Watchdog: the promotion is provisional until it survives WatchFor.
 	watchSp := sp.Child("ctrl.watch")
-	rolledBack := c.watch(prev, prevPath, nextEpoch)
-	watchSp.End()
-	if rolledBack {
-		sp.SetAttr("outcome", EventRollback)
-	} else {
-		sp.SetAttr("outcome", EventWatchClear)
+	outcome := EventWatchClear
+	if c.watch(prev, prevPath, nextEpoch) {
+		outcome = EventRollback
 	}
-	c.endCampaign()
+	watchSp.End()
+	sp.SetAttr("outcome", outcome)
+	return nil
 }
 
 // bundlePath names the promoted bundle file for an epoch.
@@ -681,13 +671,11 @@ func (c *Controller) promote(cand *Candidate, nextEpoch int, driftAt time.Time) 
 	}
 	recovery := 0.0
 	if !driftAt.IsZero() {
-		recovery = c.now().Sub(driftAt).Seconds()
+		recovery = time.Since(driftAt).Seconds()
 	}
 	c.mu.Lock()
 	c.epoch = nextEpoch
 	c.promotedPath = path
-	c.prevBundle = prev
-	c.prevPath = prevPath
 	c.phase = PhaseWatching
 	if !driftAt.IsZero() {
 		c.lastRecovery = recovery
@@ -723,17 +711,17 @@ func (c *Controller) serveCounts() watchBase {
 func (c *Controller) unhealthy(base watchBase) (bool, string) {
 	if c.cfg.SLO != nil {
 		st := c.cfg.SLO.Tracker(serve.EndpointAdapt).Stats(c.cfg.WatchWindow)
-		if st.Requests >= uint64(c.cfg.MinWatchRequests) && st.BurnRate >= c.cfg.RollbackBurn {
+		if st.Requests >= uint64(c.cfg.MinWatchRequests) && st.BurnRate >= rollbackBurn {
 			return true, fmt.Sprintf("burn-rate %.1f >= %.1f over %s (%d reqs, %d errors)",
-				st.BurnRate, c.cfg.RollbackBurn, c.cfg.WatchWindow, st.Requests, st.Errors)
+				st.BurnRate, rollbackBurn, c.cfg.WatchWindow, st.Requests, st.Errors)
 		}
 	}
 	cur := c.serveCounts()
 	okD, degD := cur.ok-base.ok, cur.degraded-base.degraded
 	if total := okD + degD; total >= float64(c.cfg.MinWatchRequests) &&
-		degD/total >= c.cfg.RollbackDegradeFrac {
+		degD/total >= rollbackDegradeFrac {
 		return true, fmt.Sprintf("degraded fraction %.2f >= %.2f since promote (%d reqs)",
-			degD/total, c.cfg.RollbackDegradeFrac, int(total))
+			degD/total, rollbackDegradeFrac, int(total))
 	}
 	return false, ""
 }
@@ -743,7 +731,7 @@ func (c *Controller) unhealthy(base watchBase) (bool, string) {
 // rebaselines) or proves harmful (→ rollback). Returns true on rollback.
 func (c *Controller) watch(prev *serve.Bundle, prevPath string, epoch int) bool {
 	base := c.serveCounts()
-	deadline := c.now().Add(c.cfg.WatchFor)
+	deadline := time.Now().Add(c.cfg.WatchFor)
 	for {
 		select {
 		case <-c.closed:
@@ -754,11 +742,9 @@ func (c *Controller) watch(prev *serve.Bundle, prevPath string, epoch int) bool 
 			c.rollback(prev, prevPath, why, epoch)
 			return true
 		}
-		if c.now().After(deadline) {
+		if time.Now().After(deadline) {
 			c.mu.Lock()
 			c.incumbentPath = c.promotedPath
-			c.prevBundle = nil
-			c.prevPath = ""
 			c.mu.Unlock()
 			c.emit(EventWatchClear, fmt.Sprintf("healthy for %s", c.cfg.WatchFor), epoch)
 			c.rebaseline()
@@ -788,8 +774,6 @@ func (c *Controller) rollback(prev *serve.Bundle, prevPath, why string, epoch in
 	if prevPath != "" {
 		c.incumbentPath = prevPath
 	}
-	c.prevBundle = nil
-	c.prevPath = ""
 	c.mu.Unlock()
 	c.emit(EventRollback, detail, epoch)
 	c.checkpoint("rollback")
@@ -799,9 +783,6 @@ func (c *Controller) rollback(prev *serve.Bundle, prevPath, why string, epoch in
 // trusted promotion, so the monitor measures drift since the last
 // adaptation rather than re-alarming forever on the same shift.
 func (c *Controller) rebaseline() {
-	if c.cfg.SkipRebaseline {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.winCount < len(c.window) || c.winCount < 10 {
@@ -841,20 +822,7 @@ func (c *Controller) ForcePromote(cand *Candidate) error {
 	if cand.ID == "" {
 		cand.ID = fmt.Sprintf("forced-epoch%d", nextEpoch)
 	}
-	if cand.Classifier == nil {
-		if inc := c.cfg.Registry.Current(); inc != nil {
-			cand.Classifier = inc.Classifier
-		}
-	}
-	prev, prevPath, err := c.promote(cand, nextEpoch, time.Time{})
-	if err != nil {
-		c.emit(EventPromoteFail, "forced: "+err.Error(), nextEpoch)
-		c.endCampaign()
-		return err
-	}
-	c.watch(prev, prevPath, nextEpoch)
-	c.endCampaign()
-	return nil
+	return c.promoteAndWatch(nil, cand, c.cfg.Registry.Current(), nextEpoch, time.Time{})
 }
 
 // checkpoint atomically persists the controller's durable state.
@@ -929,7 +897,7 @@ func (c *Controller) Status() StatusReport {
 		LastRecoverySeconds: c.lastRecovery,
 		Restored:            c.restored,
 	}
-	if rem := c.cooldownUntil.Sub(c.now()); rem > 0 {
+	if rem := time.Until(c.cooldownUntil); rem > 0 {
 		st.CooldownRemaining = rem.Round(time.Millisecond).String()
 	}
 	return st

@@ -221,6 +221,28 @@ func TestCampaignPromotesOnDrift(t *testing.T) {
 	}
 }
 
+// TestIngestOneBatchRunsEveryCheck ingests feedDrift's rows in one call.
+// The batch crosses several CheckEvery periods, so it must run a check for
+// each of them and start a campaign on the DriftUp'th drifted verdict, as
+// the same rows fed in CheckEvery-sized batches do.
+func TestIngestOneBatchRunsEveryCheck(t *testing.T) {
+	h := newHarness(t, t.TempDir(), nil)
+	h.ctrl.Start()
+	defer h.ctrl.Close()
+
+	rows := toyDrift(12*8, true, 101)
+	sum, err := h.ctrl.IngestRows(rows.X, rows.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Phase != PhaseRefitting {
+		t.Fatalf("phase after one %d-row batch = %q (drift streak %d), want %q",
+			len(rows.X), sum.Phase, sum.DriftStreak, PhaseRefitting)
+	}
+	h.waitEvent(t, EventDriftDetected)
+	h.waitEvent(t, EventRefitStart)
+}
+
 func TestRefitFailureRetriesThenCoolsDown(t *testing.T) {
 	inj := fault.New(5)
 	inj.Set(FaultSiteRefit, fault.Spec{ErrRate: 1})

@@ -13,16 +13,15 @@ import (
 // silently arming nothing. ParsePlan itself stays permissive (tests arm
 // ad-hoc sites freely); ValidatePlan is the strict CLI-facing check.
 var (
-	siteMu   sync.Mutex
-	siteDocs = map[string]string{}
+	siteMu sync.Mutex
+	sites  = map[string]struct{}{}
 )
 
-// RegisterSite records a fault-injection site that some code path fires,
-// with a one-line doc shown in CLI help and typo suggestions. Re-registering
-// a name overwrites its doc; registration never fails.
-func RegisterSite(name, doc string) {
+// RegisterSite records a fault-injection site that some code path fires.
+// Re-registering a name is a no-op; registration never fails.
+func RegisterSite(name string) {
 	siteMu.Lock()
-	siteDocs[name] = doc
+	sites[name] = struct{}{}
 	siteMu.Unlock()
 }
 
@@ -30,20 +29,12 @@ func RegisterSite(name, doc string) {
 func KnownSites() []string {
 	siteMu.Lock()
 	defer siteMu.Unlock()
-	names := make([]string, 0, len(siteDocs))
-	for name := range siteDocs {
+	names := make([]string, 0, len(sites))
+	for name := range sites {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
-}
-
-// SiteDoc returns the registered one-line description for a site ("" when
-// unknown).
-func SiteDoc(name string) string {
-	siteMu.Lock()
-	defer siteMu.Unlock()
-	return siteDocs[name]
 }
 
 // ValidatePlan checks that every site in a parsed plan is registered,
@@ -53,7 +44,7 @@ func ValidatePlan(plan map[string]Spec) error {
 	defer siteMu.Unlock()
 	unknown := make([]string, 0, 1)
 	for name := range plan {
-		if _, ok := siteDocs[name]; !ok {
+		if _, ok := sites[name]; !ok {
 			unknown = append(unknown, name)
 		}
 	}
@@ -61,8 +52,8 @@ func ValidatePlan(plan map[string]Spec) error {
 		return nil
 	}
 	sort.Strings(unknown)
-	known := make([]string, 0, len(siteDocs))
-	for name := range siteDocs {
+	known := make([]string, 0, len(sites))
+	for name := range sites {
 		known = append(known, name)
 	}
 	sort.Strings(known)

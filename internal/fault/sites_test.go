@@ -6,8 +6,8 @@ import (
 )
 
 func TestSiteRegistry(t *testing.T) {
-	RegisterSite("test.alpha", "first test site")
-	RegisterSite("test.beta", "second test site")
+	RegisterSite("test.alpha")
+	RegisterSite("test.beta")
 
 	names := KnownSites()
 	var sawAlpha, sawBeta bool
@@ -18,16 +18,10 @@ func TestSiteRegistry(t *testing.T) {
 	if !sawAlpha || !sawBeta {
 		t.Fatalf("KnownSites() = %v, want to include test.alpha and test.beta", names)
 	}
-	if got := SiteDoc("test.alpha"); got != "first test site" {
-		t.Fatalf("SiteDoc(test.alpha) = %q", got)
-	}
-	if got := SiteDoc("no.such.site"); got != "" {
-		t.Fatalf("SiteDoc(unknown) = %q, want empty", got)
-	}
 }
 
 func TestValidatePlan(t *testing.T) {
-	RegisterSite("test.known", "a registered site")
+	RegisterSite("test.known")
 
 	ok, err := ParsePlan("test.known:err=0.5")
 	if err != nil {

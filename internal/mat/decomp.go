@@ -133,20 +133,6 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	return l, nil
 }
 
-// LogDetPD returns the log-determinant of a positive-definite matrix via its
-// Cholesky factor.
-func LogDetPD(a *Matrix) (float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return 0, err
-	}
-	var ld float64
-	for i := 0; i < l.rows; i++ {
-		ld += math.Log(l.At(i, i))
-	}
-	return 2 * ld, nil
-}
-
 // Covariance computes the (cols×cols) sample covariance matrix of the rows
 // of x, using the unbiased 1/(n-1) normalization. x must have at least two
 // rows.

@@ -9,8 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"netdrift/internal/par"
 )
 
 // Matrix is a dense row-major matrix of float64.
@@ -54,18 +52,8 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// FromSlice wraps a row-major slice. The data is copied.
-func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("%w: %d values for %dx%d", ErrShape, len(data), rows, cols)
-	}
-	m := New(rows, cols)
-	copy(m.data, data)
-	return m, nil
-}
-
 // Wrap builds a rows×cols matrix backed directly by data (row-major).
-// Unlike FromSlice no copy is made: the caller transfers ownership of data
+// No copy is made: the caller transfers ownership of data
 // and must not mutate it afterwards. This lets hot paths assemble a matrix
 // in a single allocation.
 func Wrap(rows, cols int, data []float64) (*Matrix, error) {
@@ -144,21 +132,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return out
 }
 
-// RowView returns row i without copying. Mutating the returned slice mutates
-// the matrix; callers that need isolation should use Row.
-func (m *Matrix) RowView(i int) []float64 {
-	return m.data[i*m.cols : (i+1)*m.cols]
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.rows, m.cols)
@@ -189,18 +162,6 @@ func Add(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Sub returns a-b.
-func Sub(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
-	}
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out, nil
-}
-
 // Scale returns s*a as a new matrix.
 func Scale(s float64, a *Matrix) *Matrix {
 	out := New(a.rows, a.cols)
@@ -212,31 +173,11 @@ func Scale(s float64, a *Matrix) *Matrix {
 
 // Mul returns the matrix product a*b.
 func Mul(a, b *Matrix) (*Matrix, error) {
-	return MulWorkers(a, b, 1)
-}
-
-// MulWorkers returns the matrix product a*b computed with up to workers
-// goroutines over contiguous blocks of output rows (workers <= 0 means
-// GOMAXPROCS). Every output element accumulates its k-terms in exactly the
-// same order as the sequential product, so the result is bit-identical to
-// Mul for any worker count; a resolved worker count of 1 runs entirely in
-// the calling goroutine.
-func MulWorkers(a, b *Matrix, workers int) (*Matrix, error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("%w: %dx%d * %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	out := New(a.rows, b.cols)
-	workers = par.WorkersFor(workers, int64(a.rows)*int64(a.cols)*int64(b.cols))
-	par.Blocks(workers, a.rows, func(lo, hi int) {
-		mulRows(a, b, out, lo, hi)
-	})
-	return out, nil
-}
-
-// mulRows computes output rows [lo, hi) of out = a*b. Row blocks are
-// disjoint, so concurrent calls on distinct ranges never race.
-func mulRows(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.rows; i++ {
 		arow := a.data[i*a.cols : (i+1)*a.cols]
 		orow := out.data[i*out.cols : (i+1)*out.cols]
 		for k, av := range arow {
@@ -249,6 +190,7 @@ func mulRows(a, b, out *Matrix, lo, hi int) {
 			}
 		}
 	}
+	return out, nil
 }
 
 // MulVec returns the matrix-vector product a*x.
@@ -306,15 +248,6 @@ func (m *Matrix) Trace() float64 {
 		t += m.data[i*m.cols+i]
 	}
 	return t
-}
-
-// FrobeniusNorm returns sqrt(sum of squared entries).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Equal reports whether a and b have the same shape and entries within tol.

@@ -60,37 +60,6 @@ func TestWrap(t *testing.T) {
 	}
 }
 
-func TestMulWorkersBitIdentical(t *testing.T) {
-	for _, tc := range []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 4, 5}, {64, 64, 64}, {101, 53, 97}, {200, 40, 120},
-	} {
-		a := seededMatrix(tc.m, tc.k, int64(tc.m*1000+tc.k))
-		b := seededMatrix(tc.k, tc.n, int64(tc.k*1000+tc.n))
-		seq, err := MulWorkers(a, b, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 7, 16} {
-			parOut, err := MulWorkers(a, b, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitIdentical(seq, parOut) {
-				t.Fatalf("%dx%dx%d workers=%d: parallel product differs from sequential",
-					tc.m, tc.k, tc.n, workers)
-			}
-		}
-	}
-}
-
-func TestMulWorkersShapeError(t *testing.T) {
-	a := New(2, 3)
-	b := New(4, 2)
-	if _, err := MulWorkers(a, b, 4); err == nil {
-		t.Error("no shape error")
-	}
-}
-
 func TestCovarianceWorkersBitIdentical(t *testing.T) {
 	for _, tc := range []struct{ n, d int }{
 		{2, 1}, {50, 7}, {400, 33}, {123, 64},

@@ -319,12 +319,6 @@ func KSTwoSample(refSorted, sample []float64) (stat, p float64) {
 	return dMax, kolmogorovQ(lambda)
 }
 
-// KSTwoSamplePValue returns only the p-value of KSTwoSample.
-func KSTwoSamplePValue(refSorted, sample []float64) float64 {
-	_, p := KSTwoSample(refSorted, sample)
-	return p
-}
-
 // kolmogorovQ is the survival function of the Kolmogorov distribution.
 func kolmogorovQ(lambda float64) float64 {
 	if lambda <= 0 {

@@ -165,13 +165,13 @@ func TestKSPValueProperties(t *testing.T) {
 		a[i] = float64(i)
 		b[i] = float64(i) + 10000
 	}
-	if p := KSTwoSamplePValue(a, a); p < 0.99 {
+	if _, p := KSTwoSample(a, a); p < 0.99 {
 		t.Errorf("KS p for identical samples = %v; want ~1", p)
 	}
-	if p := KSTwoSamplePValue(a, b); p > 1e-6 {
+	if _, p := KSTwoSample(a, b); p > 1e-6 {
 		t.Errorf("KS p for disjoint samples = %v; want ~0", p)
 	}
-	if p := KSTwoSamplePValue(nil, a); p != 1 {
+	if _, p := KSTwoSample(nil, a); p != 1 {
 		t.Errorf("KS p with empty reference = %v; want 1", p)
 	}
 }
@@ -189,7 +189,7 @@ func TestKSPValueRangeProperty(t *testing.T) {
 			b[i] = rng.NormFloat64() + rng.Float64()
 		}
 		sortFloats(a)
-		p := KSTwoSamplePValue(a, b)
+		_, p := KSTwoSample(a, b)
 		return p >= 0 && p <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

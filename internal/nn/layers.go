@@ -239,7 +239,6 @@ const (
 	actReLU
 	actLeakyReLU
 	actTanh
-	actSigmoid
 )
 
 // activation is shared machinery for elementwise activations.
@@ -319,15 +318,6 @@ func NewTanh() Layer {
 		kind:  actTanh,
 		fn:    math.Tanh,
 		deriv: func(_, y float64) float64 { return 1 - float64(y*y) },
-	}
-}
-
-// NewSigmoid returns a logistic activation layer.
-func NewSigmoid() Layer {
-	return &activation{
-		kind:  actSigmoid,
-		fn:    func(x float64) float64 { return 1 / (1 + math.Exp(-x)) },
-		deriv: func(_, y float64) float64 { return y * (1 - y) },
 	}
 }
 

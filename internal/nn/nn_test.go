@@ -135,7 +135,6 @@ func TestTanhSigmoidLeakyGradients(t *testing.T) {
 		act  func() Layer
 	}{
 		{"tanh", NewTanh},
-		{"sigmoid", NewSigmoid},
 		{"leaky", func() Layer { return NewLeakyReLU(0.2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -374,33 +373,6 @@ func TestAdamReducesLoss(t *testing.T) {
 		if argmax(out.Row(i)) != y[i] {
 			t.Errorf("sample %d misclassified", i)
 		}
-	}
-}
-
-func TestSGDMomentumReducesLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	x := randBatch(rng, 32, 4)
-	y := make([]int, 32)
-	for i := range y {
-		if x[i][0]+x[i][1] > 0 {
-			y[i] = 1
-		}
-	}
-	net := NewMLP(MLPConfig{In: 4, Hidden: []int{8}, Out: 2, Rng: rng})
-	opt := NewSGD(0.1, 0.9)
-	var first, last float64
-	var g Tensor
-	for epoch := 0; epoch < 200; epoch++ {
-		l, _ := SoftmaxCET(net.ForwardT(rowsT(x)), y, &g)
-		if epoch == 0 {
-			first = l
-		}
-		last = l
-		net.BackwardT(&g)
-		opt.Step(net.Params())
-	}
-	if last >= first/2 {
-		t.Errorf("SGD failed to reduce loss: first=%v last=%v", first, last)
 	}
 }
 

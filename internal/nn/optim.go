@@ -2,50 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients and clears
-// the gradients afterwards.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Param][]float64
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
-}
-
-// Step applies one update and zeroes gradients.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			for i := range p.Data {
-				p.Data[i] -= float64(o.LR * p.Grad[i])
-			}
-		} else {
-			v, ok := o.velocity[p]
-			if !ok {
-				v = make([]float64, len(p.Data))
-				o.velocity[p] = v
-			}
-			for i := range p.Data {
-				v[i] = float64(o.Momentum*v[i]) - float64(o.LR*p.Grad[i])
-				p.Data[i] += v[i]
-			}
-		}
-		p.stepped()
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer with decoupled weight decay. The paper's GAN
 // uses lr 2e-4 with decay 1e-6 (§V-C3).
 type Adam struct {
@@ -59,8 +15,6 @@ type Adam struct {
 	m, v map[*Param][]float64
 	k    adamCoef // the current step's constants, kept here so passing them allocates nothing
 }
-
-var _ Optimizer = (*Adam)(nil)
 
 // NewAdam creates an Adam optimizer with standard betas.
 func NewAdam(lr, weightDecay float64) *Adam {

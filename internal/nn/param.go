@@ -1,7 +1,7 @@
 // Package nn implements feed-forward neural networks with hand-derived
 // backpropagation: dense layers, batch normalization, dropout, a gradient
 // reversal layer (for adversarial domain adaptation), classification and
-// reconstruction losses, and SGD/Adam optimizers. It is the substrate for
+// reconstruction losses, and the Adam optimizer. It is the substrate for
 // the paper's conditional GAN, the TNet/MLP classifiers, the VAE/AE
 // ablation reconstructors, and the DANN/SCL/MatchNet/ProtoNet baselines.
 //

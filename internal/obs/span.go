@@ -118,34 +118,6 @@ type Sink interface {
 	Emit(SpanData)
 }
 
-// Fanout combines sinks into one; nil entries are dropped. It returns nil
-// when nothing remains (tracing stays disabled) and the sink itself when
-// only one remains (no indirection on the single-sink path).
-func Fanout(sinks ...Sink) Sink {
-	var live fanoutSink
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	default:
-		return live
-	}
-}
-
-type fanoutSink []Sink
-
-func (f fanoutSink) Emit(sp SpanData) {
-	for _, s := range f {
-		s.Emit(sp)
-	}
-}
-
 // spanIDs is the process-wide span ID source.
 var spanIDs atomic.Uint64
 

@@ -85,46 +85,3 @@ func RandomModel(cfg RandomConfig) (*Model, error) {
 	}
 	return m, nil
 }
-
-// RandomInterventions draws k soft interventions on distinct targets chosen
-// uniformly from eligible (all nodes if eligible is nil). Kinds and amounts
-// are randomized: mean shifts of magnitude in [shiftLo, shiftHi] (random
-// sign), noise scales in [1.5, 3], mechanism scales in [0.2, 0.6].
-func RandomInterventions(k int, eligible []int, shiftLo, shiftHi float64, numFeatures int, seed int64) ([]Intervention, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("scm: intervention count %d must be positive", k)
-	}
-	pool := eligible
-	if pool == nil {
-		pool = make([]int, numFeatures)
-		for i := range pool {
-			pool[i] = i
-		}
-	}
-	if k > len(pool) {
-		return nil, fmt.Errorf("scm: %d interventions requested but only %d eligible targets", k, len(pool))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(pool))
-	out := make([]Intervention, 0, k)
-	for _, pi := range perm[:k] {
-		target := pool[pi]
-		iv := Intervention{Target: target}
-		switch rng.Intn(3) {
-		case 0:
-			iv.Kind = MeanShift
-			iv.Amount = shiftLo + rng.Float64()*(shiftHi-shiftLo)
-			if rng.Float64() < 0.5 {
-				iv.Amount = -iv.Amount
-			}
-		case 1:
-			iv.Kind = NoiseScale
-			iv.Amount = 1.5 + 1.5*rng.Float64()
-		default:
-			iv.Kind = MechanismScale
-			iv.Amount = 0.2 + 0.4*rng.Float64()
-		}
-		out = append(out, iv)
-	}
-	return out, nil
-}

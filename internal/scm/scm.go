@@ -246,33 +246,3 @@ func Targets(ivs []Intervention) []int {
 	}
 	return out
 }
-
-// Descendants returns all nodes reachable from any of the given roots via
-// directed edges (excluding the roots themselves unless reachable from
-// another root).
-func (m *Model) Descendants(roots []int) []int {
-	d := len(m.Nodes)
-	isRoot := make([]bool, d)
-	for _, r := range roots {
-		if r >= 0 && r < d {
-			isRoot[r] = true
-		}
-	}
-	reach := make([]bool, d)
-	// Nodes are topologically ordered, so one forward pass suffices.
-	for i := 0; i < d; i++ {
-		for _, p := range m.Nodes[i].Parents {
-			if isRoot[p] || reach[p] {
-				reach[i] = true
-				break
-			}
-		}
-	}
-	var out []int
-	for i, r := range reach {
-		if r {
-			out = append(out, i)
-		}
-	}
-	return out
-}

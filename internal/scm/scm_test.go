@@ -118,11 +118,11 @@ func TestChainCorrelationStructure(t *testing.T) {
 	c1 := column(x, 1)
 	c2 := column(x, 2)
 	// X1 = 2*X0 + small noise: strong positive correlation.
-	if r := stats.Correlation(c0, c1); r < 0.95 {
+	if r := correlation(c0, c1); r < 0.95 {
 		t.Errorf("corr(X0,X1) = %v; want > 0.95", r)
 	}
 	// X2 = X1 + small noise: correlation flows down the chain.
-	if r := stats.Correlation(c0, c2); r < 0.9 {
+	if r := correlation(c0, c2); r < 0.9 {
 		t.Errorf("corr(X0,X2) = %v; want > 0.9", r)
 	}
 }
@@ -174,7 +174,7 @@ func TestMechanismScaleIntervention(t *testing.T) {
 	ivs := []Intervention{{Target: 1, Kind: MechanismScale, Amount: 0}}
 	itv, _ := m.Sample(SampleConfig{N: 4000, Interventions: ivs, Rng: rand.New(rand.NewSource(9))})
 	// With weight zeroed, X1 no longer depends on X0.
-	if r := stats.Correlation(column(itv, 0), column(itv, 1)); math.Abs(r) > 0.06 {
+	if r := correlation(column(itv, 0), column(itv, 1)); math.Abs(r) > 0.06 {
 		t.Errorf("corr(X0,X1) after severing = %v; want ~0", r)
 	}
 }
@@ -205,23 +205,6 @@ func TestTargets(t *testing.T) {
 	}
 	if got := Targets(nil); got != nil {
 		t.Errorf("Targets(nil) = %v; want nil", got)
-	}
-}
-
-func TestDescendants(t *testing.T) {
-	// 0 -> 1 -> 3, 2 isolated.
-	m := &Model{Nodes: []Node{
-		{NL: Linear},
-		{Parents: []int{0}, Weights: []float64{1}, NL: Linear},
-		{NL: Linear},
-		{Parents: []int{1}, Weights: []float64{1}, NL: Linear},
-	}}
-	got := m.Descendants([]int{0})
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("Descendants(0) = %v; want [1 3]", got)
-	}
-	if got := m.Descendants([]int{2}); got != nil {
-		t.Errorf("Descendants(2) = %v; want nil", got)
 	}
 }
 
@@ -262,31 +245,6 @@ func TestRandomModelErrors(t *testing.T) {
 	}
 }
 
-func TestRandomInterventions(t *testing.T) {
-	ivs, err := RandomInterventions(10, nil, 1, 2, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ivs) != 10 {
-		t.Fatalf("got %d interventions; want 10", len(ivs))
-	}
-	targets := Targets(ivs)
-	if len(targets) != 10 {
-		t.Errorf("targets not distinct: %v", targets)
-	}
-	for _, iv := range ivs {
-		if iv.Target < 0 || iv.Target >= 50 {
-			t.Errorf("target %d out of range", iv.Target)
-		}
-	}
-	if _, err := RandomInterventions(100, []int{1, 2}, 1, 2, 50, 3); err == nil {
-		t.Error("expected error when k exceeds eligible pool")
-	}
-	if _, err := RandomInterventions(0, nil, 1, 2, 50, 3); err == nil {
-		t.Error("expected error for k=0")
-	}
-}
-
 // Property: observational resampling with different seeds preserves
 // per-node means within statistical tolerance (the model is stationary).
 func TestSampleStationarityProperty(t *testing.T) {
@@ -323,4 +281,17 @@ func column(x [][]float64, j int) []float64 {
 		out[i] = x[i][j]
 	}
 	return out
+}
+
+// correlation returns the Pearson correlation coefficient of xs and ys.
+func correlation(xs, ys []float64) float64 {
+	mx, my := stats.Mean(xs), stats.Mean(ys)
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	return sxy / math.Sqrt(sxx*syy)
 }

@@ -109,19 +109,6 @@ func WriteBundle(w io.Writer, id string, ad *core.Adapter, clf *models.MLPClassi
 	return json.NewEncoder(w).Encode(&blob)
 }
 
-// WriteBundleFile writes a bundle to disk.
-func WriteBundleFile(path, id string, ad *core.Adapter, clf *models.MLPClassifier) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBundle(f, id, ad, clf); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // jsonBuffer accumulates one sub-payload at a time for the envelope.
 type jsonBuffer struct{ bytes.Buffer }
 

@@ -131,7 +131,7 @@ func TestBreakerSurvivesPromoteRollbackRaces(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.json")
 	bad := filepath.Join(dir, "bad.json")
-	if err := WriteBundleFile(good, b.ID, b.Adapter, b.Classifier); err != nil {
+	if err := WriteBundleFileFormat(good, b.ID, b.Adapter, b.Classifier, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(bad, []byte("{not a bundle"), 0o644); err != nil {

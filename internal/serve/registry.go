@@ -34,9 +34,9 @@ const (
 )
 
 func init() {
-	fault.RegisterSite(FaultSiteLoad, "Registry.LoadFile, before the disk read")
-	fault.RegisterSite(FaultSiteExec, "coalescer batch executor, before the adaptation kernels")
-	fault.RegisterSite(FaultSiteHandler, "/v1/adapt handler, after decode, before Submit")
+	fault.RegisterSite(FaultSiteLoad)
+	fault.RegisterSite(FaultSiteExec)
+	fault.RegisterSite(FaultSiteHandler)
 }
 
 // Registry holds the live serving bundle behind an atomic pointer. Readers

@@ -417,7 +417,7 @@ func TestBundleLoadCircuitBreaker(t *testing.T) {
 	// probe — here we just install a short-backoff breaker and verify a
 	// good file closes it.
 	good := filepath.Join(dir, "good.json")
-	if err := WriteBundleFile(good, a.ID, a.Adapter, a.Classifier); err != nil {
+	if err := WriteBundleFileFormat(good, a.ID, a.Adapter, a.Classifier, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	reg3 := NewRegistry(nil)

@@ -122,7 +122,7 @@ func adaptWith(t testing.TB, b *Bundle, rows [][]float64, requestSeed int64) [][
 func TestBundleFileRoundTrip(t *testing.T) {
 	a, _, rows := fixtures(t)
 	path := filepath.Join(t.TempDir(), "bundle.json")
-	if err := WriteBundleFile(path, a.ID, a.Adapter, a.Classifier); err != nil {
+	if err := WriteBundleFileFormat(path, a.ID, a.Adapter, a.Classifier, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	reg := NewRegistry(nil)
@@ -147,7 +147,7 @@ func TestBundleFileRoundTrip(t *testing.T) {
 func TestRegistrySingleflight(t *testing.T) {
 	a, _, _ := fixtures(t)
 	path := filepath.Join(t.TempDir(), "bundle.json")
-	if err := WriteBundleFile(path, a.ID, a.Adapter, a.Classifier); err != nil {
+	if err := WriteBundleFileFormat(path, a.ID, a.Adapter, a.Classifier, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New()

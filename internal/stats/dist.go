@@ -2,138 +2,9 @@ package stats
 
 import "math"
 
-// NormalCDF returns P(Z <= z) for a standard normal variable.
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
 // NormalSF returns the standard normal survival function P(Z > z).
 func NormalSF(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// NormalQuantile returns the z such that NormalCDF(z) = p, for p in (0,1).
-// It uses the Acklam rational approximation (relative error < 1.15e-9).
-func NormalQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	// Coefficients for the Acklam approximation.
-	a := [6]float64{
-		-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00,
-	}
-	b := [5]float64{
-		-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01,
-	}
-	c := [6]float64{
-		-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00,
-	}
-	d := [4]float64{
-		7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00,
-	}
-	const pLow = 0.02425
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-pLow:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-}
-
-// ChiSquareSF returns the survival function P(X > x) for a chi-square
-// variable with k degrees of freedom, computed via the regularized upper
-// incomplete gamma function.
-func ChiSquareSF(x float64, k int) float64 {
-	if x <= 0 {
-		return 1
-	}
-	return regularizedGammaQ(float64(k)/2, x/2)
-}
-
-// regularizedGammaQ computes Q(a, x) = Γ(a,x)/Γ(a) using the series for
-// small x and the continued fraction for large x (Numerical Recipes style).
-func regularizedGammaQ(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 1
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x)
-	}
-	return gammaQContinuedFraction(a, x)
-}
-
-func gammaPSeries(a, x float64) float64 {
-	const (
-		maxIter = 500
-		eps     = 1e-14
-	)
-	ap := a
-	sum := 1.0 / a
-	del := sum
-	for i := 0; i < maxIter; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*eps {
-			break
-		}
-	}
-	lg, _ := math.Lgamma(a)
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func gammaQContinuedFraction(a, x float64) float64 {
-	const (
-		maxIter = 500
-		eps     = 1e-14
-		tiny    = 1e-300
-	)
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	lg, _ := math.Lgamma(a)
-	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
 
 // FisherZ transforms a correlation coefficient r into the Fisher z scale.

@@ -34,24 +34,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestCorrelation(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 4, 6, 8, 10}
-	if got := Correlation(x, y); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Correlation(x, 2x) = %v; want 1", got)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if got := Correlation(x, neg); math.Abs(got+1) > 1e-12 {
-		t.Errorf("Correlation(x, -2x) = %v; want -1", got)
-	}
-	if got := Correlation(x, []float64{3, 3, 3, 3, 3}); got != 0 {
-		t.Errorf("Correlation with constant = %v; want 0", got)
-	}
-	if got := Correlation(x, []float64{1}); got != 0 {
-		t.Errorf("Correlation with mismatched length = %v; want 0", got)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	q, err := Quantile(xs, 0.5)
@@ -72,63 +54,6 @@ func TestQuantile(t *testing.T) {
 	}
 	if _, err := Quantile(xs, 1.5); err == nil {
 		t.Error("expected error for q>1")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v,%v; want -1,7", lo, hi)
-	}
-	if _, _, err := MinMax(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty err = %v; want ErrEmpty", err)
-	}
-}
-
-func TestNormalCDFKnownValues(t *testing.T) {
-	tests := []struct {
-		z, want float64
-	}{
-		{0, 0.5},
-		{1.959963984540054, 0.975},
-		{-1.959963984540054, 0.025},
-		{1, 0.8413447460685429},
-	}
-	for _, tt := range tests {
-		if got := NormalCDF(tt.z); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("NormalCDF(%v) = %v; want %v", tt.z, got, tt.want)
-		}
-	}
-}
-
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999} {
-		z := NormalQuantile(p)
-		if got := NormalCDF(z); math.Abs(got-p) > 1e-8 {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, got)
-		}
-	}
-	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
-		t.Error("quantile at 0/1 should be infinite")
-	}
-}
-
-func TestChiSquareSF(t *testing.T) {
-	// Known value: P(X > 3.841) for df=1 is 0.05.
-	if got := ChiSquareSF(3.841458820694124, 1); math.Abs(got-0.05) > 1e-6 {
-		t.Errorf("ChiSquareSF(3.84,1) = %v; want 0.05", got)
-	}
-	// df=2 has SF(x) = exp(-x/2).
-	for _, x := range []float64{0.5, 1, 2, 5, 10} {
-		if got, want := ChiSquareSF(x, 2), math.Exp(-x/2); math.Abs(got-want) > 1e-10 {
-			t.Errorf("ChiSquareSF(%v,2) = %v; want %v", x, got, want)
-		}
-	}
-	if got := ChiSquareSF(-1, 3); got != 1 {
-		t.Errorf("ChiSquareSF(-1,3) = %v; want 1", got)
 	}
 }
 
