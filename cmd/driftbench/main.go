@@ -5,7 +5,7 @@
 //	driftbench -exp table2 -dataset 5gipc          # Table II ablation
 //	driftbench -exp table3                         # Table III multi-target
 //	driftbench -exp sensitivity -dataset 5gc       # §VI-C variant counts
-//	driftbench -exp variance -dataset 5gipc        # §VI-C draw variance
+//	driftbench -exp variance -dataset 5gipc        # §VI-C draw variance, per shot
 //	driftbench -exp indomain -dataset 5gc          # §VI-B(a) in-domain check
 //	driftbench -exp all                            # everything, both datasets
 //
@@ -24,6 +24,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"expvar"
 	"flag"
@@ -58,7 +59,10 @@ type report struct {
 	Seed       int64          `json:"seed"`
 	WallSecs   float64        `json:"wall_seconds"`
 	Results    map[string]any `json:"results"`
-	Metrics    []obs.Sample   `json:"metrics"`
+	// Draws holds each grid's per-draw records, keyed by its dataset, or
+	// "table3" for Table III's grid, which ignores -dataset.
+	Draws   map[string][]experiments.Draw `json:"draws"`
+	Metrics []obs.Sample                  `json:"metrics"`
 }
 
 func run(args []string, out io.Writer) error {
@@ -133,103 +137,86 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "serving metrics on http://%s/metrics\n", ln.Addr())
 	}
 
+	cfg := experiments.Config{
+		Shots: shotList, Repeats: *repeats, Seed: *seed, Scale: sc,
+		Methods: filter, Workers: *workers, TrainShards: *shards,
+		Progress: progress, Obs: observer,
+	}
 	results := make(map[string]any)
-	runOne := func(kind, dataset string) error {
-		key := kind
-		if dataset != "" {
-			key = kind + "/" + dataset
+	draws := make(map[string][]experiments.Draw)
+	// show records one experiment's result and prints it; -exp all heads
+	// each with its key.
+	show := func(key string, res any, text string) {
+		if *exp == "all" {
+			fmt.Fprintf(out, "\n=== %s ===\n", strings.ReplaceAll(key, "/", " / "))
 		}
-		switch kind {
-		case "table1":
-			res, err := experiments.RunTable1(experiments.Table1Config{
-				Dataset: dataset, Shots: shotList, Repeats: *repeats,
-				Seed: *seed, Scale: sc, Methods: filter, Workers: *workers,
-				TrainShards: *shards, Progress: progress, Obs: observer,
-			})
-			if err != nil {
-				return err
+		results[key] = res
+		fmt.Fprint(out, text)
+	}
+	// runGrid runs the named experiments on one draw grid over dataset and
+	// shows each one's view of it.
+	runGrid := func(dataset string, kinds ...string) error {
+		cfg.Dataset = dataset
+		g, err := experiments.RunGrid(cfg, kinds...)
+		if err != nil {
+			return err
+		}
+		draws[cmp.Or(dataset, "table3")] = g.Draws
+		for _, kind := range kinds {
+			key := kind
+			if dataset != "" {
+				key = kind + "/" + dataset
 			}
-			results[key] = res
-			fmt.Fprint(out, experiments.FormatTable1(res))
-		case "table2":
-			res, err := experiments.RunTable2(experiments.Table2Config{
-				Dataset: dataset, Shots: shotList, Repeats: *repeats,
-				Seed: *seed, Scale: sc, Workers: *workers,
-				Progress: progress, Obs: observer,
-			})
-			if err != nil {
-				return err
+			switch kind {
+			case "table1":
+				res := g.Table1()
+				show(key, res, experiments.FormatTable1(res))
+			case "table2":
+				res := g.Table2()
+				show(key, res, experiments.FormatTable2(res))
+			case "table3":
+				res := g.Table3()
+				show(key, res, experiments.FormatTable3(res))
+			case "sensitivity":
+				res := g.VariantCounts()
+				show(key, res, experiments.FormatVariantCounts(res))
+			case "variance":
+				res := g.Variance()
+				show(key, res, experiments.FormatVariance(res))
 			}
-			results[key] = res
-			fmt.Fprint(out, experiments.FormatTable2(res))
-		case "table3":
-			res, err := experiments.RunTable3(experiments.Table3Config{
-				Shots: shotList, Repeats: *repeats, Seed: *seed, Scale: sc,
-				Workers: *workers, Progress: progress, Obs: observer,
-			})
-			if err != nil {
-				return err
-			}
-			results[key] = res
-			fmt.Fprint(out, experiments.FormatTable3(res))
-		case "sensitivity":
-			res, err := experiments.RunVariantCounts(experiments.SensitivityConfig{
-				Dataset: dataset, Shots: shotList, Repeats: *repeats,
-				Seed: *seed, Scale: sc, Workers: *workers,
-				Progress: progress, Obs: observer,
-			})
-			if err != nil {
-				return err
-			}
-			results[key] = res
-			fmt.Fprint(out, experiments.FormatVariantCounts(res))
-		case "variance":
-			shot := 5
-			if len(shotList) == 1 {
-				shot = shotList[0]
-			}
-			res, err := experiments.RunVariance(experiments.SensitivityConfig{
-				Dataset: dataset, Repeats: *repeats, Seed: *seed, Scale: sc,
-				Workers: *workers, Progress: progress, Obs: observer,
-			}, shot)
-			if err != nil {
-				return err
-			}
-			results[key] = res
-			fmt.Fprint(out, experiments.FormatVariance(res))
-		case "indomain":
-			res, err := experiments.RunInDomain(experiments.SensitivityConfig{
-				Dataset: dataset, Seed: *seed, Scale: sc, Progress: progress,
-				Obs: observer,
-			})
-			if err != nil {
-				return err
-			}
-			results[key] = res
-			fmt.Fprint(out, experiments.FormatInDomain(res))
-		default:
-			return fmt.Errorf("unknown experiment %q", kind)
 		}
 		return nil
 	}
-
-	if *exp != "all" {
-		if err := runOne(*exp, datasetFor(*exp, *ds)); err != nil {
+	inDomain := func(dataset string) error {
+		cfg.Dataset = dataset
+		res, err := experiments.RunInDomain(cfg)
+		if err != nil {
 			return err
 		}
-	} else {
+		show("indomain/"+dataset, res, experiments.FormatInDomain(res))
+		return nil
+	}
+
+	switch *exp {
+	case "all":
+		// One grid per dataset: Table II's GAN row and the variance read
+		// Table I's FS+GAN cells instead of training their own.
 		for _, dataset := range []string{"5gc", "5gipc"} {
-			for _, kind := range []string{"indomain", "table1", "table2", "sensitivity", "variance"} {
-				fmt.Fprintf(out, "\n=== %s / %s ===\n", kind, dataset)
-				if err := runOne(kind, dataset); err != nil {
-					return err
-				}
+			if err := inDomain(dataset); err != nil {
+				return err
+			}
+			if err := runGrid(dataset, "table1", "table2", "sensitivity", "variance"); err != nil {
+				return err
 			}
 		}
-		fmt.Fprintf(out, "\n=== table3 ===\n")
-		if err := runOne("table3", ""); err != nil {
-			return err
-		}
+		err = runGrid("", "table3")
+	case "indomain":
+		err = inDomain(*ds)
+	default:
+		err = runGrid(datasetFor(*exp, *ds), *exp)
+	}
+	if err != nil {
+		return err
 	}
 
 	printSummary(out, observer)
@@ -244,6 +231,7 @@ func run(args []string, out io.Writer) error {
 			Seed:       *seed,
 			WallSecs:   time.Since(start).Seconds(),
 			Results:    results,
+			Draws:      draws,
 			Metrics:    observer.Registry.Snapshot(),
 		}
 		blob, err := json.MarshalIndent(rep, "", "  ")

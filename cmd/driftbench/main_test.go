@@ -90,7 +90,7 @@ func TestParseShots(t *testing.T) {
 // TestRunEndToEnd drives a quick FS-only Table I run with both
 // observability outputs on: the live /metrics endpoint must serve
 // Prometheus-parseable text and the -json report must be valid JSON with
-// the run's metrics snapshot inside.
+// the run's per-draw records and metrics snapshot inside.
 func TestRunEndToEnd(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "report.json")
 
@@ -127,7 +127,7 @@ func TestRunEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
 		"-exp", "table1", "-dataset", "5gc", "-scale", "quick",
-		"-shots", "1", "-repeats", "1", "-methods", "FS (ours)",
+		"-shots", "1,2", "-repeats", "2", "-methods", "FS (ours)",
 		"-http", "127.0.0.1:0", "-json", jsonPath,
 	}, &buf)
 	if err != nil {
@@ -178,6 +178,16 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if _, ok := rep.Results["table1/5gc"]; !ok {
 		t.Errorf("report missing table1/5gc results: %v", rep.Results)
+	}
+	// One draw record per rep × shot × classifier column.
+	draws := rep.Draws["5gc"]
+	if want := 2 * 2 * 4; len(draws) != want {
+		t.Fatalf("report carries %d draw records; want %d", len(draws), want)
+	}
+	for _, d := range draws {
+		if d.Pair != 1 || d.Arm != "FS (ours)" || (d.Shot != 1 && d.Shot != 2) || d.Rep > 1 || d.Value <= 0 {
+			t.Errorf("malformed draw record %+v", d)
+		}
 	}
 	var sawCI bool
 	for _, s := range rep.Metrics {

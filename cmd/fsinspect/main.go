@@ -14,7 +14,6 @@ import (
 
 	"netdrift/internal/causal"
 	"netdrift/internal/core"
-	"netdrift/internal/dataset"
 	"netdrift/internal/experiments"
 )
 
@@ -39,14 +38,11 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("unknown scale %q", *scale)
 	}
-	truth, names, err := groundTruth(*ds, sc, *seed)
-	if err != nil {
-		return err
-	}
 	pair, err := experiments.MakePair(*ds, sc, *seed)
 	if err != nil {
 		return err
 	}
+	truth, names := pair.TrueVariant, pair.Source.FeatureNames
 	support, _, err := pair.TargetTrain.FewShot(*shots, pair.UseGroups, rand.New(rand.NewSource(*seed+1)))
 	if err != nil {
 		return err
@@ -63,12 +59,9 @@ func run() error {
 		isTrue[v] = true
 	}
 	var tp int
-	var falsePos []int
 	for _, v := range variant {
 		if isTrue[v] {
 			tp++
-		} else {
-			falsePos = append(falsePos, v)
 		}
 	}
 	found := make(map[int]bool, len(variant))
@@ -111,34 +104,5 @@ func run() error {
 			fmt.Printf("  %4d %s\n", v, names[v])
 		}
 	}
-	_ = falsePos
 	return nil
-}
-
-// groundTruth regenerates the dataset to expose the intervention targets
-// and feature names.
-func groundTruth(name string, sc experiments.Scale, seed int64) ([]int, []string, error) {
-	switch name {
-	case "5gc":
-		d, err := dataset.Synthetic5GC(dataset.FiveGCConfig{
-			Seed: seed, SourceSamples: sc.GCSource,
-			TargetTrainPool: sc.GCTargetPool, TargetTestSamples: sc.GCTargetTest,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return d.TrueVariant, d.Source.FeatureNames, nil
-	case "5gipc":
-		d, err := dataset.Synthetic5GIPC(dataset.FiveGIPCConfig{
-			Seed: seed, SourceNormal: sc.IPCSourceNormal, SourceFaults: sc.IPCSourceFaults,
-			TargetNormal: sc.IPCTargetNormal, TargetFaults: sc.IPCTargetFaults,
-			TargetTrainPerGroup: sc.IPCTrainPool,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return d.Targets[0].TrueVariant, d.Source.FeatureNames, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q", name)
-	}
 }

@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"netdrift/internal/core"
+	"netdrift/internal/dataset"
 	"netdrift/internal/models"
+	"netdrift/internal/obs"
 )
 
 func TestScaleByName(t *testing.T) {
@@ -21,6 +25,22 @@ func TestScaleByName(t *testing.T) {
 }
 
 func TestMakePair(t *testing.T) {
+	// The generators' own ground truth, from a tiny dataset of the same seed:
+	// the variant set is fixed before any sampling, so scale cannot move it.
+	gc, err := dataset.Synthetic5GC(dataset.FiveGCConfig{
+		Seed: 1, SourceSamples: 32, TargetTrainPool: 32, TargetTestSamples: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ipc, err := dataset.Synthetic5GIPC(dataset.FiveGIPCConfig{
+		Seed: 1, SourceNormal: 50, SourceFaults: [4]int{8, 8, 8, 8},
+		TargetNormal: 20, TargetFaults: [4]int{4, 4, 4, 4}, TargetTrainPerGroup: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := map[string][]int{"5gc": gc.TrueVariant, "5gipc": ipc.Targets[0].TrueVariant}
 	for _, name := range []string{"5gc", "5gipc"} {
 		pair, err := MakePair(name, QuickScale, 1)
 		if err != nil {
@@ -29,10 +49,22 @@ func TestMakePair(t *testing.T) {
 		if pair.Source.NumSamples() == 0 || pair.TargetTest.NumSamples() == 0 {
 			t.Errorf("%s: empty pair", name)
 		}
+		if len(pair.TrueVariant) == 0 || !slices.Equal(pair.TrueVariant, truth[name]) {
+			t.Errorf("%s: TrueVariant %v; the generator's is %v", name, pair.TrueVariant, truth[name])
+		}
 	}
 	if _, err := MakePair("bogus", QuickScale, 1); err == nil {
 		t.Error("expected error for unknown dataset")
 	}
+}
+
+// rows indexes a Table I result's rows by method.
+func rows(res *Table1Result) map[string]MethodRow {
+	out := make(map[string]MethodRow, len(res.Rows))
+	for _, row := range res.Rows {
+		out[row.Method] = row
+	}
+	return out
 }
 
 func TestTable1QuickShapeAndOrdering(t *testing.T) {
@@ -50,11 +82,12 @@ func TestTable1QuickShapeAndOrdering(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d; want 4", len(res.Rows))
 	}
-	fsgan, ok := res.Score("FS+GAN (ours)", 5, "TNet")
+	byMethod := rows(res)
+	fsgan, ok := byMethod["FS+GAN (ours)"].Scores[5]["TNet"]
 	if !ok {
 		t.Fatal("missing FS+GAN cell")
 	}
-	srconly, ok := res.Score("SrcOnly", 5, "TNet")
+	srconly, ok := byMethod["SrcOnly"].Scores[5]["TNet"]
 	if !ok {
 		t.Fatal("missing SrcOnly cell")
 	}
@@ -71,24 +104,24 @@ func TestTable1QuickShapeAndOrdering(t *testing.T) {
 }
 
 func TestTable1ModelSpecificColumns(t *testing.T) {
-	res, err := RunTable1(Table1Config{
+	g, err := RunGrid(Config{
 		Dataset: "5gipc",
 		Shots:   []int{5},
 		Repeats: 1,
 		Seed:    4,
 		Scale:   QuickScale,
 		Methods: []string{"ProtoNet"},
-	})
+	}, "table1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := res.Score("ProtoNet", 5, "TNet")
-	if !ok {
-		t.Fatal("model-specific score should resolve through the * column")
+	// A model-specific method fills the one "*" column per draw.
+	if len(g.Draws) != 1 || g.Draws[0].Column != "*" || g.Draws[0].Arm != "ProtoNet" {
+		t.Fatalf("draws = %+v; want one ProtoNet draw in column *", g.Draws)
 	}
-	v2, _ := res.Score("ProtoNet", 5, "XGB")
-	if v != v2 {
-		t.Error("model-specific methods must report one value across classifier columns")
+	row := g.Table1().Rows[0]
+	if row.ModelAgnostic || len(row.Scores[5]) != 1 || row.Scores[5]["*"] != g.Draws[0].Value {
+		t.Errorf("row = %+v; want one model-specific * cell holding the draw", row)
 	}
 }
 
@@ -100,19 +133,23 @@ func TestTable1UnknownInputs(t *testing.T) {
 		Methods: []string{"not-a-method"}}); err == nil {
 		t.Error("expected error for empty roster")
 	}
+	if _, err := RunGrid(Config{Dataset: "5gc", Scale: QuickScale}, "table9"); err == nil {
+		t.Error("expected error for unknown experiment")
+	}
 }
 
 func TestTable2Quick(t *testing.T) {
-	res, err := RunTable2(Table2Config{
+	g, err := RunGrid(Config{
 		Dataset: "5gipc",
 		Shots:   []int{5},
 		Repeats: 1,
 		Seed:    5,
 		Scale:   QuickScale,
-	})
+	}, "table2")
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := g.Table2()
 	if len(res.Kinds) != 4 {
 		t.Fatalf("kinds = %d; want 4", len(res.Kinds))
 	}
@@ -126,16 +163,45 @@ func TestTable2Quick(t *testing.T) {
 	}
 }
 
+// TestTable2GANRowIsTable1Cell pins the reuse -exp all relies on: Table
+// II's GAN row is Table I's FS+GAN/TNet cell, bit for bit, each run
+// standalone, at the default shard count and at TrainShards 2.
+func TestTable2GANRowIsTable1Cell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("trains every reconstructor twice; CI runs this test without the race detector")
+	}
+	for _, shards := range []int{0, 2} {
+		cfg := Config{Dataset: "5gipc", Shots: []int{1, 5}, Repeats: 2, Seed: 21,
+			Scale: QuickScale, Methods: []string{"FS+GAN (ours)"}, TrainShards: shards}
+		t1, err := RunTable1(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2, err := RunGrid(cfg, "table2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2 := g2.Table2()
+		for _, s := range cfg.Shots {
+			want := t1.Rows[0].Scores[s]["TNet"]
+			if got := t2.Scores[core.ReconGAN][s]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("shards=%d shot=%d: Table II GAN %v, Table I FS+GAN/TNet %v", shards, s, got, want)
+			}
+		}
+	}
+}
+
 func TestTable3Quick(t *testing.T) {
-	res, err := RunTable3(Table3Config{
+	g, err := RunGrid(Config{
 		Shots:   []int{5},
 		Repeats: 1,
 		Seed:    6,
 		Scale:   QuickScale,
-	})
+	}, "table3")
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := g.Table3()
 	for a := 0; a < 2; a++ {
 		for tgt := 0; tgt < 2; tgt++ {
 			if res.Scores[a][tgt][5] <= 0 {
@@ -152,16 +218,17 @@ func TestTable3Quick(t *testing.T) {
 }
 
 func TestVariantCountsQuick(t *testing.T) {
-	res, err := RunVariantCounts(SensitivityConfig{
+	g, err := RunGrid(Config{
 		Dataset: "5gc",
 		Shots:   []int{1, 10},
 		Repeats: 1,
 		Seed:    7,
 		Scale:   QuickScale,
-	})
+	}, "sensitivity")
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := g.VariantCounts()
 	if res.TrueVariant != 78 {
 		t.Errorf("true variant = %d; want 78", res.TrueVariant)
 	}
@@ -177,29 +244,82 @@ func TestVariantCountsQuick(t *testing.T) {
 	}
 }
 
+// TestVarianceQuick checks that the variance view reads FS+GAN/TNet's
+// draws: a standalone variance grid's values are Table I's FS+GAN/TNet
+// draws at that shot.
 func TestVarianceQuick(t *testing.T) {
-	res, err := RunVariance(SensitivityConfig{
+	cfg := Config{
 		Dataset: "5gipc",
+		Shots:   []int{5},
 		Repeats: 2,
 		Seed:    8,
 		Scale:   QuickScale,
-	}, 5)
+		Methods: []string{"FS+GAN (ours)"},
+	}
+	g, err := RunGrid(cfg, "variance")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Values) != 2 {
-		t.Fatalf("values = %d; want 2", len(res.Values))
+	res := g.Variance()
+	if len(res) != 1 || len(res[0].Values) != 2 {
+		t.Fatalf("variance = %+v; want one shot with 2 values", res)
 	}
-	if res.Mean <= 0 {
+	if res[0].Mean <= 0 {
 		t.Error("mean F1 should be positive")
 	}
 	if !strings.Contains(FormatVariance(res), "FS+GAN") {
 		t.Error("formatted variance missing method name")
 	}
+	if raceEnabled {
+		return // Table I's four classifier fits are too slow under the race detector
+	}
+	t1, err := RunGrid(cfg, "table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := t1.values("FS+GAN (ours)", "TNet", 5)
+	if !slices.EqualFunc(res[0].Values, want, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	}) {
+		t.Errorf("variance values %v; Table I's FS+GAN/TNet draws %v", res[0].Values, want)
+	}
+}
+
+// TestAllGridTrainsOneGANPerDraw checks the reuse in an -exp all-shaped
+// run: one grid per dataset with Table I, Table II, the variant counts and
+// the variance, then Table III's grid. Table II's GAN row and the variance
+// read Table I's FS+GAN cells, so the GAN fits are one per (rep, shot) per
+// dataset plus Table III's two per cell.
+func TestAllGridTrainsOneGANPerDraw(t *testing.T) {
+	if raceEnabled {
+		t.Skip("trains every reconstructor on both datasets; too slow under the race detector")
+	}
+	o := obs.New()
+	cfg := Config{Shots: []int{1, 5}, Repeats: 1, Seed: 31, Scale: QuickScale,
+		Methods: []string{"FS+GAN (ours)", "SrcOnly"}, Obs: o}
+	for _, ds := range []string{"5gc", "5gipc"} {
+		cfg.Dataset = ds
+		g, err := RunGrid(cfg, "table1", "table2", "sensitivity", "variance")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if t1, t2 := g.Table1(), g.Table2(); t2.Scores[core.ReconGAN][5] != t1.Rows[0].Scores[5]["TNet"] {
+			t.Errorf("%s: Table II GAN row %v is not Table I's FS+GAN/TNet cell %v",
+				ds, t2.Scores[core.ReconGAN][5], t1.Rows[0].Scores[5]["TNet"])
+		}
+	}
+	cfg.Dataset = ""
+	if _, err := RunGrid(cfg, "table3"); err != nil {
+		t.Fatal(err)
+	}
+	cells := cfg.Repeats * len(cfg.Shots)
+	if fits, _ := o.Registry.Value(obs.MetricTrainFits, "model", "GAN"); int(fits) != 2*cells+2*cells {
+		t.Errorf("GAN fits = %v; want %d per dataset plus Table III's %d", fits, cells, 2*cells)
+	}
 }
 
 func TestInDomainQuick(t *testing.T) {
-	res, err := RunInDomain(SensitivityConfig{
+	res, err := RunInDomain(Config{
 		Dataset: "5gipc",
 		Seed:    9,
 		Scale:   QuickScale,

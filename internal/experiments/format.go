@@ -110,11 +110,14 @@ func FormatVariantCounts(r *VariantCountResult) string {
 	return sb.String()
 }
 
-// FormatVariance renders the draw-variance analysis.
-func FormatVariance(r *VarianceResult) string {
-	return fmt.Sprintf(
-		"Sensitivity — FS+GAN (TNet) on %s, %d draws at %d shots: mean F1 %.1f ± %.1f\n",
-		strings.ToUpper(r.Dataset), len(r.Values), r.Shot, r.Mean, r.StdDev)
+// FormatVariance renders the draw-variance analysis, one line per shot.
+func FormatVariance(rs []VarianceResult) string {
+	var sb strings.Builder
+	for _, r := range rs {
+		fmt.Fprintf(&sb, "Sensitivity — FS+GAN (TNet) on %s, %d draws at %d shots: mean F1 %.1f ± %.1f\n",
+			strings.ToUpper(r.Dataset), len(r.Values), r.Shot, r.Mean, r.StdDev)
+	}
+	return sb.String()
 }
 
 // FormatInDomain renders the SrcOnly in-domain check.

@@ -2,7 +2,9 @@
 // evaluation (§VI): Table I (methods × classifiers × shots on both
 // datasets), Table II (reconstruction ablation), Table III (multi-target
 // no-retraining), the sensitivity analyses of §VI-C, the in-domain SrcOnly
-// check of §VI-B(a), and the running-time measurements of §VI-D.
+// check of §VI-B(a), and the running-time measurements of §VI-D. Every
+// table and sensitivity analysis is a view of one seeded draw grid
+// (RunGrid) that keeps every per-draw score.
 package experiments
 
 import (

@@ -19,62 +19,57 @@ func marshal(t *testing.T, v any) []byte {
 
 // TestRunTable1WorkersBitIdentical is the pinned determinism test from the
 // parallel-compute acceptance bar: a full Table I cell grid run with
-// Workers=N must serialize to the same bytes as Workers=1.
+// Workers=N must serialize to the same bytes as Workers=1, and so must
+// every other view of the grid (Table II, Table III, the variant counts)
+// with its draws.
 func TestRunTable1WorkersBitIdentical(t *testing.T) {
 	// Under the race detector the FS search is ~10x slower, so exercise
 	// the concurrent cell pool with the cheap method only; the full grid
-	// runs in the normal suite.
+	// and the other views run in the normal suite.
 	methods := []string{"FS (ours)", "SrcOnly"}
 	workerCounts := []int{2, 4}
 	if raceEnabled {
 		methods = []string{"SrcOnly"}
 		workerCounts = []int{4}
 	}
-	run := func(workers int) *Table1Result {
-		res, err := RunTable1(Table1Config{
-			Dataset: "5gc",
-			Methods: methods,
-			Shots:   []int{1},
-			Repeats: 2,
-			Seed:    5,
-			Scale:   QuickScale,
-			Workers: workers,
+	views := []struct {
+		exp, dataset string
+		shots        []int
+		view         func(*Grid) any
+	}{
+		{"table1", "5gc", []int{1}, func(g *Grid) any { return g.Table1() }},
+		{"table2", "5gipc", []int{1}, func(g *Grid) any { return g.Table2() }},
+		{"table3", "", []int{1}, func(g *Grid) any { return g.Table3() }},
+		{"sensitivity", "5gc", []int{1, 5}, func(g *Grid) any { return g.VariantCounts() }},
+	}
+	for _, v := range views {
+		t.Run(v.exp, func(t *testing.T) {
+			if raceEnabled && v.exp != "table1" {
+				t.Skip("FS searches and reconstructor fits are too slow under the race detector; Table I's cheap arm covers the pool")
+			}
+			run := func(workers int) []byte {
+				g, err := RunGrid(Config{
+					Dataset: v.dataset,
+					Methods: methods,
+					Shots:   v.shots,
+					Repeats: 2,
+					Seed:    5,
+					Scale:   QuickScale,
+					Workers: workers,
+				}, v.exp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return marshal(t, []any{v.view(g), g.Draws})
+			}
+			seq := run(1)
+			for _, workers := range workerCounts {
+				if par := run(workers); string(par) != string(seq) {
+					t.Errorf("workers=%d: %s bytes differ from sequential\nseq %s\npar %s",
+						workers, v.exp, seq, par)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := marshal(t, run(1))
-	for _, workers := range workerCounts {
-		if par := marshal(t, run(workers)); string(par) != string(seq) {
-			t.Errorf("workers=%d: Table1Result bytes differ from sequential\nseq %s\npar %s",
-				workers, seq, par)
-		}
-	}
-}
-
-func TestRunVariantCountsWorkersBitIdentical(t *testing.T) {
-	if raceEnabled {
-		t.Skip("FS-search concurrency is race-covered in internal/causal; this grid is too slow under the race detector")
-	}
-	run := func(workers int) *VariantCountResult {
-		res, err := RunVariantCounts(SensitivityConfig{
-			Dataset: "5gc",
-			Shots:   []int{1, 5},
-			Repeats: 2,
-			Seed:    9,
-			Scale:   QuickScale,
-			Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := marshal(t, run(1))
-	if par := marshal(t, run(3)); string(par) != string(seq) {
-		t.Errorf("VariantCountResult bytes differ:\nseq %s\npar %s", seq, par)
 	}
 }
 

@@ -1,34 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"netdrift/internal/baselines"
 	"netdrift/internal/causal"
-	"netdrift/internal/dataset"
 	"netdrift/internal/metrics"
 	"netdrift/internal/models"
-	"netdrift/internal/obs"
-	"netdrift/internal/par"
 )
-
-// SensitivityConfig drives the §VI-C analyses.
-type SensitivityConfig struct {
-	Dataset string
-	Shots   []int // default {1, 5, 10}
-	Repeats int   // default 3
-	Seed    int64
-	Scale   Scale
-	// Workers bounds concurrent evaluation of independent (shot, rep)
-	// cells; <= 0 means all cores, 1 forces the sequential path, and
-	// results are bit-identical for every value.
-	Workers  int
-	Progress func(string)
-	// Obs, when non-nil, instruments the FS searches and adapter runs.
-	Obs *obs.Observer
-}
 
 // VariantCountResult reports how many domain-variant features FS (and the
 // conservative ICD baseline) identify per shot count, plus the ground-truth
@@ -41,107 +21,46 @@ type VariantCountResult struct {
 	TrueVariant int
 }
 
-// RunVariantCounts reproduces the "FS identified 35/68/75 variant
-// features ..." sensitivity sweep.
-func RunVariantCounts(cfg SensitivityConfig) (*VariantCountResult, error) {
-	if len(cfg.Shots) == 0 {
-		cfg.Shots = []int{1, 5, 10}
-	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = 3
-	}
-	if cfg.Scale == (Scale{}) {
-		cfg.Scale = BenchScale
-	}
-	pair, err := MakePair(cfg.Dataset, cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	trueCount, err := trueVariantCount(cfg.Dataset, cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
+// countsArm is the "FS identified 35/68/75 variant features ..."
+// sensitivity sweep: per cell, the variant counts of FS and of the
+// conservative ICD baseline on the cell's support draw.
+var countsArm = &arm{
+	name: "variant counts",
+	cols: []string{"FS", "ICD"},
+	cell: func(r *gridRun, c cell) ([]float64, error) {
+		pair := r.pair
+		n, err := VariantCount(pair.Source, c.support, causal.FNodeConfig{Workers: 1, Obs: r.cfg.Obs})
+		if err != nil {
+			return nil, err
+		}
+		icdN, err := baselines.ICD{}.VariantCount(pair.Source, c.support)
+		if err != nil {
+			return nil, err
+		}
+		progress(r.notify, "%s shot=%d rep=%d FS=%d ICD=%d (truth %d)",
+			r.cfg.Dataset, c.shot, c.rep, n, icdN, len(pair.TrueVariant))
+		return []float64{float64(n), float64(icdN)}, nil
+	},
+}
+
+// VariantCounts is the variant-count view: each shot's mean counts.
+func (g *Grid) VariantCounts() *VariantCountResult {
 	res := &VariantCountResult{
-		Dataset:     cfg.Dataset,
-		Shots:       append([]int(nil), cfg.Shots...),
+		Dataset:     g.Dataset,
+		Shots:       g.Shots,
 		FSCounts:    make(map[int]float64),
 		ICDCounts:   make(map[int]float64),
-		TrueVariant: trueCount,
+		TrueVariant: g.trueVariant,
 	}
-	// Shot-major cell grid, matching the historical loop nesting.
-	type vcCell struct{ shot, rep int }
-	type vcOut struct{ fs, icd float64 }
-	var cells []vcCell
-	for _, shot := range cfg.Shots {
-		for rep := 0; rep < cfg.Repeats; rep++ {
-			cells = append(cells, vcCell{shot, rep})
-		}
+	for _, s := range g.Shots {
+		res.FSCounts[s] = mean(g.values(countsArm.name, "FS", s))
+		res.ICDCounts[s] = mean(g.values(countsArm.name, "ICD", s))
 	}
-	workers := par.Resolve(cfg.Workers)
-	notify := lockedProgress(cfg.Progress, workers)
-	outs := make([]vcOut, len(cells))
-	if err := par.ForEachErr(workers, len(cells), func(ci int) error {
-		c := cells[ci]
-		drawRng := rand.New(rand.NewSource(cfg.Seed + int64(c.rep)*977 + int64(c.shot)))
-		support, _, err := pair.TargetTrain.FewShot(c.shot, pair.UseGroups, drawRng)
-		if err != nil {
-			return err
-		}
-		n, err := VariantCount(pair.Source, support, causal.FNodeConfig{Workers: 1, Obs: cfg.Obs})
-		if err != nil {
-			return err
-		}
-		icdN, err := baselines.ICD{}.VariantCount(pair.Source, support)
-		if err != nil {
-			return err
-		}
-		outs[ci] = vcOut{fs: float64(n), icd: float64(icdN)}
-		progress(notify, "%s shot=%d rep=%d FS=%d ICD=%d (truth %d)",
-			cfg.Dataset, c.shot, c.rep, n, icdN, trueCount)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for _, shot := range cfg.Shots {
-		var fsVals, icdVals []float64
-		for ci, c := range cells {
-			if c.shot == shot {
-				fsVals = append(fsVals, outs[ci].fs)
-				icdVals = append(icdVals, outs[ci].icd)
-			}
-		}
-		res.FSCounts[shot] = mean(fsVals)
-		res.ICDCounts[shot] = mean(icdVals)
-	}
-	return res, nil
+	return res
 }
 
-func trueVariantCount(name string, sc Scale, seed int64) (int, error) {
-	switch name {
-	case "5gc":
-		d, err := dataset.Synthetic5GC(dataset.FiveGCConfig{
-			Seed: seed, SourceSamples: 32, TargetTrainPool: 32, TargetTestSamples: 32,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return len(d.TrueVariant), nil
-	case "5gipc":
-		d, err := dataset.Synthetic5GIPC(dataset.FiveGIPCConfig{
-			Seed: seed, SourceNormal: 50, SourceFaults: [4]int{8, 8, 8, 8},
-			TargetNormal: 20, TargetFaults: [4]int{4, 4, 4, 4}, TargetTrainPerGroup: 2,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return len(d.Targets[0].TrueVariant), nil
-	default:
-		return 0, fmt.Errorf("experiments: unknown dataset %q", name)
-	}
-}
-
-// VarianceResult reports the spread of FS+GAN performance across few-shot
-// draws (paper: within ±2.6 F1).
+// VarianceResult reports the spread of FS+GAN/TNet performance across
+// the few-shot draws at one shot (paper: within ±2.6 F1).
 type VarianceResult struct {
 	Dataset string
 	Shot    int
@@ -150,56 +69,24 @@ type VarianceResult struct {
 	Values  []float64
 }
 
-// RunVariance measures FS+GAN (TNet) variance across random support draws.
-func RunVariance(cfg SensitivityConfig, shot int) (*VarianceResult, error) {
-	if cfg.Repeats == 0 {
-		cfg.Repeats = 5
-	}
-	if cfg.Scale == (Scale{}) {
-		cfg.Scale = BenchScale
-	}
-	pair, err := MakePair(cfg.Dataset, cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	workers := par.Resolve(cfg.Workers)
-	notify := lockedProgress(cfg.Progress, workers)
-	vals := make([]float64, cfg.Repeats)
-	if err := par.ForEachErr(workers, cfg.Repeats, func(rep int) error {
-		drawRng := rand.New(rand.NewSource(cfg.Seed + int64(rep)*977))
-		support, _, err := pair.TargetTrain.FewShot(shot, pair.UseGroups, drawRng)
-		if err != nil {
-			return err
+// Variance is the variance view: per shot, the FS+GAN/TNet draws (Table
+// I's FS+GAN cells when the grid runs Table I) and their sample stdev.
+func (g *Grid) Variance() []VarianceResult {
+	var out []VarianceResult
+	for _, shot := range g.Shots {
+		vals := g.values(fsGAN.name, "TNet", shot)
+		m := mean(vals)
+		var ss float64
+		for _, v := range vals {
+			ss += (v - m) * (v - m)
 		}
-		seed := cfg.Seed + int64(rep)*7919
-		m := NewFSGAN(cfg.Scale.GANEpochs, seed)
-		m.Cfg.Obs = cfg.Obs
-		m.Cfg.Workers = 1 // the draw grid owns the parallelism
-		clf := models.NewTNet(models.Options{Seed: seed, Epochs: cfg.Scale.ClassifierEpochs})
-		pred, err := m.Predict(pair.Source, support, pair.TargetTest, clf)
-		if err != nil {
-			return err
+		sd := 0.0
+		if len(vals) > 1 {
+			sd = math.Sqrt(ss / float64(len(vals)-1))
 		}
-		f1, err := metrics.MacroF1Score(pair.TargetTest.Y, pred, pair.NumClasses)
-		if err != nil {
-			return err
-		}
-		vals[rep] = f1
-		progress(notify, "%s variance draw %d: F1=%.1f", cfg.Dataset, rep, f1)
-		return nil
-	}); err != nil {
-		return nil, err
+		out = append(out, VarianceResult{Dataset: g.Dataset, Shot: shot, Mean: m, StdDev: sd, Values: vals})
 	}
-	m := mean(vals)
-	var ss float64
-	for _, v := range vals {
-		ss += (v - m) * (v - m)
-	}
-	sd := 0.0
-	if len(vals) > 1 {
-		sd = math.Sqrt(ss / float64(len(vals)-1))
-	}
-	return &VarianceResult{Dataset: cfg.Dataset, Shot: shot, Mean: m, StdDev: sd, Values: vals}, nil
+	return out
 }
 
 // InDomainResult reports SrcOnly performance when train and test both come
@@ -211,7 +98,7 @@ type InDomainResult struct {
 }
 
 // RunInDomain cross-validates SrcOnly within the source domain.
-func RunInDomain(cfg SensitivityConfig) (*InDomainResult, error) {
+func RunInDomain(cfg Config) (*InDomainResult, error) {
 	if cfg.Scale == (Scale{}) {
 		cfg.Scale = BenchScale
 	}

@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"sync"
 
 	"netdrift/internal/baselines"
 	"netdrift/internal/dataset"
 	"netdrift/internal/metrics"
 	"netdrift/internal/models"
-	"netdrift/internal/obs"
-	"netdrift/internal/par"
 )
 
 // Pair is one drifted dataset instance for the evaluation protocol.
@@ -22,6 +18,10 @@ type Pair struct {
 	TargetTest  *dataset.Dataset
 	UseGroups   bool // stratify few-shot draws by fault type (5GIPC)
 	NumClasses  int
+	// TrueVariant is the generator's intervened features: the variant set
+	// FS should find. The generators fix it from the seed alone, so it is
+	// the same at every scale.
+	TrueVariant []int
 }
 
 // MakePair generates the named dataset ("5gc" or "5gipc") at the given
@@ -44,6 +44,7 @@ func MakePair(name string, sc Scale, seed int64) (*Pair, error) {
 			TargetTrain: d.TargetTrain,
 			TargetTest:  d.TargetTest,
 			NumClasses:  16,
+			TrueVariant: d.TrueVariant,
 		}, nil
 	case "5gipc":
 		d, err := dataset.Synthetic5GIPC(dataset.FiveGIPCConfig{
@@ -64,40 +65,11 @@ func MakePair(name string, sc Scale, seed int64) (*Pair, error) {
 			TargetTest:  d.Targets[0].Test,
 			UseGroups:   true,
 			NumClasses:  2,
+			TrueVariant: d.Targets[0].TrueVariant,
 		}, nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown dataset %q", name)
 	}
-}
-
-// Table1Config drives the Table I reproduction.
-type Table1Config struct {
-	Dataset string // "5gc" or "5gipc"
-	Shots   []int  // default {1, 5, 10}
-	Repeats int    // few-shot redraws averaged per cell; default 3
-	Seed    int64
-	Scale   Scale
-	// Methods filters by method name; empty runs the full Table I roster.
-	Methods []string
-	// Workers bounds concurrent evaluation of independent (rep, shot,
-	// method) cells. <= 0 means runtime.GOMAXPROCS(0); 1 forces the exact
-	// sequential path. Every cell owns its seeded RNGs and per-cell scores
-	// are merged in deterministic rep-major order, so the result is
-	// bit-identical for every value (see DESIGN.md, "Determinism
-	// contract"). Only Progress-line interleaving may differ.
-	Workers int
-	// TrainShards, when > 1, runs the "ours" rows' reconstructor training
-	// with that many deterministic gradient shards per minibatch (see
-	// core.AdapterConfig.TrainShards). Part of the reproducibility key:
-	// changing it changes the trained bits; Workers never does.
-	TrainShards int
-	// Progress, when non-nil, receives one line per completed cell. It may
-	// be called from multiple goroutines (never concurrently) when
-	// Workers != 1.
-	Progress func(string)
-	// Obs, when non-nil, instruments the run: per-method predict timers and
-	// the full adapter pipeline metrics for the "ours" rows.
-	Obs *obs.Observer
 }
 
 // MethodRow is one method's F1 results: Scores[shot][classifier] for
@@ -127,11 +99,15 @@ type methodSpec struct {
 	build    func(sc Scale, seed int64) baselines.Method
 }
 
+// fsGAN is the paper's method: Table I's first row, Table II's GAN row and
+// the variance's arm.
+var fsGAN = methodSpec{"FS+GAN (ours)", "Causal Learning", func(sc Scale, seed int64) baselines.Method {
+	return NewFSGAN(sc.GANEpochs, seed)
+}}
+
 func table1Roster() []methodSpec {
 	return []methodSpec{
-		{"FS+GAN (ours)", "Causal Learning", func(sc Scale, seed int64) baselines.Method {
-			return NewFSGAN(sc.GANEpochs, seed)
-		}},
+		fsGAN,
 		{"FS (ours)", "Causal Learning", func(_ Scale, seed int64) baselines.Method {
 			return NewFS(seed)
 		}},
@@ -171,159 +147,111 @@ func table1Roster() []methodSpec {
 	}
 }
 
+// The classifier columns a model-agnostic arm fills: Table I's four, or
+// TNet alone for the arms that only Table II and the variance read.
+var (
+	allKinds = models.AllKinds()
+	tnetOnly = []models.Kind{models.KindTNet}
+)
+
+// methodArm makes a method's arm. A model-agnostic method adapts once per
+// cell and fills one column per classifier kind; a model-specific one
+// fills the single column "*".
+func methodArm(spec methodSpec, sc Scale, kinds []models.Kind, table1 bool) *arm {
+	a := &arm{name: spec.name, category: spec.category, table1: table1, cols: []string{"*"}}
+	if _, ok := spec.build(sc, 0).(baselines.AgnosticMethod); ok {
+		a.cols = nil
+		for _, k := range kinds {
+			a.cols = append(a.cols, k.String())
+		}
+	}
+	a.cell = func(r *gridRun, c cell) ([]float64, error) { return r.method(spec, kinds, c) }
+	return a
+}
+
+// method runs one method cell.
+func (r *gridRun) method(spec methodSpec, kinds []models.Kind, c cell) ([]float64, error) {
+	cfg, pair := r.cfg, r.pair
+	m := spec.build(cfg.Scale, c.seed)
+	if om, ok := m.(*OursMethod); ok {
+		om.Cfg.Obs = cfg.Obs
+		// The cell grid owns the parallelism; keep the in-cell FS search
+		// and shard workers on their sequential paths to avoid
+		// oversubscription. TrainShards still applies — the shard count
+		// changes the bits, the worker count never does.
+		om.Cfg.Workers = 1
+		om.Cfg.TrainShards = cfg.TrainShards
+	}
+	// The cell is one unit of the method's work: a model-agnostic method
+	// adapts once and every classifier column fits on the shared result.
+	defer baselines.Observe(cfg.Obs, m.Name())()
+	am, agnostic := m.(baselines.AgnosticMethod)
+	if !agnostic {
+		f1, err := pair.score(m.Predict(pair.Source, c.support, pair.TargetTest, nil))
+		if err != nil {
+			return nil, fmt.Errorf("%s shot=%d: %w", spec.name, c.shot, err)
+		}
+		progress(r.notify, "%s %s shot=%d rep=%d F1=%.1f", cfg.Dataset, spec.name, c.shot, c.rep, f1)
+		return []float64{f1}, nil
+	}
+	adapted, err := am.Adapt(pair.Source, c.support, pair.TargetTest)
+	if err != nil {
+		return nil, fmt.Errorf("%s shot=%d: %w", spec.name, c.shot, err)
+	}
+	out := make([]float64, len(kinds))
+	for i, kind := range kinds {
+		clf, err := models.New(kind, models.Options{
+			Seed:   c.seed,
+			Epochs: cfg.Scale.ClassifierEpochs,
+			Trees:  cfg.Scale.Trees,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if out[i], err = pair.score(adapted.Classify(clf)); err != nil {
+			return nil, fmt.Errorf("%s/%s shot=%d: %w", spec.name, kind, c.shot, err)
+		}
+		progress(r.notify, "%s %s/%s shot=%d rep=%d F1=%.1f",
+			cfg.Dataset, spec.name, kind, c.shot, c.rep, out[i])
+	}
+	return out, nil
+}
+
 // RunTable1 reproduces Table I for one dataset.
-func RunTable1(cfg Table1Config) (*Table1Result, error) {
-	if len(cfg.Shots) == 0 {
-		cfg.Shots = []int{1, 5, 10}
-	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = 3
-	}
-	if cfg.Scale == (Scale{}) {
-		cfg.Scale = BenchScale
-	}
-	pair, err := MakePair(cfg.Dataset, cfg.Scale, cfg.Seed)
+func RunTable1(cfg Config) (*Table1Result, error) {
+	g, err := RunGrid(cfg, "table1")
 	if err != nil {
 		return nil, err
 	}
-	roster := filterRoster(table1Roster(), cfg.Methods)
-	if len(roster) == 0 {
-		return nil, fmt.Errorf("experiments: no methods match filter %v", cfg.Methods)
-	}
+	return g.Table1(), nil
+}
 
-	clfNames := make([]string, 0, len(models.AllKinds()))
-	for _, k := range models.AllKinds() {
-		clfNames = append(clfNames, k.String())
+// Table1 is the Table I view: one row per Table I arm, each cell the mean
+// of its draws.
+func (g *Grid) Table1() *Table1Result {
+	res := &Table1Result{Dataset: g.Dataset, Shots: g.Shots, Repeats: g.Repeats}
+	for _, k := range allKinds {
+		res.Classifiers = append(res.Classifiers, k.String())
 	}
-
-	res := &Table1Result{
-		Dataset:     cfg.Dataset,
-		Shots:       append([]int(nil), cfg.Shots...),
-		Classifiers: clfNames,
-		Repeats:     cfg.Repeats,
-	}
-	acc := make(map[string]map[int]map[string][]float64)
-	for _, spec := range roster {
-		acc[spec.name] = make(map[int]map[string][]float64)
-		for _, s := range cfg.Shots {
-			acc[spec.name][s] = make(map[string][]float64)
+	for _, a := range g.arms {
+		if !a.table1 {
+			continue
 		}
-	}
-
-	// Enumerate the independent (rep, shot, method) cells in the same
-	// rep-major nesting order as the historical sequential loops. Support
-	// draws stay sequential (each has its own seeded RNG anyway) and are
-	// shared by every method cell of the same (rep, shot), exactly as
-	// before.
-	type t1Cell struct {
-		rep, shot int
-		spec      methodSpec
-		support   *dataset.Dataset
-	}
-	var cells []t1Cell
-	for rep := 0; rep < cfg.Repeats; rep++ {
-		for _, shot := range cfg.Shots {
-			drawRng := rand.New(rand.NewSource(cfg.Seed + int64(rep)*977 + int64(shot)))
-			support, _, err := pair.TargetTrain.FewShot(shot, pair.UseGroups, drawRng)
-			if err != nil {
-				return nil, err
-			}
-			for _, spec := range roster {
-				cells = append(cells, t1Cell{rep, shot, spec, support})
-			}
-		}
-	}
-
-	workers := par.Resolve(cfg.Workers)
-	notify := lockedProgress(cfg.Progress, workers)
-	scores := make([]map[string]float64, len(cells))
-	if err := par.ForEachErr(workers, len(cells), func(ci int) error {
-		c := cells[ci]
-		seed := cfg.Seed + int64(c.rep)*7919 + int64(c.shot)*101
-		m := c.spec.build(cfg.Scale, seed)
-		if om, ok := m.(*OursMethod); ok {
-			om.Cfg.Obs = cfg.Obs
-			// The cell grid owns the parallelism; keep the in-cell FS
-			// search and shard workers on their sequential paths to avoid
-			// oversubscription. TrainShards still applies — the shard count
-			// changes the bits, the worker count never does.
-			om.Cfg.Workers = 1
-			om.Cfg.TrainShards = cfg.TrainShards
-		}
-		// The cell is one unit of the method's work: a model-agnostic
-		// method adapts once and every classifier column fits on the
-		// shared result.
-		defer baselines.Observe(cfg.Obs, m.Name())()
-		am, agnostic := m.(baselines.AgnosticMethod)
-		if !agnostic {
-			f1, err := pair.score(m.Predict(pair.Source, c.support, pair.TargetTest, nil))
-			if err != nil {
-				return fmt.Errorf("%s shot=%d: %w", c.spec.name, c.shot, err)
-			}
-			scores[ci] = map[string]float64{"*": f1}
-			progress(notify, "%s %s shot=%d rep=%d F1=%.1f",
-				cfg.Dataset, c.spec.name, c.shot, c.rep, f1)
-			return nil
-		}
-		adapted, err := am.Adapt(pair.Source, c.support, pair.TargetTest)
-		if err != nil {
-			return fmt.Errorf("%s shot=%d: %w", c.spec.name, c.shot, err)
-		}
-		out := make(map[string]float64)
-		for _, kind := range models.AllKinds() {
-			clf, err := models.New(kind, models.Options{
-				Seed:   seed,
-				Epochs: cfg.Scale.ClassifierEpochs,
-				Trees:  cfg.Scale.Trees,
-			})
-			if err != nil {
-				return err
-			}
-			f1, err := pair.score(adapted.Classify(clf))
-			if err != nil {
-				return fmt.Errorf("%s/%s shot=%d: %w", c.spec.name, kind, c.shot, err)
-			}
-			out[kind.String()] = f1
-			progress(notify, "%s %s/%s shot=%d rep=%d F1=%.1f",
-				cfg.Dataset, c.spec.name, kind, c.shot, c.rep, f1)
-		}
-		scores[ci] = out
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Merge per-cell scores in cell (rep-major) order, classifiers in
-	// models.AllKinds() order, so every mean's float summation order
-	// matches the sequential path exactly.
-	for ci := range cells {
-		c := cells[ci]
-		for _, kind := range models.AllKinds() {
-			if v, ok := scores[ci][kind.String()]; ok {
-				acc[c.spec.name][c.shot][kind.String()] = append(acc[c.spec.name][c.shot][kind.String()], v)
-			}
-		}
-		if v, ok := scores[ci]["*"]; ok {
-			acc[c.spec.name][c.shot]["*"] = append(acc[c.spec.name][c.shot]["*"], v)
-		}
-	}
-
-	for _, spec := range roster {
 		row := MethodRow{
-			Method:        spec.name,
-			Category:      spec.category,
-			ModelAgnostic: acc[spec.name][cfg.Shots[0]]["*"] == nil,
+			Method:        a.name,
+			Category:      a.category,
+			ModelAgnostic: a.cols[0] != "*",
 			Scores:        make(map[int]map[string]float64),
 		}
-		for _, s := range cfg.Shots {
-			row.Scores[s] = make(map[string]float64)
-			for clf, vals := range acc[spec.name][s] {
-				row.Scores[s][clf] = mean(vals)
+		for _, s := range g.Shots {
+			row.Scores[s] = make(map[string]float64, len(a.cols))
+			for _, col := range a.cols {
+				row.Scores[s][col] = mean(g.values(a.name, col, s))
 			}
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res
 }
 
 // score is the macro-F1 of predictions for the target test rows; it passes
@@ -350,77 +278,6 @@ func filterRoster(roster []methodSpec, names []string) []methodSpec {
 		}
 	}
 	return out
-}
-
-func progress(fn func(string), format string, args ...any) {
-	if fn != nil {
-		fn(fmt.Sprintf(format, args...))
-	}
-}
-
-// lockedProgress wraps a Progress callback with a mutex so concurrent
-// experiment cells never invoke it at the same time. With one worker the
-// callback is returned untouched.
-func lockedProgress(fn func(string), workers int) func(string) {
-	if fn == nil || workers <= 1 {
-		return fn
-	}
-	var mu sync.Mutex
-	return func(s string) {
-		mu.Lock()
-		defer mu.Unlock()
-		fn(s)
-	}
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs))
-}
-
-// BestScore returns the maximum cell value for a method row (any shot, any
-// classifier); useful in summaries and tests.
-func (r *Table1Result) BestScore(method string) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Method != method {
-			continue
-		}
-		best := -1.0
-		for _, byClf := range row.Scores {
-			for _, v := range byClf {
-				if v > best {
-					best = v
-				}
-			}
-		}
-		return best, best >= 0
-	}
-	return 0, false
-}
-
-// Score returns a specific cell (clf "*" for model-specific methods).
-func (r *Table1Result) Score(method string, shot int, clf string) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Method != method {
-			continue
-		}
-		byClf, ok := row.Scores[shot]
-		if !ok {
-			return 0, false
-		}
-		if v, ok := byClf[clf]; ok {
-			return v, true
-		}
-		v, ok := byClf["*"]
-		return v, ok
-	}
-	return 0, false
 }
 
 // MeanScore averages a method's cells across all shots and classifiers.

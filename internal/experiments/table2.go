@@ -1,35 +1,13 @@
 package experiments
 
 import (
-	"fmt"
-	"math/rand"
-
+	"netdrift/internal/baselines"
 	"netdrift/internal/core"
-	"netdrift/internal/dataset"
-	"netdrift/internal/metrics"
-	"netdrift/internal/models"
-	"netdrift/internal/obs"
-	"netdrift/internal/par"
 )
 
-// Table2Config drives the reconstruction-strategy ablation (Table II):
-// FS+GAN vs FS+NoCond vs FS+VAE vs FS+VanillaAE with the TNet classifier.
-type Table2Config struct {
-	Dataset string // "5gc" or "5gipc"
-	Shots   []int  // default {1, 5, 10}
-	Repeats int    // default 3
-	Seed    int64
-	Scale   Scale
-	// Workers bounds concurrent evaluation of independent (rep, shot,
-	// reconstruction) cells; <= 0 means all cores, 1 forces the sequential
-	// path, and results are bit-identical for every value.
-	Workers  int
-	Progress func(string)
-	// Obs, when non-nil, instruments each ablation's adapter pipeline.
-	Obs *obs.Observer
-}
-
-// Table2Result holds Scores[reconstruction][shot] mean F1 with TNet.
+// Table2Result holds Scores[reconstruction][shot] mean F1 with TNet: the
+// reconstruction-strategy ablation, FS+GAN vs FS+NoCond vs FS+VAE vs
+// FS+VanillaAE.
 type Table2Result struct {
 	Dataset string
 	Shots   []int
@@ -38,84 +16,34 @@ type Table2Result struct {
 	Repeats int
 }
 
-// RunTable2 reproduces the Table II ablation for one dataset.
-func RunTable2(cfg Table2Config) (*Table2Result, error) {
-	if len(cfg.Shots) == 0 {
-		cfg.Shots = []int{1, 5, 10}
+// table2Kinds are Table II's rows, in order.
+var table2Kinds = []core.ReconKind{core.ReconGAN, core.ReconGANNoCond, core.ReconVAE, core.ReconVanillaAE}
+
+// reconSpec is a Table II row's method. The GAN row is Table I's FS+GAN:
+// the same adapter config, seeds and TNet.
+func reconSpec(k core.ReconKind) methodSpec {
+	if k == core.ReconGAN {
+		return fsGAN
 	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = 3
-	}
-	if cfg.Scale == (Scale{}) {
-		cfg.Scale = BenchScale
-	}
-	pair, err := MakePair(cfg.Dataset, cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	kinds := []core.ReconKind{core.ReconGAN, core.ReconGANNoCond, core.ReconVAE, core.ReconVanillaAE}
-	acc := make(map[core.ReconKind]map[int][]float64, len(kinds))
-	for _, k := range kinds {
-		acc[k] = make(map[int][]float64)
-	}
-	type t2Cell struct {
-		rep, shot int
-		kind      core.ReconKind
-		support   *dataset.Dataset
-	}
-	var cells []t2Cell
-	for rep := 0; rep < cfg.Repeats; rep++ {
-		for _, shot := range cfg.Shots {
-			drawRng := rand.New(rand.NewSource(cfg.Seed + int64(rep)*977 + int64(shot)))
-			support, _, err := pair.TargetTrain.FewShot(shot, pair.UseGroups, drawRng)
-			if err != nil {
-				return nil, err
-			}
-			for _, kind := range kinds {
-				cells = append(cells, t2Cell{rep, shot, kind, support})
-			}
-		}
-	}
-	workers := par.Resolve(cfg.Workers)
-	notify := lockedProgress(cfg.Progress, workers)
-	f1s := make([]float64, len(cells))
-	if err := par.ForEachErr(workers, len(cells), func(ci int) error {
-		c := cells[ci]
-		seed := cfg.Seed + int64(c.rep)*7919 + int64(c.shot)*101
-		m := NewFSRecon(c.kind, cfg.Scale.GANEpochs, seed)
-		m.Cfg.Obs = cfg.Obs
-		m.Cfg.Workers = 1 // the cell grid owns the parallelism
-		clf := models.NewTNet(models.Options{Seed: seed, Epochs: cfg.Scale.ClassifierEpochs})
-		pred, err := m.Predict(pair.Source, c.support, pair.TargetTest, clf)
-		if err != nil {
-			return fmt.Errorf("experiments: table2 %s shot=%d: %w", c.kind, c.shot, err)
-		}
-		f1, err := metrics.MacroF1Score(pair.TargetTest.Y, pred, pair.NumClasses)
-		if err != nil {
-			return err
-		}
-		f1s[ci] = f1
-		progress(notify, "%s FS+%s shot=%d rep=%d F1=%.1f", cfg.Dataset, c.kind, c.shot, c.rep, f1)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	// Rep-major merge keeps each mean's summation order sequential.
-	for ci, c := range cells {
-		acc[c.kind][c.shot] = append(acc[c.kind][c.shot], f1s[ci])
-	}
+	return methodSpec{name: "FS+" + k.String(), build: func(sc Scale, seed int64) baselines.Method {
+		return NewFSRecon(k, sc.GANEpochs, seed)
+	}}
+}
+
+// Table2 is the Table II view: each reconstructor's TNet draws, averaged.
+func (g *Grid) Table2() *Table2Result {
 	res := &Table2Result{
-		Dataset: cfg.Dataset,
-		Shots:   append([]int(nil), cfg.Shots...),
-		Kinds:   kinds,
-		Scores:  make(map[core.ReconKind]map[int]float64, len(kinds)),
-		Repeats: cfg.Repeats,
+		Dataset: g.Dataset,
+		Shots:   g.Shots,
+		Kinds:   table2Kinds,
+		Scores:  make(map[core.ReconKind]map[int]float64, len(table2Kinds)),
+		Repeats: g.Repeats,
 	}
-	for _, k := range kinds {
+	for _, k := range table2Kinds {
 		res.Scores[k] = make(map[int]float64)
-		for _, s := range cfg.Shots {
-			res.Scores[k][s] = mean(acc[k][s])
+		for _, s := range g.Shots {
+			res.Scores[k][s] = mean(g.values(reconSpec(k).name, "TNet", s))
 		}
 	}
-	return res, nil
+	return res
 }

@@ -8,26 +8,7 @@ import (
 	"netdrift/internal/dataset"
 	"netdrift/internal/metrics"
 	"netdrift/internal/models"
-	"netdrift/internal/obs"
-	"netdrift/internal/par"
 )
-
-// Table3Config drives the multi-target no-retraining experiment (§VI-F):
-// a single TNet fault-detection model trained only on Source, with two
-// FS+GAN adapters (one per target domain) cross-evaluated on both targets.
-type Table3Config struct {
-	Shots   []int // default {1, 5, 10}
-	Repeats int   // default 3
-	Seed    int64
-	Scale   Scale
-	// Workers bounds concurrent evaluation of independent (rep, shot)
-	// cells; <= 0 means all cores, 1 forces the sequential path, and
-	// results are bit-identical for every value.
-	Workers  int
-	Progress func(string)
-	// Obs, when non-nil, instruments both per-target adapter pipelines.
-	Obs *obs.Observer
-}
 
 // Table3Result holds Scores[adapter][target][shot]: F1 of the shared
 // source-trained TNet on target `target` when DA is performed by
@@ -41,140 +22,104 @@ type Table3Result struct {
 	CommonVariantFraction float64
 }
 
-// RunTable3 reproduces Table III on the synthetic 5GIPC dataset split into
-// Source, Target_1, and Target_2.
-func RunTable3(cfg Table3Config) (*Table3Result, error) {
-	if len(cfg.Shots) == 0 {
-		cfg.Shots = []int{1, 5, 10}
-	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = 3
-	}
-	if cfg.Scale == (Scale{}) {
-		cfg.Scale = BenchScale
-	}
-	d, err := dataset.Synthetic5GIPC(dataset.FiveGIPCConfig{
-		Seed:                cfg.Seed,
-		SourceNormal:        cfg.Scale.IPCSourceNormal,
-		SourceFaults:        cfg.Scale.IPCSourceFaults,
-		TargetNormal:        cfg.Scale.IPCTargetNormal,
-		TargetFaults:        cfg.Scale.IPCTargetFaults,
-		TargetTrainPerGroup: cfg.Scale.IPCTrainPool,
+// multiTarget is Table III's dataset (§VI-F): the synthetic 5GIPC split
+// into Source, Target_1 and Target_2.
+func multiTarget(sc Scale, seed int64) (*dataset.DriftedMulti, error) {
+	return dataset.Synthetic5GIPC(dataset.FiveGIPCConfig{
+		Seed:                seed,
+		SourceNormal:        sc.IPCSourceNormal,
+		SourceFaults:        sc.IPCSourceFaults,
+		TargetNormal:        sc.IPCTargetNormal,
+		TargetFaults:        sc.IPCTargetFaults,
+		TargetTrainPerGroup: sc.IPCTrainPool,
 		NumTargets:          2,
 	})
-	if err != nil {
-		return nil, err
-	}
+}
 
-	res := &Table3Result{Shots: append([]int(nil), cfg.Shots...), Repeats: cfg.Repeats}
-	acc := [2][2]map[int][]float64{}
+// table3Arm is Table III's one arm: per cell, a single TNet
+// fault-detection model trained only on Source, with two FS+GAN adapters
+// (one per target domain) cross-evaluated on both targets, and the Jaccard
+// of the two adapters' variant sets.
+var table3Arm = &arm{
+	name:  "multi-target",
+	multi: true,
+	cols:  []string{"FS+GAN_1/T1", "FS+GAN_1/T2", "FS+GAN_2/T1", "FS+GAN_2/T2", "Jaccard"},
+	cell:  (*gridRun).table3,
+}
+
+// table3 runs one Table III cell. Each adapter draws its own support from
+// its target, seeded from the cell seed, so the arm needs no pair.
+func (r *gridRun) table3(c cell) ([]float64, error) {
+	cfg, d := r.cfg, r.multi
+	// One shared TNet trained exclusively on scaled source data.
+	var clf *models.TNet
+	var adapters [2]*core.Adapter
+	for a := 0; a < 2; a++ {
+		drawRng := rand.New(rand.NewSource(c.seed + int64(a)*13))
+		support, _, err := d.Targets[a].Train.FewShot(c.shot, true, drawRng)
+		if err != nil {
+			return nil, err
+		}
+		ad := core.NewAdapter(core.AdapterConfig{
+			Mode:        core.ModeFSRecon,
+			Recon:       core.ReconGAN,
+			GAN:         core.GANConfig{Epochs: cfg.Scale.GANEpochs},
+			Seed:        c.seed + int64(a),
+			Workers:     1, // the cell grid owns the parallelism
+			TrainShards: cfg.TrainShards,
+			Obs:         cfg.Obs,
+		})
+		if err := ad.Fit(d.Source, support); err != nil {
+			return nil, fmt.Errorf("experiments: table3 adapter %d: %w", a+1, err)
+		}
+		adapters[a] = ad
+		if a == 0 {
+			train, err := ad.TrainingData(d.Source)
+			if err != nil {
+				return nil, err
+			}
+			clf = models.NewTNet(models.Options{Seed: c.seed, Epochs: cfg.Scale.ClassifierEpochs})
+			if err := clf.Fit(train.X, train.Y, 2); err != nil {
+				return nil, fmt.Errorf("experiments: table3 tnet: %w", err)
+			}
+		}
+	}
+	var out []float64
 	for a := 0; a < 2; a++ {
 		for t := 0; t < 2; t++ {
-			acc[a][t] = make(map[int][]float64)
-		}
-	}
-	var commonSum float64
-	var commonN int
-
-	// Each (rep, shot) cell trains both adapters and the shared TNet from
-	// its own seeded RNGs, so cells are independent and fan out across
-	// workers; per-cell outputs merge afterwards in rep-major order so
-	// the mean/Jaccard summation order matches the sequential path.
-	type t3Cell struct{ rep, shot int }
-	type t3Out struct {
-		f1     [2][2]float64
-		common float64
-	}
-	var cells []t3Cell
-	for rep := 0; rep < cfg.Repeats; rep++ {
-		for _, shot := range cfg.Shots {
-			cells = append(cells, t3Cell{rep, shot})
-		}
-	}
-	workers := par.Resolve(cfg.Workers)
-	notify := lockedProgress(cfg.Progress, workers)
-	outs := make([]t3Out, len(cells))
-	if err := par.ForEachErr(workers, len(cells), func(ci int) error {
-		c := cells[ci]
-		seed := cfg.Seed + int64(c.rep)*7919 + int64(c.shot)*101
-		// One shared TNet trained exclusively on scaled source data.
-		var clf *models.TNet
-		var adapters [2]*core.Adapter
-		for a := 0; a < 2; a++ {
-			drawRng := rand.New(rand.NewSource(seed + int64(a)*13))
-			support, _, err := d.Targets[a].Train.FewShot(c.shot, true, drawRng)
+			aligned, err := adapters[a].TransformTarget(d.Targets[t].Test.X)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			ad := core.NewAdapter(core.AdapterConfig{
-				Mode:    core.ModeFSRecon,
-				Recon:   core.ReconGAN,
-				GAN:     core.GANConfig{Epochs: cfg.Scale.GANEpochs},
-				Seed:    seed + int64(a),
-				Workers: 1, // the cell grid owns the parallelism
-				Obs:     cfg.Obs,
-			})
-			if err := ad.Fit(d.Source, support); err != nil {
-				return fmt.Errorf("experiments: table3 adapter %d: %w", a+1, err)
+			pred, err := models.PredictClasses(clf, aligned)
+			if err != nil {
+				return nil, err
 			}
-			adapters[a] = ad
-			if a == 0 {
-				train, err := ad.TrainingData(d.Source)
-				if err != nil {
-					return err
-				}
-				clf = models.NewTNet(models.Options{Seed: seed, Epochs: cfg.Scale.ClassifierEpochs})
-				if err := clf.Fit(train.X, train.Y, 2); err != nil {
-					return fmt.Errorf("experiments: table3 tnet: %w", err)
-				}
+			f1, err := metrics.MacroF1Score(d.Targets[t].Test.Y, pred, 2)
+			if err != nil {
+				return nil, err
 			}
+			out = append(out, f1)
+			progress(r.notify, "FS+GAN_%d on Target_%d shot=%d rep=%d F1=%.1f",
+				a+1, t+1, c.shot, c.rep, f1)
 		}
-		outs[ci].common = jaccard(adapters[0].VariantFeatures(), adapters[1].VariantFeatures())
+	}
+	return append(out, jaccard(adapters[0].VariantFeatures(), adapters[1].VariantFeatures())), nil
+}
 
-		for a := 0; a < 2; a++ {
-			for t := 0; t < 2; t++ {
-				aligned, err := adapters[a].TransformTarget(d.Targets[t].Test.X)
-				if err != nil {
-					return err
-				}
-				pred, err := models.PredictClasses(clf, aligned)
-				if err != nil {
-					return err
-				}
-				f1, err := metrics.MacroF1Score(d.Targets[t].Test.Y, pred, 2)
-				if err != nil {
-					return err
-				}
-				outs[ci].f1[a][t] = f1
-				progress(notify, "FS+GAN_%d on Target_%d shot=%d rep=%d F1=%.1f",
-					a+1, t+1, c.shot, c.rep, f1)
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for ci, c := range cells {
-		commonSum += outs[ci].common
-		commonN++
-		for a := 0; a < 2; a++ {
-			for t := 0; t < 2; t++ {
-				acc[a][t][c.shot] = append(acc[a][t][c.shot], outs[ci].f1[a][t])
-			}
-		}
-	}
+// Table3 is the Table III view. The Jaccard averages every cell, rep-major.
+func (g *Grid) Table3() *Table3Result {
+	res := &Table3Result{Shots: g.Shots, Repeats: g.Repeats}
 	for a := 0; a < 2; a++ {
 		for t := 0; t < 2; t++ {
 			res.Scores[a][t] = make(map[int]float64)
-			for _, s := range cfg.Shots {
-				res.Scores[a][t][s] = mean(acc[a][t][s])
+			for _, s := range g.Shots {
+				res.Scores[a][t][s] = mean(g.values(table3Arm.name, table3Arm.cols[2*a+t], s))
 			}
 		}
 	}
-	if commonN > 0 {
-		res.CommonVariantFraction = commonSum / float64(commonN)
-	}
-	return res, nil
+	res.CommonVariantFraction = mean(g.values(table3Arm.name, "Jaccard", 0))
+	return res
 }
 
 func jaccard(a, b []int) float64 {
