@@ -3,12 +3,15 @@
 // against the generator's ground-truth intervention targets:
 //
 //	fsinspect -dataset 5gc -shots 5
+//
+// The support is the draw of the experiment grid's rep 0 at that shot count
+// and seed, so the count it prints is the variant-count arm's FS value there.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 	"sort"
 
@@ -18,21 +21,22 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fsinspect:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fl := flag.NewFlagSet("fsinspect", flag.ExitOnError)
 	var (
-		ds    = flag.String("dataset", "5gc", "dataset: 5gc|5gipc")
-		scale = flag.String("scale", "bench", "compute scale: quick|bench|full")
-		shots = flag.Int("shots", 5, "target training samples per class")
-		seed  = flag.Int64("seed", 1, "RNG seed")
-		alpha = flag.Float64("alpha", 0.01, "CI-test significance level")
+		ds    = fl.String("dataset", "5gc", "dataset: 5gc|5gipc")
+		scale = fl.String("scale", "bench", "compute scale: quick|bench|full")
+		shots = fl.Int("shots", 5, "target training samples per class")
+		seed  = fl.Int64("seed", 1, "RNG seed")
+		alpha = fl.Float64("alpha", 0.01, "CI-test significance level")
 	)
-	flag.Parse()
+	fl.Parse(args)
 
 	sc, ok := experiments.ScaleByName(*scale)
 	if !ok {
@@ -43,7 +47,7 @@ func run() error {
 		return err
 	}
 	truth, names := pair.TrueVariant, pair.Source.FeatureNames
-	support, _, err := pair.TargetTrain.FewShot(*shots, pair.UseGroups, rand.New(rand.NewSource(*seed+1)))
+	support, err := pair.SupportDraw(*seed, 0, *shots)
 	if err != nil {
 		return err
 	}
@@ -76,10 +80,10 @@ func run() error {
 	}
 	sort.Ints(missed)
 
-	fmt.Printf("dataset=%s shots=%d source=%d support=%d features=%d\n",
+	fmt.Fprintf(w, "dataset=%s shots=%d source=%d support=%d features=%d\n",
 		*ds, *shots, pair.Source.NumSamples(), support.NumSamples(), pair.Source.NumFeatures())
-	fmt.Printf("ground-truth variant features: %d\n", len(truth))
-	fmt.Printf("FS identified:                 %d\n", len(variant))
+	fmt.Fprintf(w, "ground-truth variant features: %d\n", len(truth))
+	fmt.Fprintf(w, "FS identified:                 %d\n", len(variant))
 	recall := 0.0
 	if len(truth) > 0 {
 		recall = float64(tp) / float64(len(truth))
@@ -88,20 +92,20 @@ func run() error {
 	if len(variant) > 0 {
 		precision = float64(tp) / float64(len(variant))
 	}
-	fmt.Printf("recall=%.2f precision=%.2f\n\n", recall, precision)
+	fmt.Fprintf(w, "recall=%.2f precision=%.2f\n\n", recall, precision)
 
-	fmt.Println("identified variant features:")
+	fmt.Fprintln(w, "identified variant features:")
 	for _, v := range variant {
 		mark := " "
 		if !isTrue[v] {
 			mark = "✗ (false positive)"
 		}
-		fmt.Printf("  %4d %-24s %s\n", v, names[v], mark)
+		fmt.Fprintf(w, "  %4d %-24s %s\n", v, names[v], mark)
 	}
 	if len(missed) > 0 {
-		fmt.Println("\nmissed intervention targets (need more target samples):")
+		fmt.Fprintln(w, "\nmissed intervention targets (need more target samples):")
 		for _, v := range missed {
-			fmt.Printf("  %4d %s\n", v, names[v])
+			fmt.Fprintf(w, "  %4d %s\n", v, names[v])
 		}
 	}
 	return nil

@@ -19,10 +19,15 @@ import (
 // among same-class target support samples. The classifier trains on the
 // augmented target data.
 type CMT struct {
-	AugPerClass int     // augmented samples per class; default 60
-	Jitter      float64 // component jitter for 1-shot classes; default 0.05
-	Seed        int64
+	Seed int64
 }
+
+// CMT's augmentation: samples per class, and the component jitter that
+// lets 1-shot classes still produce diversity.
+const (
+	cmtAugPerClass = 60
+	cmtJitter      = 0.05
+)
 
 var _ AgnosticMethod = CMT{}
 
@@ -38,14 +43,6 @@ func (m CMT) Predict(source, support, test *dataset.Dataset, clf models.Classifi
 func (m CMT) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	if err := validateInputs(source, support, test, true); err != nil {
 		return nil, err
-	}
-	aug := m.AugPerClass
-	if aug == 0 {
-		aug = 60
-	}
-	jitter := m.Jitter
-	if jitter == 0 {
-		jitter = 0.05
 	}
 	scaled, err := zScale(source.X, source.X, support.X, test.X)
 	if err != nil {
@@ -109,11 +106,11 @@ func (m CMT) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 		// Augment by resampling each independent component across the
 		// class's samples (the CMT combinatorial augmentation), with
 		// jitter so 1-shot classes still produce diversity.
-		for a := 0; a < aug; a++ {
+		for a := 0; a < cmtAugPerClass; a++ {
 			e := make([]float64, d)
 			for j := 0; j < d; j++ {
 				src := comps[rng.Intn(len(comps))]
-				e[j] = src[j] + jitter*rng.NormFloat64()
+				e[j] = src[j] + cmtJitter*rng.NormFloat64()
 			}
 			x, err := mat.MulVec(l, e)
 			if err != nil {
@@ -136,10 +133,15 @@ func (m CMT) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 // only examine a bounded feature window, so ICD identifies far fewer
 // variant features than FS — exactly what the paper observes (§VI-B(d)).
 type ICD struct {
-	Alpha  float64 // marginal-test significance; default 1e-8 (conservative)
-	Window int     // features examined by the subset search; default 40
-	Seed   int64
+	Seed int64
 }
+
+// ICD's search: the (conservative) marginal-test significance, and the
+// number of features the subset search examines.
+const (
+	icdAlpha  = 1e-8
+	icdWindow = 40
+)
 
 var _ AgnosticMethod = ICD{}
 
@@ -189,27 +191,19 @@ func (m ICD) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 
 // findVariant runs the bounded-window conservative search on scaled data.
 func (m ICD) findVariant(srcX, supX [][]float64) ([]int, error) {
-	alpha := m.Alpha
-	if alpha == 0 {
-		alpha = 1e-8
-	}
-	window := m.Window
-	if window == 0 {
-		window = 40
-	}
 	d := len(srcX[0])
 	cols := make([]int, d)
 	for i := range cols {
 		cols[i] = i
 	}
-	if window < d {
+	if icdWindow < d {
 		rng := rand.New(rand.NewSource(m.Seed))
 		rng.Shuffle(d, func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
-		cols = cols[:window]
+		cols = cols[:icdWindow]
 	}
 	res, err := causal.FindVariantFeatures(
 		selectColumns(srcX, cols), selectColumns(supX, cols),
-		causal.FNodeConfig{Alpha: alpha, MarginalOnly: true},
+		causal.FNodeConfig{Alpha: icdAlpha, MarginalOnly: true},
 	)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: icd separation: %w", err)

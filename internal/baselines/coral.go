@@ -14,10 +14,7 @@ import (
 // transformed source plus the support set. With few-shot targets the target
 // covariance is heavily shrunk toward identity.
 type CORAL struct {
-	// Shrinkage blends the target covariance with identity; 0 selects an
-	// automatic value growing as the support set shrinks.
-	Shrinkage float64
-	Seed      int64
+	Seed int64
 }
 
 var _ AgnosticMethod = CORAL{}
@@ -42,13 +39,11 @@ func (m CORAL) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	srcX, supX, testX := scaled[0], scaled[1], scaled[2]
 	d := source.NumFeatures()
 
-	shrink := m.Shrinkage
-	if shrink == 0 {
-		// More shrinkage with fewer support samples relative to dimension.
-		shrink = float64(d) / float64(d+len(supX))
-		if shrink > 0.95 {
-			shrink = 0.95
-		}
+	// The target covariance blends with identity, more so with fewer
+	// support samples relative to dimension.
+	shrink := float64(d) / float64(d+len(supX))
+	if shrink > 0.95 {
+		shrink = 0.95
 	}
 
 	cs, err := shrunkCovariance(srcX, 0.05)

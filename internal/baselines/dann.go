@@ -16,15 +16,20 @@ import (
 // the features toward domain independence. Model-specific: it trains its
 // own network, as in [14], [15].
 type DANN struct {
-	Epochs int     // default 30
-	LR     float64 // default 1e-3
-	Lambda float64 // max gradient-reversal strength; default 1 (ramped)
+	Epochs int // default 30
 	Seed   int64
 
 	// useSupCon adds the supervised-contrastive term: the SCL baseline.
 	useSupCon bool
 	scWeight  float64
 }
+
+// DANN's Adam learning rate, and the maximum gradient-reversal strength
+// its schedule ramps to.
+const (
+	dannLR        = 1e-3
+	dannLambdaMax = 1
+)
 
 var _ Method = (*DANN)(nil)
 
@@ -51,14 +56,6 @@ func (m *DANN) Predict(source, support, test *dataset.Dataset, _ models.Classifi
 	if epochs == 0 {
 		epochs = 30
 	}
-	lr := m.LR
-	if lr == 0 {
-		lr = 1e-3
-	}
-	lambdaMax := m.Lambda
-	if lambdaMax == 0 {
-		lambdaMax = 1
-	}
 	numClasses := numClassesOf(source, support, test)
 	scaled, err := zScale(source.X, source.X, support.X, test.X)
 	if err != nil {
@@ -82,7 +79,7 @@ func (m *DANN) Predict(source, support, test *dataset.Dataset, _ models.Classifi
 		nn.NewReLU(),
 		nn.NewDense(32, 1, rng),
 	)
-	opt := nn.NewAdam(lr, 1e-5)
+	opt := nn.NewAdam(dannLR, 1e-5)
 	params := append(append(feat.Params(), labelHead.Params()...), domainHead.Params()...)
 
 	nSrc := len(srcX)
@@ -96,9 +93,9 @@ func (m *DANN) Predict(source, support, test *dataset.Dataset, _ models.Classifi
 	for epoch := 0; epoch < epochs; epoch++ {
 		perm, batches = nn.MinibatchesInto(nSrc, 64, rng, perm, batches)
 		for _, idx := range batches {
-			// DANN's schedule: lambda ramps from 0 to lambdaMax.
+			// DANN's schedule: lambda ramps from 0 to dannLambdaMax.
 			p := float64(step) / float64(totalSteps)
-			grl.Lambda = lambdaMax * (2/(1+math.Exp(-10*p)) - 1)
+			grl.Lambda = dannLambdaMax * (2/(1+math.Exp(-10*p)) - 1)
 			step++
 
 			// Source half: label loss + domain label 0.

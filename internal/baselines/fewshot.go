@@ -23,17 +23,21 @@ const (
 // embedding network trained episodically on the source domain, with the
 // few-shot target samples forming the inference-time support set.
 type FewShotNet struct {
-	Episodes int     // default 200
-	Shots    int     // support size per class per episode; default 5
-	Queries  int     // query size per class per episode; default 5
-	LR       float64 // default 1e-3
-	// ProtoBlend weighs the target support against source prototypes when
-	// forming inference prototypes (ProtoNet only); default 0.7.
-	ProtoBlend float64
-	Seed       int64
+	Episodes int // default 200
+	Seed     int64
 
 	head fewShotHead
 }
+
+// The episodes' support and query sizes per class, their Adam learning
+// rate, and the weight of the target support against source prototypes
+// when ProtoNet forms its inference prototypes.
+const (
+	episodeShots   = 5
+	episodeQueries = 5
+	fewShotLR      = 1e-3
+	protoBlend     = 0.7
+)
 
 var _ Method = (*FewShotNet)(nil)
 
@@ -64,22 +68,6 @@ func (m *FewShotNet) Predict(source, support, test *dataset.Dataset, _ models.Cl
 	if episodes == 0 {
 		episodes = 200
 	}
-	shots := m.Shots
-	if shots == 0 {
-		shots = 5
-	}
-	queries := m.Queries
-	if queries == 0 {
-		queries = 5
-	}
-	lr := m.LR
-	if lr == 0 {
-		lr = 1e-3
-	}
-	blend := m.ProtoBlend
-	if blend == 0 {
-		blend = 0.7
-	}
 	numClasses := numClassesOf(source, support, test)
 	scaled, err := zScale(source.X, source.X, support.X, test.X)
 	if err != nil {
@@ -94,7 +82,7 @@ func (m *FewShotNet) Predict(source, support, test *dataset.Dataset, _ models.Cl
 		nn.NewReLU(),
 		nn.NewDense(128, 64, rng),
 	)
-	opt := nn.NewAdam(lr, 1e-5)
+	opt := nn.NewAdam(fewShotLR, 1e-5)
 	params := net.Params()
 
 	byClass := make(map[int][]int)
@@ -104,7 +92,7 @@ func (m *FewShotNet) Predict(source, support, test *dataset.Dataset, _ models.Cl
 
 	var scr episodeScratch
 	for ep := 0; ep < episodes; ep++ {
-		if err := m.episode(net, opt, params, srcX, byClass, numClasses, shots, queries, rng, &scr); err != nil {
+		if err := m.episode(net, opt, params, srcX, byClass, numClasses, rng, &scr); err != nil {
 			return nil, fmt.Errorf("baselines: %s episode %d: %w", m.Name(), ep, err)
 		}
 	}
@@ -121,7 +109,7 @@ func (m *FewShotNet) Predict(source, support, test *dataset.Dataset, _ models.Cl
 		return matchInference(testZ, supZ, support.Y, numClasses), nil
 	default:
 		srcZ := embed(srcX)
-		return protoInference(testZ, srcZ, source.Y, supZ, support.Y, numClasses, blend), nil
+		return protoInference(testZ, srcZ, source.Y, supZ, support.Y, numClasses, protoBlend), nil
 	}
 }
 
@@ -133,7 +121,7 @@ type episodeScratch struct {
 
 // episode runs one episodic training step on source data.
 func (m *FewShotNet) episode(net *nn.Network, opt *nn.Adam, params []*nn.Param,
-	srcX [][]float64, byClass map[int][]int, numClasses, shots, queries int, rng *rand.Rand, scr *episodeScratch) error {
+	srcX [][]float64, byClass map[int][]int, numClasses int, rng *rand.Rand, scr *episodeScratch) error {
 
 	var srcRows []int            // source row of each batch position
 	var supClass, qryClass []int // class of each support/query row
@@ -144,13 +132,13 @@ func (m *FewShotNet) episode(net *nn.Network, opt *nn.Adam, params []*nn.Param,
 			continue
 		}
 		perm := rng.Perm(len(idx))
-		for i := 0; i < shots; i++ {
+		for i := 0; i < episodeShots; i++ {
 			supPos = append(supPos, len(srcRows))
 			supClass = append(supClass, c)
 			srcRows = append(srcRows, idx[perm[i%len(perm)]])
 		}
 		perm = rng.Perm(len(idx))
-		for i := 0; i < queries; i++ {
+		for i := 0; i < episodeQueries; i++ {
 			qryPos = append(qryPos, len(srcRows))
 			qryClass = append(qryClass, c)
 			srcRows = append(srcRows, idx[perm[i%len(perm)]])
@@ -249,7 +237,10 @@ func (m *FewShotNet) episode(net *nn.Network, opt *nn.Adam, params []*nn.Param,
 }
 
 // protoInference blends source prototypes with target support means and
-// assigns each query to the nearest prototype.
+// assigns each query to the nearest prototype. blend is a parameter, not
+// the constant protoBlend, so that 1-blend rounds at run time: folded as a
+// constant expression it would be exactly 0.3, one ulp off the value the
+// pinned results were computed with.
 func protoInference(testZ, srcZ [][]float64, srcY []int, supZ [][]float64, supY []int, numClasses int, blend float64) []int {
 	dim := len(testZ[0])
 	srcProto := classMeans(srcZ, srcY, numClasses, dim)

@@ -15,12 +15,16 @@ import (
 // paper applies this baseline to the MLP model only (§VI-B(a)) and
 // fine-tunes all parameters rather than the last layer.
 type FineTune struct {
-	PretrainEpochs int     // default 30
-	TuneEpochs     int     // default 60 (tiny support set)
-	LR             float64 // pretrain LR; default 1e-3
-	TuneLR         float64 // fine-tune LR; default 2e-4
+	PretrainEpochs int // default 30
+	TuneEpochs     int // default 60 (tiny support set)
 	Seed           int64
 }
+
+// The pre-training and the (lower) fine-tuning learning rates.
+const (
+	pretrainLR = 1e-3
+	tuneLR     = 2e-4
+)
 
 var _ Method = (*FineTune)(nil)
 
@@ -40,14 +44,6 @@ func (m *FineTune) Predict(source, support, test *dataset.Dataset, _ models.Clas
 	if tune == 0 {
 		tune = 60
 	}
-	lr := m.LR
-	if lr == 0 {
-		lr = 1e-3
-	}
-	tuneLR := m.TuneLR
-	if tuneLR == 0 {
-		tuneLR = 2e-4
-	}
 	numClasses := numClassesOf(source, support, test)
 	scaled, err := zScale(source.X, source.X, support.X, test.X)
 	if err != nil {
@@ -61,7 +57,7 @@ func (m *FineTune) Predict(source, support, test *dataset.Dataset, _ models.Clas
 		Dropout: 0.1,
 		Rng:     rng,
 	})
-	if err := models.TrainSoftmaxNet(net, scaled[0], source.Y, pre, 64, lr, rng); err != nil {
+	if err := models.TrainSoftmaxNet(net, scaled[0], source.Y, pre, 64, pretrainLR, rng); err != nil {
 		return nil, fmt.Errorf("baselines: finetune pretrain: %w", err)
 	}
 	if err := models.TrainSoftmaxNet(net, scaled[1], support.Y, tune, 16, tuneLR, rng); err != nil {

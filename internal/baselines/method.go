@@ -182,11 +182,7 @@ func (TarOnly) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 // SAndT pools source and target support, oversampling the support so the
 // target domain carries extra weight (the paper's S&T baseline).
 type SAndT struct {
-	// TargetBoost multiplies the support set by duplication; 0 selects a
-	// factor that brings the support to roughly a quarter of the source
-	// volume.
-	TargetBoost int
-	Seed        int64
+	Seed int64
 }
 
 var _ AgnosticMethod = SAndT{}
@@ -204,12 +200,11 @@ func (m SAndT) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	if err := validateInputs(source, support, test, true); err != nil {
 		return nil, err
 	}
-	boost := m.TargetBoost
-	if boost == 0 {
-		boost = source.NumSamples() / (4 * support.NumSamples())
-		if boost < 1 {
-			boost = 1
-		}
+	// Duplicate the support until it is roughly a quarter of the source
+	// volume.
+	boost := source.NumSamples() / (4 * support.NumSamples())
+	if boost < 1 {
+		boost = 1
 	}
 	pooled := source.Clone()
 	for b := 0; b < boost; b++ {

@@ -115,9 +115,6 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.data) - r.off }
 
-// Offset returns the number of bytes consumed so far.
-func (r *Reader) Offset() int { return r.off }
-
 // fail records the first error with positional context.
 func (r *Reader) fail(err error) {
 	if r.err == nil {

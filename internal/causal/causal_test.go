@@ -65,8 +65,8 @@ func TestCITester(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tester.N() != n {
-		t.Errorf("N = %d; want %d", tester.N(), n)
+	if tester.n != n {
+		t.Errorf("N = %d; want %d", tester.n, n)
 	}
 	pDep, err := tester.PValue(0, 1, nil)
 	if err != nil {

@@ -225,9 +225,3 @@ func (t *CITester) PValue(i, j int, cond []int) (float64, error) {
 	}
 	return p, nil
 }
-
-// Corr exposes the underlying correlation matrix (read-only use).
-func (t *CITester) Corr() *mat.Matrix { return t.corr }
-
-// N returns the sample count the tester was built from.
-func (t *CITester) N() int { return t.n }

@@ -38,7 +38,7 @@ func SampleSeed(requestSeed int64, i int) int64 {
 	return int64(z)
 }
 
-// AdaptScratch holds the per-worker buffers behind Adapt/AdaptBatch and
+// AdaptScratch holds the per-worker buffers behind AdaptBatch and
 // Reconstructor.ReconstructT. One scratch serves one call at a time;
 // serving workers own one each. The zero value is ready to use and grows
 // to steady state on first call.
@@ -50,9 +50,6 @@ type AdaptScratch struct {
 	out    nn.Tensor // merged full-width output
 	infer  nn.InferScratch
 	rng    *rand.Rand // reseeded per row; avoids a rand.New per sample
-
-	rowBuf  [1][]float64 // single-row adapters for Adapt
-	seedBuf [1]int64
 }
 
 // seeded returns the scratch RNG reseeded to seed, reproducing exactly
@@ -66,26 +63,11 @@ func (s *AdaptScratch) seeded(seed int64) *rand.Rand {
 	return s.rng
 }
 
-// Adapt aligns one raw target row to the source domain: the batch-size-1
-// case of AdaptBatch, and the sequential baseline of the serving
-// benchmark. The returned slice is scratch-owned and valid until the
-// scratch's next use.
-func (a *Adapter) Adapt(row []float64, seed int64, scr *AdaptScratch) ([]float64, error) {
-	scr.rowBuf[0] = row
-	scr.seedBuf[0] = seed
-	out, err := a.AdaptBatch(scr.rowBuf[:], scr.seedBuf[:], scr)
-	scr.rowBuf[0] = nil
-	if err != nil {
-		return nil, err
-	}
-	return out.Row(0), nil
-}
-
 // AdaptBatch aligns a micro-batch of raw target rows in one pass: scale,
 // stitch the invariant block with per-row noise, one generator forward
 // for the whole batch, merge. seeds carries one noise seed per row
-// (derive them with SampleSeed). The output is bit-identical to calling
-// Adapt row by row with the same seeds, and — with all-zero seeds — to
+// (derive them with SampleSeed). Each output row is bit-identical to a
+// 1-row call with that row's seed, and — with all-zero seeds — to
 // TransformTarget. The returned tensor is scratch-owned and valid until
 // the scratch's next use; a steady-state call allocates nothing.
 //

@@ -104,12 +104,12 @@ func TestAdaptBatchMatchesPerSampleAdapt(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rowScr AdaptScratch
-	for i, row := range rows {
-		single, err := ad.Adapt(row, seeds[i], &rowScr)
+	for i := range rows {
+		solo, err := ad.AdaptBatch(rows[i:i+1], seeds[i:i+1], &rowScr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched := out.Row(i)
+		single, batched := solo.Row(0), out.Row(i)
 		if len(single) != len(batched) {
 			t.Fatalf("row %d width %d vs %d", i, len(single), len(batched))
 		}
@@ -122,12 +122,12 @@ func TestAdaptBatchMatchesPerSampleAdapt(t *testing.T) {
 	}
 
 	// Different seeds must actually change the draw (the noise is live).
-	other, err := ad.Adapt(rows[0], SampleSeed(requestSeed+1, 0), &rowScr)
+	other, err := ad.AdaptBatch(rows[:1], []int64{SampleSeed(requestSeed+1, 0)}, &rowScr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	same := true
-	for j, v := range other {
+	for j, v := range other.Row(0) {
 		if v != out.Row(0)[j] {
 			same = false
 			break
@@ -299,7 +299,7 @@ func TestReconstructTMatchesEvalForward(t *testing.T) {
 			nn.SetKernelWidth(widths[0])
 			ad, raw := fitServeAdapter(t, kind)
 			inv := scaledInv(t, ad, raw)
-			r := ad.Reconstructor()
+			r := ad.recon
 			want := golden[kind]
 			for _, width := range widths {
 				nn.SetKernelWidth(width)
@@ -353,7 +353,7 @@ func bitsDigest(v []float64) uint64 {
 func TestReconstructRejectsRaggedRows(t *testing.T) {
 	ad, rows := fitServeAdapter(t, ReconGAN)
 	inv := scaledInv(t, ad, rows[:3])
-	g := ad.Reconstructor().(*CGAN)
+	g := ad.recon.(*CGAN)
 	long := append(append([]float64(nil), inv[1]...), 0.5)
 	for _, bad := range [][]float64{long, inv[1][:len(inv[1])-1]} {
 		ragged := [][]float64{inv[0], bad, inv[2]}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -120,11 +119,6 @@ func NewAdapter(cfg AdapterConfig) *Adapter {
 	}
 	return &Adapter{cfg: cfg}
 }
-
-// ErrNoVariant is returned when feature separation finds no variant
-// features — there is no drift to mitigate and the adapter degenerates to
-// pass-through scaling.
-var ErrNoVariant = errors.New("core: no variant features identified")
 
 // Fit runs feature separation using the few-shot target support set and
 // trains the reconstructor on source data only.
@@ -325,10 +319,3 @@ func (a *Adapter) NumFeatures() int {
 	}
 	return len(a.sep.invariant) + len(a.sep.variant)
 }
-
-// Reconstructor exposes the trained reconstructor (nil in ModeFS or when no
-// variant features were found).
-func (a *Adapter) Reconstructor() Reconstructor { return a.recon }
-
-// Mode reports the adapter's operating mode.
-func (a *Adapter) Mode() Mode { return a.cfg.Mode }

@@ -174,7 +174,7 @@ func TestReconstructorNotFitted(t *testing.T) {
 		NewCGAN(GANConfig{}), NewVAE(VAEConfig{}), NewVanillaAE(VAEConfig{}),
 	} {
 		if _, err := reconstructRows(r, [][]float64{{1}}); !errors.Is(err, ErrNotFitted) {
-			t.Errorf("%s: err = %v; want ErrNotFitted", r.Name(), err)
+			t.Errorf("%T: err = %v; want ErrNotFitted", r, err)
 		}
 	}
 }
@@ -243,7 +243,7 @@ func TestAdapterEndToEndFSRecon(t *testing.T) {
 	if v := ad.VariantFeatures(); len(v) != 1 || v[0] != 2 {
 		t.Fatalf("variant = %v; want [2]", v)
 	}
-	if ad.Reconstructor() == nil {
+	if ad.recon == nil {
 		t.Fatal("reconstructor missing in FSRecon mode")
 	}
 
@@ -318,7 +318,7 @@ func TestAdapterFSMode(t *testing.T) {
 	if len(out[0]) != 3 {
 		t.Errorf("FS transform width = %d; want 3", len(out[0]))
 	}
-	if ad.Reconstructor() != nil {
+	if ad.recon != nil {
 		t.Error("FS mode must not train a reconstructor")
 	}
 }

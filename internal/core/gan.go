@@ -290,13 +290,6 @@ func (g *CGAN) genShard(tr *trainer, s int, b *shardBatch, loss []float64) error
 	return nil
 }
 
-// Snapshots returns deep copies of the trained networks' parameters and
-// running statistics (generator first, then discriminator), for bitwise
-// determinism verification across worker counts and kernel sets.
-func (g *CGAN) Snapshots() []*nn.Snapshot {
-	return []*nn.Snapshot{nn.TakeSnapshot(g.gen), nn.TakeSnapshot(g.disc)}
-}
-
 // ReconstructT implements Reconstructor: the whole batch runs through one
 // generator inference pass. Rows with seed 0 use the pinned prior-mode
 // noise (fixedZ, the paper's M=1 draw of §V-C2); other seeds draw a

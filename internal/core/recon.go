@@ -26,8 +26,6 @@ type Reconstructor interface {
 	// scratch each. The returned tensor is scratch-owned and valid until
 	// the scratch's next use.
 	ReconstructT(inv *nn.Tensor, seeds []int64, scr *AdaptScratch) (*nn.Tensor, error)
-	// Name identifies the reconstruction strategy for reports.
-	Name() string
 }
 
 // ReconKind selects the reconstruction strategy (Table II ablation).

@@ -108,7 +108,7 @@ func testRecon(model string, epochs, shards, workers int, o *obs.Observer) Recon
 func reconSnapshots(r Reconstructor) []*nn.Snapshot {
 	switch r := r.(type) {
 	case *CGAN:
-		return r.Snapshots()
+		return []*nn.Snapshot{nn.TakeSnapshot(r.gen), nn.TakeSnapshot(r.disc)}
 	case *VAE:
 		return []*nn.Snapshot{nn.TakeSnapshot(r.encoder), nn.TakeSnapshot(r.decoder)}
 	case *VanillaAE:
@@ -287,8 +287,8 @@ func TestGANGradArenasZeroBetweenSteps(t *testing.T) {
 				t.Fatalf("%s fit: %v", model, err)
 			}
 			for _, sn := range []*nn.ShardedNet{g.sdisc, g.sgen} {
-				for r := 0; r < sn.Shards(); r++ {
-					for _, p := range sn.Params(r) {
+				for r := 0; r < shards; r++ {
+					for _, p := range sn.Net(r).Params() {
 						for _, v := range p.Grad {
 							if v != 0 {
 								t.Fatalf("%s shards=%d: replica %d gradient of %s is not zero", model, shards, r, p.Name)
@@ -397,7 +397,7 @@ func TestGANEpochKernelWidthsBitIdentical(t *testing.T) {
 			t.Fatalf("hidden=%d %s workers=%d: fit: %v", hidden, width, workers, err)
 		}
 		t.Logf("hidden=%d trained at kernel width %s, workers %d", hidden, width, workers)
-		return g.Snapshots()
+		return reconSnapshots(g)
 	}
 	for _, hidden := range []int{64, 100} {
 		want := train(hidden, "go", 1)

@@ -244,6 +244,67 @@ func TestVariantCountsQuick(t *testing.T) {
 	}
 }
 
+// verdictRecorder keeps the variant verdicts of the FS searches it sees.
+type verdictRecorder struct {
+	verdicts int
+	variant  []int
+}
+
+func (r *verdictRecorder) CITest(obs.CITest) {}
+func (r *verdictRecorder) Verdict(v obs.FeatureVerdict) {
+	r.verdicts++
+	if v.Variant {
+		r.variant = append(r.variant, v.Feature)
+	}
+}
+
+// TestFSArmsReachOneVariantSet checks the precondition for sharing one FS
+// search among a (rep, shot)'s arms: the FS, FS+GAN, a Table II and the
+// variant-count arm each run one search on the cell's support, and every
+// one reaches the same variant set (their FNodeConfigs differ only in
+// Workers and Obs, which never move a verdict).
+func TestFSArmsReachOneVariantSet(t *testing.T) {
+	const seed, shot = 3, 5
+	pair, err := MakePair("5gc", QuickScale, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	support, err := pair.SupportDraw(seed, 0, shot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := []*arm{
+		methodArm(filterRoster(table1Roster(), []string{"FS (ours)"})[0], QuickScale, tnetOnly, true),
+		methodArm(fsGAN, QuickScale, tnetOnly, true),
+		methodArm(reconSpec(core.ReconVAE), QuickScale, tnetOnly, false),
+		countsArm,
+	}
+	var want []int
+	for i, a := range arms {
+		rec := &verdictRecorder{}
+		r := &gridRun{cfg: Config{Dataset: "5gc", Seed: seed, Scale: QuickScale, Obs: &obs.Observer{Search: rec}}, pair: pair}
+		vals, err := a.cell(r, cell{shot: shot, seed: seed + shot*101, support: support, arm: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := pair.Source.NumFeatures(); rec.verdicts != d {
+			t.Fatalf("%s: %d verdicts; want one search's %d", a.name, rec.verdicts, d)
+		}
+		slices.Sort(rec.variant)
+		if i == 0 {
+			want = rec.variant
+		} else if !slices.Equal(rec.variant, want) {
+			t.Errorf("%s reached variant set %v; %s reached %v", a.name, rec.variant, arms[0].name, want)
+		}
+		if a == countsArm && int(vals[0]) != len(want) {
+			t.Errorf("variant-count arm reports %v; the searches found %d", vals[0], len(want))
+		}
+	}
+	if len(want) == 0 {
+		t.Error("the searches found no variant feature; the check compares nothing")
+	}
+}
+
 // TestVarianceQuick checks that the variance view reads FS+GAN/TNet's
 // draws: a standalone variance grid's values are Table I's FS+GAN/TNet
 // draws at that shot.

@@ -139,8 +139,7 @@ func RunGrid(cfg Config, exps ...string) (*Grid, error) {
 		for _, shot := range cfg.Shots {
 			c := cell{rep: rep, shot: shot, seed: cfg.Seed + int64(rep)*7919 + int64(shot)*101}
 			if r.pair != nil {
-				drawRng := rand.New(rand.NewSource(cfg.Seed + int64(rep)*977 + int64(shot)))
-				if c.support, _, err = r.pair.TargetTrain.FewShot(shot, r.pair.UseGroups, drawRng); err != nil {
+				if c.support, err = r.pair.SupportDraw(cfg.Seed, rep, shot); err != nil {
 					return nil, err
 				}
 			}
@@ -165,6 +164,14 @@ func RunGrid(cfg Config, exps ...string) (*Grid, error) {
 		}
 	}
 	return g, nil
+}
+
+// SupportDraw draws the few-shot target support of the grid's (rep, shot)
+// cell for a pair made from seed: every arm of that cell reads this draw.
+func (p *Pair) SupportDraw(seed int64, rep, shot int) (*dataset.Dataset, error) {
+	rng := rand.New(rand.NewSource(seed + int64(rep)*977 + int64(shot)))
+	support, _, err := p.TargetTrain.FewShot(shot, p.UseGroups, rng)
+	return support, err
 }
 
 // gridArms lists the arms exps need, Table I's first: its FS+GAN arm fills

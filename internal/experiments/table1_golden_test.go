@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"netdrift/internal/nn"
 )
 
 const table1GoldenPath = "testdata/table1_quick_5gc.golden"
@@ -41,7 +43,8 @@ func table1Golden(t *testing.T) []string {
 // TestRunTable1Golden pins every cell of a quick-scale 5GC Table I to the
 // Float64bits recorded in testdata, which the filter-scan boosting split
 // search with one adaptation per classifier produced. Faster paths must not
-// move a single cell.
+// move a single cell, at any kernel width: one subtest per width this host
+// has, the Go twins included.
 func TestRunTable1Golden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a full Table I is too slow under the race detector; CI runs this test without it")
@@ -51,13 +54,20 @@ func TestRunTable1Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	got := table1Golden(t)
-	if len(got) != len(want) {
-		t.Fatalf("%d cells, golden has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("cell %d: got %s, want %s", i, got[i], want[i])
-		}
+	widths := nn.KernelWidths()
+	defer nn.SetKernelWidth(nn.SetKernelWidth(widths[0]))
+	for _, width := range widths {
+		t.Run(width, func(t *testing.T) {
+			nn.SetKernelWidth(width)
+			got := table1Golden(t)
+			if len(got) != len(want) {
+				t.Fatalf("%d cells, golden has %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("cell %d: got %s, want %s", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }

@@ -125,20 +125,6 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := New(m.cols, m.rows)
@@ -235,19 +221,6 @@ func (m *Matrix) SubMatrixInto(dst *Matrix, rowIdx, colIdx []int) (*Matrix, erro
 		}
 	}
 	return out, nil
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func (m *Matrix) Trace() float64 {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	var t float64
-	for i := 0; i < n; i++ {
-		t += m.data[i*m.cols+i]
-	}
-	return t
 }
 
 // Equal reports whether a and b have the same shape and entries within tol.

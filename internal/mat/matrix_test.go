@@ -260,22 +260,6 @@ func TestSubMatrix(t *testing.T) {
 	}
 }
 
-func TestRowColViews(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	r := m.Row(1)
-	r[0] = 99
-	if m.At(1, 0) != 3 {
-		t.Error("Row must return a copy")
-	}
-}
-
-func TestTraceAndNorm(t *testing.T) {
-	m, _ := FromRows([][]float64{{3, 0}, {0, 4}})
-	if m.Trace() != 7 {
-		t.Errorf("Trace = %v; want 7", m.Trace())
-	}
-}
-
 // Property: (A*B)^T == B^T * A^T for random matrices.
 func TestMulTransposeProperty(t *testing.T) {
 	f := func(seed int64) bool {

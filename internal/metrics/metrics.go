@@ -36,23 +36,6 @@ func NewConfusion(yTrue, yPred []int, numClasses int) (*Confusion, error) {
 	return c, nil
 }
 
-// Accuracy returns the fraction of correct predictions.
-func (c *Confusion) Accuracy() float64 {
-	var correct, total int
-	for i, row := range c.Counts {
-		for j, v := range row {
-			total += v
-			if i == j {
-				correct += v
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
 // PerClassF1 returns each class's F1 score. Classes absent from both the
 // truth and the predictions score zero.
 func (c *Confusion) PerClassF1() []float64 {

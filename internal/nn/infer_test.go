@@ -178,7 +178,7 @@ func TestInferConcurrent(t *testing.T) {
 				got := Infer(net, x, &s)
 				for i := range want {
 					for j, w := range want[i] {
-						if math.Float64bits(got.At(i, j)) != math.Float64bits(w) {
+						if math.Float64bits(got.Row(i)[j]) != math.Float64bits(w) {
 							select {
 							case errs <- "concurrent infer diverged from sequential reference":
 							default:

@@ -232,8 +232,8 @@ func TestSoftmaxCEKnownValue(t *testing.T) {
 	// Gradient: p - onehot = [.25 .25 -.75 .25].
 	want := []float64{0.25, 0.25, -0.75, 0.25}
 	for j := range want {
-		if math.Abs(g.At(0, j)-want[j]) > 1e-12 {
-			t.Errorf("grad[%d] = %v; want %v", j, g.At(0, j), want[j])
+		if math.Abs(g.Row(0)[j]-want[j]) > 1e-12 {
+			t.Errorf("grad[%d] = %v; want %v", j, g.Row(0)[j], want[j])
 		}
 	}
 	if _, err := SoftmaxCET(logits, []int{7}, &g); err == nil {
@@ -413,13 +413,13 @@ func TestGatherHelpers(t *testing.T) {
 	var gx Tensor
 	GatherInto(&gx, x, []int{2, 0})
 	gy := GatherLabelsInto(nil, y, []int{2, 0})
-	if gx.Rows() != 2 || gx.At(0, 0) != 3 || gx.At(1, 0) != 1 || gy[0] != 30 || gy[1] != 10 {
+	if gx.Rows() != 2 || gx.Row(0)[0] != 3 || gx.Row(1)[0] != 1 || gy[0] != 30 || gy[1] != 10 {
 		t.Error("gather wrong")
 	}
 	// Reuse shrinks in place and leaves the source rows untouched.
 	GatherInto(&gx, x, []int{1})
 	gy = GatherLabelsInto(gy, y, []int{1})
-	if gx.Rows() != 1 || gx.At(0, 0) != 2 || len(gy) != 1 || gy[0] != 20 || x[1][0] != 2 {
+	if gx.Rows() != 1 || gx.Row(0)[0] != 2 || len(gy) != 1 || gy[0] != 20 || x[1][0] != 2 {
 		t.Error("gather reuse wrong")
 	}
 }

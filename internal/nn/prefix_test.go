@@ -91,8 +91,8 @@ func prefixPair(rng *rand.Rand, rows, in, k int) (*Tensor, *Tensor) {
 			case 1:
 				v = rng.NormFloat64()
 			}
-			x1.Set(i, j, v)
-			x2.Set(i, j, v)
+			x1.Row(i)[j] = v
+			x2.Row(i)[j] = v
 		}
 		copy(x1.Row(i)[k:], s1[i])
 		copy(x2.Row(i)[k:], s2[i])
@@ -125,7 +125,7 @@ func testStalePrefixPanics(t *testing.T) {
 		{"other prefix", "different input (row 3, column 11)", func() {
 			d := kept()
 			x := NewTensor(7, 20).SetFromRows(x7b.ToRows())
-			x.Set(3, 11, 1)
+			x.Row(3)[11] = 1
 			ForwardResume(d, x, 12)
 		}},
 		{"Adam step", "weight update", func() {
@@ -136,7 +136,7 @@ func testStalePrefixPanics(t *testing.T) {
 		{"Adam step on the canonical net", "weight update", func() {
 			sn := NewSharded(NewNetwork(fresh(), NewReLU()), 2)
 			ForwardKeep(sn.Net(1), x7, 12)
-			NewAdam(1e-3, 0).Step(sn.Params(0))
+			NewAdam(1e-3, 0).Step(sn.params[0])
 			ForwardResume(sn.Net(1), x7b, 12)
 		}},
 		{"snapshot restore", "weight update", func() {

@@ -95,15 +95,8 @@ func NewSharded(root Layer, shards int) *ShardedNet {
 	return sn
 }
 
-// Shards returns the replica count.
-func (sn *ShardedNet) Shards() int { return len(sn.replicas) }
-
 // Net returns replica r's network.
 func (sn *ShardedNet) Net(r int) Layer { return sn.replicas[r] }
-
-// Params returns replica r's parameters in traversal order. For r = 0 these
-// are the canonical *Param objects themselves.
-func (sn *ShardedNet) Params(r int) []*Param { return sn.params[r] }
 
 // SeedDropouts reseeds every dropout layer of replica r from base, mixing in
 // the layer index so stacked dropouts draw distinct streams. Trainers call

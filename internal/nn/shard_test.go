@@ -44,7 +44,7 @@ func runShardStep(sn *ShardedNet, x *Tensor, bounds []int, workers int) [][]uint
 	sn.ReduceGrads(workers)
 	sn.FoldBatchStats()
 	var bits [][]uint64
-	for _, p := range sn.Params(0) {
+	for _, p := range sn.params[0] {
 		row := make([]uint64, len(p.Grad))
 		for i, v := range p.Grad {
 			row[i] = math.Float64bits(v)
@@ -104,7 +104,7 @@ func TestShardedNetParamSharing(t *testing.T) {
 	net := shardTestNet(rand.New(rand.NewSource(5)))
 	sn := NewSharded(net, 3)
 	canon := net.Params()
-	p0 := sn.Params(0)
+	p0 := sn.params[0]
 	if len(p0) != len(canon) {
 		t.Fatalf("replica 0 has %d params, canonical %d", len(p0), len(canon))
 	}
@@ -114,7 +114,7 @@ func TestShardedNetParamSharing(t *testing.T) {
 		}
 	}
 	for r := 1; r < 3; r++ {
-		pr := sn.Params(r)
+		pr := sn.params[r]
 		for i := range canon {
 			if pr[i] == canon[i] {
 				t.Fatalf("replica %d param %d aliases the canonical object", r, i)
@@ -135,14 +135,14 @@ func TestShardedNetReduceZeroesSources(t *testing.T) {
 	net := shardTestNet(rand.New(rand.NewSource(7)))
 	sn := NewSharded(net, 4)
 	for r := 0; r < 4; r++ {
-		for _, p := range sn.Params(r) {
+		for _, p := range sn.params[r] {
 			for i := range p.Grad {
 				p.Grad[i] = float64(r + 1)
 			}
 		}
 	}
 	sn.ReduceGrads(2)
-	for _, p := range sn.Params(0) {
+	for _, p := range sn.params[0] {
 		for i, v := range p.Grad {
 			if v != 1+2+3+4 {
 				t.Fatalf("canonical grad[%d] = %v, want 10", i, v)
@@ -150,7 +150,7 @@ func TestShardedNetReduceZeroesSources(t *testing.T) {
 		}
 	}
 	for r := 1; r < 4; r++ {
-		for _, p := range sn.Params(r) {
+		for _, p := range sn.params[r] {
 			for i, v := range p.Grad {
 				if v != 0 {
 					t.Fatalf("replica %d grad[%d] = %v after reduce, want 0", r, i, v)

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math/rand"
-
-	"netdrift/internal/mat"
-)
+import "math/rand"
 
 // Tensor is a flat, row-major batch of float64 rows — the storage behind the
 // package's zero-allocation hot path. Layers hold Tensors as reusable
@@ -77,12 +73,6 @@ func (t *Tensor) ViewRows(lo, hi int, view *Tensor) *Tensor {
 	return view
 }
 
-// At returns element (i, j).
-func (t *Tensor) At(i, j int) float64 { return t.data[i*t.cols+j] }
-
-// Set assigns element (i, j).
-func (t *Tensor) Set(i, j int, v float64) { t.data[i*t.cols+j] = v }
-
 // SetFromRows reshapes the tensor to match x and copies x into it. Ragged
 // input keeps the first row's width (rows are assumed equal-length, the
 // package-wide batch contract).
@@ -110,12 +100,6 @@ func (t *Tensor) ToRows() [][]float64 {
 		out[i] = flat[i*t.cols : (i+1)*t.cols]
 	}
 	return out
-}
-
-// Mat wraps the tensor's storage as a mat.Matrix view (no copy). The matrix
-// aliases the tensor and is invalidated by the next Reset that grows it.
-func (t *Tensor) Mat() (*mat.Matrix, error) {
-	return mat.Wrap(t.rows, t.cols, t.data)
 }
 
 // ConcatInto writes the row-wise concatenation [parts[0] | parts[1] | ...]

@@ -22,7 +22,6 @@ const (
 	FlightKindDegrade = "degrade" // a group was served as passthrough
 	FlightKindSwap    = "swap"    // bundle hot-swap (Detail = new bundle ID)
 	FlightKindPanic   = "panic"   // recovered panic (Name = site)
-	FlightKindMark    = "mark"    // free-form operator/test marker
 	FlightKindCtrl    = "ctrl"    // drift-controller transition (Name = event, Detail = context)
 )
 

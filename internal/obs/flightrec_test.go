@@ -15,7 +15,7 @@ import (
 func TestFlightRecorderWrapAndOrder(t *testing.T) {
 	r := NewFlightRecorder(8)
 	for i := 1; i <= 20; i++ {
-		r.Record(FlightKindMark, "m", "", strconv.Itoa(i))
+		r.Record("mark", "m", "", strconv.Itoa(i))
 	}
 	if got := r.LastSeq(); got != 20 {
 		t.Fatalf("LastSeq = %d, want 20", got)
@@ -37,7 +37,7 @@ func TestFlightRecorderDefaultsAndNil(t *testing.T) {
 		t.Errorf("default capacity %d, want %d", got, DefaultFlightCapacity)
 	}
 	var r *FlightRecorder
-	r.Record(FlightKindMark, "x", "", "") // must not panic
+	r.Record("mark", "x", "", "") // must not panic
 	if r.Snapshot() != nil || r.LastSeq() != 0 || r.Capacity() != 0 {
 		t.Error("nil recorder is not a no-op")
 	}
@@ -85,7 +85,7 @@ func TestFlightRecorderRaceHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				tag := fmt.Sprintf("w%d-%d", w, i)
-				r.Record(FlightKindMark, tag, "", tag)
+				r.Record("mark", tag, "", tag)
 			}
 		}(w)
 	}
@@ -136,7 +136,7 @@ func TestFlightRecorderCountEvents(t *testing.T) {
 	r := NewFlightRecorder(8)
 	r.CountEvents(reg.Counter(MetricFlightEvents))
 	for i := 0; i < 5; i++ {
-		r.Record(FlightKindMark, "m", "", "")
+		r.Record("mark", "m", "", "")
 	}
 	var got float64
 	for _, s := range reg.Snapshot() {
@@ -194,8 +194,8 @@ func TestFlightSpanSinkForwardsAndRecords(t *testing.T) {
 	sp := o.StartTrace("http.adapt", "trace-9")
 	sp.SetAttr("outcome", "ok")
 	sp.End()
-	if got, ok := mem.Find("http.adapt"); !ok || got.Trace != "trace-9" {
-		t.Fatalf("wrapped sink did not forward: %+v ok=%v", got, ok)
+	if got := mem.Spans(); len(got) != 1 || got[0].Name != "http.adapt" || got[0].Trace != "trace-9" {
+		t.Fatalf("wrapped sink did not forward: %+v", got)
 	}
 	evs := r.Snapshot()
 	if len(evs) != 1 || evs[0].Kind != FlightKindSpan || evs[0].Trace != "trace-9" || evs[0].Name != "http.adapt" {

@@ -127,9 +127,6 @@ func New() *Observer {
 	return &Observer{Registry: NewRegistry()}
 }
 
-// Enabled reports whether any instrumentation is active.
-func (o *Observer) Enabled() bool { return o != nil }
-
 // Counter is a nil-safe Registry.Counter.
 func (o *Observer) Counter(name string, labels ...string) *Counter {
 	if o == nil {

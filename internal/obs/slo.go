@@ -145,14 +145,6 @@ func (t *REDTracker) Observe(latencySeconds float64, isErr bool) {
 	t.mu.Unlock()
 }
 
-// Objective returns the tracker's effective SLO.
-func (t *REDTracker) Objective() SLO {
-	if t == nil {
-		return SLO{}.withDefaults()
-	}
-	return t.slo
-}
-
 // Stats summarizes the most recent window (clamped to the ring's span).
 // The burn rate is badFraction / (1 - availability): 1.0 means the error
 // budget is being consumed exactly as provisioned, >1 means faster.

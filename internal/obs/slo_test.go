@@ -90,9 +90,6 @@ func TestREDTrackerNilAndDefaults(t *testing.T) {
 	if st := tr.Stats(time.Minute); st.Requests != 0 {
 		t.Error("nil tracker reported requests")
 	}
-	if got := tr.Objective(); got.Availability != 0.999 || got.LatencyObjective != 0.25 {
-		t.Errorf("nil tracker objective = %+v, want defaults", got)
-	}
 	if got := (SLO{}).withDefaults(); got.LatencyObjective != 0.25 || got.Availability != 0.999 {
 		t.Errorf("withDefaults = %+v", got)
 	}

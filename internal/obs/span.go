@@ -179,14 +179,6 @@ func (s *Span) Trace() string {
 	return s.trace
 }
 
-// Start returns when the span began (zero for a nil span).
-func (s *Span) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
-}
-
 // SetAttr attaches a key/value annotation to the span, overwriting any
 // previous value for the same key. The first inlineAttrs distinct keys are
 // stored inline in the span, so hot-path annotation allocates nothing.
@@ -250,14 +242,12 @@ func (s *Span) End() {
 
 // JSONLinesSink writes one JSON object per finished span, suitable for
 // appending to a trace log file. Spans that fail to marshal or write are
-// dropped, but never silently: the drop count is observable via Drops and
-// can be mirrored into a registry counter (MetricSpanDrops) with
-// CountDrops.
+// dropped and counted in the registry counter CountDrops registers
+// (MetricSpanDrops), so /metrics exposes the loss.
 type JSONLinesSink struct {
 	mu      sync.Mutex
 	w       io.Writer
-	dropped atomic.Uint64
-	counter *Counter // optional registry mirror; may be nil
+	counter *Counter // drop counter; may be nil
 }
 
 // NewJSONLinesSink wraps w; writes are serialized internally.
@@ -265,20 +255,12 @@ func NewJSONLinesSink(w io.Writer) *JSONLinesSink {
 	return &JSONLinesSink{w: w}
 }
 
-// CountDrops mirrors every dropped span into c (typically the registry's
-// MetricSpanDrops counter, so /metrics exposes the loss).
+// CountDrops counts every dropped span in c (typically the registry's
+// MetricSpanDrops counter).
 func (s *JSONLinesSink) CountDrops(c *Counter) {
 	s.mu.Lock()
 	s.counter = c
 	s.mu.Unlock()
-}
-
-// Drops returns the number of spans lost to marshal or write failures.
-func (s *JSONLinesSink) Drops() uint64 { return s.dropped.Load() }
-
-func (s *JSONLinesSink) drop() {
-	s.dropped.Add(1)
-	s.counter.Inc()
 }
 
 // Emit implements Sink.
@@ -286,14 +268,14 @@ func (s *JSONLinesSink) Emit(sp SpanData) {
 	line, err := json.Marshal(sp)
 	if err != nil {
 		s.mu.Lock()
-		s.drop()
+		s.counter.Inc()
 		s.mu.Unlock()
 		return
 	}
 	line = append(line, '\n')
 	s.mu.Lock()
 	if _, err := s.w.Write(line); err != nil {
-		s.drop()
+		s.counter.Inc()
 	}
 	s.mu.Unlock()
 }
@@ -319,16 +301,4 @@ func (s *MemorySink) Spans() []SpanData {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]SpanData(nil), s.spans...)
-}
-
-// Find returns the first collected span with the given name.
-func (s *MemorySink) Find(name string) (SpanData, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sp := range s.spans {
-		if sp.Name == name {
-			return sp, true
-		}
-	}
-	return SpanData{}, false
 }

@@ -23,11 +23,10 @@ func TestSpanHierarchyMemorySink(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
-	fs, ok := sink.Find("feature_separation")
-	if !ok {
-		t.Fatal("missing child span")
+	fs, rt := spans[0], spans[1] // emitted in End order
+	if fs.Name != "feature_separation" || rt.Name != "adapter.fit" {
+		t.Fatalf("spans = %q, %q; want the child, then the root", fs.Name, rt.Name)
 	}
-	rt, _ := sink.Find("adapter.fit")
 	if fs.ParentID != rt.ID {
 		t.Errorf("child parent = %d, want root id %d", fs.ParentID, rt.ID)
 	}

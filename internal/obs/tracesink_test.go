@@ -50,9 +50,6 @@ func TestJSONLinesSinkCountsDrops(t *testing.T) {
 	if fw.writes != 3 {
 		t.Fatalf("writer saw %d writes, want 3", fw.writes)
 	}
-	if got := sink.Drops(); got != 3 {
-		t.Errorf("Drops = %d, want 3", got)
-	}
 	var counted float64
 	for _, s := range reg.Snapshot() {
 		if s.Name == MetricSpanDrops {
@@ -62,12 +59,9 @@ func TestJSONLinesSinkCountsDrops(t *testing.T) {
 	if counted != 3 {
 		t.Errorf("%s = %v, want 3", MetricSpanDrops, counted)
 	}
-	// Without a registered counter the sink still counts locally.
+	// Without a registered counter a failed write drops the span quietly.
 	bare := NewJSONLinesSink(&failWriter{})
 	bare.Emit(SpanData{Name: "y"})
-	if bare.Drops() != 1 {
-		t.Errorf("bare sink Drops = %d, want 1", bare.Drops())
-	}
 }
 
 func TestJSONLinesSinkWritesAttrsInOrder(t *testing.T) {
@@ -78,9 +72,6 @@ func TestJSONLinesSinkWritesAttrsInOrder(t *testing.T) {
 	sp.SetAttr("zeta", "1")
 	sp.SetAttr("alpha", "2")
 	sp.End()
-	if sink.Drops() != 0 {
-		t.Fatalf("healthy writer dropped %d spans", sink.Drops())
-	}
 	line := buf.String()
 	var got SpanData
 	if err := json.Unmarshal([]byte(line), &got); err != nil {

@@ -33,7 +33,7 @@ func TestCancelWhileBatchInFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := co.Submit(ctx, rows[:2], 0, false)
+		_, err := co.Submit(ctx, rows[:2], 0, false, nil)
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond) // batch is now in the slow executor
@@ -48,7 +48,7 @@ func TestCancelWhileBatchInFlight(t *testing.T) {
 	}
 	// The worker survives and the next request is served golden.
 	inj.Clear()
-	res, err := co.Submit(context.Background(), rows[:2], 0, false)
+	res, err := co.Submit(context.Background(), rows[:2], 0, false, nil)
 	if err != nil || res.Degraded {
 		t.Fatalf("request after mid-batch cancel: res=%+v err=%v", res, err)
 	}
@@ -74,7 +74,7 @@ func TestCloseRacingFlush(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := co.Submit(context.Background(), rows[:3], 0, false)
+				res, err := co.Submit(context.Background(), rows[:3], 0, false, nil)
 				switch {
 				case err == nil:
 					if res.Degraded || !sameRowsBits(res.Rows, golden) {
@@ -118,7 +118,7 @@ func TestOverflowSplitNearDeadline(t *testing.T) {
 		// split's allCanceled check has to abort cleanly.
 		inj.Set(FaultSiteExec, fault.Spec{SlowRate: 1, SlowFor: time.Duration(i) * 2 * time.Millisecond})
 		ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
-		res, err := co.Submit(ctx, big, 0, false)
+		res, err := co.Submit(ctx, big, 0, false, nil)
 		cancel()
 		switch {
 		case err == nil:

@@ -201,15 +201,12 @@ func (c *Coalescer) options() Options { return c.opts }
 // seeded with core.SampleSeed(seed, i) regardless of how the request is
 // batched or split. When the queued backlog exceeds MaxQueue rows the
 // request is shed immediately with ErrOverloaded.
-func (c *Coalescer) Submit(ctx context.Context, rows [][]float64, seed int64, predict bool) (Result, error) {
-	return c.SubmitTraced(ctx, rows, seed, predict, nil)
-}
-
-// SubmitTraced is Submit carrying the caller's request span (nil when
-// tracing is disabled) through the coalescer, so the batch executor can
-// annotate it with queue wait, batch size, and the batch span that served
-// it. The span is not ended here — the caller owns its lifecycle.
-func (c *Coalescer) SubmitTraced(ctx context.Context, rows [][]float64, seed int64, predict bool, span *obs.Span) (Result, error) {
+//
+// span is the caller's request span (nil when tracing is disabled), carried
+// through the coalescer so the batch executor can annotate it with queue
+// wait, batch size, and the batch span that served it. The span is not
+// ended here — the caller owns its lifecycle.
+func (c *Coalescer) Submit(ctx context.Context, rows [][]float64, seed int64, predict bool, span *obs.Span) (Result, error) {
 	if len(rows) == 0 {
 		return Result{}, fmt.Errorf("serve: empty request")
 	}

@@ -22,7 +22,7 @@ func TestCoalescerMaxWaitFlushesLoneRequest(t *testing.T) {
 	defer co.Close()
 
 	start := time.Now()
-	res, err := co.Submit(context.Background(), rows[:3], 0, false)
+	res, err := co.Submit(context.Background(), rows[:3], 0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCoalescerOverflowSplitting(t *testing.T) {
 	// MaxBatch-sized chunks by the executor, and still return every row
 	// bit-identical to the unbatched reference.
 	n := 10 // 4 + 4 + 2
-	res, err := co.Submit(context.Background(), rows[:n], 7, false)
+	res, err := co.Submit(context.Background(), rows[:n], 7, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCoalescerQueuedRequestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := co.Submit(ctx, rows[:2], 0, false)
+		_, err := co.Submit(ctx, rows[:2], 0, false, nil)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the request reach the queue
@@ -113,7 +113,7 @@ func TestCoalescerCloseDrainsQueuedRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = co.Submit(context.Background(), rows[i:i+1], 0, false)
+			results[i], errs[i] = co.Submit(context.Background(), rows[i:i+1], 0, false, nil)
 		}(i)
 	}
 	time.Sleep(50 * time.Millisecond) // let every request reach the queue
@@ -131,7 +131,7 @@ func TestCoalescerCloseDrainsQueuedRequests(t *testing.T) {
 	}
 
 	// After Close, new submissions are refused.
-	if _, err := co.Submit(context.Background(), rows[:1], 0, false); err != ErrClosed {
+	if _, err := co.Submit(context.Background(), rows[:1], 0, false, nil); err != ErrClosed {
 		t.Errorf("Submit after Close: err = %v, want ErrClosed", err)
 	}
 }

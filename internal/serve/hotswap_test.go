@@ -60,7 +60,7 @@ func TestHotSwapNoTornReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				res, err := co.Submit(context.Background(), probe, 0, false)
+				res, err := co.Submit(context.Background(), probe, 0, false, nil)
 				if err != nil {
 					t.Error(err)
 					return

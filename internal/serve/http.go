@@ -239,7 +239,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		// proves the executor is done with them (see adaptBuf).
 		recycle = false
 	}
-	res, err := s.co.SubmitTraced(ctx, rows, seed, predict, sp)
+	res, err := s.co.Submit(ctx, rows, seed, predict, sp)
 	if binaryReq && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 		recycle = true
 	}

@@ -38,7 +38,7 @@ func wantBinaryResponse(accept string, binaryReq bool) bool {
 // runs the binary hot path without per-request growth.
 //
 // Recycling rule: a buffer whose rows were submitted to the coalescer may
-// be pooled again only when SubmitTraced's return proves the executor is
+// be pooled again only when Submit's return proves the executor is
 // finished with them — a result (or error) delivered through the request's
 // done channel, or a pre-enqueue rejection. When Submit returns because
 // the caller's context died, the executor may still be reading the row

@@ -105,10 +105,10 @@ func TestSubmitRowWidthGuard(t *testing.T) {
 	co := NewCoalescer(reg, Options{MaxBatch: 8})
 	defer co.Close()
 
-	if _, err := co.Submit(context.Background(), [][]float64{{1, 2}}, 0, false); !errors.Is(err, ErrRowWidth) {
+	if _, err := co.Submit(context.Background(), [][]float64{{1, 2}}, 0, false, nil); !errors.Is(err, ErrRowWidth) {
 		t.Fatalf("short row: err = %v, want ErrRowWidth", err)
 	}
-	res, err := co.Submit(context.Background(), rows[:2], 0, false)
+	res, err := co.Submit(context.Background(), rows[:2], 0, false, nil)
 	if err != nil || res.Degraded {
 		t.Fatalf("well-formed request after bad one: res=%+v err=%v", res, err)
 	}
@@ -392,7 +392,7 @@ func TestBundleLoadCircuitBreaker(t *testing.T) {
 	}
 	co := NewCoalescer(reg, Options{MaxBatch: 8})
 	defer co.Close()
-	res, err := co.Submit(context.Background(), rows[:2], 0, false)
+	res, err := co.Submit(context.Background(), rows[:2], 0, false, nil)
 	if err != nil || res.Degraded {
 		t.Fatalf("serving with open load breaker but live bundle: res=%+v err=%v", res, err)
 	}
@@ -406,7 +406,7 @@ func TestBundleLoadCircuitBreaker(t *testing.T) {
 	}
 	co2 := NewCoalescer(reg2, Options{MaxBatch: 8})
 	defer co2.Close()
-	res2, err := co2.Submit(context.Background(), rows[:2], 0, false)
+	res2, err := co2.Submit(context.Background(), rows[:2], 0, false, nil)
 	if err != nil || !res2.Degraded {
 		t.Fatalf("no bundle + open breaker: res=%+v err=%v, want degraded passthrough", res2, err)
 	}

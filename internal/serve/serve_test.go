@@ -313,7 +313,7 @@ func TestSubmitCoalescesConcurrentRequests(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			lo := c * perClient
-			res, err := co.Submit(context.Background(), rows[lo:lo+perClient], 0, false)
+			res, err := co.Submit(context.Background(), rows[lo:lo+perClient], 0, false, nil)
 			if err != nil {
 				t.Error(err)
 				return

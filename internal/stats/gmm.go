@@ -257,17 +257,3 @@ func (g *GMM) Predict(x [][]float64) ([]int, error) {
 	}
 	return out, nil
 }
-
-// Means returns a copy of the component means.
-func (g *GMM) Means() [][]float64 {
-	out := make([][]float64, g.K)
-	for k := range out {
-		out[k] = append([]float64(nil), g.means[k]...)
-	}
-	return out
-}
-
-// ComponentWeights returns a copy of the mixture weights.
-func (g *GMM) ComponentWeights() []float64 {
-	return append([]float64(nil), g.weights...)
-}

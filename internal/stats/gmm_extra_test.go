@@ -25,7 +25,7 @@ func TestGMMThreeClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	means := g.Means()
+	means := g.means
 	if len(means) != 3 {
 		t.Fatalf("means = %d; want 3", len(means))
 	}
@@ -43,7 +43,7 @@ func TestGMMThreeClusters(t *testing.T) {
 		}
 	}
 	// Weights should roughly reflect the 300/150/80 split.
-	w := g.ComponentWeights()
+	w := g.weights
 	var maxW float64
 	for _, v := range w {
 		if v > maxW {
@@ -74,7 +74,7 @@ func TestGMMSingleComponent(t *testing.T) {
 			t.Fatal("single-component GMM must assign everything to 0")
 		}
 	}
-	if w := g.ComponentWeights(); math.Abs(w[0]-1) > 1e-9 {
+	if w := g.weights; math.Abs(w[0]-1) > 1e-9 {
 		t.Errorf("weight = %v; want 1", w[0])
 	}
 }

@@ -8,18 +8,6 @@ import (
 // ErrNotFitted is returned when a scaler is used before Fit.
 var ErrNotFitted = errors.New("stats: scaler not fitted")
 
-// Scaler transforms feature matrices column-wise. Implementations are fitted
-// on source-domain data and then applied to both domains, matching the
-// paper's protocol.
-type Scaler interface {
-	// Fit learns the per-column statistics from rows of x.
-	Fit(x [][]float64) error
-	// Transform returns a scaled copy of x.
-	Transform(x [][]float64) ([][]float64, error)
-	// Inverse undoes Transform on a scaled copy of x.
-	Inverse(x [][]float64) ([][]float64, error)
-}
-
 // MinMaxScaler maps each column to [lo, hi] (the paper uses [-1, 1]).
 // Columns that are constant in the fitting data map to the midpoint.
 type MinMaxScaler struct {
@@ -28,8 +16,6 @@ type MinMaxScaler struct {
 	mins, maxs []float64
 	fitted     bool
 }
-
-var _ Scaler = (*MinMaxScaler)(nil)
 
 // NewMinMaxScaler returns a scaler targeting the range [lo, hi].
 func NewMinMaxScaler(lo, hi float64) *MinMaxScaler {
@@ -145,40 +131,12 @@ func (s *MinMaxScaler) TransformRowInto(dst, row []float64) error {
 	return nil
 }
 
-// Inverse maps scaled values back to the original feature space. Constant
-// columns map back to their fitted value.
-func (s *MinMaxScaler) Inverse(x [][]float64) ([][]float64, error) {
-	if !s.fitted {
-		return nil, ErrNotFitted
-	}
-	span := s.Hi - s.Lo
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		if len(row) != len(s.mins) {
-			return nil, fmt.Errorf("stats: row %d has %d columns, want %d", i, len(row), len(s.mins))
-		}
-		o := make([]float64, len(row))
-		for j, v := range row {
-			r := s.maxs[j] - s.mins[j]
-			if r == 0 {
-				o[j] = s.mins[j]
-				continue
-			}
-			o[j] = s.mins[j] + (v-s.Lo)/span*r
-		}
-		out[i] = o
-	}
-	return out, nil
-}
-
 // StandardScaler maps each column to zero mean and unit variance.
 // Zero-variance columns are passed through centered only.
 type StandardScaler struct {
 	means, stds []float64
 	fitted      bool
 }
-
-var _ Scaler = (*StandardScaler)(nil)
 
 // NewStandardScaler returns an unfitted z-score scaler.
 func NewStandardScaler() *StandardScaler { return &StandardScaler{} }
@@ -223,29 +181,6 @@ func (s *StandardScaler) Transform(x [][]float64) ([][]float64, error) {
 				continue
 			}
 			o[j] = (v - s.means[j]) / s.stds[j]
-		}
-		out[i] = o
-	}
-	return out, nil
-}
-
-// Inverse undoes the z-score transform.
-func (s *StandardScaler) Inverse(x [][]float64) ([][]float64, error) {
-	if !s.fitted {
-		return nil, ErrNotFitted
-	}
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		if len(row) != len(s.means) {
-			return nil, fmt.Errorf("stats: row %d has %d columns, want %d", i, len(row), len(s.means))
-		}
-		o := make([]float64, len(row))
-		for j, v := range row {
-			if s.stds[j] == 0 {
-				o[j] = v + s.means[j]
-				continue
-			}
-			o[j] = v*s.stds[j] + s.means[j]
 		}
 		out[i] = o
 	}

@@ -102,18 +102,6 @@ func TestMinMaxScaler(t *testing.T) {
 	if clamped[0][0] != -1 || clamped[0][1] != 1 {
 		t.Errorf("clamping failed: %v", clamped[0])
 	}
-	// Inverse round-trips in-range data.
-	inv, err := s.Inverse(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		for j := range x[i] {
-			if math.Abs(inv[i][j]-x[i][j]) > 1e-9 {
-				t.Errorf("Inverse[%d][%d] = %v; want %v", i, j, inv[i][j], x[i][j])
-			}
-		}
-	}
 }
 
 func TestMinMaxScalerConstantColumn(t *testing.T) {
@@ -165,17 +153,6 @@ func TestStandardScaler(t *testing.T) {
 			t.Errorf("col %d std = %v; want 1", j, sd)
 		}
 	}
-	inv, err := s.Inverse(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		for j := range x[i] {
-			if math.Abs(inv[i][j]-x[i][j]) > 1e-9 {
-				t.Errorf("Inverse[%d][%d] = %v; want %v", i, j, inv[i][j], x[i][j])
-			}
-		}
-	}
 }
 
 func TestGMMTwoWellSeparatedClusters(t *testing.T) {
@@ -212,7 +189,7 @@ func TestGMMTwoWellSeparatedClusters(t *testing.T) {
 		t.Errorf("GMM clustering accuracy = %v; want >= 0.99", acc)
 	}
 	// The larger cluster should have ~2/3 weight.
-	w := g.ComponentWeights()
+	w := g.weights
 	if math.Abs(math.Max(w[0], w[1])-2.0/3.0) > 0.05 {
 		t.Errorf("weights = %v; want approx [2/3, 1/3]", w)
 	}

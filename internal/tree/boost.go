@@ -163,9 +163,6 @@ func softmaxInto(p, scores []float64) {
 	}
 }
 
-// NumRounds reports the number of boosting rounds trained.
-func (gb *GradientBoosting) NumRounds() int { return len(gb.trees) }
-
 // regressionTree is a second-order regression tree on (grad, hess) pairs.
 type regressionTree struct {
 	nodes []node

@@ -421,6 +421,3 @@ func (t *ClassificationTree) traverse(row []float64) *node {
 		}
 	}
 }
-
-// NumNodes reports the tree size (useful in tests and benchmarks).
-func (t *ClassificationTree) NumNodes() int { return len(t.nodes) }

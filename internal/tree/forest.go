@@ -86,6 +86,3 @@ func (rf *RandomForest) PredictProba(x [][]float64) ([][]float64, error) {
 	}
 	return out, nil
 }
-
-// NumTrees reports the ensemble size.
-func (rf *RandomForest) NumTrees() int { return len(rf.trees) }

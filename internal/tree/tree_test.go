@@ -56,7 +56,7 @@ func TestClassificationTreeSeparable(t *testing.T) {
 	if acc := accuracy(probs, y); acc < 0.97 {
 		t.Errorf("train accuracy = %v; want >= 0.97", acc)
 	}
-	if tr.NumNodes() == 0 {
+	if len(tr.nodes) == 0 {
 		t.Error("tree has no nodes")
 	}
 }
@@ -130,8 +130,8 @@ func TestRandomForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rf.NumTrees() != 30 {
-		t.Errorf("NumTrees = %d; want 30", rf.NumTrees())
+	if len(rf.trees) != 30 {
+		t.Errorf("NumTrees = %d; want 30", len(rf.trees))
 	}
 	probs, err := rf.PredictProba(xTest)
 	if err != nil {
@@ -192,8 +192,8 @@ func TestGradientBoosting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gb.NumRounds() != 30 {
-		t.Errorf("NumRounds = %d; want 30", gb.NumRounds())
+	if len(gb.trees) != 30 {
+		t.Errorf("NumRounds = %d; want 30", len(gb.trees))
 	}
 	probs, err := gb.PredictProba(xTest)
 	if err != nil {
