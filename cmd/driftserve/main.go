@@ -62,7 +62,6 @@ type config struct {
 	Bundle   string
 	Addr     string
 	MaxBatch int
-	MaxWait  time.Duration
 	Workers  int
 
 	// Resilience knobs.
@@ -137,7 +136,7 @@ func (c config) faultInjector() (*fault.Injector, error) {
 // and chaoscheck modes.
 func (c config) serveOptions(o *obs.Observer, inj *fault.Injector) serve.Options {
 	return serve.Options{
-		MaxBatch: c.MaxBatch, MaxWait: c.MaxWait, Workers: c.Workers,
+		MaxBatch: c.MaxBatch, Workers: c.Workers,
 		MaxQueue: c.MaxQueue, RequestTimeout: c.RequestTimeout,
 		Breaker: c.breakerConfig(), Faults: inj, Obs: o,
 	}
@@ -148,8 +147,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		bundle   = fs.String("bundle", "bundle.json", "bundle file to serve (or write with -mkbundle)")
 		addr     = fs.String("addr", ":8100", "HTTP listen address")
-		maxBatch = fs.Int("max-batch", 32, "coalescer flush threshold in rows")
-		maxWait  = fs.Duration("max-wait", 2*time.Millisecond, "max queueing delay before a partial batch flushes")
+		maxBatch = fs.Int("max-batch", 32, "largest coalesced batch in rows")
 		workers  = fs.Int("workers", 1, "batch executor goroutines")
 
 		mkbundle = fs.Bool("mkbundle", false, "fit a bundle from a synthetic drift pair and write it to -bundle instead of serving")
@@ -203,7 +201,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown scale %q", *scale)
 	}
 	cfg := config{
-		Bundle: *bundle, Addr: *addr, MaxBatch: *maxBatch, MaxWait: *maxWait, Workers: *workers,
+		Bundle: *bundle, Addr: *addr, MaxBatch: *maxBatch, Workers: *workers,
 		FaultPlan: *faults, MaxQueue: *maxQueue, RequestTimeout: *requestTimeout,
 		BreakerThreshold: *breakerThreshold, BreakerBackoff: *breakerBackoff,
 		BreakerMaxBackoff: *breakerMaxBackoff, DrainTimeout: *drainTimeout,
@@ -474,8 +472,8 @@ func runServe(out io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "serving bundle %q on http://%s (max-batch %d, max-wait %s, workers %d, max-queue %d)\n",
-		b.ID, ln.Addr(), cfg.MaxBatch, cfg.MaxWait, cfg.Workers, cfg.MaxQueue)
+	fmt.Fprintf(out, "serving bundle %q on http://%s (max-batch %d, workers %d, max-queue %d)\n",
+		b.ID, ln.Addr(), cfg.MaxBatch, cfg.Workers, cfg.MaxQueue)
 	if inj != nil {
 		fmt.Fprintf(out, "chaos armed: %s\n", cfg.FaultPlan)
 	}

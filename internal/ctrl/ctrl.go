@@ -177,6 +177,7 @@ type Config struct {
 	Obs *obs.Observer
 	// OnEvent observes every transition, synchronously. It must not call
 	// back into the Controller (it may run under the controller's lock).
+	// A campaign's terminal event fires after the return to idle.
 	OnEvent func(Event)
 }
 
@@ -509,13 +510,18 @@ func (c *Controller) loop() {
 }
 
 // endCampaign returns to idle and arms the cooldown, whatever the
-// campaign's outcome, then checkpoints.
-func (c *Controller) endCampaign() {
+// campaign's outcome, then emits the campaign's terminal event (none when
+// kind is empty) and checkpoints. The event follows the state change, so
+// an OnEvent consumer that reads Status sees the campaign over.
+func (c *Controller) endCampaign(kind, detail string, epoch int) {
 	c.mu.Lock()
 	c.phase = PhaseIdle
 	c.cooldownUntil = time.Now().Add(c.cfg.Cooldown)
 	c.driftStreak = 0
 	c.mu.Unlock()
+	if kind != "" {
+		c.emit(kind, detail, epoch)
+	}
 	c.checkpoint("campaign-end")
 }
 
@@ -556,8 +562,7 @@ func (c *Controller) campaign() {
 	refitSp.End()
 	if err != nil {
 		sp.SetAttr("outcome", EventRefitFail)
-		c.emit(EventRefitFail, err.Error(), nextEpoch)
-		c.endCampaign()
+		c.endCampaign(EventRefitFail, err.Error(), nextEpoch)
 		return
 	}
 	c.o.Histogram(obs.MetricCtrlRefitSeconds, obs.PipelineBuckets).Observe(time.Since(refitStart).Seconds())
@@ -581,14 +586,12 @@ func (c *Controller) campaign() {
 	}
 	if err != nil {
 		sp.SetAttr("outcome", EventGateFail)
-		c.emit(EventGateFail, "gate error: "+err.Error(), nextEpoch)
-		c.endCampaign()
+		c.endCampaign(EventGateFail, "gate error: "+err.Error(), nextEpoch)
 		return
 	}
 	if !rep.Pass {
 		sp.SetAttr("outcome", EventGateFail)
-		c.emit(EventGateFail, rep.Reason, nextEpoch)
-		c.endCampaign()
+		c.endCampaign(EventGateFail, rep.Reason, nextEpoch)
 		return
 	}
 	c.emit(EventGatePass, fmt.Sprintf("candidate=%.2f incumbent=%.2f margin=%.2f",
@@ -602,7 +605,6 @@ func (c *Controller) campaign() {
 // end the campaign. driftAt is zero for a forced promotion. sp may be nil
 // (nil spans are no-ops). Returns the promote error, if any.
 func (c *Controller) promoteAndWatch(sp *obs.Span, cand *Candidate, incumbent *serve.Bundle, nextEpoch int, driftAt time.Time) error {
-	defer c.endCampaign()
 	// The classifier is never retrained; when the candidate does not ship
 	// its own, the incumbent's is carried forward into the promoted bundle
 	// so the serving surface (predictions included) never narrows.
@@ -621,18 +623,18 @@ func (c *Controller) promoteAndWatch(sp *obs.Span, cand *Candidate, incumbent *s
 		if driftAt.IsZero() {
 			detail = "forced: " + detail
 		}
-		c.emit(EventPromoteFail, detail, nextEpoch)
+		c.endCampaign(EventPromoteFail, detail, nextEpoch)
 		return err
 	}
 
 	// Watchdog: the promotion is provisional until it survives WatchFor.
 	watchSp := sp.Child("ctrl.watch")
-	outcome := EventWatchClear
-	if c.watch(prev, prevPath, nextEpoch) {
-		outcome = EventRollback
-	}
+	outcome, detail := c.watch(prev, prevPath)
 	watchSp.End()
-	sp.SetAttr("outcome", outcome)
+	if outcome != "" {
+		sp.SetAttr("outcome", outcome)
+	}
+	c.endCampaign(outcome, detail, nextEpoch)
 	return nil
 }
 
@@ -728,35 +730,36 @@ func (c *Controller) unhealthy(base watchBase) (bool, string) {
 
 // watch polls serving health until the promotion earns trust (WatchFor
 // elapsed → watch-clear, the incumbent path advances, and the detector
-// rebaselines) or proves harmful (→ rollback). Returns true on rollback.
-func (c *Controller) watch(prev *serve.Bundle, prevPath string, epoch int) bool {
+// rebaselines) or proves harmful (→ rollback). It returns the terminal
+// event and its detail for endCampaign to emit; the kind is empty when the
+// controller closes first.
+func (c *Controller) watch(prev *serve.Bundle, prevPath string) (kind, detail string) {
 	base := c.serveCounts()
 	deadline := time.Now().Add(c.cfg.WatchFor)
 	for {
 		select {
 		case <-c.closed:
-			return false
+			return "", ""
 		case <-time.After(c.cfg.WatchEvery):
 		}
 		if bad, why := c.unhealthy(base); bad {
-			c.rollback(prev, prevPath, why, epoch)
-			return true
+			return EventRollback, c.rollback(prev, prevPath, why)
 		}
 		if time.Now().After(deadline) {
 			c.mu.Lock()
 			c.incumbentPath = c.promotedPath
 			c.mu.Unlock()
-			c.emit(EventWatchClear, fmt.Sprintf("healthy for %s", c.cfg.WatchFor), epoch)
 			c.rebaseline()
-			return false
+			return EventWatchClear, fmt.Sprintf("healthy for %s", c.cfg.WatchFor)
 		}
 	}
 }
 
-// rollback swaps the retained previous bundle back in. The chaos site can
-// delay it but never deny it: if retries exhaust, the swap happens anyway
-// (Registry.Swap itself cannot fail).
-func (c *Controller) rollback(prev *serve.Bundle, prevPath, why string, epoch int) {
+// rollback swaps the retained previous bundle back in and returns the
+// rollback event's detail. The chaos site can delay it but never deny it:
+// if retries exhaust, the swap happens anyway (Registry.Swap itself cannot
+// fail).
+func (c *Controller) rollback(prev *serve.Bundle, prevPath, why string) string {
 	err := retryDo(c.ctx, c.cfg.Retry, c.retryRng, func(ctx context.Context) error {
 		if err := c.cfg.Faults.Fire(FaultSiteRollback); err != nil {
 			return err
@@ -775,8 +778,7 @@ func (c *Controller) rollback(prev *serve.Bundle, prevPath, why string, epoch in
 		c.incumbentPath = prevPath
 	}
 	c.mu.Unlock()
-	c.emit(EventRollback, detail, epoch)
-	c.checkpoint("rollback")
+	return detail
 }
 
 // rebaseline refits the detector's reference on the current window after a

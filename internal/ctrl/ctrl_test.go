@@ -311,20 +311,9 @@ func TestWatchdogRollsBackOnBurn(t *testing.T) {
 	if got := h.reg.Current().ID; got != "incumbent" {
 		t.Fatalf("rollback must restore the incumbent; current = %q", got)
 	}
-	// The campaign unwinds to idle just after the rollback event; poll.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := h.ctrl.Status()
-		if st.Phase == PhaseIdle {
-			if st.Epoch != 1 {
-				t.Fatalf("post-rollback status = %+v", st)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign never returned to idle: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The rollback event is emitted after the campaign returned to idle.
+	if st := h.ctrl.Status(); st.Phase != PhaseIdle || st.Epoch != 1 || st.CooldownRemaining == "" {
+		t.Fatalf("post-rollback status = %+v, want epoch 1 idle + cooldown", st)
 	}
 }
 

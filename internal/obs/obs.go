@@ -38,6 +38,7 @@ const (
 	MetricServeBatchLatency = "netdrift_serve_batch_seconds"      // LatencyBuckets
 	MetricServeBatchSize    = "netdrift_serve_batch_size"         // BatchSizeBuckets
 	MetricServeQueueDepth   = "netdrift_serve_queue_depth"        // gauge
+	MetricServeQueueWait    = "netdrift_serve_queue_wait_seconds" // LatencyBuckets: Submit to executor pickup, per live request
 	MetricServeBundleLoads  = "netdrift_serve_bundle_loads_total" // counter
 	// internal/serve resilience layer
 	MetricServeShed               = "netdrift_serve_shed_total"                // counter: requests refused with 429 by admission control

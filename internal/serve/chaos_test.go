@@ -27,7 +27,7 @@ func TestCancelWhileBatchInFlight(t *testing.T) {
 	inj.Set(FaultSiteExec, fault.Spec{SlowRate: 1, SlowFor: 150 * time.Millisecond})
 	reg := NewRegistry(nil)
 	reg.Swap(a)
-	co := NewCoalescer(reg, Options{MaxBatch: 8, MaxWait: time.Microsecond, Workers: 1, Faults: inj})
+	co := NewCoalescer(reg, Options{MaxBatch: 8, Workers: 1, Faults: inj})
 	defer co.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -66,7 +66,7 @@ func TestCloseRacingFlush(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		reg := NewRegistry(nil)
 		reg.Swap(a)
-		co := NewCoalescer(reg, Options{MaxBatch: 4, MaxWait: 200 * time.Microsecond, Workers: 2})
+		co := NewCoalescer(reg, Options{MaxBatch: 4, Workers: 2})
 		const n = 16
 		var wg sync.WaitGroup
 		var served, closed atomic.Int64
@@ -109,7 +109,7 @@ func TestOverflowSplitNearDeadline(t *testing.T) {
 	inj := fault.New(7)
 	reg := NewRegistry(nil)
 	reg.Swap(a)
-	co := NewCoalescer(reg, Options{MaxBatch: 4, MaxWait: time.Microsecond, Workers: 1, Faults: inj})
+	co := NewCoalescer(reg, Options{MaxBatch: 4, Workers: 1, Faults: inj})
 	defer co.Close()
 
 	var full, expired int
@@ -156,7 +156,7 @@ func TestChaosHammer(t *testing.T) {
 	reg.SetBreaker(NewBreaker("bundle_load", BreakerConfig{}, o))
 	reg.Swap(a)
 	co := NewCoalescer(reg, Options{
-		MaxBatch: 8, MaxWait: 100 * time.Microsecond, Workers: 2, MaxQueue: 64,
+		MaxBatch: 8, Workers: 2, MaxQueue: 64,
 		Faults: inj, Obs: o,
 		Breaker: BreakerConfig{FailThreshold: 2, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Seed: 7},
 	})

@@ -41,12 +41,11 @@ var errNonFinite = errors.New("serve: non-finite value in adapted output")
 
 // Options tune the coalescer. Zero values select the defaults.
 type Options struct {
-	// MaxBatch is the flush threshold in rows: the dispatcher flushes as
-	// soon as pending requests reach this many rows. Default 32.
+	// MaxBatch caps a batch in rows: the dispatcher stops growing the
+	// pending batch at this many rows and waits for an executor. Default 32.
 	MaxBatch int
-	// MaxWait bounds the queueing delay of a lone request: a pending
-	// batch is flushed this long after its first row arrived even if it
-	// is not full. Default 2ms.
+	// Deprecated: ignored. The dispatcher is work-conserving and has no
+	// flush timer.
 	MaxWait time.Duration
 	// Workers is the number of batch executors, each owning its private
 	// adaptation scratch. Default 1.
@@ -71,9 +70,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -118,10 +114,11 @@ type reqOutcome struct {
 	err error
 }
 
-// Coalescer fans concurrent Adapt requests into micro-batches: requests
-// accumulate until MaxBatch rows are pending or the oldest has waited
-// MaxWait, then the whole group runs as few generator forwards as possible
-// on one worker. Per-row noise seeds are derived from each request's seed
+// Coalescer fans concurrent Adapt requests into micro-batches. It is
+// work-conserving: an idle executor takes whatever is pending at once, and
+// requests accumulate (up to MaxBatch rows) only while every executor is
+// busy. The whole group then runs as few generator forwards as possible on
+// one worker. Per-row noise seeds are derived from each request's seed
 // before batching, so responses are bit-identical to unbatched serving
 // (see core.AdaptBatch).
 //
@@ -161,7 +158,7 @@ func NewCoalescer(reg *Registry, opts Options) *Coalescer {
 		opts:        opts,
 		reg:         reg,
 		reqCh:       make(chan *request, opts.MaxQueue),
-		workCh:      make(chan []*request, opts.Workers),
+		workCh:      make(chan []*request),
 		execBreaker: NewBreaker("executor", opts.Breaker, opts.Obs),
 		queueDepth:  opts.Obs.Gauge(obs.MetricServeQueueDepth),
 		shed:        opts.Obs.Counter(obs.MetricServeShed),
@@ -288,58 +285,73 @@ func (c *Coalescer) Close() {
 	c.workers.Wait()
 }
 
-// dispatch is the single goroutine that groups requests into batches. A
-// batch flushes when its pending rows reach MaxBatch, when the oldest
-// request has waited MaxWait, or at shutdown.
+// dispatch is the single goroutine that groups requests into batches.
+// workCh is unbuffered, so handing a batch over succeeds only when an
+// executor is idle: with nothing pending the dispatcher blocks for the next
+// request, takes in every request already queued (up to MaxBatch rows),
+// then either hands the batch to an idle executor or takes a new arrival,
+// whichever comes first. A full batch blocks on the handoff. At shutdown
+// the pending batch is handed over before workCh closes.
 func (c *Coalescer) dispatch() {
 	defer c.dispatcher.Done()
+	defer close(c.workCh)
 	var (
 		pending []*request
 		rows    int
-		timer   *time.Timer
-		timeout <-chan time.Time
 	)
 	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
 		c.workCh <- pending
 		pending = nil
 		rows = 0
-		if timer != nil {
-			timer.Stop()
+	}
+	// take adds one received request to the pending batch. It reports
+	// false once reqCh is closed and drained, after flushing what is left.
+	take := func(req *request, ok bool) bool {
+		if !ok {
+			if len(pending) > 0 {
+				flush()
+			}
+			return false
 		}
-		timeout = nil
+		c.queueDepth.Add(-1)
+		// A request that would overflow the pending batch flushes it
+		// first; an oversized request then forms its own batch and is
+		// chunked by the executor.
+		if rows > 0 && rows+len(req.rows) > c.opts.MaxBatch {
+			flush()
+		}
+		pending = append(pending, req)
+		rows += len(req.rows)
+		return true
 	}
 	for {
-		select {
-		case req, ok := <-c.reqCh:
-			if !ok {
-				flush()
-				close(c.workCh)
+		if len(pending) == 0 {
+			if req, ok := <-c.reqCh; !take(req, ok) {
 				return
 			}
-			c.queueDepth.Add(-1)
-			// A request that would overflow the pending batch flushes it
-			// first; an oversized request then forms its own batch and is
-			// chunked by the executor.
-			if rows > 0 && rows+len(req.rows) > c.opts.MaxBatch {
-				flush()
-			}
-			pending = append(pending, req)
-			rows += len(req.rows)
-			if rows >= c.opts.MaxBatch {
-				flush()
-			} else if timeout == nil {
-				if timer == nil {
-					timer = time.NewTimer(c.opts.MaxWait)
-				} else {
-					timer.Reset(c.opts.MaxWait)
+		}
+		for queued := true; queued && rows < c.opts.MaxBatch; {
+			select {
+			case req, ok := <-c.reqCh:
+				if !take(req, ok) {
+					return
 				}
-				timeout = timer.C
+			default:
+				queued = false
 			}
-		case <-timeout:
+		}
+		if rows >= c.opts.MaxBatch {
 			flush()
+			continue
+		}
+		select {
+		case c.workCh <- pending:
+			pending = nil
+			rows = 0
+		case req, ok := <-c.reqCh:
+			if !take(req, ok) {
+				return
+			}
 		}
 	}
 }
@@ -357,6 +369,7 @@ func (c *Coalescer) work() {
 		batchSize:    o.Histogram(obs.MetricServeBatchSize, obs.BatchSizeBuckets),
 		batches:      o.Counter(obs.MetricServeBatches),
 		rowsTotal:    o.Counter(obs.MetricServeRows),
+		queueWait:    o.Histogram(obs.MetricServeQueueWait, obs.LatencyBuckets),
 	}
 	for group := range c.workCh {
 		c.runGroup(group, &adaptScr, &mlpScr, m)
@@ -364,8 +377,8 @@ func (c *Coalescer) work() {
 }
 
 type workerMetrics struct {
-	batchLatency, batchSize *obs.Histogram
-	batches, rowsTotal      *obs.Counter
+	batchLatency, batchSize, queueWait *obs.Histogram
+	batches, rowsTotal                 *obs.Counter
 }
 
 func (c *Coalescer) runGroup(group []*request, adaptScr *core.AdaptScratch, mlpScr *models.MLPScratch, m *workerMetrics) {
@@ -382,6 +395,9 @@ func (c *Coalescer) runGroup(group []*request, adaptScr *core.AdaptScratch, mlpS
 		if err := req.ctx.Err(); err != nil {
 			req.done <- reqOutcome{err: err}
 			continue
+		}
+		if m.queueWait != nil {
+			m.queueWait.Observe(time.Since(req.enqueued).Seconds())
 		}
 		live = append(live, req)
 	}

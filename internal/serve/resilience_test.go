@@ -129,7 +129,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	reg := NewRegistry(o)
 	reg.Swap(a)
 	co := NewCoalescer(reg, Options{
-		MaxBatch: 1, MaxWait: time.Microsecond, Workers: 1, MaxQueue: 4,
+		MaxBatch: 1, Workers: 1, MaxQueue: 4,
 		Faults: inj, Obs: o, Breaker: BreakerConfig{FailThreshold: 1 << 30},
 	})
 	defer co.Close()
