@@ -9,6 +9,7 @@ import (
 	"netdrift/internal/dataset"
 	"netdrift/internal/mat"
 	"netdrift/internal/models"
+	"netdrift/internal/nn"
 )
 
 // CMT implements Causal Mechanism Transfer (Teshima et al. [26]) adapted to
@@ -63,14 +64,15 @@ func (m CMT) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baselines: cmt unmixing: %w", err)
 	}
+	// Neither factor is needed untransposed from here on, so both are
+	// transposed in place: whitening e = L⁻¹·x runs as x·L⁻ᵀ and mixing
+	// x = L·e as e·Lᵀ, each a sum of row axpys.
+	linv.TransposeInPlace()
+	l.TransposeInPlace()
 
 	// Whiten the support per class.
 	byClass := make(map[int][][]float64)
-	for i, row := range supX {
-		e, err := mat.MulVec(linv, row)
-		if err != nil {
-			return nil, err
-		}
+	for i, e := range applyRight(supX, linv) {
 		byClass[support.Y[i]] = append(byClass[support.Y[i]], e)
 	}
 
@@ -96,11 +98,7 @@ func (m CMT) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 		comps := byClass[c]
 		// Keep the originals.
 		for _, e := range comps {
-			x, err := mat.MulVec(l, e)
-			if err != nil {
-				return nil, err
-			}
-			trainX = append(trainX, x)
+			trainX = append(trainX, mixLower(l, e))
 			trainY = append(trainY, c)
 		}
 		// Augment by resampling each independent component across the
@@ -112,15 +110,26 @@ func (m CMT) Adapt(source, support, test *dataset.Dataset) (*Adapted, error) {
 				src := comps[rng.Intn(len(comps))]
 				e[j] = src[j] + cmtJitter*rng.NormFloat64()
 			}
-			x, err := mat.MulVec(l, e)
-			if err != nil {
-				return nil, err
-			}
-			trainX = append(trainX, x)
+			trainX = append(trainX, mixLower(l, e))
 			trainY = append(trainY, c)
 		}
 	}
 	return &Adapted{TrainX: trainX, TrainY: trainY, TestX: testX, NumClasses: numClassesOf(source, support, test)}, nil
+}
+
+// mixLower returns L·e given lt = Lᵀ for a lower-triangular L, as one axpy
+// per nonzero e[j] in ascending j: x[j:] += e[j]·Lᵀ[j][j:]. For finite e,
+// the terms it leaves out (a zero e[j], or L's zero upper triangle) are
+// ±0, which change no bit of an accumulator that starts at +0 (see
+// applyRight).
+func mixLower(lt *mat.Matrix, e []float64) []float64 {
+	x := make([]float64, len(e))
+	for j, v := range e {
+		if v != 0 {
+			nn.Axpy(v, lt.Row(j)[j:], x[j:])
+		}
+	}
+	return x
 }
 
 // ICD adapts the invariant-conditional-distribution method of Magliacane et

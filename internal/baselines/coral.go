@@ -6,6 +6,7 @@ import (
 	"netdrift/internal/dataset"
 	"netdrift/internal/mat"
 	"netdrift/internal/models"
+	"netdrift/internal/nn"
 )
 
 // CORAL implements Correlation Alignment (Sun et al., "Return of
@@ -94,19 +95,18 @@ func shrunkCovariance(x [][]float64, lambda float64) (*mat.Matrix, error) {
 	return out, nil
 }
 
-// applyRight computes each row · A.
+// applyRight computes each row · A as one axpy per nonzero row entry:
+// o += row[k]·A[k] in ascending k, from +0. With A finite, an exact-zero
+// row[k] adds only ±0 terms to accumulators that are never -0 (a sum
+// starting at +0 reaches -0 only by adding -0 to -0), so skipping it
+// changes no bit.
 func applyRight(x [][]float64, a *mat.Matrix) [][]float64 {
-	d := a.Rows()
 	out := make([][]float64, len(x))
 	for i, row := range x {
 		o := make([]float64, a.Cols())
-		for k := 0; k < d; k++ {
-			v := row[k]
-			if v == 0 {
-				continue
-			}
-			for j := 0; j < a.Cols(); j++ {
-				o[j] += v * a.At(k, j)
+		for k, v := range row[:a.Rows()] {
+			if v != 0 {
+				nn.Axpy(v, a.Row(k), o)
 			}
 		}
 		out[i] = o

@@ -70,14 +70,14 @@ func PartialCorr(corr *mat.Matrix, i, j int, cond []int) (float64, error) {
 }
 
 // ciWorkspace holds the scratch buffers for one partial-correlation
-// evaluation: the index set, the conditioning submatrix, the Gaussian
-// elimination working copies, and the precision matrix. Workspaces are
-// checked out of a per-tester sync.Pool so concurrent PValue callers (e.g.
-// par.ForEach workers in FindVariantFeatures) each reuse their own buffers
-// without racing.
+// evaluation: the index set, the conditioning submatrix (which the
+// Gaussian elimination then works in), and the precision matrix.
+// Workspaces are checked out of a per-tester sync.Pool so concurrent
+// PValue callers (e.g. par.ForEach workers in FindVariantFeatures) each
+// reuse their own buffers without racing.
 type ciWorkspace struct {
-	idx                      []int
-	sub, ident, aw, bw, prec mat.Matrix
+	idx       []int
+	sub, prec mat.Matrix
 }
 
 // partialCorrWs is PartialCorr evaluated in a caller-owned workspace. The
@@ -103,7 +103,7 @@ func partialCorrWs(corr *mat.Matrix, i, j int, cond []int, ws *ciWorkspace) (flo
 	for k := 0; k < len(ws.idx); k++ {
 		sub.Set(k, k, sub.At(k, k)+1e-8)
 	}
-	prec, err := mat.InverseInto(sub, &ws.ident, &ws.aw, &ws.bw, &ws.prec)
+	prec, err := mat.InverseInto(sub, sub, &ws.prec)
 	if err != nil {
 		return 0, fmt.Errorf("causal: precision of conditioning set: %w", err)
 	}

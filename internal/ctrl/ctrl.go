@@ -827,7 +827,9 @@ func (c *Controller) ForcePromote(cand *Candidate) error {
 	return c.promoteAndWatch(nil, cand, c.cfg.Registry.Current(), nextEpoch, time.Time{})
 }
 
-// checkpoint atomically persists the controller's durable state.
+// checkpoint atomically persists the controller's durable state. reason
+// names the call site ("ingest", "promote", "campaign-end", "close"); a
+// failed write records it in the checkpoint-error flight event.
 func (c *Controller) checkpoint(reason string) {
 	if c.cfg.CheckpointPath == "" {
 		return
@@ -857,7 +859,7 @@ func (c *Controller) checkpoint(reason string) {
 	err := writeCheckpointFile(c.cfg.CheckpointPath, blob)
 	c.ckptMu.Unlock()
 	if err != nil {
-		c.o.FlightRecord(obs.FlightKindCtrl, "checkpoint-error", "", err.Error())
+		c.o.FlightRecord(obs.FlightKindCtrl, "checkpoint-error", "", reason+": "+err.Error())
 		return
 	}
 	c.o.Counter(obs.MetricCtrlCheckpoints).Inc()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -371,6 +372,26 @@ func TestCheckpointResumeDoesNotRefit(t *testing.T) {
 	}
 	// ...and no refit is re-triggered by the restart itself.
 	h2.expectNoEvent(t, 300*time.Millisecond, EventDriftDetected, EventRefitStart)
+}
+
+// TestCheckpointErrorNamesReason checks a failed checkpoint write leaves a
+// checkpoint-error flight event that names its call site.
+func TestCheckpointErrorNamesReason(t *testing.T) {
+	dir := t.TempDir()
+	h := newHarness(t, dir, func(c *Config) {
+		c.CheckpointPath = filepath.Join(dir, "missing", "ctrl.ckpt")
+	})
+	h.o.Flight = obs.NewFlightRecorder(64)
+	h.ctrl.Close()
+	for _, ev := range h.o.Flight.Snapshot() {
+		if ev.Name == "checkpoint-error" {
+			if !strings.HasPrefix(ev.Detail, "close: ") {
+				t.Fatalf("checkpoint-error detail = %q, want the close reason first", ev.Detail)
+			}
+			return
+		}
+	}
+	t.Fatal("no checkpoint-error flight event for an unwritable checkpoint path")
 }
 
 func TestIngestRejectsMalformedRows(t *testing.T) {

@@ -20,3 +20,23 @@ func BenchmarkCovariance(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInverseIntoSmall times the causal CI test's precision-matrix
+// inverse at its sizes (the pair plus one to four conditioning variables)
+// with warm workspaces, the path where kernel-call overhead matters most.
+func BenchmarkInverseIntoSmall(b *testing.B) {
+	for _, n := range []int{3, 4, 5, 6} {
+		a := seededMatrix(n, n, int64(n))
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+float64(n))
+		}
+		var aw, x Matrix
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := InverseInto(a, &aw, &x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

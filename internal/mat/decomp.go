@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"netdrift/internal/nn"
 	"netdrift/internal/par"
 )
 
@@ -11,26 +12,39 @@ import (
 // with partial pivoting. a must be square; b may have multiple columns.
 // Neither input is modified.
 func Solve(a, b *Matrix) (*Matrix, error) {
-	return SolveInto(a, b, new(Matrix), new(Matrix), new(Matrix))
+	return SolveInto(a, b, new(Matrix), new(Matrix))
 }
 
-// SolveInto is Solve with caller-owned workspaces: aw and bw receive the
-// elimination working copies of a and b, and the solution is written into x
-// (all three reshaped as needed). Returns x. The elimination and
-// back-substitution arithmetic is identical to Solve, operation for
-// operation, so reusing workspaces never changes a result.
-func SolveInto(a, b, aw, bw, x *Matrix) (*Matrix, error) {
+// SolveInto is Solve with caller-owned workspaces: aw receives the
+// elimination working copy of a, and x a copy of b that the solve turns
+// into the solution in place (both reshaped as needed). Returns x. The
+// arithmetic is identical to Solve, operation for operation, so reusing
+// workspaces never changes a result. aw may be a itself when the caller
+// no longer needs a: the solve then overwrites it.
+func SolveInto(a, b, aw, x *Matrix) (*Matrix, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("%w: coefficient matrix is %dx%d", ErrShape, a.rows, a.cols)
 	}
 	if a.rows != b.rows {
 		return nil, fmt.Errorf("%w: a is %dx%d, b has %d rows", ErrShape, a.rows, a.cols, b.rows)
 	}
-	n := a.rows
-	// Augmented working copies.
 	aw.CopyFrom(a)
-	bw.CopyFrom(b)
+	x.CopyFrom(b)
+	if err := solveInPlace(aw, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
 
+// solveInPlace overwrites x with the solution of aw·s = x, destroying aw.
+// Both phases are row updates on axpy. Elimination subtracts factor·v from
+// each element as a + (−factor)·v, which IEEE defines to be the same
+// value. Back-substitution solves every column of x at once: row r takes
+// one axpy with −aw[r][k] per k > r, in ascending k, then divides by the
+// pivot, so each element still subtracts its terms in the order a
+// column-at-a-time loop would.
+func solveInPlace(aw, x *Matrix) error {
+	n := aw.rows
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		pivot := col
@@ -42,41 +56,53 @@ func SolveInto(a, b, aw, bw, x *Matrix) (*Matrix, error) {
 			}
 		}
 		if maxAbs < 1e-12 {
-			return nil, fmt.Errorf("%w: pivot %d", ErrSingular, col)
+			return fmt.Errorf("%w: pivot %d", ErrSingular, col)
 		}
 		if pivot != col {
 			swapRows(aw, pivot, col)
-			swapRows(bw, pivot, col)
+			swapRows(x, pivot, col)
 		}
 		// Eliminate below.
-		pivVal := aw.At(col, col)
+		arow, xrow := aw.Row(col)[col:], x.Row(col)
+		pivVal := arow[0]
 		for r := col + 1; r < n; r++ {
 			factor := aw.At(r, col) / pivVal
 			if factor == 0 {
 				continue
 			}
-			for c := col; c < n; c++ {
-				aw.Set(r, c, aw.At(r, c)-factor*aw.At(col, c))
-			}
-			for c := 0; c < bw.cols; c++ {
-				bw.Set(r, c, bw.At(r, c)-factor*bw.At(col, c))
-			}
+			axpy(-factor, arow, aw.Row(r)[col:])
+			axpy(-factor, xrow, x.Row(r))
 		}
 	}
-	// Back substitution (every x entry is written before it is read, so the
-	// workspace needs no zeroing).
-	x.Reset(n, bw.cols)
-	for c := 0; c < bw.cols; c++ {
-		for r := n - 1; r >= 0; r-- {
-			s := bw.At(r, c)
-			for k := r + 1; k < n; k++ {
-				s -= aw.At(r, k) * x.At(k, c)
-			}
-			x.Set(r, c, s/aw.At(r, r))
+	// Back substitution: rows below r already hold their solutions.
+	for r := n - 1; r >= 0; r-- {
+		xr, arow := x.Row(r), aw.Row(r)
+		for k := r + 1; k < n; k++ {
+			axpy(-arow[k], x.Row(k), xr)
+		}
+		piv := arow[r]
+		for c := range xr {
+			xr[c] /= piv
 		}
 	}
-	return x, nil
+	return nil
 }
+
+// axpy is o[k] += v*w[k], bit for bit nn.Axpy. Rows shorter than
+// axpyMinLen (the causal tests' 2-6-variable inverses) take the inline
+// loop, where a kernel call would cost more than it saves.
+func axpy(v float64, w, o []float64) {
+	if len(o) >= axpyMinLen {
+		nn.Axpy(v, w, o)
+		return
+	}
+	w = w[:len(o)]
+	for k, wk := range w {
+		o[k] += float64(v * wk)
+	}
+}
+
+const axpyMinLen = 8
 
 func swapRows(m *Matrix, i, j int) {
 	ri := m.data[i*m.cols : (i+1)*m.cols]
@@ -88,21 +114,22 @@ func swapRows(m *Matrix, i, j int) {
 
 // Inverse returns the inverse of a square matrix.
 func Inverse(a *Matrix) (*Matrix, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("%w: %dx%d", ErrShape, a.rows, a.cols)
-	}
-	return Solve(a, Identity(a.rows))
+	return InverseInto(a, new(Matrix), new(Matrix))
 }
 
-// InverseInto is Inverse with caller-owned workspaces: ident holds the
-// identity right-hand side, aw/bw the elimination working copies, and the
-// inverse is written into x. Returns x.
-func InverseInto(a, ident, aw, bw, x *Matrix) (*Matrix, error) {
+// InverseInto is Inverse with caller-owned workspaces: aw receives the
+// elimination working copy of a (aw may be a itself, as in SolveInto), and
+// the inverse is written into x, which starts as the identity. Returns x.
+func InverseInto(a, aw, x *Matrix) (*Matrix, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrShape, a.rows, a.cols)
 	}
-	ident.SetIdentity(a.rows)
-	return SolveInto(a, ident, aw, bw, x)
+	aw.CopyFrom(a)
+	x.SetIdentity(a.rows)
+	if err := solveInPlace(aw, x); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // Cholesky computes the lower-triangular factor L with a = L*Lᵀ.
@@ -117,7 +144,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 		for j := 0; j <= i; j++ {
 			var s float64
 			for k := 0; k < j; k++ {
-				s += l.At(i, k) * l.At(j, k)
+				s += float64(l.At(i, k) * l.At(j, k))
 			}
 			if i == j {
 				d := a.At(i, i) - s
@@ -142,10 +169,12 @@ func Covariance(x *Matrix) (*Matrix, error) {
 
 // CovarianceWorkers computes Covariance with up to workers goroutines
 // (workers <= 0 means GOMAXPROCS), parallelized over contiguous blocks of
-// output rows. Each covariance entry accumulates its per-sample terms in
-// ascending sample order — the same order as the sequential kernel — so the
-// result is bit-identical to Covariance for any worker count; a resolved
-// worker count of 1 runs entirely in the calling goroutine.
+// output rows of the upper triangle, sized by triangle area (row a holds
+// d−a entries) so the blocks carry about equal work. Each covariance entry
+// accumulates its per-sample terms in ascending sample order — the same
+// order as the sequential kernel — so the result is bit-identical to
+// Covariance for any worker count; a resolved worker count of 1 runs
+// entirely in the calling goroutine.
 func CovarianceWorkers(x *Matrix, workers int) (*Matrix, error) {
 	n, d := x.Dims()
 	if n < 2 {
@@ -162,41 +191,36 @@ func CovarianceWorkers(x *Matrix, workers int) (*Matrix, error) {
 		means[j] /= float64(n)
 	}
 	cov := New(d, d)
-	workers = par.WorkersFor(workers, int64(n)*int64(d)*int64(d))
-	if workers == 1 {
-		// Sequential path: one pass over the samples, upper triangle only.
+	// accumulate adds every sample's terms to output rows [lo, hi), upper
+	// triangle only: the sample is centred once into c, then row a takes
+	// c[a]·c[a:] as one axpy. An exact-zero c[a] skips its row, as it
+	// always has: its terms are ±0 for finite data, but 0·Inf is NaN.
+	accumulate := func(lo, hi int) {
+		c := make([]float64, d)
 		for i := 0; i < n; i++ {
 			row := x.data[i*d : (i+1)*d]
-			for a := 0; a < d; a++ {
-				da := row[a] - means[a]
-				if da == 0 {
+			for b := lo; b < d; b++ {
+				c[b] = row[b] - means[b]
+			}
+			for a := lo; a < hi; a++ {
+				if c[a] == 0 {
 					continue
 				}
-				crow := cov.data[a*d : (a+1)*d]
-				for b := a; b < d; b++ {
-					crow[b] += da * (row[b] - means[b])
-				}
+				axpy(c[a], c[a:], cov.Row(a)[a:])
 			}
 		}
+	}
+	workers = par.WorkersFor(workers, int64(n)*int64(d)*int64(d))
+	if workers == 1 {
+		accumulate(0, d)
 	} else {
-		// Parallel path: each worker owns a disjoint block of output rows
-		// and scans the samples in the same ascending order, so every
-		// cov[a][b] sees the identical sequence of floating-point adds
-		// (including the da == 0 skips) as the sequential pass.
-		par.Blocks(workers, d, func(lo, hi int) {
-			for i := 0; i < n; i++ {
-				row := x.data[i*d : (i+1)*d]
-				for a := lo; a < hi; a++ {
-					da := row[a] - means[a]
-					if da == 0 {
-						continue
-					}
-					crow := cov.data[a*d : (a+1)*d]
-					for b := a; b < d; b++ {
-						crow[b] += da * (row[b] - means[b])
-					}
-				}
-			}
+		// Each block owns disjoint output rows and scans the samples in
+		// ascending order, so every cov[a][b] sees the identical sequence
+		// of floating-point adds (the c[a] == 0 skips included) as the
+		// sequential pass.
+		bounds := triangleBlocks(d, workers)
+		par.ForEach(workers, len(bounds)-1, func(k int) {
+			accumulate(bounds[k], bounds[k+1])
 		})
 	}
 	norm := 1.0 / float64(n-1)
@@ -208,6 +232,23 @@ func CovarianceWorkers(x *Matrix, workers int) (*Matrix, error) {
 		}
 	}
 	return cov, nil
+}
+
+// triangleBlocks splits the rows [0, d) of a d×d upper triangle into at
+// most blocks contiguous, non-empty ranges of about equal area, returned
+// as ascending bounds from 0 to d: range k is [bounds[k], bounds[k+1]).
+// A range ends at the first row where the area so far reaches its share.
+func triangleBlocks(d, blocks int) []int {
+	total := d * (d + 1) / 2
+	bounds := []int{0}
+	area := 0
+	for a := 0; a < d-1; a++ {
+		area += d - a
+		if area*blocks >= len(bounds)*total {
+			bounds = append(bounds, a+1)
+		}
+	}
+	return append(bounds, d)
 }
 
 // CorrelationFromCov converts a covariance matrix into a correlation matrix.

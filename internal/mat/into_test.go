@@ -29,7 +29,7 @@ func diagDominant(rng *rand.Rand, n int) *Matrix {
 // contents from a larger system would surface as a mismatch.
 func TestSolveIntoMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var aw, bw, x Matrix
+	var aw, x Matrix
 	for _, n := range []int{6, 4, 6, 2, 1} {
 		a := diagDominant(rng, n)
 		b := randMatrix(rng, n, 3)
@@ -37,7 +37,7 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveInto(a, b, &aw, &bw, &x)
+		got, err := SolveInto(a, b, &aw, &x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,14 +50,14 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 // TestInverseIntoMatchesInverse pins the workspace inverse against Inverse.
 func TestInverseIntoMatchesInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	var ident, aw, bw, x Matrix
+	var aw, x Matrix
 	for _, n := range []int{5, 3, 5, 1} {
 		a := diagDominant(rng, n)
 		want, err := Inverse(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := InverseInto(a, &ident, &aw, &bw, &x)
+		got, err := InverseInto(a, &aw, &x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestCopyFromSetIdentity(t *testing.T) {
 		m.data[i] = 9 // dirty the workspace
 	}
 	m.SetIdentity(3)
-	if !Equal(&m, Identity(3), 0) {
+	if want, _ := FromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}); !Equal(&m, want, 0) {
 		t.Fatal("SetIdentity left stale contents")
 	}
 }

@@ -66,15 +66,6 @@ func Wrap(rows, cols int, data []float64) (*Matrix, error) {
 	return &Matrix{rows: rows, cols: cols, data: data}, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
 // Reset reshapes m to rows×cols, reusing the existing backing array when it
 // is large enough (the workspace primitive behind the *Into variants). The
 // contents after Reset are undefined. Returns m for chaining.
@@ -125,6 +116,11 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
+// Row returns row i as a slice of the matrix's backing array, not a copy:
+// writes through it change m. It lets callers run row kernels such as
+// nn.Axpy over a matrix without At/Set per element.
+func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
+
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := New(m.cols, m.rows)
@@ -134,6 +130,21 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return t
+}
+
+// TransposeInPlace transposes a square matrix in its own storage, for a
+// caller that needs the transpose and not the original. It panics on a
+// non-square m, which has no in-place transpose.
+func (m *Matrix) TransposeInPlace() {
+	if m.rows != m.cols {
+		panic(fmt.Sprintf("mat: in-place transpose of %dx%d", m.rows, m.cols))
+	}
+	n := m.rows
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.data[i*n+j], m.data[j*n+i] = m.data[j*n+i], m.data[i*n+j]
+		}
+	}
 }
 
 // Add returns a+b.
@@ -172,26 +183,9 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 			}
 			brow := b.data[k*b.cols : (k+1)*b.cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product a*x.
-func MulVec(a *Matrix, x []float64) ([]float64, error) {
-	if a.cols != len(x) {
-		return nil, fmt.Errorf("%w: %dx%d * vec(%d)", ErrShape, a.rows, a.cols, len(x))
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
 	}
 	return out, nil
 }

@@ -107,7 +107,7 @@ func TestMulIdentity(t *testing.T) {
 			a.Set(i, j, rng.NormFloat64())
 		}
 	}
-	got, err := Mul(a, Identity(4))
+	got, err := Mul(a, new(Matrix).SetIdentity(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +116,23 @@ func TestMulIdentity(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	got, err := MulVec(a, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
+func TestRowAndTransposeInPlace(t *testing.T) {
+	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	a.Row(1)[2] = 60
+	if a.At(1, 2) != 60 {
+		t.Error("Row returned a copy; want the backing slice")
 	}
-	if got[0] != 3 || got[1] != 7 {
-		t.Errorf("MulVec = %v; want [3 7]", got)
+	want := a.T()
+	a.TransposeInPlace()
+	if !Equal(a, want, 0) {
+		t.Errorf("TransposeInPlace = %v; want %v", a.data, want.data)
 	}
-	if _, err := MulVec(a, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("MulVec shape error = %v; want ErrShape", err)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("TransposeInPlace of a 2x3 matrix did not panic")
+		}
+	}()
+	New(2, 3).TransposeInPlace()
 }
 
 func TestAddSubScale(t *testing.T) {
@@ -191,7 +196,7 @@ func TestInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	prod, _ := Mul(a, inv)
-	if !Equal(prod, Identity(n), 1e-8) {
+	if !Equal(prod, new(Matrix).SetIdentity(n), 1e-8) {
 		t.Error("a*inv(a) != I")
 	}
 }
@@ -319,7 +324,7 @@ func TestCovariancePSDProperty(t *testing.T) {
 		if !Equal(cov, cov.T(), 1e-12) {
 			return false
 		}
-		ridge := Identity(4)
+		ridge := new(Matrix).SetIdentity(4)
 		reg, err := Add(cov, Scale(1e-8, ridge))
 		if err != nil {
 			return false

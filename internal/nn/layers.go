@@ -341,26 +341,57 @@ func NewDropout(p float64, rng *rand.Rand) *Dropout {
 	return &Dropout{P: p, rng: rng}
 }
 
-// ForwardT draws a fresh dropout mask and applies it.
+// ForwardT draws a fresh dropout mask and applies it. A unit survives
+// exactly when rng.Float64() >= P would hold, drawing the same Int63
+// values: each draw is compared with keepThreshold(P) as an integer, and
+// the survivor's mask and output are selected with a bit mask, not a
+// branch, so the loop runs at the rng's pace.
 func (d *Dropout) ForwardT(x *Tensor) *Tensor {
 	if d.P == 0 {
 		d.hasMask = false
 		return x
 	}
 	scale := 1 / (1 - d.P)
+	scaleBits := math.Float64bits(scale)
+	t := keepThreshold(d.P)
 	out := d.out.Reset(x.rows, x.cols)
 	mask := d.mask.Reset(x.rows, x.cols)
 	d.hasMask = true
 	for i, v := range x.data {
-		if d.rng.Float64() >= d.P {
-			mask.data[i] = scale
-			out.data[i] = v * scale
-		} else {
-			mask.data[i] = 0
-			out.data[i] = 0
+		r := d.rng.Int63()
+		for r >= float64Redraw {
+			r = d.rng.Int63()
 		}
+		// All ones when r >= t, else zero (t-1-r is then >= 0); a zero
+		// bit pattern is +0, what a dropped unit holds.
+		keep := uint64((t - 1 - r) >> 63)
+		mask.data[i] = math.Float64frombits(scaleBits & keep)
+		out.data[i] = math.Float64frombits(math.Float64bits(v*scale) & keep)
 	}
 	return out
+}
+
+// float64Redraw is the smallest Int63 draw that rand.Float64 discards:
+// float64(r) rounds to 2⁶³ from r = 2⁶³−2⁹ up (the tie rounds to even),
+// so r/2⁶³ would be 1, and Float64 draws again.
+const float64Redraw = 1<<63 - 1<<9
+
+// keepThreshold returns the smallest Int63 draw r for which Float64's
+// value float64(r)/2⁶³ is at least p. That value never decreases as r
+// grows, so for every draw Float64 keeps, r >= keepThreshold(p) holds
+// exactly when Float64() >= p. The search evaluates Float64's own
+// expression, so the two agree bit for bit at every boundary.
+func keepThreshold(p float64) int64 {
+	lo, hi := int64(0), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // BackwardT routes gradients through the surviving units.

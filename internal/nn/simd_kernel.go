@@ -101,8 +101,16 @@ var (
 	vscale     func(dst, x []float64, s float64)                                                         = vscaleGo
 )
 
+// Axpy is the rank-1 row update o[k] += v*w[k] for k < len(o), adding
+// each rounded product to its element in place; w must be at least as
+// long as o. It runs the bound kernel set's axpy1, so its bits are the Go
+// twin's at every width. It has no zero skip: a ±0 v still adds its ±0 or
+// NaN products. Packages outside nn (mat's dense algebra, the alignment
+// baselines) share it so their loops vectorize without a second kernel.
+func Axpy(v float64, w, o []float64) { axpy1(v, w, o) }
+
 // axpy1Go is the single-row rank-1 update o[k] += v*w[k] — the gate's
-// accumulations and the single-output Dense weight gradient.
+// accumulations, the single-output Dense weight gradient and Axpy.
 func axpy1Go(v float64, w, o []float64) {
 	w = w[:len(o)]
 	for k, wk := range w {

@@ -1,7 +1,7 @@
 // Package par provides the repo's bounded parallel-execution primitives:
 // a work-stealing parallel for-loop, an error-collecting variant with
-// deterministic first-error semantics, and a contiguous block splitter for
-// row-blocked matrix kernels.
+// deterministic first-error semantics, fixed training-shard boundaries and
+// a fixed-shape tree reduction.
 //
 // The package enforces one contract everywhere it is used: a resolved
 // worker count of 1 runs the loop body sequentially in the calling
@@ -177,8 +177,8 @@ func ForEachErr(workers, n int, fn func(i int) error) error {
 // bit) is identical no matter how many workers execute the shards. The
 // effective count is min(shards, n/minRows) clamped to at least 1: minRows
 // keeps every shard large enough for per-shard batch statistics (BatchNorm
-// needs >= 2 rows to stay on its training path). Boundaries follow the same
-// s*n/eff rule as Blocks, reusing buf when it has capacity.
+// needs >= 2 rows to stay on its training path). Shard s starts at s*n/eff;
+// buf is reused when it has capacity.
 func ShardBounds(buf []int, n, shards, minRows int) []int {
 	eff := shards
 	if minRows > 0 && eff > n/minRows {
@@ -221,30 +221,4 @@ func TreeReduce(workers, n int, combine func(dst, src int)) {
 		d := stride
 		ForEach(workers, pairs, func(p int) { combine(p*2*d, p*2*d+d) })
 	}
-}
-
-// Blocks partitions [0, n) into at most workers near-equal contiguous
-// ranges and runs fn(lo, hi) for each, in parallel. With a resolved worker
-// count of 1 it makes the single call fn(0, n) in the calling goroutine.
-// Useful for row-blocked kernels where each block owns a disjoint output
-// range.
-func Blocks(workers, n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Resolve(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	ForEach(workers, workers, func(b int) {
-		lo := b * n / workers
-		hi := (b + 1) * n / workers
-		if lo < hi {
-			fn(lo, hi)
-		}
-	})
 }

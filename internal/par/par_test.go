@@ -135,29 +135,3 @@ func TestForEachErrPanicBeatsError(t *testing.T) {
 	})
 	t.Fatal("no panic propagated")
 }
-
-func TestBlocksPartition(t *testing.T) {
-	for _, tc := range []struct{ workers, n int }{
-		{1, 10}, {3, 10}, {4, 4}, {8, 3}, {2, 1}, {5, 17},
-	} {
-		covered := make([]atomic.Int32, tc.n)
-		Blocks(tc.workers, tc.n, func(lo, hi int) {
-			if lo >= hi {
-				t.Errorf("workers=%d n=%d: empty block [%d,%d)", tc.workers, tc.n, lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				covered[i].Add(1)
-			}
-		})
-		for i := range covered {
-			if got := covered[i].Load(); got != 1 {
-				t.Fatalf("workers=%d n=%d: index %d covered %d times", tc.workers, tc.n, i, got)
-			}
-		}
-	}
-	called := false
-	Blocks(4, 0, func(lo, hi int) { called = true })
-	if called {
-		t.Error("Blocks called fn for n = 0")
-	}
-}
