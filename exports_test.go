@@ -30,6 +30,7 @@ var exportAllowlist = map[string]string{
 	"monitor.Report.TopOffenders":          "TestFeatureAttribution: ranks the drifted features; kept for the controller's decision record",
 	"nn.NewTensor":                         "TestInferEvalDigestGolden, TestForwardResumeGolden and the other nn kernel tests: builds input tensors",
 	"nn.ZeroGrads":                         "TestBackwardWindowGolden and the gradient tests: clears gradients between passes",
+	"par.SplitRuns":                        "TestOneShardTeamSplitInvariance: proves a one-shard Fit's team split at least one kernel call",
 	"scm.RandomModel":                      "TestFindVariantFeaturesFewShotPower and TestFindVariantFeaturesNoShift: random ground-truth SCMs",
 	"tree.ClassificationTree.PredictProba": "TestClassificationTreeSeparable, TestTreeProbabilitiesSumToOne and TestClassificationTreeMatchesReference: the single tree's predictions",
 	"tree.FitClassificationTree":           "TestClassificationTreeMatchesReference: the single tree the reference CART is compared with",

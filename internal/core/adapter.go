@@ -44,12 +44,13 @@ type AdapterConfig struct {
 	GAN   GANConfig          // GAN/NoCond settings
 	VAE   VAEConfig          // VAE/VanillaAE settings
 	Seed  int64
-	// Workers bounds the goroutines used by the pipeline's parallel stages
-	// (the FS causal search and, when TrainShards > 1, the gradient-shard
-	// workers of reconstructor training). It is propagated to the FS/GAN/VAE
-	// sub-configs unless those already set their own value. <= 0 means
-	// runtime.GOMAXPROCS(0); 1 forces the exact sequential path. Results are
-	// bit-identical for every value.
+	// Workers bounds the goroutines used by the pipeline's parallel stages:
+	// the FS causal search and reconstructor training, which runs whole
+	// gradient shards on them when TrainShards > 1 and, at one shard,
+	// splits each step's Dense and Adam kernels across them. It is
+	// propagated to the FS/GAN/VAE sub-configs unless those already set
+	// their own value. <= 0 means runtime.GOMAXPROCS(0); 1 forces the exact
+	// sequential path. Results are bit-identical for every value.
 	Workers int
 	// TrainShards is the number of deterministic gradient shards per
 	// reconstructor minibatch (data-parallel across Workers goroutines).
@@ -140,7 +141,8 @@ func (a *Adapter) Fit(source *dataset.Dataset, targetSupport *dataset.Dataset) e
 	}
 	fsSpan := sp.Child("feature_separation")
 	sep := NewFeatureSeparator(a.cfg.FS)
-	if err := sep.Fit(source.X, targetSupport.X); err != nil {
+	scaled, err := sep.fit(source.X, targetSupport.X)
+	if err != nil {
 		fsSpan.End()
 		return err
 	}
@@ -159,10 +161,6 @@ func (a *Adapter) Fit(source *dataset.Dataset, targetSupport *dataset.Dataset) e
 	if len(sep.variant) == 0 {
 		// Nothing to reconstruct; TransformTarget degenerates to scaling.
 		return nil
-	}
-	scaled, err := sep.Scale(source.X)
-	if err != nil {
-		return err
 	}
 	inv, vr, err := sep.Split(scaled)
 	if err != nil {

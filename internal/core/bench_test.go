@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -28,19 +29,30 @@ func benchBlocks(n, dInv, dVar int, seed int64) (inv, vr [][]float64, y []int) {
 	return inv, vr, y
 }
 
+// benchGANEpochs times one-epoch, one-shard Fits of cfg at Workers 1 (the
+// sequential path) and 2 (the kernels split across a two-member team), one
+// sub-benchmark each; the trained bits are the same at both.
+func benchGANEpochs(b *testing.B, cfg GANConfig, inv, vr [][]float64, y []int, classes int) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := cfg
+				c.Epochs, c.Seed, c.Workers = 1, int64(i)+1, workers
+				if err := NewCGAN(c).Fit(inv, vr, y, classes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGANEpoch times one conditional-GAN training epoch — the
 // dominant cost of Adapter.Fit in ModeFSRecon:
 //
 //	go test -bench GANEpoch -benchtime 1x ./internal/core
 func BenchmarkGANEpoch(b *testing.B) {
 	inv, vr, y := benchBlocks(512, 24, 12, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := NewCGAN(GANConfig{Epochs: 1, Seed: int64(i) + 1})
-		if err := g.Fit(inv, vr, y, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGANEpochs(b, GANConfig{}, inv, vr, y, 4)
 }
 
 // BenchmarkGANEpoch5GC times one conditional-GAN epoch at the fit-5gc
@@ -54,13 +66,7 @@ func BenchmarkGANEpoch5GC(b *testing.B) {
 	for i := range y {
 		y[i] = i % 16
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := NewCGAN(GANConfig{Epochs: 1, Conditional: true, Seed: int64(i) + 1})
-		if err := g.Fit(inv, vr, y, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGANEpochs(b, GANConfig{Conditional: true}, inv, vr, y, 16)
 }
 
 // benchServeAdapter fits a full-width FS+GAN adapter on synthetic data

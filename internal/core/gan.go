@@ -38,8 +38,12 @@ type GANConfig struct {
 	// serialized: persisted adapters are inference-only and re-Fit rebuilds
 	// the nets anyway.
 	Shards int `json:"-"`
-	// Workers bounds the goroutines running the shards; <= 0 uses all CPUs.
-	// Trained weights are bit-identical for every value. Never serialized.
+	// Workers bounds the goroutines that train: with Shards > 1 they run
+	// whole shards; at one shard they form a team that splits each
+	// training step's Dense and Adam kernels by output, while the step
+	// itself (every draw included) stays on the calling goroutine. <= 0
+	// uses all CPUs. Trained weights are bit-identical for every value.
+	// Never serialized.
 	Workers int `json:"-"`
 	// Obs, when non-nil, receives per-epoch generator/discriminator losses
 	// and a fit-completion event. It never changes the training math or the

@@ -38,30 +38,38 @@ func NewFeatureSeparator(cfg causal.FNodeConfig) *FeatureSeparator {
 // Fit learns the scaling from source data and separates features using the
 // (typically few-shot) target sample.
 func (s *FeatureSeparator) Fit(sourceX, targetX [][]float64) error {
+	_, err := s.fit(sourceX, targetX)
+	return err
+}
+
+// fit is Fit that also returns the scaled source rows the search ran on,
+// Scale(sourceX) bit for bit, so a caller that needs them next (Adapter.Fit)
+// does not scale the source a second time.
+func (s *FeatureSeparator) fit(sourceX, targetX [][]float64) ([][]float64, error) {
 	if len(sourceX) == 0 || len(targetX) == 0 {
-		return fmt.Errorf("core: separator needs source and target samples (%d, %d)", len(sourceX), len(targetX))
+		return nil, fmt.Errorf("core: separator needs source and target samples (%d, %d)", len(sourceX), len(targetX))
 	}
 	scaler := stats.NewMinMaxScaler(-1, 1)
 	if err := scaler.Fit(sourceX); err != nil {
-		return fmt.Errorf("core: fit scaler: %w", err)
+		return nil, fmt.Errorf("core: fit scaler: %w", err)
 	}
 	srcScaled, err := scaler.Transform(sourceX)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tgtScaled, err := scaler.Transform(targetX)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := causal.FindVariantFeatures(srcScaled, tgtScaled, s.Config)
 	if err != nil {
-		return fmt.Errorf("core: feature separation: %w", err)
+		return nil, fmt.Errorf("core: feature separation: %w", err)
 	}
 	s.scaler = scaler
 	s.variant = res.Variant
 	s.invariant = res.Invariant
 	s.fitted = true
-	return nil
+	return srcScaled, nil
 }
 
 // Variant returns the identified domain-variant feature indices.

@@ -31,9 +31,14 @@ import (
 //
 // Shards ≤ 1 is the harness's one-shard case, not a second trainer: the
 // replica is the network itself, and every draw comes from the model's own
-// seeded stream in the order the step body makes it. With more shards every
-// draw site reseeds a private stream per (Seed, step, phase, shard), so a
-// shard's work is a pure function of its index (trainer.rand).
+// seeded stream in the order the step body makes it. There the Workers are
+// a fork-join team (par.Team) that lives for one fit: the calling
+// goroutine runs the step body, draws included, and each hot kernel (the
+// Dense forward, weight gradient and input gradient, the Adam update)
+// splits its outputs across the team, so every bit is the sequential one.
+// With more shards every draw site reseeds a private stream per (Seed,
+// step, phase, shard), so a shard's work is a pure function of its index
+// (trainer.rand).
 
 // ErrFitInput is wrapped by every error a reconstructor's Fit returns for
 // training data it cannot train on.
@@ -251,6 +256,17 @@ func (tr *trainer) run(p *phase) (float64, error) {
 	return loss, nil
 }
 
+// useTeam splits the one-shard step's kernels across team (nil unsets
+// it): every network's Dense layers and every phase's optimizer.
+func (tr *trainer) useTeam(team *par.Team, phases []*phase) {
+	for _, sn := range tr.nets {
+		sn.SetTeam(team)
+	}
+	for _, p := range phases {
+		p.opt.SetTeam(team)
+	}
+}
+
 // fit is the epoch loop every reconstructor shares. Each epoch shuffles the
 // rows into minibatches with the model's rng, gathers each batch (with its
 // lab rows when lab is non-nil), splits it into shards, and runs the phases
@@ -259,6 +275,12 @@ func (tr *trainer) run(p *phase) (float64, error) {
 // the discriminator's.
 func (tr *trainer) fit(epochs, batchSize int, lab [][]float64, phases ...*phase) error {
 	tr.lab = lab
+	if tr.shards == 1 && par.Resolve(tr.workers) > 1 {
+		team := par.NewTeam(tr.workers)
+		tr.useTeam(team, phases)
+		defer team.Close()
+		defer tr.useTeam(nil, phases)
+	}
 	sums := make([]float64, len(phases))
 	bestLoss := math.Inf(1)
 	convergedEpoch := 0

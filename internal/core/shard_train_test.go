@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"netdrift/internal/nn"
 	"netdrift/internal/obs"
@@ -199,6 +200,114 @@ func TestShardedTrainingWorkerInvariance(t *testing.T) {
 	}
 }
 
+// splitRecon builds the split-shape fixture's reconstructor of the given
+// kind: hidden units wide enough that a one-shard team splits the Dense
+// and Adam kernels (par.WorkersFor passes them), trained on 64-row
+// batches.
+func splitRecon(model string, hidden, epochs, workers int) Reconstructor {
+	switch model {
+	case "GAN", "NoCond":
+		return NewCGAN(GANConfig{
+			Epochs: epochs, BatchSize: 64, Seed: 19, Hidden: hidden, NoiseDim: 8,
+			Conditional: model == "GAN", Workers: workers,
+		})
+	case "VAE":
+		return NewVAE(VAEConfig{Epochs: epochs, BatchSize: 64, Seed: 19, Hidden: hidden, LatentDim: 8, Workers: workers})
+	case "VanillaAE":
+		return NewVanillaAE(VAEConfig{Epochs: epochs, BatchSize: 64, Seed: 19, Hidden: hidden, Workers: workers})
+	}
+	panic(fmt.Sprintf("unknown model %q", model))
+}
+
+// TestOneShardTeamSplitInvariance is the worker-invariance matrix at one
+// shard on a shape where the team really splits: Hidden 64 (the AVX-512
+// 64-column stripe) and 100 (its 32+4 remainder), two 64-row batches and
+// a 13-row tail per epoch (odd row splits, and a tail whose 64-wide calls
+// stay whole), for all four reconstructors at every kernel width. Workers
+// 2 and 3 must train Workers 1's bits, and at least one kernel call must
+// have been split (par.SplitRuns): a team that never splits would pass
+// vacuously.
+func TestOneShardTeamSplitInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains 4 models x 2 widths x 3 worker counts per kernel width")
+	}
+	inv, vr, y := shardTrainData(141, 12, 6, 29)
+	widths := nn.KernelWidths()
+	defer nn.SetKernelWidth(nn.SetKernelWidth(widths[0]))
+	for _, width := range widths {
+		nn.SetKernelWidth(width)
+		for _, model := range []string{"GAN", "NoCond", "VAE", "VanillaAE"} {
+			for _, hidden := range []int{64, 100} {
+				fit := func(workers int) []*nn.Snapshot {
+					r := splitRecon(model, hidden, 2, workers)
+					if err := r.Fit(inv, vr, y, 2); err != nil {
+						t.Fatalf("%s %s hidden=%d workers=%d: fit: %v", width, model, hidden, workers, err)
+					}
+					return reconSnapshots(r)
+				}
+				want := fit(1)
+				for _, workers := range []int{2, 3} {
+					before := par.SplitRuns()
+					got := fit(workers)
+					if par.SplitRuns() == before {
+						t.Fatalf("%s %s hidden=%d workers=%d: no kernel call was split", width, model, hidden, workers)
+					}
+					snapshotsEqual(t, fmt.Sprintf("%s %s hidden=%d", width, model, hidden), workers, want, got)
+				}
+			}
+		}
+	}
+	logWidths(t, widths)
+}
+
+// TestFitJoinsTeam pins that no goroutine outlives a one-shard Fit at
+// Workers 2: the team's helpers are joined when training ends, and when
+// it stops on an error.
+func TestFitJoinsTeam(t *testing.T) {
+	inv, vr, y := shardTrainData(141, 12, 6, 29)
+	base := runtime.NumGoroutine()
+	if err := splitRecon("GAN", 64, 2, 2).Fit(inv, vr, y, 2); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base, "a Fit")
+
+	tr, err := newTrainer("fail", trainOpts{seed: 1, shards: 1, workers: 2}, inv, vr, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := nn.NewMLP(nn.MLPConfig{In: 12, Hidden: []int{64}, Out: 6, Rng: rand.New(rand.NewSource(1))})
+	sn := tr.net(net)
+	var out nn.Tensor
+	body := func(tr *trainer, s int, b *shardBatch, loss []float64) error {
+		if tr.step == 2 {
+			return fmt.Errorf("step %d failed", tr.step)
+		}
+		pred := sn.Net(s).ForwardT(&b.inv)
+		var mseErr error
+		loss[0], mseErr = nn.MSETN(pred, &b.vr, &out, float64(tr.n))
+		nn.BackwardWindow(sn.Net(s), &out, 0, 0)
+		return mseErr
+	}
+	p := tr.phase(body, nn.NewAdam(1e-3, 0), net.Params(), []*nn.ShardedNet{sn}, lossTerm{1, 1})
+	if err := tr.fit(1, 64, nil, p); err == nil {
+		t.Fatal("a failing step did not fail the fit")
+	}
+	waitGoroutines(t, base, "a failed fit")
+}
+
+// waitGoroutines waits up to a second for the goroutine count to return
+// to base (an exiting helper may be counted for a moment after its join).
+func waitGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive %s", runtime.NumGoroutine()-base, after)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestShardedTrainingShardCountIsKey documents that the shard count — unlike
 // the worker count — IS part of the reproducibility key: different shard
 // counts are different (equally valid) trainings.
@@ -246,17 +355,29 @@ func TestShardedTrainingRace(t *testing.T) {
 // the training harness for every reconstructor kind, at one shard (the
 // default every unsharded Fit runs) and at four: after the first epoch warms
 // every arena, additional epochs must not allocate per batch (DESIGN.md
-// §5c). Measured at Workers=1 — goroutine startup allocates by design on
-// parallel runs.
+// §5c). One shard is measured at Workers 1 and, on the split-shape fixture
+// whose kernels the team really splits, at Workers 2: a split hands the
+// team a record the layer or optimizer already owns, so it allocates
+// nothing either. Four shards are measured at Workers 1 only — starting
+// the shard goroutines of each phase allocates by design.
 func TestShardedEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
 	}
 	inv, vr, y := shardTrainData(96, 4, 3, 11)
+	splitInv, splitVar, splitY := shardTrainData(141, 12, 6, 29)
 	for _, model := range []string{"GAN", "NoCond", "VAE", "VanillaAE"} {
-		for _, shards := range []int{1, 4} {
+		for _, c := range []struct {
+			shards, workers int
+			split           bool
+		}{{1, 1, false}, {4, 1, false}, {1, 2, true}} {
 			fit := func(epochs int) {
-				if err := testRecon(model, epochs, shards, 1, nil).Fit(inv, vr, y, 2); err != nil {
+				r := testRecon(model, epochs, c.shards, c.workers, nil)
+				in, v, lab := inv, vr, y
+				if c.split {
+					r, in, v, lab = splitRecon(model, 64, epochs, c.workers), splitInv, splitVar, splitY
+				}
+				if err := r.Fit(in, v, lab, 2); err != nil {
 					t.Fatalf("%s fit: %v", model, err)
 				}
 			}
@@ -265,8 +386,8 @@ func TestShardedEpochAllocs(t *testing.T) {
 			more := mallocsDuring(func() { fit(10) })
 			perEpoch := float64(int64(more)-int64(base)) / 8
 			if perEpoch > epochAllocBudget {
-				t.Errorf("%s shards=%d: epoch allocates %.1f objects in steady state, budget %d",
-					model, shards, perEpoch, epochAllocBudget)
+				t.Errorf("%s shards=%d workers=%d: epoch allocates %.1f objects in steady state, budget %d",
+					model, c.shards, c.workers, perEpoch, epochAllocBudget)
 			}
 		}
 	}

@@ -20,8 +20,9 @@ type VAEConfig struct {
 	// Shards and Workers mirror GANConfig: Shards fixes the deterministic
 	// gradient-shard count (0 or 1 = one shard, drawing from the model's
 	// own seeded streams) and is part of the reproducibility key; Workers
-	// only bounds the goroutines and never changes the trained bits. Never
-	// serialized.
+	// bounds the goroutines that run whole shards (Shards > 1) or split
+	// the one shard's Dense and Adam kernels, and never changes the
+	// trained bits. Never serialized.
 	Shards  int `json:"-"`
 	Workers int `json:"-"`
 	// Obs, when non-nil, receives per-epoch training losses. It never

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,9 +9,9 @@ import (
 	"netdrift/internal/nn"
 )
 
-// The scalar loops CovarianceWorkers and SolveInto ran before they moved
-// onto nn.Axpy (At/Set, one element at a time), kept as the reference the
-// axpy forms must match bit for bit. Each product that feeds an add is
+// The scalar loops CovarianceWorkers, SolveInto and Cholesky ran before
+// they moved onto nn.Axpy (At/Set, one element at a time), kept as the
+// reference the axpy forms must match bit for bit. Each product that feeds an add is
 // wrapped in float64(...) so the reference cannot fuse on arm64 either.
 
 func refCovariance(x *Matrix) *Matrix {
@@ -98,6 +99,30 @@ func refSolve(a, b *Matrix) (*Matrix, bool, error) {
 		}
 	}
 	return x, swapped, nil
+}
+
+// refCholesky is the dot-per-entry factorization.
+func refCholesky(a *Matrix) (*Matrix, error) {
+	n := a.rows
+	l := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			var s float64
+			for k := 0; k < j; k++ {
+				s += float64(l.At(i, k) * l.At(j, k))
+			}
+			if i == j {
+				d := a.At(i, i) - s
+				if d <= 0 {
+					return nil, fmt.Errorf("%w: leading minor %d", ErrNotPD, i)
+				}
+				l.Set(i, j, math.Sqrt(d))
+			} else {
+				l.Set(i, j, (a.At(i, j)-s)/l.At(j, j))
+			}
+		}
+	}
+	return l, nil
 }
 
 // signedZeroMatrix fills a rows×cols matrix with normals, +0, -0 and
@@ -218,6 +243,51 @@ func TestSolveAxpyGolden(t *testing.T) {
 		}
 		if !sawSwap {
 			t.Fatal("no test matrix forced a pivot swap")
+		}
+	})
+}
+
+// TestCholeskyAxpyGolden pins Cholesky against the dot-per-entry loop at
+// every kernel width: symmetric, diagonally dominant matrices whose
+// off-diagonal entries include +0, -0 and tiny values (so factor entries
+// of either zero sign occur), sizes on both sides of the inline-loop
+// cutoff, and the same matrices with one diagonal entry made negative,
+// which must fail at the same leading minor.
+func TestCholeskyAxpyGolden(t *testing.T) {
+	forEachWidth(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		sawNegZero := false
+		for _, n := range []int{1, 2, 5, 8, 9, 16, 33, 40} {
+			a := signedZeroMatrix(rng, n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < i; j++ {
+					a.Set(j, i, a.At(i, j))
+				}
+				a.Set(i, i, float64(2*n)+math.Abs(a.At(i, i)))
+			}
+			want, err := refCholesky(a)
+			if err != nil {
+				t.Fatalf("n=%d: reference: %v", n, err)
+			}
+			got, err := Cholesky(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitIdentical(got, want) {
+				t.Fatalf("n=%d: Cholesky differs from the dot-per-entry loop", n)
+			}
+			for _, v := range got.data {
+				sawNegZero = sawNegZero || math.Signbit(v) && v == 0
+			}
+			m := n / 2
+			a.Set(m, m, -1)
+			_, wantErr := refCholesky(a)
+			if _, err := Cholesky(a); err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("n=%d: error %v, want %v", n, err, wantErr)
+			}
+		}
+		if !sawNegZero {
+			t.Fatal("no factor entry was -0")
 		}
 	})
 }

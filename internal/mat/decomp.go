@@ -134,30 +134,38 @@ func InverseInto(a, aw, x *Matrix) (*Matrix, error) {
 
 // Cholesky computes the lower-triangular factor L with a = L*Lᵀ.
 // Returns ErrNotPD when a is not (numerically) positive definite.
+//
+// Each entry is L[i][j] = (a[i][j] - s)/L[j][j] (the square root of
+// a[i][i] - s on the diagonal) with s = Σ_{k<j} L[i][k]·L[j][k] summed from
+// +0 in ascending k. The factor is built as U = Lᵀ, one column per row of
+// L, and transposed in place at the end: row i's sums are accumulated
+// together in a row buffer, and once L[i][k] is final, one axpy adds its
+// products with U's row k (the entries L[j][k], j ≤ i, already written) to
+// every later sum. Each sum still adds its terms in ascending k from +0, so
+// the bits are those of the dot-per-entry loop (refCholesky in the tests).
 func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrShape, a.rows, a.cols)
 	}
 	n := a.rows
-	l := New(n, n)
+	u := New(n, n)
+	s := make([]float64, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			var s float64
-			for k := 0; k < j; k++ {
-				s += float64(l.At(i, k) * l.At(j, k))
-			}
-			if i == j {
-				d := a.At(i, i) - s
-				if d <= 0 {
-					return nil, fmt.Errorf("%w: leading minor %d", ErrNotPD, i)
-				}
-				l.Set(i, j, math.Sqrt(d))
-			} else {
-				l.Set(i, j, (a.At(i, j)-s)/l.At(j, j))
-			}
+		ai := a.Row(i)
+		clear(s[:i+1])
+		for k := 0; k < i; k++ {
+			lik := (ai[k] - s[k]) / u.data[k*n+k]
+			u.data[k*n+i] = lik
+			axpy(lik, u.Row(k)[k+1:i+1], s[k+1:i+1])
 		}
+		d := ai[i] - s[i]
+		if d <= 0 {
+			return nil, fmt.Errorf("%w: leading minor %d", ErrNotPD, i)
+		}
+		u.data[i*n+i] = math.Sqrt(d)
 	}
-	return l, nil
+	u.TransposeInPlace()
+	return u, nil
 }
 
 // Covariance computes the (cols×cols) sample covariance matrix of the rows

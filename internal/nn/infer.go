@@ -60,7 +60,7 @@ func (n *Network) InferT(x *Tensor, s *InferScratch) *Tensor {
 // InferT implements Layer: ForwardT's forward kernel without the input
 // cache (nothing on the layer is written).
 func (d *Dense) InferT(x *Tensor, s *InferScratch) *Tensor {
-	return d.forward(x, s.grab().Reset(x.rows, d.Out))
+	return d.forward(x, s.grab().Reset(x.rows, d.Out), nil)
 }
 
 // InferT implements Layer for elementwise activations.

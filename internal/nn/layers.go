@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"netdrift/internal/par"
 )
 
 // Layer is a differentiable network stage over row-major Tensor batches.
@@ -42,6 +44,12 @@ type Dense struct {
 	prefixK         int
 	prefixAt        [2]uint64
 	kept            bool
+
+	// The training passes' kernels split across team when it is set (see
+	// ShardedNet.SetTeam), through these records; InferT never splits.
+	team *par.Team
+	gemm gemmSplit
+	dots vdotSplit
 }
 
 // NewDense creates a dense layer with He-uniform initialization.
@@ -65,15 +73,15 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 // ForwardT computes the affine map in place.
 func (d *Dense) ForwardT(x *Tensor) *Tensor {
 	d.input = x
-	return d.forward(x, d.out.Reset(x.rows, d.Out))
+	return d.forward(x, d.out.Reset(x.rows, d.Out), d.team)
 }
 
 // forward writes x·Wᵀ + b into out — the one forward of the layer, shared
-// by ForwardT and InferT. Each output element starts at its bias and adds
-// x[j]·W[j][k] for the nonzero inputs in ascending j (skipGemm's
-// definition: the zero skip is part of it), one rounded multiply and one
-// rounded add per term.
-func (d *Dense) forward(x, out *Tensor) *Tensor {
+// by ForwardT and InferT (which passes no team), its rows split across
+// team. Each output element starts at its bias and adds x[j]·W[j][k] for
+// the nonzero inputs in ascending j (skipGemm's definition: the zero skip
+// is part of it), one rounded multiply and one rounded add per term.
+func (d *Dense) forward(x, out *Tensor, team *par.Team) *Tensor {
 	if d.Out == 1 {
 		// Single-output layers (the discriminator head): the row product is
 		// DEFINED as one wide dot over the contiguous weight column —
@@ -86,17 +94,18 @@ func (d *Dense) forward(x, out *Tensor) *Tensor {
 	for i := 0; i < x.rows; i++ {
 		copy(out.Row(i), d.b.Data)
 	}
-	d.addTerms(out, x, 0, x.cols)
+	d.addTerms(out, x, 0, x.cols, team)
 	return out
 }
 
 // addTerms adds the terms x[j]·W[j] of the input columns lo ≤ j < hi to
-// out, in ascending j (skipGemm over that block of columns).
-func (d *Dense) addTerms(out, x *Tensor, lo, hi int) {
+// out, in ascending j (skipGemm over that block of columns), its rows
+// split across team.
+func (d *Dense) addTerms(out, x *Tensor, lo, hi int, team *par.Team) {
 	if x.rows == 0 {
 		return
 	}
-	skipGemm(out.data, d.Out, x.data[lo:], x.cols, 1, d.w.Data[lo*d.Out:], d.Out, x.rows, d.Out, hi-lo)
+	skipGemmTeam(team, &d.gemm, out.data, d.Out, x.data[lo:], x.cols, 1, d.w.Data[lo*d.Out:], d.Out, x.rows, d.Out, hi-lo)
 }
 
 // forwardPrefix implements prefixed. Split at k, the forward's per-element
@@ -117,7 +126,7 @@ func (d *Dense) forwardPrefix(x *Tensor, k int, resume bool) *Tensor {
 	if d.Out == 1 {
 		// b + vdot(row, w) does not split (vdot's lanes span the whole
 		// row): both modes run the whole forward.
-		return d.forward(x, out)
+		return d.forward(x, out, d.team)
 	}
 	if resume {
 		copy(out.data, d.prefix.data)
@@ -125,10 +134,10 @@ func (d *Dense) forwardPrefix(x *Tensor, k int, resume bool) *Tensor {
 		for i := 0; i < x.rows; i++ {
 			copy(out.Row(i), d.b.Data)
 		}
-		d.addTerms(out, x, 0, k)
+		d.addTerms(out, x, 0, k, d.team)
 		copy(d.prefix.Reset(x.rows, d.Out).data, out.data)
 	}
-	d.addTerms(out, x, k, x.cols)
+	d.addTerms(out, x, k, x.cols, d.team)
 	return out
 }
 
@@ -207,17 +216,17 @@ func (d *Dense) backwardWindow(gradOut *Tensor, lo, hi int, frozen bool) *Tensor
 		// Weight gradient: gw[j][k] += x[i][j]·g[i][k] over the batch rows
 		// i in ascending order, skipping x[i][j] == 0 — skipGemm over the
 		// transposed input. The skip is part of the definition (0·NaN and
-		// 0·Inf are NaN).
-		skipGemm(d.w.Grad, d.Out, in.data, 1, in.cols, gradOut.data, d.Out, in.cols, d.Out, gradOut.rows)
+		// 0·Inf are NaN). Split across the team by weight rows.
+		skipGemmTeam(d.team, &d.gemm, d.w.Grad, d.Out, in.data, 1, in.cols, gradOut.data, d.Out, in.cols, d.Out, gradOut.rows)
 		for i := 0; i < gradOut.rows; i++ {
 			vadd(d.b.Grad, gradOut.Row(i))
 		}
 	}
 	// Input gradient: gi[i][j] = vdot(g[i], W[j]), the fixed 16-lane dot —
 	// the bit-level reference for this layer (see refDenseBackward) — for
-	// the window's columns j only.
+	// the window's columns j only, split across the team by batch rows.
 	if lo < hi {
-		vdotRows(gradIn.data[lo:], d.In, gradOut.data, d.w.Data[lo*d.Out:], gradOut.rows, hi-lo, d.Out)
+		vdotRowsTeam(d.team, &d.dots, gradIn.data[lo:], d.In, gradOut.data, d.w.Data[lo*d.Out:], gradOut.rows, hi-lo, d.Out)
 	}
 	return gradIn
 }

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"netdrift/internal/par"
+)
 
 // Adam is the Adam optimizer with decoupled weight decay. The paper's GAN
 // uses lr 2e-4 with decay 1e-6 (§V-C3).
@@ -14,6 +18,9 @@ type Adam struct {
 	t    int
 	m, v map[*Param][]float64
 	k    adamCoef // the current step's constants, kept here so passing them allocates nothing
+
+	team  *par.Team // splits each parameter's update when set (see SetTeam)
+	split adamSplit
 }
 
 // NewAdam creates an Adam optimizer with standard betas.
@@ -28,6 +35,11 @@ func NewAdam(lr, weightDecay float64) *Adam {
 		v:           make(map[*Param][]float64),
 	}
 }
+
+// SetTeam splits every later Step's parameter updates across team by
+// element ranges, bit for bit the unsplit update (each element's update
+// reads only that element). A nil team runs them on the caller again.
+func (o *Adam) SetTeam(team *par.Team) { o.team = team }
 
 // Step applies one Adam update and zeroes gradients.
 func (o *Adam) Step(params []*Param) {
@@ -51,7 +63,7 @@ func (o *Adam) Step(params []*Param) {
 			v = make([]float64, len(p.Data))
 			o.v[p] = v
 		}
-		adamUpdate(p.Data, p.Grad, m, v, &o.k)
+		adamUpdateTeam(o.team, &o.split, p.Data, p.Grad, m, v, &o.k)
 		p.stepped()
 		p.ZeroGrad()
 	}

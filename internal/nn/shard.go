@@ -95,6 +95,23 @@ func NewSharded(root Layer, shards int) *ShardedNet {
 	return sn
 }
 
+// SetTeam splits the training kernels of every Dense layer in the one
+// replica across team (nil unsets it): the forward by batch rows, the
+// weight gradient by weight rows, the input gradient by batch rows, each
+// bit for bit the unsplit kernel. It is for one-shard training, where the
+// replica is the network itself; with more shards the workers already run
+// whole shards, and SetTeam panics.
+func (sn *ShardedNet) SetTeam(team *par.Team) {
+	if len(sn.replicas) != 1 {
+		panic(fmt.Sprintf("nn: SetTeam on a %d-shard net", len(sn.replicas)))
+	}
+	walkLayers(sn.replicas[0], func(l Layer) {
+		if d, ok := l.(*Dense); ok {
+			d.team = team
+		}
+	})
+}
+
 // Net returns replica r's network.
 func (sn *ShardedNet) Net(r int) Layer { return sn.replicas[r] }
 
